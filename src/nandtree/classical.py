@@ -34,19 +34,26 @@ def _with_bits(tree: TreeSpec, bits) -> TreeSpec:
     return replace(tree, input_bits=_as_bits(bits))
 
 
-def eval_nand(tree: TreeSpec, bits=None) -> int:
-    """Recursive NAND of the tree; NOT markers invert their single child."""
-    tree = _with_bits(tree, bits)
-    value: dict[int, int] = {}
+def _nand(tree: TreeSpec, leaves):
+    """Post-order NAND of the tree over ``leaves[i]``, the value of leaf
+    N + i: 0/1 ints, or 0/1 integer arrays evaluated elementwise.  NOT
+    markers invert their single child.
+    """
+    value = {}
     for node in tree.postorder():
         kids = tree.children(node)
         if not kids:
-            value[node] = tree.leaf_bit(node)
+            value[node] = leaves[tree.leaf_index(node)]
         elif len(kids) == 1:
             value[node] = 1 - value[kids[0]]
         else:
-            value[node] = 1 - (value[kids[0]] & value[kids[1]])
+            value[node] = 1 - value[kids[0]] * value[kids[1]]
     return value[tree.root]
+
+
+def eval_nand(tree: TreeSpec, bits=None) -> int:
+    """Recursive NAND of the tree; NOT markers invert their single child."""
+    return _nand(tree, _with_bits(tree, bits).input_bits)
 
 
 def eval_randomized(tree: TreeSpec, bits=None, seed: int = 0) -> QueryStats:
@@ -95,14 +102,4 @@ def oracle_expectation(tree: TreeSpec, probs) -> float:
     codes = np.arange(2**n, dtype=np.int64)
     bits = (codes[:, None] >> np.arange(n)) & 1
     weight = np.prod(np.where(bits == 1, probs, 1.0 - probs), axis=1)
-
-    value: dict[int, np.ndarray] = {}
-    for node in tree.postorder():
-        kids = tree.children(node)
-        if not kids:
-            value[node] = bits[:, tree.leaf_index(node)]
-        elif len(kids) == 1:
-            value[node] = 1 - value[kids[0]]
-        else:
-            value[node] = 1 - value[kids[0]] * value[kids[1]]
-    return float(np.sum(weight * value[tree.root]))
+    return float(np.sum(weight * _nand(tree, bits.T)))

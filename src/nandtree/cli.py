@@ -145,29 +145,24 @@ def _validate(cfg: RunConfig) -> list[str]:
     errors: list[str] = []
     if cfg.command not in COMMANDS:
         errors.append(f"command: must be one of {COMMANDS}, got {cfg.command!r}")
-    needs_tree = cfg.command in ("evaluate", "sweep", "ensemble", "layout", "classical")
-    if needs_tree:
-        if cfg.depth < 1:
-            errors.append(f"tree.depth: must be >= 1, got {cfg.depth}")
-        else:
-            want = 2**cfg.depth
-            if len(cfg.bits) != want:
-                errors.append(
-                    f"tree.bits: need 2**{cfg.depth} = {want} bits, got {len(cfg.bits)}"
-                )
-            elif set(cfg.bits) - {"0", "1"}:
-                errors.append(f"tree.bits: must be 0/1 characters, got {cfg.bits!r}")
-    for name in ("delta", "gamma_l", "gamma_r", "t1"):
+    for name in ("delta", "t1"):
         if getattr(cfg, name) <= 0:
             errors.append(f"physics.{name}: must be positive, got {getattr(cfg, name)}")
     if cfg.gamma < 0:
         errors.append(f"physics.gamma: must be nonnegative, got {cfg.gamma}")
-    if cfg.kt < 0:
-        errors.append(f"physics.kt: must be nonnegative, got {cfg.kt}")
-    if cfg.sigma_t < 0 or cfg.sigma_eps < 0:
-        errors.append("disorder.sigma_t/sigma_eps: must be nonnegative")
-    if cfg.sigma_t >= 1.0:
-        errors.append(f"disorder.sigma_t: must stay below mean coupling 1, got {cfg.sigma_t}")
+    # The domain types own the remaining rules; their messages are
+    # prefixed with the config keys they were built from.
+    builders = [
+        ("disorder.sigma_t, disorder.sigma_eps", _disorder),
+        ("physics.gamma_l, physics.gamma_r, physics.kt", _probe),
+    ]
+    if cfg.command in ("evaluate", "sweep", "ensemble", "layout", "classical"):
+        builders.insert(0, ("tree.depth, tree.bits, tree.not_markers", _tree))
+    for keys, build in builders:
+        try:
+            build(cfg)
+        except StructureError as exc:
+            errors.append(f"{keys}: {exc}")
     if cfg.trials < 1:
         errors.append(f"disorder.trials: must be >= 1, got {cfg.trials}")
     if cfg.command == "sweep":
@@ -232,11 +227,14 @@ def _tree(cfg: RunConfig) -> TreeSpec:
     )
 
 
+def _disorder(cfg: RunConfig) -> DisorderSpec:
+    return DisorderSpec(sigma_t=cfg.sigma_t, sigma_eps=cfg.sigma_eps, seed=cfg.seed)
+
+
 def _params(cfg: RunConfig, tree: TreeSpec):
     params = ideal_parameters(tree, cfg.delta, cfg.gamma)
     if cfg.sigma_t > 0 or cfg.sigma_eps > 0:
-        spec = DisorderSpec(sigma_t=cfg.sigma_t, sigma_eps=cfg.sigma_eps, seed=cfg.seed)
-        params = sample_disorder(tree, params, spec)
+        params = sample_disorder(tree, params, _disorder(cfg))
     return params
 
 
@@ -338,12 +336,9 @@ def run(config: RunConfig, out=sys.stdout) -> int:
         return 0
 
     if config.command == "ensemble":
-        disorder = DisorderSpec(
-            sigma_t=config.sigma_t, sigma_eps=config.sigma_eps, seed=config.seed
-        )
         result = ensemble.run_ensemble(
             tree,
-            disorder,
+            _disorder(config),
             probe,
             config.trials,
             config.seed,

@@ -27,7 +27,6 @@ class EnsembleResult:
     success_rate: float
     failure_rate: float
     ambiguous_rate: float
-    shift_stats: tuple[float, float] | None = None  # (mean, rms), units of t
 
 
 def trial_seed(base_seed: int, index: int) -> int:
@@ -86,7 +85,6 @@ def run_ensemble(
         success_rate=n_success / trials,
         failure_rate=(trials - n_success - n_ambiguous) / trials,
         ambiguous_rate=n_ambiguous / trials,
-        shift_stats=None,
     )
 
 

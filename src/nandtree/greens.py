@@ -13,11 +13,11 @@ call stack.  The analytic energy derivative is propagated alongside via
 
 which is what the slope extraction in :func:`classify` uses.
 
-Evaluators accept any tree-like object exposing ``root``,
-``children(node)`` and ``postorder()`` (both :class:`~nandtree.model.TreeSpec`
-and the chain-expanded structures from :mod:`nandtree.layout`), and the
-energy argument may be a scalar or an ndarray (evaluated vectorized with
-a fixed traversal order, so results are reproducible bit for bit).
+Evaluators take any :class:`~nandtree.model.RootedTree`, the tree
+protocol with the shared traversal: a :class:`~nandtree.model.TreeSpec`
+or a chain-augmented tree from :mod:`nandtree.layout`.  The energy
+argument may be a scalar or an ndarray (evaluated vectorized with a
+fixed traversal order, so results are reproducible bit for bit).
 """
 
 from __future__ import annotations

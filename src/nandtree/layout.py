@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .model import DotParameters, GAMMA_FLOOR, StructureError, TreeSpec
+from .model import RootedTree, StructureError, TreeSpec, ideal_parameters
 
 #: Inverter counts between tree levels, leaf links first.  The published
 #: prefix is hard-coded; past it the count keeps all distances odd while
@@ -68,17 +68,19 @@ class LayoutGraph:
 
 
 @dataclass(frozen=True)
-class ChainedTree:
-    """A chain-augmented tree evaluable by the recursive Green's function.
+class ChainedTree(RootedTree):
+    """``tree`` with inline inverter dots, evaluable like a :class:`TreeSpec`.
 
-    Inverter nodes have exactly one child; their missing leg acts as a
-    virtual logical "1".  Satisfies the same traversal protocol as
-    :class:`~nandtree.model.TreeSpec`.
+    ``child_map`` maps every dot that has children to them, in traversal
+    order; inverter dots have exactly one child, their missing leg acting
+    as a virtual logical "1".  Leaf dots keep their tree node ids, so the
+    leaf bits and detuning signs come from ``tree`` and
+    :func:`~nandtree.model.ideal_parameters` builds the parameters.
     """
 
+    tree: TreeSpec
     root: int
     child_map: Mapping[int, tuple[int, ...]]
-    leaf_info: Mapping[int, tuple[int, int]]  # leaf node -> (bit, sign)
 
     def children(self, node: int) -> tuple[int, ...]:
         return self.child_map.get(node, ())
@@ -86,21 +88,11 @@ class ChainedTree:
     def is_leaf(self, node: int) -> bool:
         return node not in self.child_map
 
-    def postorder(self) -> list[int]:
-        order: list[int] = []
-        stack: list[tuple[int, bool]] = [(self.root, False)]
-        while stack:
-            node, seen = stack.pop()
-            if seen:
-                order.append(node)
-            else:
-                stack.append((node, True))
-                for c in reversed(self.children(node)):
-                    stack.append((c, False))
-        return order
+    def leaf_bit(self, node: int) -> int:
+        return self.tree.leaf_bit(node)
 
-    def links(self) -> list[tuple[int, int]]:
-        return [(n, c) for n in self.postorder() for c in self.children(n)]
+    def leaf_sign(self, node: int) -> int:
+        return self.tree.leaf_sign(node)
 
 
 def inverter_map(alpha: float, beta: float, d: int) -> tuple[float, float]:
@@ -163,6 +155,8 @@ def expand_to_tree(layout: LayoutGraph, tree: TreeSpec) -> ChainedTree:
     """Chain-augmented tree realizing ``layout``: inverter dots become
     single-child nodes on the path between tree levels.
 
+    Tree dots must keep their node ids, as :func:`build_hfractal` binds
+    them, because the leaves take their bits and signs from ``tree``.
     An odd inverter chain below a node without a NOT marker would
     silently invert the logic and is rejected.
     """
@@ -171,6 +165,8 @@ def expand_to_tree(layout: LayoutGraph, tree: TreeSpec) -> ChainedTree:
         adjacency.setdefault(a, []).append(b)
         adjacency.setdefault(b, []).append(a)
     tree_dots = {layout.tree_binding[n]: n for n in tree.postorder()}
+    if any(dot != n for dot, n in tree_dots.items()):
+        raise StructureError("tree nodes must keep their ids as dot ids")
 
     child_map: dict[int, tuple[int, ...]] = {}
     root_dot = layout.tree_binding[tree.root]
@@ -210,12 +206,7 @@ def expand_to_tree(layout: LayoutGraph, tree: TreeSpec) -> ChainedTree:
                     heads.append(child_dot)
             child_map[dot] = tuple(heads)
 
-    leaf_info = {
-        layout.tree_binding[n]: (tree.leaf_bit(n), tree.leaf_sign(n))
-        for n in tree.postorder()
-        if tree.is_leaf(n)
-    }
-    return ChainedTree(root=root_dot, child_map=child_map, leaf_info=leaf_info)
+    return ChainedTree(tree=tree, root=root_dot, child_map=child_map)
 
 
 def chain_below(tree: TreeSpec, n_inverters: int) -> ChainedTree:
@@ -235,25 +226,11 @@ def chain_below(tree: TreeSpec, n_inverters: int) -> ChainedTree:
     for i in range(n_inverters):
         child_map[base + i] = (prev,)
         prev = base + i
-    leaf_info = {
-        n: (tree.leaf_bit(n), tree.leaf_sign(n))
-        for n in tree.postorder()
-        if tree.is_leaf(n)
-    }
-    return ChainedTree(root=prev, child_map=child_map, leaf_info=leaf_info)
+    return ChainedTree(tree=tree, root=prev, child_map=child_map)
 
 
-def ideal_chain_parameters(chained: ChainedTree, delta: float, gamma: float) -> DotParameters:
-    """Disorder-free parameters for a chain-augmented tree."""
-    if delta <= 0:
-        raise StructureError(f"delta must be positive, got {delta}")
-    eps = {n: 0.0 for n in chained.postorder()}
-    for leaf, (bit, sign) in chained.leaf_info.items():
-        eps[leaf] = sign * bit * delta
-    coup = {link: 1.0 for link in chained.links()}
-    return DotParameters(
-        epsilon=eps, coupling=coup, delta=delta, gamma=max(gamma, GAMMA_FLOOR)
-    )
+#: Chain-augmented trees share the tree protocol, so one builder serves both.
+ideal_chain_parameters = ideal_parameters
 
 
 def worst_case_2d(depth: int) -> tuple[float, float, float]:

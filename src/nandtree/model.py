@@ -42,6 +42,8 @@ class StructureError(ValueError):
 
 def _as_bits(bits) -> tuple[int, ...]:
     if isinstance(bits, str):
+        if set(bits) - {"0", "1"}:
+            raise StructureError(f"input bits must be 0/1 characters, got {bits!r}")
         bits = [int(c) for c in bits]
     out = tuple(int(b) for b in bits)
     if any(b not in (0, 1) for b in out):
@@ -49,8 +51,36 @@ def _as_bits(bits) -> tuple[int, ...]:
     return out
 
 
+class RootedTree:
+    """Traversal shared by every dot tree.
+
+    Subclasses provide ``root``, ``children(node)``, ``is_leaf(node)``
+    and the leaf encoding ``leaf_bit(node)`` / ``leaf_sign(node)``; the
+    Green's-function evaluators and :func:`ideal_parameters` need
+    nothing else.
+    """
+
+    def postorder(self) -> list[int]:
+        """Reachable nodes, children before parents, fixed order."""
+        order: list[int] = []
+        stack: list[tuple[int, bool]] = [(self.root, False)]
+        while stack:
+            node, seen = stack.pop()
+            if seen:
+                order.append(node)
+            else:
+                stack.append((node, True))
+                for c in reversed(self.children(node)):
+                    stack.append((c, False))
+        return order
+
+    def links(self) -> list[Link]:
+        """(parent, child) pairs of the reachable structure."""
+        return [(n, c) for n in self.postorder() for c in self.children(n)]
+
+
 @dataclass(frozen=True)
-class TreeSpec:
+class TreeSpec(RootedTree):
     """Logical binary-tree description.
 
     ``depth`` is the number of NAND levels (n >= 1), ``input_bits`` the
@@ -118,24 +148,6 @@ class TreeSpec:
             return (2 * node,)
         return (2 * node, 2 * node + 1)
 
-    def postorder(self) -> list[int]:
-        """Reachable nodes, children before parents, fixed order."""
-        order: list[int] = []
-        stack: list[tuple[int, bool]] = [(self.root, False)]
-        while stack:
-            node, seen = stack.pop()
-            if seen:
-                order.append(node)
-            else:
-                stack.append((node, True))
-                for c in reversed(self.children(node)):
-                    stack.append((c, False))
-        return order
-
-    def links(self) -> list[Link]:
-        """(parent, child) pairs of the reachable structure."""
-        return [(n, c) for n in self.postorder() for c in self.children(n)]
-
 
 @dataclass(frozen=True)
 class DotParameters:
@@ -198,8 +210,13 @@ def build_tree(depth: int, bits) -> TreeSpec:
     return TreeSpec(depth=depth, input_bits=_as_bits(bits))
 
 
-def ideal_parameters(tree: TreeSpec, delta: float, gamma: float) -> DotParameters:
-    """Disorder-free parameters: unit couplings, leaf detunings (-1)**i b_i delta."""
+def ideal_parameters(tree: RootedTree, delta: float, gamma: float) -> DotParameters:
+    """Disorder-free parameters: unit couplings, leaf detunings (-1)**i b_i delta.
+
+    Serves :class:`TreeSpec` and the chain-augmented trees of
+    :mod:`nandtree.layout` alike; inverter dots are internal, so they get
+    zero detuning.
+    """
     if delta <= 0:
         raise StructureError(f"delta must be positive, got {delta}")
     if gamma < 0:

@@ -1,3 +1,4 @@
+import hashlib
 import io
 
 import pytest
@@ -62,6 +63,15 @@ def test_parse_config_collects_all_errors():
     assert any("physics.gamma" in e and "soup" in e for e in errors)
     assert any("sweep.min" in e for e in errors)
     assert any("line 8" in e for e in errors)
+
+
+def test_parse_config_reports_bad_not_markers_with_other_errors():
+    with pytest.raises(ConfigError) as exc:
+        parse_config(EVALUATE_CONFIG + "tree.not_markers = 9\nphysics.kt = -1\n")
+    errors = exc.value.errors
+    assert len(errors) == 2
+    assert any("tree.not_markers" in e and "[9]" in e for e in errors)
+    assert any("physics.kt" in e for e in errors)
 
 
 def test_parse_config_rejects_bad_bits_and_command():
@@ -224,3 +234,63 @@ def test_fmt_round_trip():
         assert float(_fmt(value)) == value
     assert _fmt(3) == "3"
     assert _fmt("x") == "x"
+
+
+#: One config per data-producing command, with relative output paths so
+#: the ``.meta`` sidecars do not depend on the working directory.
+GOLDEN_CONFIGS = {
+    "evaluate": (
+        "command = evaluate\ntree.depth = 3\ntree.bits = 10110100\ntree.not_markers = 2\n"
+        "physics.gamma = 0.001\ndisorder.sigma_eps = 0.02\ndisorder.sigma_t = 0.02\n"
+        "disorder.seed = 5\n"
+    ),
+    "sweep_E": (
+        "command = sweep\ntree.depth = 3\ntree.bits = 00010111\nphysics.gamma = 0.03\n"
+        "physics.kt = 0.01\ndisorder.sigma_eps = 0.03\ndisorder.sigma_t = 0.03\n"
+        "disorder.seed = 21\nsweep.axis = E\nsweep.min = -1.0\nsweep.max = 1.0\n"
+        "sweep.points = 21\n"
+    ),
+    "sweep_eps0": (
+        "command = sweep\ntree.depth = 3\ntree.bits = 00000000\nphysics.gamma = 0.03\n"
+        "physics.kt = 0.01\ndisorder.sigma_eps = 0.03\ndisorder.sigma_t = 0.03\n"
+        "disorder.seed = 21\nsweep.axis = eps0\nsweep.min = -1.0\nsweep.max = 1.0\n"
+        "sweep.points = 21\n"
+    ),
+    "ensemble": (
+        "command = ensemble\ntree.depth = 3\ntree.bits = 11010011\n"
+        "disorder.sigma_eps = 0.4\ndisorder.sigma_t = 0.3\ndisorder.seed = 3\n"
+        "disorder.trials = 20\n"
+    ),
+    "layout": "command = layout\ntree.depth = 4\ntree.bits = 1011000111010010\n",
+    "classical": (
+        "command = classical\ntree.depth = 4\ntree.bits = 1011000111010010\n"
+        "disorder.seed = 9\n"
+    ),
+}
+
+#: SHA-256 of every emitted file.  Refactors of the engine must keep
+#: these bytes; a change to them needs a stated reason.
+GOLDEN_DIGESTS = {
+    "evaluate.csv": "cd8990dacadbd16d8b6beb18ebade0255a01ddd3e8af9bd7a4815cfd80f95131",
+    "evaluate.csv.meta": "6b1e2dacba48d7f45b164e5f6d993f5bd6704b358834888aadf05669b1d92269",
+    "sweep_E.csv": "6eecf5fa225ba14ed9390110d72cc815e8f1d7d62106fe9e995982aa3ea41d15",
+    "sweep_E.csv.meta": "17f6ac7813e3f7c807595c4892ba1c384aaad7cfb0545733602c81212325e171",
+    "sweep_eps0.csv": "6c3850c0f3b4ccb1b0a1b5fc955414ed25607499423933f48d0ef6aaa9883415",
+    "sweep_eps0.csv.meta": "c88cf86f398cd2a72d0a41ae0784cba50957d4c511d915fe31b6ce882fb8c2ca",
+    "ensemble.csv": "59d113e6e3548e10c343938c576adfe671e5aa34fca94a69b63ea6fe8ac5beed",
+    "ensemble.csv.meta": "139399e6bcb3fdffa3bd3e509e006dec2ba6ee353fe2aae6e4461c92aa528409",
+    "layout.csv": "8b236428dc0e380320afbf8fa28b746185ab54af9543d1957f1f48864c2453d0",
+    "layout.csv.meta": "c60699aa63912fd0a3c80ca04acdd0fc17c835a988c9bf1663bc39ae89d2887e",
+    "classical.csv": "eebdc55f7c03e99b9523e50a0e7a7fb24de12dc4ab2ee78dec976e9f44614d33",
+    "classical.csv.meta": "70e40256808bdbbe3ec5a4e2aaa766cbe8464f924cec1f9d473513e969f469ec",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+def test_golden_output_digests(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    text = GOLDEN_CONFIGS[name] + f"output.path = {name}.csv\n"
+    run(parse_config(text), out=io.StringIO())
+    for path in (f"{name}.csv", f"{name}.csv.meta"):
+        digest = hashlib.sha256((tmp_path / path).read_bytes()).hexdigest()
+        assert digest == GOLDEN_DIGESTS[path], path

@@ -162,6 +162,59 @@ def test_expand_rejects_odd_unmarked_chain():
         expand_to_tree(graph, tree)
 
 
+def test_expand_rejects_renumbered_tree_dots():
+    graph = LayoutGraph(
+        dots=((1, 0, 0), (3, 1, 0), (2, -1, 0)),
+        links=((1, 3), (1, 2)),
+        role={1: "level-0", 2: "level-1", 3: "level-1"},
+        tree_binding={1: 1, 2: 3, 3: 2},
+    )
+    with pytest.raises(StructureError):
+        expand_to_tree(graph, build_tree(1, (1, 0)))
+
+
+CHAIN_TREE = TreeSpec(
+    depth=3, input_bits=(1, 0, 1, 1, 0, 1, 1, 1), not_markers=frozenset({3})
+)
+CHAINED = {
+    **{f"chain_below_{k}": chain_below(CHAIN_TREE, k) for k in (0, 1, 2, 5)},
+    "hfractal": expand_to_tree(build_hfractal(CHAIN_TREE), CHAIN_TREE),
+}
+
+
+def test_ideal_chain_parameters_is_ideal_parameters():
+    assert ideal_chain_parameters is ideal_parameters
+
+
+@pytest.mark.parametrize("name", sorted(CHAINED))
+def test_ideal_parameters_on_chained_tree(name):
+    chained = CHAINED[name]
+    delta = 10.0
+    params = ideal_parameters(chained, delta, 1e-6)
+    assert list(params.epsilon) == chained.postorder()
+    assert list(params.coupling) == chained.links()
+    assert set(params.coupling.values()) == {1.0}
+    n = CHAIN_TREE.n_leaves
+    leaves = [node for node in chained.postorder() if chained.is_leaf(node)]
+    # Node 3 carries a NOT marker, so node 7 and its leaves 14, 15 are absent.
+    assert leaves == list(range(n, 2 * n - 2))
+    for node, eps in params.epsilon.items():
+        if node in leaves:
+            i = node - n
+            assert eps == (-1) ** i * CHAIN_TREE.input_bits[i] * delta
+        else:
+            assert eps == 0.0
+    # Inverter ids start past the tree nodes; only chain_below(tree, 0) has none.
+    inverters = [node for node in params.epsilon if node >= 2 * n]
+    assert bool(inverters) == (name != "chain_below_0")
+
+
+@pytest.mark.parametrize("name", sorted(CHAINED))
+def test_ideal_parameters_rejects_negative_gamma_on_chained_tree(name):
+    with pytest.raises(StructureError):
+        ideal_parameters(CHAINED[name], 10.0, -1.0)
+
+
 def test_two_level_boolean_formulas():
     # Every depth-2 {NAND, NOT} formula, all inputs: the compiled layout
     # evaluates to the formula's truth table.
