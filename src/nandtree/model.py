@@ -24,7 +24,8 @@ seeds.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Mapping
+from itertools import chain
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -49,6 +50,25 @@ def _as_bits(bits) -> tuple[int, ...]:
     if any(b not in (0, 1) for b in out):
         raise StructureError(f"input bits must be 0/1, got {out!r}")
     return out
+
+
+class Slot(NamedTuple):
+    """Where the s-th children of one level sit in the level below.
+
+    ``index`` selects the children's positions (an int array or a
+    slice); ``mask`` marks the nodes of the level that have an s-th
+    child, in order, and is ``None`` when every node has one.
+    """
+
+    index: np.ndarray | slice
+    mask: np.ndarray | None
+
+
+class Level(NamedTuple):
+    """The reachable nodes at one distance from the root, with their child slots."""
+
+    nodes: np.ndarray
+    slots: tuple[Slot, ...]
 
 
 class RootedTree:
@@ -77,6 +97,37 @@ class RootedTree:
     def links(self) -> list[Link]:
         """(parent, child) pairs of the reachable structure."""
         return [(n, c) for n in self.postorder() for c in self.children(n)]
+
+    def levels(self) -> list[Level]:
+        """Bottom-up evaluation schedule: one :class:`Level` per distance
+        from the root, the deepest first and the root's level last.
+
+        A level lists its reachable nodes in breadth-first order (each
+        node's children in ``children()`` order), so the level below is
+        the concatenation of their children.  Slot s of a level locates
+        every node's s-th child there; a node whose slot s is masked out
+        has fewer than s + 1 children (a leaf, or a one-legged dot).
+        Evaluating one level needs only the level below, so a recursion
+        over the schedule keeps a single level of values alive.
+        """
+        out: list[Level] = []
+        nodes = [self.root]
+        while nodes:
+            kids = list(map(self.children, nodes))
+            counts = list(map(len, kids))
+            most = max(counts)
+            if min(counts) == most:
+                slots = tuple(Slot(slice(s, None, most), None) for s in range(most))
+            else:
+                counts = np.array(counts)
+                first = np.cumsum(counts) - counts
+                masks = [counts > s for s in range(most)]
+                slots = tuple(Slot(first[m] + s, None if m.all() else m)
+                              for s, m in enumerate(masks))
+            out.append(Level(np.array(nodes, dtype=np.intp), slots))
+            nodes = list(chain.from_iterable(kids))
+        out.reverse()
+        return out
 
 
 @dataclass(frozen=True)
@@ -147,6 +198,38 @@ class TreeSpec(RootedTree):
         if node in self.not_markers:
             return (2 * node,)
         return (2 * node, 2 * node + 1)
+
+    def levels(self) -> list[Level]:
+        """:meth:`RootedTree.levels` in closed form on the heap indices.
+
+        Children of consecutive nodes are consecutive, so a level without
+        NOT markers reads its children as the slices ``0::2`` and
+        ``1::2`` of the level below; a marked node masks its right slot
+        and its dropped subtree never enters the schedule.
+        """
+        pair = (Slot(slice(0, None, 2), None), Slot(slice(1, None, 2), None))
+        if not self.not_markers:
+            return [Level(np.arange(2**k, 2 ** (k + 1)), pair if k < self.depth else ())
+                    for k in range(self.depth, -1, -1)]
+        markers = np.array(sorted(self.not_markers), dtype=np.intp)
+        out: list[Level] = []
+        nodes = np.ones(1, dtype=np.intp)
+        for _ in range(self.depth):
+            below = np.stack([2 * nodes, 2 * nodes + 1], axis=1).ravel()
+            right = ~np.isin(nodes, markers)
+            if right.all():
+                slots = pair
+            else:
+                keep = np.stack([np.ones_like(right), right], axis=1).ravel()
+                below = below[keep]
+                left = (np.cumsum(keep) - 1)[0::2]
+                slots = (Slot(left, None),) + (
+                    (Slot(left[right] + 1, right),) if right.any() else ())
+            out.append(Level(nodes, slots))
+            nodes = below
+        out.append(Level(nodes, ()))
+        out.reverse()
+        return out
 
 
 @dataclass(frozen=True)
@@ -221,13 +304,15 @@ def ideal_parameters(tree: RootedTree, delta: float, gamma: float) -> DotParamet
         raise StructureError(f"delta must be positive, got {delta}")
     if gamma < 0:
         raise StructureError(f"gamma must be nonnegative, got {gamma}")
-    eps: dict[int, float] = {}
-    for node in tree.postorder():
-        if tree.is_leaf(node):
+    order = tree.postorder()
+    eps = dict.fromkeys(order, 0.0)
+    coup: dict[Link, float] = {}
+    for node in order:
+        kids = tree.children(node)
+        for c in kids:
+            coup[node, c] = 1.0
+        if not kids:
             eps[node] = tree.leaf_sign(node) * tree.leaf_bit(node) * delta
-        else:
-            eps[node] = 0.0
-    coup = {link: 1.0 for link in tree.links()}
     return DotParameters(epsilon=eps, coupling=coup, delta=delta, gamma=max(gamma, GAMMA_FLOOR))
 
 

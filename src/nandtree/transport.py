@@ -77,16 +77,19 @@ class ReadoutResult:
     ambiguous: bool
 
 
+def _probe_denominator(g1, probe: ProbeSpec, E):
+    """E - eps0 + i Gamma/2 - t1^2 G_1, the inverse probe-dot Green's function."""
+    return E - probe.eps0 + 0.5j * (probe.gamma_l + probe.gamma_r) - probe.t1**2 * g1
+
+
 def probe_green(G1, probe: ProbeSpec, E: float) -> complex:
     """Probe-dot Green's function 1/(E - eps0 + i Gamma/2 - t1^2 G_1)."""
     g1 = G1.value if isinstance(G1, GreenValue) else G1
-    half_gamma = 0.5 * (probe.gamma_l + probe.gamma_r)
-    return 1.0 / (E - probe.eps0 + 1j * half_gamma - probe.t1**2 * g1)
+    return 1.0 / _probe_denominator(g1, probe, E)
 
 
 def _transmission_from_g1(g1, probe: ProbeSpec, E):
-    denom = E - probe.eps0 + 0.5j * (probe.gamma_l + probe.gamma_r) - probe.t1**2 * g1
-    return probe.gamma_l * probe.gamma_r / np.abs(denom) ** 2
+    return probe.gamma_l * probe.gamma_r / np.abs(_probe_denominator(g1, probe, E)) ** 2
 
 
 def transmission(tree, params: DotParameters, probe: ProbeSpec, E: float) -> float:
@@ -156,9 +159,11 @@ def sweep(tree, params: DotParameters, probe: ProbeSpec, axis: str, grid) -> Con
         for v in grid:
             cond.append(conductance(tree, params, replace(probe, e_f=v)))
     elif axis == "eps0":
+        # G_1 does not depend on eps0: one evaluation at E_f serves every point.
+        g1 = green_tree_many(tree, params, probe.e_f)
         for v in grid:
             p = replace(probe, eps0=v)
-            trans.append(transmission(tree, params, p, p.e_f))
+            trans.append(float(_transmission_from_g1(g1, p, p.e_f)))
             cond.append(conductance(tree, params, p))
     else:
         raise StructureError(f"sweep axis must be 'E' or 'eps0', got {axis!r}")
