@@ -202,34 +202,16 @@ class TreeSpec(RootedTree):
     def levels(self) -> list[Level]:
         """:meth:`RootedTree.levels` in closed form on the heap indices.
 
-        Children of consecutive nodes are consecutive, so a level without
-        NOT markers reads its children as the slices ``0::2`` and
-        ``1::2`` of the level below; a marked node masks its right slot
-        and its dropped subtree never enters the schedule.
+        Without NOT markers, level k holds the nodes 2**k .. 2**(k+1) - 1
+        and the children of consecutive nodes are consecutive, so the two
+        child slots are the slices ``0::2`` and ``1::2`` of the level
+        below.  A tree with NOT markers takes the breadth-first pass.
         """
+        if self.not_markers:
+            return super().levels()
         pair = (Slot(slice(0, None, 2), None), Slot(slice(1, None, 2), None))
-        if not self.not_markers:
-            return [Level(np.arange(2**k, 2 ** (k + 1)), pair if k < self.depth else ())
-                    for k in range(self.depth, -1, -1)]
-        markers = np.array(sorted(self.not_markers), dtype=np.intp)
-        out: list[Level] = []
-        nodes = np.ones(1, dtype=np.intp)
-        for _ in range(self.depth):
-            below = np.stack([2 * nodes, 2 * nodes + 1], axis=1).ravel()
-            right = ~np.isin(nodes, markers)
-            if right.all():
-                slots = pair
-            else:
-                keep = np.stack([np.ones_like(right), right], axis=1).ravel()
-                below = below[keep]
-                left = (np.cumsum(keep) - 1)[0::2]
-                slots = (Slot(left, None),) + (
-                    (Slot(left[right] + 1, right),) if right.any() else ())
-            out.append(Level(nodes, slots))
-            nodes = below
-        out.append(Level(nodes, ()))
-        out.reverse()
-        return out
+        return [Level(np.arange(2**k, 2 ** (k + 1)), pair if k < self.depth else ())
+                for k in range(self.depth, -1, -1)]
 
 
 @dataclass(frozen=True)

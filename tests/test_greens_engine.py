@@ -64,7 +64,7 @@ ENERGIES = {
 def assert_engine_matches(tree, params):
     for E in ENERGIES.values():
         assert_same(_resolve(tree, params, E), reference_resolve(tree, params, E))
-    for E in (ENERGIES["float"], ENERGIES["zero"], -1.2, ENERGIES["numpy scalar"]):
+    for E in (-1.2, *ENERGIES.values()):
         got, want = _resolve(tree, params, E, True), reference_resolve(tree, params, E, True)
         assert_same(got[0], want[0])
         assert_same(got[1], want[1])
@@ -124,24 +124,21 @@ def test_engine_matches_reference_across_energy_blocks():
 
 
 def test_levels_closed_form_matches_breadth_first():
-    rng = np.random.default_rng(3)
     for depth in range(1, 7):
-        for markers in (frozenset(), random_markers(rng, depth)):
-            tree = TreeSpec(depth, (0,) * 2**depth, markers)
-            closed, generic = tree.levels(), RootedTree.levels(tree)
-            assert len(closed) == len(generic) == depth + 1
-            below = None
-            for a, b in zip(closed, generic):
-                assert np.array_equal(a.nodes, b.nodes)
-                assert len(a.slots) == len(b.slots)
-                for (ia, ma), (ib, mb) in zip(a.slots, b.slots):
-                    positions = np.arange(len(below))
-                    assert np.array_equal(positions[ia], positions[ib])
-                    assert (ma is None) == (mb is None)
-                    assert ma is None or np.array_equal(ma, mb)
-                below = a.nodes
-            reachable = sorted(int(n) for level in closed for n in level.nodes)
-            assert reachable == sorted(tree.postorder())
+        tree = TreeSpec(depth, (0,) * 2**depth)
+        closed, generic = tree.levels(), RootedTree.levels(tree)
+        assert len(closed) == len(generic) == depth + 1
+        below = None
+        for a, b in zip(closed, generic):
+            assert np.array_equal(a.nodes, b.nodes)
+            assert len(a.slots) == len(b.slots)
+            for (ia, ma), (ib, mb) in zip(a.slots, b.slots):
+                positions = np.arange(len(below))
+                assert np.array_equal(positions[ia], positions[ib])
+                assert ma is None and mb is None
+            below = a.nodes
+        reachable = sorted(int(n) for level in closed for n in level.nodes)
+        assert reachable == sorted(tree.postorder())
 
 
 def _without(params, node=None, link=None):
