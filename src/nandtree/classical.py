@@ -35,25 +35,29 @@ def _with_bits(tree: TreeSpec, bits) -> TreeSpec:
 
 
 def _nand(tree: TreeSpec, leaves):
-    """Post-order NAND of the tree over ``leaves[i]``, the value of leaf
-    N + i: 0/1 ints, or 0/1 integer arrays evaluated elementwise.  NOT
-    markers invert their single child.
+    """NAND of the tree over ``leaves[i]``, the value of leaf N + i: 0/1
+    ints, or 0/1 integer arrays whose trailing axes are evaluated
+    elementwise.  Runs over ``tree.levels()``, one numpy step per level
+    and child slot, in uint8 to keep the arrays small; a NOT-marked node
+    has only its first slot filled, so it inverts its single child.
     """
-    value = {}
-    for node in tree.postorder():
-        kids = tree.children(node)
-        if not kids:
-            value[node] = leaves[tree.leaf_index(node)]
-        elif len(kids) == 1:
-            value[node] = 1 - value[kids[0]]
-        else:
-            value[node] = 1 - value[kids[0]] * value[kids[1]]
-    return value[tree.root]
+    bottom, *upper = tree.levels()
+    value = np.asarray(leaves, dtype=np.uint8)[bottom.nodes - tree.n_leaves]
+    for _, ((first, _), *rest) in upper:
+        prod = value[first]
+        for index, mask in rest:
+            if mask is None:
+                prod = prod * value[index]
+            else:
+                prod = prod.copy()
+                prod[mask] *= value[index]
+        value = 1 - prod
+    return value[0]
 
 
 def eval_nand(tree: TreeSpec, bits=None) -> int:
     """Recursive NAND of the tree; NOT markers invert their single child."""
-    return _nand(tree, _with_bits(tree, bits).input_bits)
+    return int(_nand(tree, _with_bits(tree, bits).input_bits))
 
 
 def eval_randomized(tree: TreeSpec, bits=None, seed: int = 0) -> QueryStats:

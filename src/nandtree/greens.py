@@ -21,9 +21,10 @@ the reachable dots by distance from the root.  The recursion runs from
 the deepest level up, one numpy operation per level and child slot on a
 (dots x energies) block, and keeps only the level below alive.  Each
 dot's eps and each link's t^2 are gathered into per-level columns once
-per call.  eps is looked up for the reachable dots only; the coupling
-table is scanned in full, so its keys must be pairs of integers.  A
-missing entry for a reachable dot or link raises
+per call, by binary search of the reachable dots and (parent, child)
+links in the sorted key arrays of the parameter tables
+(:class:`~nandtree.model.ParamTable`); entries for other dots and links
+are never read.  A missing entry for a reachable dot or link raises
 :class:`~nandtree.model.StructureError`.
 
 **Energy blocks.**  Levels whose (width x energies) block exceeds
@@ -57,7 +58,7 @@ numpy scalar at the first operation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, islice, repeat
 
 import numpy as np
 
@@ -122,31 +123,6 @@ def _numpy_reciprocal(b):
     return np.divide(1.0, b, out=b)
 
 
-def _couplings(table, parents: np.ndarray, children: np.ndarray) -> np.ndarray:
-    """``table[p, c]`` for every link (p, c), as floats.
-
-    The table is read in its own order and matched by child id after a
-    sort.  One lookup per link in schedule order, which hashes a tuple
-    and probes the dict at random, makes each call on a depth-16 tree
-    about 50 ms slower and its peak 9 MiB higher, and the ``deep_tree``
-    benchmark pass about 0.3 s slower.  A link matched to an entry with
-    another parent, or to none, is looked up directly, so a missing link
-    raises KeyError.
-    """
-    out = np.empty(len(children))
-    miss = np.ones(len(children), dtype=bool)
-    if table:
-        keys = np.fromiter(chain.from_iterable(table), np.intp, 2 * len(table)).reshape(-1, 2)
-        order = np.argsort(keys[:, 1], kind="stable")
-        at = order[np.minimum(np.searchsorted(keys[order, 1], children), len(order) - 1)]
-        out = np.fromiter(table.values(), float, len(table))[at]
-        miss = (keys[at, 0] != parents) | (keys[at, 1] != children)
-    rows = np.flatnonzero(miss)
-    links = zip(parents[rows].tolist(), children[rows].tolist())
-    out[rows] = np.fromiter(map(table.__getitem__, links), float, len(rows))
-    return out
-
-
 def _columns(params: DotParameters, schedule):
     """Per level: eps of its dots, and t^2 of the links in each child slot."""
     nodes = [level.nodes for level in schedule]
@@ -156,11 +132,11 @@ def _columns(params: DotParameters, schedule):
             parent_parts.append(level if mask is None else level[mask])
             child_parts.append(below[index])
     every = np.concatenate(nodes)
-    parents = np.concatenate([every[:0], *parent_parts])
-    children = np.concatenate([every[:0], *child_parts])
+    links = np.stack([np.concatenate([every[:0], *parts])
+                      for parts in (parent_parts, child_parts)], axis=1)
     try:
-        eps = np.fromiter(map(params.epsilon.__getitem__, every.tolist()), float, len(every))
-        t = _couplings(params.coupling, parents, children)
+        eps = params.epsilon.lookup(every)
+        t = params.coupling.lookup(links)
     except KeyError as exc:
         raise StructureError(f"parameters missing entry for {exc.args[0]!r}") from exc
     # Python's t ** 2 (libm pow), which can differ from t * t in the last bit.

@@ -23,9 +23,12 @@ seeds.
 
 from __future__ import annotations
 
+import math
+import operator
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from itertools import chain
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,6 +38,10 @@ import numpy as np
 GAMMA_FLOOR = 1e-12
 
 Link = tuple[int, int]
+
+#: Node ids lie in [0, _ID_LIMIT), so a (parent, child) link packs into
+#: one int64 key for sorting and binary search.
+_ID_LIMIT = 1 << 31
 
 
 class StructureError(ValueError):
@@ -82,21 +89,42 @@ class RootedTree:
 
     def postorder(self) -> list[int]:
         """Reachable nodes, children before parents, fixed order."""
+        return self._walk()[0]
+
+    def _walk(self) -> tuple[list[int], list[tuple[int, ...]]]:
+        """``postorder()`` and each of its nodes' ``children()``."""
         order: list[int] = []
-        stack: list[tuple[int, bool]] = [(self.root, False)]
+        kids: list[tuple[int, ...]] = []
+        stack: list[tuple[int, tuple[int, ...] | None]] = [(self.root, None)]
         while stack:
-            node, seen = stack.pop()
-            if seen:
-                order.append(node)
+            node, cs = stack.pop()
+            if cs is None:
+                cs = self.children(node)
+                stack.append((node, cs))
+                for c in reversed(cs):
+                    stack.append((c, None))
             else:
-                stack.append((node, True))
-                for c in reversed(self.children(node)):
-                    stack.append((c, False))
-        return order
+                order.append(node)
+                kids.append(cs)
+        return order, kids
 
     def links(self) -> list[Link]:
         """(parent, child) pairs of the reachable structure."""
-        return [(n, c) for n in self.postorder() for c in self.children(n)]
+        return [(n, c) for n, cs in zip(*self._walk()) for c in cs]
+
+    def postorder_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``postorder()`` and ``links()`` as int arrays of shape (n,) and
+        (m, 2), with each node's ``leaf_sign * leaf_bit`` (0 for internal
+        nodes) in postorder; :func:`ideal_parameters` builds on these.
+        """
+        order, kids = self._walk()
+        nodes = np.array(order, dtype=np.int64)
+        counts = np.fromiter(map(len, kids), np.int64, len(kids))
+        children = np.fromiter(chain.from_iterable(kids), np.int64, counts.sum())
+        leaves = counts == 0
+        signs = np.zeros_like(nodes)
+        signs[leaves] = [self.leaf_sign(n) * self.leaf_bit(n) for n in nodes[leaves].tolist()]
+        return nodes, np.stack([nodes.repeat(counts), children], axis=1), signs
 
     def levels(self) -> list[Level]:
         """Bottom-up evaluation schedule: one :class:`Level` per distance
@@ -213,14 +241,150 @@ class TreeSpec(RootedTree):
         return [Level(np.arange(2**k, 2 ** (k + 1)), pair if k < self.depth else ())
                 for k in range(self.depth, -1, -1)]
 
+    def postorder_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`RootedTree.postorder_arrays` in closed form on the heap indices.
+
+        Without NOT markers, the postorder of the subtree of height k + 1
+        is that of height k shifted onto node 2, then onto node 3, then
+        the root: node v at level l of a subtree moves to v + 2**l and
+        v + 2**(l+1).  A tree with NOT markers takes ``postorder()``.
+        """
+        if self.not_markers:
+            return super().postorder_arrays()
+        order = step = np.ones(1, dtype=np.int64)
+        for _ in range(self.depth):
+            order = np.concatenate([order + step, order + 2 * step, [1]])
+            step = np.concatenate([2 * step, 2 * step, [1]])
+        n = self.n_leaves
+        inner = order[order < n]
+        links = np.stack([inner.repeat(2), (2 * inner[:, None] + [0, 1]).ravel()], axis=1)
+        leaf = order >= n
+        i = order[leaf] - n
+        signs = np.zeros_like(order)
+        signs[leaf] = (1 - 2 * (i & 1)) * np.array(self.input_bits)[i]
+        return order, links, signs
+
+
+class ParamTable(Mapping):
+    """Read-only mapping over a key array and a float value array.
+
+    ``keys_array`` holds node ids, shape (n,), or (parent, child) links,
+    shape (n, 2); ``values_array`` holds one float per key.  Iteration
+    follows the array order and yields Python ints or int pairs, so a
+    table iterates, indexes and compares like the dict it stands for;
+    ``values()`` and ``items()`` return lists in that order.  Keys are
+    distinct and node ids lie in [0, 2**31), so a link packs into one
+    int64 sort key; :meth:`lookup` finds many keys at once by binary
+    search over the keys in sorted order.
+    """
+
+    def __init__(self, keys, values):
+        keys = np.array(keys, dtype=np.int64)
+        values = np.array(values, dtype=float)
+        if keys.shape[1:] not in ((), (2,)) or values.shape != keys.shape[:1]:
+            raise StructureError(
+                f"need n keys or n (parent, child) links and n values, "
+                f"got shapes {keys.shape} and {values.shape}")
+        if keys.size and not (0 <= keys.min() and keys.max() < _ID_LIMIT):
+            raise StructureError("node ids must lie in [0, 2**31)")
+        keys.flags.writeable = values.flags.writeable = False
+        self.keys_array, self.values_array = keys, values
+        codes = self._codes(keys)
+        self._order = np.argsort(codes, kind="stable")
+        self._sorted = codes[self._order]
+        if np.any(self._sorted[1:] == self._sorted[:-1]):
+            raise StructureError("parameter keys must be distinct")
+        self._order.flags.writeable = False
+
+    @classmethod
+    def of(cls, mapping: Mapping, links: bool) -> ParamTable:
+        """``mapping`` as a table of node ids, or of links if ``links``, to floats."""
+        kind = "(parent, child) pairs of node ids" if links else "node ids"
+        if isinstance(mapping, ParamTable):
+            if mapping.links != links:
+                raise StructureError(f"parameter keys must be {kind}")
+            return mapping
+        try:
+            if links:
+                keys = [(operator.index(p), operator.index(c)) for p, c in mapping]
+            else:
+                keys = list(map(operator.index, mapping))
+            keys = np.array(keys, dtype=np.int64).reshape((-1, 2) if links else -1)
+            values = np.array(list(mapping.values()), dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise StructureError(f"parameters must map {kind} to floats: {exc}") from exc
+        return cls(keys, values)
+
+    @property
+    def links(self) -> bool:
+        return self.keys_array.ndim == 2
+
+    def _codes(self, keys: np.ndarray) -> np.ndarray:
+        return (keys[:, 0] << 32) | keys[:, 1] if self.links else keys
+
+    def argsort(self) -> np.ndarray:
+        """Positions of the keys in ascending order, links lexicographically."""
+        return self._order
+
+    def lookup(self, keys) -> np.ndarray:
+        """The values of ``keys``, an array shaped like ``keys_array``.
+
+        Raises KeyError naming the first key that is missing.
+        """
+        keys = np.asarray(keys, dtype=np.int64)
+        query = self._codes(keys)
+        at = np.minimum(np.searchsorted(self._sorted, query), len(self) - 1)
+        found = self._sorted[at] == query if len(self) else np.zeros(len(keys), dtype=bool)
+        # Ids outside [0, 2**31) can pack into the code of another link.
+        found &= ((keys >= 0) & (keys < _ID_LIMIT)).reshape(len(keys), -1).all(axis=1)
+        if not found.all():
+            key = keys[np.argmin(found)].tolist()
+            raise KeyError(tuple(key) if self.links else key)
+        return self.values_array[self._order[at]]
+
+    def __getitem__(self, key) -> float:
+        # One key at a time, without the array set-up of lookup(): dense
+        # assembly and the reference recursions read tables this way.
+        try:
+            ids = tuple(map(operator.index, key)) if self.links else (operator.index(key),)
+        except TypeError:
+            raise KeyError(key) from None
+        if len(ids) != self.keys_array.ndim or not all(0 <= i < _ID_LIMIT for i in ids):
+            raise KeyError(key)
+        code = ids[0] << 32 | ids[1] if self.links else ids[0]
+        at = self._sorted.searchsorted(code)
+        if at == len(self) or self._sorted[at] != code:
+            raise KeyError(key)
+        return float(self.values_array[self._order[at]])
+
+    def __iter__(self):
+        keys = self.keys_array.tolist()
+        return map(tuple, keys) if self.links else iter(keys)
+
+    def __len__(self) -> int:
+        return len(self.values_array)
+
+    def values(self) -> list[float]:
+        return self.values_array.tolist()
+
+    def items(self) -> list[tuple]:
+        return list(zip(self, self.values_array.tolist()))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self.items())!r})"
+
 
 @dataclass(frozen=True)
 class DotParameters:
     """One realization of per-dot detunings and per-link couplings.
 
     ``epsilon`` maps node -> detuning, ``coupling`` maps (parent, child)
-    -> tunnel coupling; both in units of t.  ``delta`` is the oracle
-    coupling strength and ``gamma`` the dephasing rate 1/tau_phi.
+    -> tunnel coupling; both in units of t.  Either may be given as any
+    mapping and is stored as a :class:`ParamTable`, in the mapping's
+    iteration order.  ``delta`` is the oracle coupling strength and
+    ``gamma`` the dephasing rate 1/tau_phi.  Couplings must be finite and
+    positive and detunings must not be NaN; the first entry that is not
+    raises :class:`StructureError`.
     """
 
     epsilon: Mapping[int, float]
@@ -229,8 +393,18 @@ class DotParameters:
     gamma: float
 
     def __post_init__(self):
-        if any(t <= 0 for t in self.coupling.values()):
-            raise StructureError("all tunnel couplings must be strictly positive")
+        eps, coup = ParamTable.of(self.epsilon, False), ParamTable.of(self.coupling, True)
+        object.__setattr__(self, "epsilon", eps)
+        object.__setattr__(self, "coupling", coup)
+        t = coup.values_array
+        bad = ~(np.isfinite(t) & (t > 0))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise StructureError(f"tunnel coupling {tuple(coup.keys_array[i].tolist())} "
+                                 f"must be finite and positive, got {t[i]}")
+        bad = np.isnan(eps.values_array)
+        if bad.any():
+            raise StructureError(f"detuning of node {eps.keys_array[np.argmax(bad)]} is NaN")
         if self.gamma < GAMMA_FLOOR:
             object.__setattr__(self, "gamma", GAMMA_FLOOR)
 
@@ -280,38 +454,32 @@ def ideal_parameters(tree: RootedTree, delta: float, gamma: float) -> DotParamet
 
     Serves :class:`TreeSpec` and the chain-augmented trees of
     :mod:`nandtree.layout` alike; inverter dots are internal, so they get
-    zero detuning.
+    zero detuning.  Keys follow ``postorder()`` and ``links()``.
     """
-    if delta <= 0:
-        raise StructureError(f"delta must be positive, got {delta}")
+    if not 0 < delta < math.inf:
+        raise StructureError(f"delta must be positive and finite, got {delta}")
     if gamma < 0:
         raise StructureError(f"gamma must be nonnegative, got {gamma}")
-    order = tree.postorder()
-    eps = dict.fromkeys(order, 0.0)
-    coup: dict[Link, float] = {}
-    for node in order:
-        kids = tree.children(node)
-        for c in kids:
-            coup[node, c] = 1.0
-        if not kids:
-            eps[node] = tree.leaf_sign(node) * tree.leaf_bit(node) * delta
-    return DotParameters(epsilon=eps, coupling=coup, delta=delta, gamma=max(gamma, GAMMA_FLOOR))
+    nodes, links, signs = tree.postorder_arrays()
+    return DotParameters(epsilon=ParamTable(nodes, signs * delta),
+                         coupling=ParamTable(links, np.ones(len(links))),
+                         delta=delta, gamma=max(gamma, GAMMA_FLOOR))
 
 
-def sample_disorder(tree: TreeSpec, ideal: DotParameters, spec: DisorderSpec) -> DotParameters:
+def sample_disorder(tree: RootedTree, ideal: DotParameters, spec: DisorderSpec) -> DotParameters:
     """One disorder sample: couplings ~ N(mean_t, sigma_t) clamped below
     at ``coupling_floor``, additive N(0, sigma_eps) detuning noise on
     every dot (leaves included).  Pure function of (tree, ideal, spec).
+
+    The couplings are drawn first, one per link in ascending (parent,
+    child) order, then the detuning noise, one per node in ascending id
+    order; the sample's keys are in those orders.
     """
     rng = np.random.default_rng(spec.seed)
-    links = sorted(ideal.coupling)
-    nodes = sorted(ideal.epsilon)
+    links, nodes = ideal.coupling.argsort(), ideal.epsilon.argsort()
     tvals = rng.normal(spec.mean_t, spec.sigma_t, size=len(links))
     evals = rng.normal(0.0, spec.sigma_eps, size=len(nodes))
-    coup = {
-        link: max(float(t), spec.coupling_floor) for link, t in zip(links, tvals)
-    }
-    eps = {
-        node: ideal.epsilon[node] + float(de) for node, de in zip(nodes, evals)
-    }
+    floor = spec.coupling_floor
+    coup = ParamTable(ideal.coupling.keys_array[links], np.where(tvals < floor, floor, tvals))
+    eps = ParamTable(ideal.epsilon.keys_array[nodes], ideal.epsilon.values_array[nodes] + evals)
     return replace(ideal, epsilon=eps, coupling=coup)

@@ -38,7 +38,19 @@ READOUT_BAND = (0.25, 0.75)
 
 
 class QuadratureError(RuntimeError):
-    """Thermal quadrature failed to converge; carries the achieved tolerance."""
+    """Thermal quadrature failed to converge.
+
+    ``panels`` is the last panel count tried and ``achieved`` the
+    relative change between it and the count before.
+    """
+
+    def __init__(self, panels: int, achieved: float):
+        super().__init__(panels, achieved)
+        self.panels, self.achieved = panels, achieved
+
+    def __str__(self) -> str:
+        return (f"thermal quadrature stalled at {self.panels} panels, "
+                f"relative change {self.achieved:.2e}")
 
 
 @dataclass(frozen=True)
@@ -115,7 +127,8 @@ def conductance(tree, params: DotParameters, probe: ProbeSpec) -> float:
 
     At temperature 0 this is exactly T(E_f).  Otherwise a Gauss-Legendre
     quadrature over [E_f - 20kT, E_f + 20kT] with panel doubling until
-    the relative change drops below 1e-8.
+    the relative change drops below 1e-8; past 8192 panels it raises
+    :class:`QuadratureError` with the last count and change.
     """
     kt = probe.temperature
     if kt == 0.0:
@@ -133,16 +146,13 @@ def conductance(tree, params: DotParameters, probe: ProbeSpec) -> float:
         return float(np.sum(w * thermal_kernel(E, probe.e_f, kt) * tvals))
 
     prev = integrate(8)
-    achieved = np.inf
-    panels = 16
-    while panels <= 8192:
+    for panels in (2**k for k in range(4, 14)):
         cur = integrate(panels)
         achieved = abs(cur - prev) / max(abs(cur), 1e-300)
         if achieved <= 1e-8:
             return cur
         prev = cur
-        panels *= 2
-    raise QuadratureError(f"thermal quadrature stalled at relative change {achieved:.2e}")
+    raise QuadratureError(panels, achieved)
 
 
 def sweep(tree, params: DotParameters, probe: ProbeSpec, axis: str, grid) -> ConductanceTrace:

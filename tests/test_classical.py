@@ -12,7 +12,7 @@ from nandtree import (
     ideal_parameters,
     oracle_expectation,
 )
-from nandtree.classical import CRITICAL_P1, CapacityError, MAX_EXPECTATION_BITS
+from nandtree.classical import CRITICAL_P1, CapacityError, MAX_EXPECTATION_BITS, _nand
 from nandtree.model import StructureError
 
 
@@ -133,3 +133,34 @@ def test_oracle_expectation_validation():
     assert 32 > MAX_EXPECTATION_BITS
     with pytest.raises(CapacityError):
         oracle_expectation(big, [0.5] * 32)
+
+
+def _reference_nand(tree, leaves):
+    """The post-order dict recursion that evaluated the NAND before the level schedule."""
+    value = {}
+    for node in tree.postorder():
+        kids = tree.children(node)
+        if not kids:
+            value[node] = leaves[tree.leaf_index(node)]
+        elif len(kids) == 1:
+            value[node] = 1 - value[kids[0]]
+        else:
+            value[node] = 1 - value[kids[0]] * value[kids[1]]
+    return value[tree.root]
+
+
+def test_level_nand_matches_postorder_recursion():
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        depth = int(rng.integers(1, 11))
+        n = 2**depth
+        markers = rng.choice(np.arange(1, n), size=int(rng.integers(0, min(n - 1, 6) + 1)),
+                             replace=False)
+        tree = TreeSpec(depth, tuple(rng.integers(0, 2, n).tolist()), frozenset(markers.tolist()))
+        got = eval_nand(tree)
+        assert type(got) is int and got == _reference_nand(tree, tree.input_bits)
+    for markers in (frozenset(), frozenset({1}), frozenset({2, 3})):
+        tree = TreeSpec(3, (0,) * 8, markers)
+        bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
+        want = np.array([_reference_nand(tree, row.tolist()) for row in bits])
+        assert np.array_equal(_nand(tree, bits.T), want)
