@@ -21,7 +21,7 @@ import numpy as np
 from . import classical, ensemble, layout
 from .model import DisorderSpec, StructureError, TreeSpec, ideal_parameters, sample_disorder
 from .greens import classify
-from .transport import DEFAULT_T1, ProbeSpec, conductance, readout, sweep
+from .transport import DEFAULT_T1, ProbeSpec, QuadratureError, conductance, readout, sweep
 
 COMMANDS = ("evaluate", "sweep", "ensemble", "layout", "feasibility", "classical")
 
@@ -154,7 +154,8 @@ def _validate(cfg: RunConfig) -> list[str]:
     # prefixed with the config keys they were built from.
     builders = [
         ("disorder.sigma_t, disorder.sigma_eps", _disorder),
-        ("physics.gamma_l, physics.gamma_r, physics.kt", _probe),
+        ("physics.gamma_l, physics.gamma_r, physics.t1, physics.eps0, physics.e_f, physics.kt",
+         _probe),
     ]
     if cfg.command in ("evaluate", "sweep", "ensemble", "layout", "classical"):
         builders.insert(0, ("tree.depth, tree.bits, tree.not_markers", _tree))
@@ -372,7 +373,7 @@ def main(argv=None) -> int:
         for err in exc.errors:
             print(f"config error: {err}", file=sys.stderr)
         return 1
-    except (StructureError, OSError) as exc:
+    except (StructureError, QuadratureError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

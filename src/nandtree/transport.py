@@ -12,10 +12,31 @@ Gamma^2/4 / ((t1^2 Im G_1 - Gamma/2)^2 + (E - t1^2 Re G_1 - eps0)^2).
 Conductance is the thermal average of T against the normalized kernel
 w(E) = sech^2((E - E_f)/2kT)/(4kT) (the negative derivative of the
 Fermi function), in units of e^2/h.
+
+**Thermal quadrature.**  At kT > 0 the average runs over
+[E_f - 20kT, E_f + 20kT] in 16-point Gauss-Legendre panels, doubling
+the panel count from 8 to 8192 until the relative change between two
+counts is at most 1e-8.  The nodes depend only on the pair
+(E_f, kT), and G_1 at a node on neither eps0 nor the probe
+couplings, so :func:`sweep` evaluates its points together
+(:func:`conductance` is the one-probe case): at each panel count one
+:func:`green_tree_many` call takes the nodes of every (E_f, kT) pair
+that still has an unconverged probe, and each probe then forms its
+own transmission and sum from its pair's share of G_1.  A probe
+leaves as soon as it converges.  No call, and no set of nodes,
+weights and G_1 held at once, exceeds one level of the finest count
+(8192 x 16 energies): the pairs of a level go through in chunks of
+that size.  Each probe's sum is the one a probe-by-probe quadrature
+forms, so the result is the same bit for bit.  At kT = 0 the
+conductance is T(E_f) from :func:`transmission` at the scalar
+energy, which rounds as CPython's complex arithmetic does (see
+:mod:`nandtree.greens`).
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, replace
 from typing import Mapping
 
@@ -65,6 +86,9 @@ class ProbeSpec:
     temperature: float = 0.0
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise StructureError(f"{name} must be finite, got {value!r}")
         if self.gamma_l <= 0 or self.gamma_r <= 0:
             raise StructureError("lead broadenings Gamma_l, Gamma_r must be positive")
         if self.temperature < 0:
@@ -122,61 +146,131 @@ def thermal_kernel(E, e_f: float, kt: float):
     return 1.0 / (4.0 * kt * np.cosh((np.asarray(E) - e_f) / (2.0 * kt)) ** 2)
 
 
+#: Gauss-Legendre points per quadrature panel.
+_ORDER = 16
+#: Panel counts tried in turn; a probe not converged at the last one fails.
+_PANELS = tuple(2**k for k in range(3, 14))
+#: Most quadrature energies in one G_1 evaluation: one level of the finest count.
+_MAX_ENERGIES = _PANELS[-1] * _ORDER
+
+
+@functools.cache
+def _gauss_legendre():
+    """Read-only nodes and weights of one panel on [-1, 1], made on first use.
+
+    Not at import: ``leggauss`` goes through LAPACK, whose first call
+    adds about 0.9 MB of resident memory that kT = 0 runs never need.
+    """
+    x, w = leggauss(_ORDER)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def _sums(tree, params: DotParameters, probes, chunk, panels: int) -> list[list[float]]:
+    """Quadrature sums at ``panels`` of the probes of each pair in ``chunk``.
+
+    ``chunk`` holds ((E_f, kT), probe indices) items; one G_1 evaluation
+    serves them all.  Its arrays are freed on return, before the next.
+    """
+    x, wx = _gauss_legendre()
+    energies = np.empty((len(chunk), panels * _ORDER))
+    weights = []
+    for E, ((e_f, kt), _) in zip(energies, chunk):
+        edges = np.linspace(e_f - 20.0 * kt, e_f + 20.0 * kt, panels + 1)
+        half = 0.5 * (edges[1] - edges[0])
+        centers = 0.5 * (edges[:-1] + edges[1:])
+        E[:] = (centers[:, None] + half * x[None, :]).ravel()
+        weights.append(np.broadcast_to(half * wx[None, :], (panels, _ORDER)).ravel()
+                       * thermal_kernel(E, e_f, kt))
+    g1 = green_tree_many(tree, params, energies.ravel()).reshape(energies.shape)
+    return [[float(np.sum(wk * _transmission_from_g1(g, probes[i], E))) for i in members]
+            for (_, members), E, wk, g in zip(chunk, energies, weights, g1)]
+
+
+def _conductances(tree, params: DotParameters, probes) -> list:
+    """Conductance of each probe, or the :class:`QuadratureError` it failed with.
+
+    kT = 0 probes take :func:`transmission` at E_f.  The others are
+    grouped by (E_f, kT); see "Thermal quadrature" above.
+    """
+    out: list = [None] * len(probes)
+    pending: dict[tuple[float, float], list[int]] = {}
+    for i, p in enumerate(probes):
+        if p.temperature == 0.0:
+            out[i] = transmission(tree, params, p, p.e_f)
+        else:
+            # E_f = -0.0 and 0.0 share a key; they give the same nodes and kernel.
+            pending.setdefault((p.e_f, p.temperature), []).append(i)
+    prev: dict[int, float] = {}
+    for panels in _PANELS:
+        if not pending:
+            break
+        pairs = list(pending.items())
+        per_call = max(1, _MAX_ENERGIES // (panels * _ORDER))
+        for lo in range(0, len(pairs), per_call):
+            chunk = pairs[lo:lo + per_call]
+            for (key, members), sums in zip(chunk, _sums(tree, params, probes, chunk, panels)):
+                for i, cur in zip(members, sums):
+                    if i in prev:
+                        achieved = abs(cur - prev[i]) / max(abs(cur), 1e-300)
+                        if achieved <= 1e-8:
+                            out[i] = cur
+                        elif panels == _PANELS[-1]:
+                            out[i] = QuadratureError(panels, achieved)
+                    prev[i] = cur
+                members[:] = [i for i in members if out[i] is None]
+                if not members:
+                    del pending[key]
+    return out
+
+
 def conductance(tree, params: DotParameters, probe: ProbeSpec) -> float:
     """Landauer conductance (e^2/h): thermal average of the transmission.
 
-    At temperature 0 this is exactly T(E_f).  Otherwise a Gauss-Legendre
-    quadrature over [E_f - 20kT, E_f + 20kT] with panel doubling until
-    the relative change drops below 1e-8; past 8192 panels it raises
-    :class:`QuadratureError` with the last count and change.
+    At temperature 0 this is exactly T(E_f), at the scalar energy.
+    Otherwise a Gauss-Legendre quadrature over [E_f - 20kT, E_f + 20kT]
+    with panel doubling until the relative change drops below 1e-8, one
+    G_1 evaluation per panel count; past 8192 panels it raises
+    :class:`QuadratureError` with the last count and change.  It is the
+    one-probe case of the quadrature :func:`sweep` batches.
     """
-    kt = probe.temperature
-    if kt == 0.0:
-        return transmission(tree, params, probe, probe.e_f)
-    lo, hi = probe.e_f - 20.0 * kt, probe.e_f + 20.0 * kt
-    x16, w16 = leggauss(16)
-
-    def integrate(panels: int) -> float:
-        edges = np.linspace(lo, hi, panels + 1)
-        half = 0.5 * (edges[1] - edges[0])
-        centers = 0.5 * (edges[:-1] + edges[1:])
-        E = (centers[:, None] + half * x16[None, :]).ravel()
-        w = np.broadcast_to(half * w16[None, :], (panels, 16)).ravel()
-        tvals = transmission_curve(tree, params, probe, E)
-        return float(np.sum(w * thermal_kernel(E, probe.e_f, kt) * tvals))
-
-    prev = integrate(8)
-    for panels in (2**k for k in range(4, 14)):
-        cur = integrate(panels)
-        achieved = abs(cur - prev) / max(abs(cur), 1e-300)
-        if achieved <= 1e-8:
-            return cur
-        prev = cur
-    raise QuadratureError(panels, achieved)
+    (result,) = _conductances(tree, params, [probe])
+    if isinstance(result, QuadratureError):
+        raise result
+    return result
 
 
 def sweep(tree, params: DotParameters, probe: ProbeSpec, axis: str, grid) -> ConductanceTrace:
-    """Transmission and conductance versus E or eps0, other parameters fixed."""
+    """Transmission and conductance versus E or eps0, other parameters fixed.
+
+    The grid must be finite and strictly increasing.  Each point's
+    conductance is :func:`conductance` at that point, bit for bit, with
+    the G_1 evaluations shared as "Thermal quadrature" above describes
+    (along ``eps0`` every point has the same nodes).  If points fail to
+    converge, the :class:`QuadratureError` of the lowest-index one is
+    raised, with its ``panels`` and ``achieved``.
+    """
     grid = tuple(float(v) for v in grid)
     if not grid:
         raise StructureError("sweep grid must be nonempty")
+    if not all(map(math.isfinite, grid)):
+        raise StructureError("sweep grid values must be finite")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise StructureError("sweep grid must be strictly increasing")
-    trans: list[float] = []
-    cond: list[float] = []
     if axis == "E":
         trans = [float(t) for t in transmission_curve(tree, params, probe, grid)]
-        for v in grid:
-            cond.append(conductance(tree, params, replace(probe, e_f=v)))
+        probes = [replace(probe, e_f=v) for v in grid]
     elif axis == "eps0":
         # G_1 does not depend on eps0: one evaluation at E_f serves every point.
         g1 = green_tree_many(tree, params, probe.e_f)
-        for v in grid:
-            p = replace(probe, eps0=v)
-            trans.append(float(_transmission_from_g1(g1, p, p.e_f)))
-            cond.append(conductance(tree, params, p))
+        probes = [replace(probe, eps0=v) for v in grid]
+        trans = [float(_transmission_from_g1(g1, p, p.e_f)) for p in probes]
     else:
         raise StructureError(f"sweep axis must be 'E' or 'eps0', got {axis!r}")
+    cond = _conductances(tree, params, probes)
+    for c in cond:
+        if isinstance(c, QuadratureError):
+            raise c
     meta = {
         "axis": axis,
         "gamma_l": probe.gamma_l,

@@ -229,6 +229,40 @@ def test_main_missing_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+SWEEP_CONFIG = (
+    "command = sweep\ntree.depth = 1\ntree.bits = 01\nphysics.gamma = 1e-5\n"
+    "physics.kt = 0.1\nsweep.axis = E\nsweep.min = -0.2\nsweep.max = 0.2\nsweep.points = 2\n"
+)
+
+
+def test_main_reports_quadrature_error(tmp_path, capsys):
+    # Lead Gamma far below kT: the thermal quadrature does not converge.
+    path = tmp_path / "sweep.cfg"
+    path.write_text(SWEEP_CONFIG + "physics.gamma_l = 1e-5\nphysics.gamma_r = 1e-5\n"
+                    f"output.path = {tmp_path / 'out.csv'}\n")
+    assert main([str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: thermal quadrature stalled at 8192 panels")
+    assert "Traceback" not in err
+
+
+def test_main_rejects_nan_sweep_bound(tmp_path, capsys):
+    path = tmp_path / "sweep.cfg"
+    path.write_text(SWEEP_CONFIG + f"sweep.min = nan\noutput.path = {tmp_path / 'out.csv'}\n")
+    assert main([str(path)]) == 1
+    assert capsys.readouterr().err == "error: sweep grid values must be finite\n"
+
+
+@pytest.mark.parametrize("key", ["gamma_l", "gamma_r", "t1", "eps0", "e_f", "kt"])
+def test_parse_config_rejects_nan_probe_values(key):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(EVALUATE_CONFIG + f"physics.{key} = nan\n")
+    field = "temperature" if key == "kt" else key
+    assert any(e.startswith("physics.gamma_l, physics.gamma_r, physics.t1, physics.eps0, "
+                            "physics.e_f, physics.kt:") and f"{field} must be finite" in e
+               for e in exc.value.errors)
+
+
 def test_fmt_round_trip():
     for value in (0.1, 1e-17, 2.0 / 3.0, -123456.789, 7.0):
         assert float(_fmt(value)) == value

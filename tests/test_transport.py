@@ -1,5 +1,11 @@
+import math
+import sys
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 from nandtree import (
     ProbeSpec,
@@ -13,10 +19,18 @@ from nandtree import (
     sweep,
     transmission,
     transmission_curve,
+    transport,
 )
 from nandtree.classical import eval_nand
 from nandtree.model import DisorderSpec
-from nandtree.transport import READOUT_BAND, thermal_kernel
+from nandtree.transport import (
+    READOUT_BAND,
+    ConductanceTrace,
+    QuadratureError,
+    _transmission_from_g1,
+    green_tree_many,
+    thermal_kernel,
+)
 
 
 def test_probe_spec_validation():
@@ -189,3 +203,237 @@ def test_readout_ambiguity_flag():
     result = readout(tree, params, ProbeSpec())
     assert READOUT_BAND[0] <= result.conductance <= READOUT_BAND[1]
     assert result.ambiguous
+
+
+# --- Batched thermal quadrature ------------------------------------------
+#
+# ``reference_conductance`` and ``reference_sweep`` are the probe-by-probe
+# quadrature and the per-point sweep loop that preceded the batched
+# ``_conductances``, kept verbatim.  The batched code must reproduce them
+# bit for bit, errors included.
+
+
+def reference_conductance(tree, params, probe: ProbeSpec) -> float:
+    kt = probe.temperature
+    if kt == 0.0:
+        return transmission(tree, params, probe, probe.e_f)
+    lo, hi = probe.e_f - 20.0 * kt, probe.e_f + 20.0 * kt
+    x16, w16 = leggauss(16)
+
+    def integrate(panels: int) -> float:
+        edges = np.linspace(lo, hi, panels + 1)
+        half = 0.5 * (edges[1] - edges[0])
+        centers = 0.5 * (edges[:-1] + edges[1:])
+        E = (centers[:, None] + half * x16[None, :]).ravel()
+        w = np.broadcast_to(half * w16[None, :], (panels, 16)).ravel()
+        tvals = transmission_curve(tree, params, probe, E)
+        return float(np.sum(w * thermal_kernel(E, probe.e_f, kt) * tvals))
+
+    prev = integrate(8)
+    for panels in (2**k for k in range(4, 14)):
+        cur = integrate(panels)
+        achieved = abs(cur - prev) / max(abs(cur), 1e-300)
+        if achieved <= 1e-8:
+            return cur
+        prev = cur
+    raise QuadratureError(panels, achieved)
+
+
+def reference_sweep(tree, params, probe: ProbeSpec, axis: str, grid) -> ConductanceTrace:
+    grid = tuple(float(v) for v in grid)
+    if not grid:
+        raise StructureError("sweep grid must be nonempty")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise StructureError("sweep grid must be strictly increasing")
+    trans: list[float] = []
+    cond: list[float] = []
+    if axis == "E":
+        trans = [float(t) for t in transmission_curve(tree, params, probe, grid)]
+        for v in grid:
+            cond.append(reference_conductance(tree, params, replace(probe, e_f=v)))
+    elif axis == "eps0":
+        # G_1 does not depend on eps0: one evaluation at E_f serves every point.
+        g1 = green_tree_many(tree, params, probe.e_f)
+        for v in grid:
+            p = replace(probe, eps0=v)
+            trans.append(float(_transmission_from_g1(g1, p, p.e_f)))
+            cond.append(reference_conductance(tree, params, p))
+    else:
+        raise StructureError(f"sweep axis must be 'E' or 'eps0', got {axis!r}")
+    meta = {
+        "axis": axis,
+        "gamma_l": probe.gamma_l,
+        "gamma_r": probe.gamma_r,
+        "t1": probe.t1,
+        "eps0": probe.eps0,
+        "e_f": probe.e_f,
+        "temperature": probe.temperature,
+        "gamma": params.gamma,
+        "delta": params.delta,
+    }
+    return ConductanceTrace(
+        axis=axis,
+        grid=grid,
+        transmission=tuple(trans),
+        conductance=tuple(cond),
+        metadata=meta,
+    )
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+def reference_with_panels(monkeypatch, tree, params, probe, axis, grid):
+    """``reference_sweep`` and the finest panel count each kT > 0 point tried."""
+    curve, finest = transmission_curve, []
+
+    def spy(tree, params, probe, E):
+        size = np.size(E)
+        if size == 8 * 16:  # a point's first quadrature level
+            finest.append(8)
+        elif finest and size == 32 * finest[-1]:
+            finest[-1] *= 2
+        return curve(tree, params, probe, E)
+
+    with monkeypatch.context() as m:
+        m.setattr(sys.modules[__name__], "transmission_curve", spy)
+        return reference_sweep(tree, params, probe, axis, grid), finest
+
+
+def disordered(depth, bits, seed=21):
+    # Dephasing 0.01 keeps resonances narrow enough that sweep points
+    # converge at different panel counts.
+    tree = build_tree(depth, bits)
+    ideal = ideal_parameters(tree, 10.0, 0.01)
+    return tree, sample_disorder(tree, ideal, DisorderSpec(0.03, 0.03, seed=seed))
+
+
+SWEEP_CASES = {
+    "E, kT = 0": ("E", ProbeSpec()),
+    "E, kT = 0.01": ("E", ProbeSpec(temperature=0.01)),
+    "E, kT = 0.05, asymmetric": ("E", ProbeSpec(0.08, 0.02, t1=0.3, eps0=0.1, temperature=0.05)),
+    "eps0, kT = 0": ("eps0", ProbeSpec(e_f=0.05)),
+    "eps0, kT = 0.01": ("eps0", ProbeSpec(temperature=0.01)),
+    "eps0, kT = 0.03, E_f = -0.2": ("eps0", ProbeSpec(0.02, 0.05, e_f=-0.2, temperature=0.03)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+def test_sweep_matches_per_point_reference(case, monkeypatch):
+    axis, probe = SWEEP_CASES[case]
+    tree, params = disordered(5, [0] * 32)
+    grid = np.linspace(-1.0, 1.0, 41)
+    want, finest = reference_with_panels(monkeypatch, tree, params, probe, axis, grid)
+    got = sweep(tree, params, probe, axis, grid)
+    assert hexes(got.conductance) == hexes(want.conductance)
+    assert hexes(got.transmission) == hexes(want.transmission)
+    assert got.grid == want.grid and got.metadata == want.metadata
+    if probe.temperature > 0:
+        # Points leave the batch at different panel counts.
+        assert len(finest) == len(grid) and len(set(finest)) >= 2
+
+
+def test_sweep_matches_reference_on_deeper_tree():
+    tree, params = disordered(7, np.random.default_rng(4).integers(0, 2, 128), seed=3)
+    probe = ProbeSpec(temperature=0.01)
+    grid = np.linspace(-0.6, 0.6, 13)
+    for axis in ("E", "eps0"):
+        got, want = sweep(tree, params, probe, axis, grid), reference_sweep(
+            tree, params, probe, axis, grid)
+        assert hexes(got.conductance) == hexes(want.conductance)
+
+
+def test_conductance_matches_reference_on_single_probes():
+    tree, params = disordered(3, (1, 0, 1, 1, 0, 0, 1, 0))
+    for probe in (ProbeSpec(), ProbeSpec(e_f=-0.0, temperature=0.02),
+                  ProbeSpec(0.01, 0.03, t1=0.4, eps0=-0.3, e_f=0.2, temperature=0.004),
+                  ProbeSpec(temperature=1e-6)):
+        got = conductance(tree, params, probe)
+        assert type(got) is float
+        assert got.hex() == reference_conductance(tree, params, probe).hex()
+
+
+#: A depth-1 point whose quadrature does not converge (about 30 ms).
+FAILING_TREE = build_tree(1, (0, 1))
+FAILING_PARAMS = ideal_parameters(FAILING_TREE, 10.0, 1e-5)
+FAILING_PROBE = ProbeSpec(1e-5, 1e-5, temperature=0.1)
+
+
+def reference_outcome(probe):
+    try:
+        return reference_conductance(FAILING_TREE, FAILING_PARAMS, probe)
+    except QuadratureError as exc:
+        return exc
+
+
+@pytest.mark.parametrize("axis, grid", [
+    ("E", [-30.0, -0.4, 0.0, 0.4]),  # the window at E_f = -30 holds no resonance
+    ("eps0", [-0.5, 0.0, 0.5]),
+])
+def test_sweep_raises_lowest_index_quadrature_error(axis, grid):
+    field = "e_f" if axis == "E" else "eps0"
+    outcomes = [reference_outcome(replace(FAILING_PROBE, **{field: v})) for v in grid]
+    failed = [o for o in outcomes if isinstance(o, QuadratureError)]
+    assert len(failed) >= 2 and len({o.achieved for o in failed}) == len(failed)
+    with pytest.raises(QuadratureError) as info:
+        sweep(FAILING_TREE, FAILING_PARAMS, FAILING_PROBE, axis, grid)
+    assert (info.value.panels, info.value.achieved.hex()) == (
+        failed[0].panels, failed[0].achieved.hex())
+    with pytest.raises(QuadratureError) as info:
+        conductance(FAILING_TREE, FAILING_PARAMS, replace(FAILING_PROBE, **{field: grid[-1]}))
+    assert (info.value.panels, info.value.achieved.hex()) == (
+        failed[-1].panels, failed[-1].achieved.hex())
+
+
+def test_failing_points_split_the_finest_levels(monkeypatch):
+    # Three failing E_f values: 2048 panels take all three in one call,
+    # 4096 panels two and then one, 8192 panels one per call; no call
+    # exceeds one 8192-panel level.
+    sizes, many = [], green_tree_many
+
+    def spy(tree, params, energies):
+        sizes.append(np.size(energies))
+        return many(tree, params, energies)
+
+    monkeypatch.setattr(transport, "green_tree_many", spy)
+    with pytest.raises(QuadratureError):
+        sweep(FAILING_TREE, FAILING_PARAMS, FAILING_PROBE, "E", [-0.4, 0.0, 0.4])
+    level = 8192 * 16
+    assert level == transport._MAX_ENERGIES and max(sizes) == level
+    assert sizes[-6:] == [3 * level // 4, level, level // 2, level, level, level]
+
+
+def test_failing_sweep_memory_stays_near_one_point():
+    def peak(run):
+        tracemalloc.reset_peak()
+        with pytest.raises(QuadratureError):
+            run()
+        return tracemalloc.get_traced_memory()[1]
+
+    one = lambda: conductance(FAILING_TREE, FAILING_PARAMS, FAILING_PROBE)  # noqa: E731
+    four = lambda: sweep(FAILING_TREE, FAILING_PARAMS, FAILING_PROBE, "E",  # noqa: E731
+                         [-0.3, -0.1, 0.1, 0.3])
+    peak(one)  # lazy imports and caches fill outside the traced window
+    tracemalloc.start()
+    try:
+        single, swept = peak(one), peak(four)
+    finally:
+        tracemalloc.stop()
+    assert swept <= 1.5 * single
+
+
+@pytest.mark.parametrize("field", ["gamma_l", "gamma_r", "t1", "eps0", "e_f", "temperature"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_probe_spec_rejects_non_finite(field, value):
+    with pytest.raises(StructureError, match=f"{field} must be finite"):
+        ProbeSpec(**{field: value})
+
+
+@pytest.mark.parametrize("grid", [[math.nan], [0.0, math.nan], [-math.inf, 0.0], [0.0, math.inf]])
+def test_sweep_rejects_non_finite_grid(grid):
+    tree = build_tree(1, (0, 1))
+    params = ideal_parameters(tree, 10.0, 1e-6)
+    for axis in ("E", "eps0"):
+        with pytest.raises(StructureError, match="finite"):
+            sweep(tree, params, ProbeSpec(temperature=0.01), axis, grid)
