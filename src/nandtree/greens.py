@@ -39,6 +39,11 @@ x86 server this was measured on.  There, four times larger blocks made
 ones made the depth-12 H-fractal about 5x slower through per-level
 overhead.
 
+**Inertia count.**  :func:`inertia_count` runs the same schedule and
+energy blocks in real arithmetic at gamma = 0 and counts the positive
+denominators, which number the eigenvalues below E; :mod:`nandtree.transport`
+locates resonances with it.
+
 **Rounding.**  Results are reproducible bit for bit and match the
 dot-by-dot recursion exactly.  Every dot applies the same operations in
 the same order, ``(E + i*gamma) - eps - t_1^2 G_1 - t_2^2 G_2`` and then
@@ -153,7 +158,7 @@ def _cut(flat: np.ndarray, parts) -> list[np.ndarray]:
 
 
 def _climb(schedule, columns, base, g, dg, reciprocal, product):
-    """Evaluate ``schedule`` bottom-up over the energies ``base`` = E + i*gamma.
+    """Evaluate ``schedule`` bottom-up over ``base``: E + i*gamma, or the real E.
 
     ``g``/``dg`` hold the values of the level below the first one given
     (``None`` when it starts at the leaves); returns the last level's.
@@ -181,6 +186,33 @@ def _climb(schedule, columns, base, g, dg, reciprocal, product):
     return g, dg
 
 
+def _bottom_up(schedule, columns, base, step, product=None):
+    """Run ``schedule`` over the energies ``base``; returns the root level's values.
+
+    The wide bottom band runs in energy chunks (see "Energy blocks"
+    above).  ``step(part)`` gives the map from a level's denominators to
+    its values for the energies ``base[part]``; ``product`` is as in
+    :func:`_climb`.
+    """
+    n = base.size
+    widths = [len(level.nodes) for level in schedule]
+    split = len(schedule)
+    while split and widths[split - 1] * n <= _BLOCK:
+        split -= 1
+    g = dg = None
+    if split:
+        chunk = max(1, _BLOCK // max(widths[:split]))
+        g = np.empty((widths[split - 1], n), dtype=base.dtype)
+        dg = None if product is None else np.empty_like(g)
+        for lo in range(0, n, chunk):
+            part = slice(lo, lo + chunk)
+            g[:, part], d = _climb(schedule[:split], columns[:split], base[part], None, None,
+                                   step(part), product)
+            if dg is not None:
+                dg[:, part] = d
+    return _climb(schedule[split:], columns[split:], base, g, dg, step(slice(None)), product)
+
+
 def _resolve(tree, params: DotParameters, E, derivative: bool = False):
     """Level-by-level evaluation of G (and optionally dG/dE) at the root."""
     schedule = tree.levels()
@@ -190,31 +222,57 @@ def _resolve(tree, params: DotParameters, E, derivative: bool = False):
     reciprocal = _numpy_reciprocal if numpy_energy else _py_reciprocal
     product = (np.multiply if np.ndim(E) else _py_product) if derivative else None
     base = np.asarray(E + ig, dtype=complex).reshape(-1)
-    n = base.size
-
-    # The narrow top levels take every energy at once; the wide levels
-    # below them run in energy chunks that keep each block near _BLOCK.
-    widths = [len(level.nodes) for level in schedule]
-    split = len(schedule)
-    while split and widths[split - 1] * n <= _BLOCK:
-        split -= 1
-    g = dg = None
-    if split:
-        chunk = max(1, _BLOCK // max(widths[:split]))
-        g = np.empty((widths[split - 1], n), dtype=complex)
-        dg = np.empty_like(g) if derivative else None
-        for lo in range(0, n, chunk):
-            part = slice(lo, lo + chunk)
-            g[:, part], d = _climb(schedule[:split], columns[:split], base[part], None, None,
-                                   reciprocal, product)
-            if derivative:
-                dg[:, part] = d
-    g, dg = _climb(schedule[split:], columns[split:], base, g, dg, reciprocal, product)
-
+    g, dg = _bottom_up(schedule, columns, base, lambda part: reciprocal, product)
     if numpy_energy:
         g = g[0].reshape(np.shape(E))
         return (g, dg[0].reshape(np.shape(E))) if derivative else g
     return (complex(g[0, 0]), complex(dg[0, 0])) if derivative else complex(g[0, 0])
+
+
+def _inertia_step(counts: np.ndarray):
+    """Reciprocal of a level's pivots that adds its positive ones to ``counts``.
+
+    A zero pivot counts nothing and passes -inf up, which makes its
+    parent's pivot +inf: that child and the parent form a 2x2 block with
+    one positive and one negative eigenvalue, so the parent counts once,
+    and passes 1/inf = 0 up, its link to its own parent dropping out.
+    """
+    def step(d):
+        counts[...] += (d > 0).sum(axis=0)
+        # -1/(0 - d) is 1/d exactly, and -inf for d = +0 or -0.
+        return np.divide(-1.0, np.subtract(0.0, d, out=d), out=d)
+    return step
+
+
+def inertia_count(tree, params: DotParameters, energies) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of the tree Hamiltonian below each energy, without a matrix.
+
+    With gamma = 0 the recursion's denominators, formed leaves first,
+    are the pivots d_i = E - eps_i - sum_c t_c^2 / d_c of a fill-free
+    LDL^T factorization of E - H, so by Sylvester's law of inertia the
+    number of positive pivots is the number of eigenvalues below E.  A
+    zero pivot is handled as in Jacobs and Trevisan, "Locating the
+    eigenvalues of trees", Linear Algebra Appl. 434 (2011) 81-88: the
+    parent pairs with one zero child, counts one positive pivot, and
+    drops its own link.  An energy that is an eigenvalue therefore
+    counts only the eigenvalues strictly below it.
+
+    Returns the counts (int64, the shape of ``energies``) and the root's
+    reciprocal pivot 1/d_root, the real G_1 at gamma = 0: 0 when the
+    root paired with a child, -inf when its own pivot is zero.  A dot
+    attached above the root with detuning eps and coupling t adds the
+    pivot E - eps - t^2 G_1, counted if positive (+inf when it pairs
+    with the root).  Real arithmetic, one level pass per call, in the
+    energy blocks of :func:`green_tree_many`.
+    """
+    E = np.asarray(energies, dtype=float)
+    schedule = tree.levels()
+    columns = _columns(params, schedule)
+    counts = np.zeros(E.size, dtype=np.int64)
+    with np.errstate(divide="ignore", over="ignore"):
+        g, _ = _bottom_up(schedule, columns, E.reshape(-1),
+                          lambda part: _inertia_step(counts[part]))
+    return counts.reshape(E.shape), g[0].reshape(E.shape)
 
 
 def green_tree(tree, params: DotParameters, E: float) -> GreenValue:

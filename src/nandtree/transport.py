@@ -13,24 +13,38 @@ Conductance is the thermal average of T against the normalized kernel
 w(E) = sech^2((E - E_f)/2kT)/(4kT) (the negative derivative of the
 Fermi function), in units of e^2/h.
 
-**Thermal quadrature.**  At kT > 0 the average runs over
-[E_f - 20kT, E_f + 20kT] in 16-point Gauss-Legendre panels, doubling
-the panel count from 8 to 8192 until the relative change between two
-counts is at most 1e-8.  The nodes depend only on the pair
-(E_f, kT), and G_1 at a node on neither eps0 nor the probe
-couplings, so :func:`sweep` evaluates its points together
-(:func:`conductance` is the one-probe case): at each panel count one
-:func:`green_tree_many` call takes the nodes of every (E_f, kT) pair
-that still has an unconverged probe, and each probe then forms its
-own transmission and sum from its pair's share of G_1.  A probe
-leaves as soon as it converges.  No call, and no set of nodes,
-weights and G_1 held at once, exceeds one level of the finest count
-(8192 x 16 energies): the pairs of a level go through in chunks of
-that size.  Each probe's sum is the one a probe-by-probe quadrature
-forms, so the result is the same bit for bit.  At kT = 0 the
-conductance is T(E_f) from :func:`transmission` at the scalar
-energy, which rounds as CPython's complex arithmetic does (see
-:mod:`nandtree.greens`).
+**Thermal quadrature.**  At kT > 0 the average runs over the window
+[E_f - 20kT, E_f + 20kT] in 16-point Gauss-Legendre panels on a mesh
+graded toward the features of the integrand.  Breakpoints sit at E_f,
+at the window edges and at every eigenvalue of the Hermitian
+probe+tree Hamiltonian (gamma = 0, no leads) in the window.  From each
+breakpoint the panels grow 2x outward, starting at a quarter of
+min(gamma, Gamma/2, pi kT): every pole of the probe Green's function,
+an eigenvalue of H_eff = H - i gamma - i Gamma/2 |0><0|, lies at least
+min(gamma, Gamma/2) below the real axis, and the kernel's poles lie
+pi kT from it, so no peak is narrower than a few first panels.  The
+sum is checked against the same mesh with every panel halved; the
+halved mesh's sum is returned, and a relative difference above 1e-8
+raises :class:`QuadratureError`.
+
+The eigenvalues come from an inertia count on the tree
+(:func:`~nandtree.greens.inertia_count`): by Sylvester's law of
+inertia, the positive pivots of the gamma = 0 recursion, leaves first
+and then the probe's E - eps0 - t1^2 G_1, number the eigenvalues below
+E (Jacobs and Trevisan, "Locating the eigenvalues of trees", Linear
+Algebra Appl. 434 (2011) 81-88).  The brackets of every probe are cut
+together, up to 8 pieces and one count per step, until each eigenvalue
+is known to within the first panel width; no dense matrix is formed.
+
+G_1 depends on neither E_f nor eps0, so probes that share kT, the lead
+widths and t1 share one mesh over all their windows, with the
+breakpoints of every one, and one G_1 evaluation on it: a sweep along
+E or eps0 costs one mesh.  Each probe then sums only the nodes of its
+own window, and probes at one E_f share the kernel.  No G_1 call
+takes more than ``_MAX_ENERGIES`` energies; a longer mesh goes
+through in chunks.  At kT = 0 the conductance is T(E_f), from one
+scalar G_1 evaluation per distinct E_f, the operations of
+:func:`transmission`, so the result is the same bit for bit.
 """
 
 from __future__ import annotations
@@ -43,7 +57,7 @@ from typing import Mapping
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .greens import GreenValue, green_tree_many
+from .greens import GreenValue, green_tree_many, inertia_count
 from .model import DotParameters, StructureError
 
 #: Default probe-to-tree coupling (units of t).  The source material does
@@ -61,8 +75,9 @@ READOUT_BAND = (0.25, 0.75)
 class QuadratureError(RuntimeError):
     """Thermal quadrature failed to converge.
 
-    ``panels`` is the last panel count tried and ``achieved`` the
-    relative change between it and the count before.
+    ``panels`` is the number of panels of the graded mesh in the
+    probe's window and ``achieved`` the relative change of the sum when
+    every one of them is halved.
     """
 
     def __init__(self, panels: int, achieved: float):
@@ -70,8 +85,8 @@ class QuadratureError(RuntimeError):
         self.panels, self.achieved = panels, achieved
 
     def __str__(self) -> str:
-        return (f"thermal quadrature stalled at {self.panels} panels, "
-                f"relative change {self.achieved:.2e}")
+        return (f"thermal quadrature not converged on {self.panels} graded panels, "
+                f"relative change {self.achieved:.2e} when halved")
 
 
 @dataclass(frozen=True)
@@ -148,10 +163,12 @@ def thermal_kernel(E, e_f: float, kt: float):
 
 #: Gauss-Legendre points per quadrature panel.
 _ORDER = 16
-#: Panel counts tried in turn; a probe not converged at the last one fails.
-_PANELS = tuple(2**k for k in range(3, 14))
-#: Most quadrature energies in one G_1 evaluation: one level of the finest count.
-_MAX_ENERGIES = _PANELS[-1] * _ORDER
+#: Largest relative change of a sum when every panel is halved.
+_TOLERANCE = 1e-8
+#: Most energies in one G_1 evaluation; a longer mesh goes through in chunks.
+_MAX_ENERGIES = 1 << 17
+#: Most pieces each step of the resonance search cuts a bracket into.
+_SECTIONS = 8
 
 
 @functools.cache
@@ -166,61 +183,168 @@ def _gauss_legendre():
     return x, w
 
 
-def _sums(tree, params: DotParameters, probes, chunk, panels: int) -> list[list[float]]:
-    """Quadrature sums at ``panels`` of the probes of each pair in ``chunk``.
+def _finest(params: DotParameters, probe: ProbeSpec) -> float:
+    """Width of the panels next to a breakpoint.
 
-    ``chunk`` holds ((E_f, kT), probe indices) items; one G_1 evaluation
-    serves them all.  Its arrays are freed on return, before the next.
+    A quarter of the least distance from the real axis of a pole of the
+    probe Green's function (at least gamma on the tree and Gamma/2 on
+    the probe dot) or of the thermal kernel (pi kT).
+    """
+    lead = 0.5 * (probe.gamma_l + probe.gamma_r)
+    return 0.25 * min(params.gamma, lead, math.pi * probe.temperature)
+
+
+def _resonances(tree, params: DotParameters, eps0: np.ndarray, t2: float, lo: float,
+                hi: float, width: float) -> np.ndarray:
+    """Eigenvalues in [lo, hi) of the probe+tree Hamiltonians, to ``width``.
+
+    One Hamiltonian per probe detuning in ``eps0``, with coupling t1^2 =
+    ``t2``.  Every bracket of every Hamiltonian is cut into up to
+    ``_SECTIONS`` equal pieces at once, one :func:`inertia_count` call
+    per step, until it is at most 2 ``width`` wide; the midpoints of the
+    brackets that still hold an eigenvalue are returned, each within
+    ``width`` of its eigenvalues.
+    """
+    def below(E, eps0):
+        # The brackets of all Hamiltonians divide the same interval, so
+        # they share energies: the tree's count is taken once for each.
+        energies, at = np.unique(E, return_inverse=True)
+        counts, g1 = (a[at] for a in inertia_count(tree, params, energies))
+        return counts + (E - eps0 - t2 * g1 > 0)  # the probe dot's pivot
+
+    cuts = np.array([[lo, hi]] * len(eps0))
+    counts = below(cuts, eps0[:, None])
+    size = hi - lo
+    while True:
+        held = counts[:, 1] > counts[:, 0]
+        cuts, counts, eps0 = cuts[held], counts[held], eps0[held]
+        if size <= 2.0 * width or not len(cuts):
+            return cuts.mean(axis=1)
+        pieces = min(_SECTIONS, 2 ** math.ceil(math.log2(size / (2.0 * width))))
+        size /= pieces
+        inner = cuts[:, :1] + (cuts[:, 1:] - cuts[:, :1]) * (np.arange(1, pieces) / pieces)
+        c = below(inner, eps0[:, None])
+        cuts = np.hstack([cuts[:, :1], inner, cuts[:, 1:]])
+        counts = np.hstack([counts[:, :1], c, counts[:, 1:]])
+        cuts = np.stack([cuts[:, :-1], cuts[:, 1:]], axis=2).reshape(-1, 2)
+        counts = np.stack([counts[:, :-1], counts[:, 1:]], axis=2).reshape(-1, 2)
+        eps0 = np.repeat(eps0, pieces)
+
+
+def _graded_edges(breaks: np.ndarray, width: float) -> np.ndarray:
+    """Panel edges over the sorted, distinct ``breaks``.
+
+    From each breakpoint the panels grow outward as width, 2 width,
+    4 width, ... until they reach the middle of the gap to the next
+    one, which is also an edge.
+    """
+    gaps = np.diff(breaks)
+    sides = np.floor(np.log2(gaps / (2.0 * width) + 1.0)).astype(np.intp)
+    gap = np.repeat(np.arange(len(gaps)), sides)
+    step = np.arange(len(gap)) - np.repeat(np.cumsum(sides) - sides, sides) + 1
+    offset = width * (2.0 ** step - 1.0)
+    middles = (breaks[:-1] + 0.5 * gaps)[sides > 0]
+    return np.unique(np.concatenate([breaks, middles, breaks[gap] + offset,
+                                     breaks[gap + 1] - offset]))
+
+
+def _mesh_sums(tree, params: DotParameters, probe: ProbeSpec, edges, panels, fermi, members,
+               eps0) -> np.ndarray:
+    """Each probe's quadrature sums on the mesh ``edges`` and on it halved.
+
+    The probes ``members[j]`` share the Fermi level ``fermi[j]``, and
+    with it the kernel and the window of panels ``panels[j, 0]`` to
+    ``panels[j, 1]``; ``eps0`` holds every probe's detuning, and
+    ``probe`` kT, the lead widths and t1.  The panels go through G_1 in
+    chunks of at most ``_MAX_ENERGIES`` nodes, whole and halved
+    together.  Returns the (2, probes) sums.
     """
     x, wx = _gauss_legendre()
-    energies = np.empty((len(chunk), panels * _ORDER))
-    weights = []
-    for E, ((e_f, kt), _) in zip(energies, chunk):
-        edges = np.linspace(e_f - 20.0 * kt, e_f + 20.0 * kt, panels + 1)
-        half = 0.5 * (edges[1] - edges[0])
-        centers = 0.5 * (edges[:-1] + edges[1:])
-        E[:] = (centers[:, None] + half * x[None, :]).ravel()
-        weights.append(np.broadcast_to(half * wx[None, :], (panels, _ORDER)).ravel()
-                       * thermal_kernel(E, e_f, kt))
-    g1 = green_tree_many(tree, params, energies.ravel()).reshape(energies.shape)
-    return [[float(np.sum(wk * _transmission_from_g1(g, probes[i], E))) for i in members]
-            for (_, members), E, wk, g in zip(chunk, energies, weights, g1)]
+    kt, t2 = probe.temperature, probe.t1**2
+    sums = np.zeros((2, len(eps0)))
+    per_call = _MAX_ENERGIES // (3 * _ORDER)
+    for lo in range(0, len(edges) - 1, per_call):
+        part = edges[lo:lo + per_call + 1]
+        n = len(part) - 1  # whole panels in this chunk; the halved ones follow
+        halved = np.empty(2 * n + 1)
+        halved[0::2], halved[1::2] = part, 0.5 * (part[:-1] + part[1:])
+        half = [0.5 * np.diff(e) for e in (part, halved)]
+        E = np.concatenate([((e[:-1] + h)[:, None] + h[:, None] * x).ravel()
+                            for e, h in zip((part, halved), half)])
+        c = np.concatenate([(h[:, None] * wx).ravel() for h in half])
+        c *= probe.gamma_l * probe.gamma_r
+        g1 = green_tree_many(tree, params, E)
+        # The probe denominator at eps0 = 0: real part and squared imaginary part.
+        A = E - t2 * g1.real
+        B2 = (0.5 * (probe.gamma_l + probe.gamma_r) - t2 * g1.imag) ** 2
+        for j in np.flatnonzero((panels[:, 0] < lo + n) & (panels[:, 1] > lo)):
+            first, last = np.clip(panels[j], lo, lo + n) - lo
+            for k, (s, t) in enumerate(((first, last), (n + 2 * first, n + 2 * last))):
+                s, t = s * _ORDER, t * _ORDER
+                kc = c[s:t] * thermal_kernel(E[s:t], fermi[j], kt)
+                step = max(1, _MAX_ENERGIES // (t - s))
+                for i in range(0, len(members[j]), step):
+                    rows = members[j][i:i + step]
+                    d = np.subtract(A[s:t], eps0[rows, None])
+                    d *= d
+                    d += B2[s:t]
+                    sums[k, rows] += np.divide(kc, d, out=d).sum(axis=1)
+    return sums
+
+
+def _thermal(tree, params: DotParameters, probes) -> list:
+    """Conductances of kT > 0 ``probes`` that differ at most in E_f and eps0.
+
+    One graded mesh over all their windows, and its halving, serve them
+    all; see "Thermal quadrature" above.
+    """
+    probe = probes[0]
+    kt, width = probe.temperature, _finest(params, probe)
+    eps0 = np.array([p.eps0 for p in probes])
+    # E_f = -0.0 and 0.0 are one Fermi level.
+    fermi, level = np.unique([p.e_f for p in probes], return_inverse=True)
+    members = np.split(np.argsort(level, kind="stable"), np.cumsum(np.bincount(level))[:-1])
+    windows = fermi[:, None] + [-20.0 * kt, 20.0 * kt]
+    resonances = _resonances(tree, params, np.unique(eps0), probe.t1**2, windows[0, 0],
+                             windows[-1, 1], width)
+    breaks = np.unique(np.concatenate([windows.ravel(), fermi, resonances]))
+    # A window edge a rounding error away from another probe's E_f would
+    # only add a sliver panel: breakpoints that close are one, the first.
+    breaks = breaks[np.r_[True, np.diff(breaks) > 1e-6 * width]]
+    edges = _graded_edges(breaks, width)
+    panels = np.searchsorted(edges, windows, side="right") - 1
+    coarse, fine = _mesh_sums(tree, params, probe, edges, panels, fermi, members, eps0)
+    out = []
+    for (first, last), c, f in zip(panels[level], coarse, fine):
+        achieved = abs(f - c) / max(abs(f), 1e-300)
+        out.append(float(f) if achieved <= _TOLERANCE
+                   else QuadratureError(int(last - first), achieved))
+    return out
 
 
 def _conductances(tree, params: DotParameters, probes) -> list:
     """Conductance of each probe, or the :class:`QuadratureError` it failed with.
 
-    kT = 0 probes take :func:`transmission` at E_f.  The others are
-    grouped by (E_f, kT); see "Thermal quadrature" above.
+    kT = 0 probes share one G_1 per E_f; the others go through
+    :func:`_thermal` in groups of equal kT, lead widths and t1.
     """
     out: list = [None] * len(probes)
-    pending: dict[tuple[float, float], list[int]] = {}
+    cold: dict[float, list[int]] = {}
+    warm: dict[tuple[float, ...], list[int]] = {}
     for i, p in enumerate(probes):
         if p.temperature == 0.0:
-            out[i] = transmission(tree, params, p, p.e_f)
+            # E_f = -0.0 and 0.0 share a key; they give the same G_1.
+            cold.setdefault(p.e_f, []).append(i)
         else:
-            # E_f = -0.0 and 0.0 share a key; they give the same nodes and kernel.
-            pending.setdefault((p.e_f, p.temperature), []).append(i)
-    prev: dict[int, float] = {}
-    for panels in _PANELS:
-        if not pending:
-            break
-        pairs = list(pending.items())
-        per_call = max(1, _MAX_ENERGIES // (panels * _ORDER))
-        for lo in range(0, len(pairs), per_call):
-            chunk = pairs[lo:lo + per_call]
-            for (key, members), sums in zip(chunk, _sums(tree, params, probes, chunk, panels)):
-                for i, cur in zip(members, sums):
-                    if i in prev:
-                        achieved = abs(cur - prev[i]) / max(abs(cur), 1e-300)
-                        if achieved <= 1e-8:
-                            out[i] = cur
-                        elif panels == _PANELS[-1]:
-                            out[i] = QuadratureError(panels, achieved)
-                    prev[i] = cur
-                members[:] = [i for i in members if out[i] is None]
-                if not members:
-                    del pending[key]
+            warm.setdefault((p.temperature, p.gamma_l, p.gamma_r, p.t1), []).append(i)
+    for e_f, members in cold.items():
+        # The scalar call of transmission(), so the result is the same bit for bit.
+        g1 = green_tree_many(tree, params, e_f)
+        for i in members:
+            out[i] = float(_transmission_from_g1(g1, probes[i], probes[i].e_f))
+    for members in warm.values():
+        for i, c in zip(members, _thermal(tree, params, [probes[i] for i in members])):
+            out[i] = c
     return out
 
 
@@ -229,10 +353,10 @@ def conductance(tree, params: DotParameters, probe: ProbeSpec) -> float:
 
     At temperature 0 this is exactly T(E_f), at the scalar energy.
     Otherwise a Gauss-Legendre quadrature over [E_f - 20kT, E_f + 20kT]
-    with panel doubling until the relative change drops below 1e-8, one
-    G_1 evaluation per panel count; past 8192 panels it raises
-    :class:`QuadratureError` with the last count and change.  It is the
-    one-probe case of the quadrature :func:`sweep` batches.
+    on panels graded toward E_f and the probe+tree resonances, checked
+    against every panel halved; a relative change above 1e-8 raises
+    :class:`QuadratureError`.  It is the one-probe case of the
+    quadrature :func:`sweep` shares ("Thermal quadrature" above).
     """
     (result,) = _conductances(tree, params, [probe])
     if isinstance(result, QuadratureError):
@@ -244,11 +368,11 @@ def sweep(tree, params: DotParameters, probe: ProbeSpec, axis: str, grid) -> Con
     """Transmission and conductance versus E or eps0, other parameters fixed.
 
     The grid must be finite and strictly increasing.  Each point's
-    conductance is :func:`conductance` at that point, bit for bit, with
-    the G_1 evaluations shared as "Thermal quadrature" above describes
-    (along ``eps0`` every point has the same nodes).  If points fail to
-    converge, the :class:`QuadratureError` of the lowest-index one is
-    raised, with its ``panels`` and ``achieved``.
+    conductance is :func:`conductance` at that point, to the quadrature
+    tolerance; the points share one graded mesh and its G_1 evaluation,
+    as "Thermal quadrature" above describes (bit for bit at kT = 0).
+    If points fail to converge, the :class:`QuadratureError` of the
+    lowest-index one is raised, with its ``panels`` and ``achieved``.
     """
     grid = tuple(float(v) for v in grid)
     if not grid:

@@ -1,9 +1,11 @@
 import hashlib
 import io
 
+import numpy as np
+
 import pytest
 
-from nandtree import build_tree
+from nandtree import build_tree, transport
 from nandtree.classical import eval_nand
 from nandtree.cli import ConfigError, RunConfig, _fmt, main, parse_config, run
 
@@ -235,14 +237,16 @@ SWEEP_CONFIG = (
 )
 
 
-def test_main_reports_quadrature_error(tmp_path, capsys):
-    # Lead Gamma far below kT: the thermal quadrature does not converge.
+def test_main_reports_quadrature_error(tmp_path, capsys, monkeypatch):
+    # Lead Gamma far below kT, and the resonance search blinded: the
+    # graded mesh misses the narrow peaks and does not converge.
+    monkeypatch.setattr(transport, "_resonances", lambda *args: np.zeros(0))
     path = tmp_path / "sweep.cfg"
     path.write_text(SWEEP_CONFIG + "physics.gamma_l = 1e-5\nphysics.gamma_r = 1e-5\n"
                     f"output.path = {tmp_path / 'out.csv'}\n")
     assert main([str(path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: thermal quadrature stalled at 8192 panels")
+    assert err.startswith("error: thermal quadrature not converged on ")
     assert "Traceback" not in err
 
 
@@ -307,9 +311,9 @@ GOLDEN_CONFIGS = {
 GOLDEN_DIGESTS = {
     "evaluate.csv": "cd8990dacadbd16d8b6beb18ebade0255a01ddd3e8af9bd7a4815cfd80f95131",
     "evaluate.csv.meta": "6b1e2dacba48d7f45b164e5f6d993f5bd6704b358834888aadf05669b1d92269",
-    "sweep_E.csv": "6eecf5fa225ba14ed9390110d72cc815e8f1d7d62106fe9e995982aa3ea41d15",
+    "sweep_E.csv": "14b30ed9cd47c0fc31aca3f05ae677c8294662f5fe0ecbf969d038acaf837a05",
     "sweep_E.csv.meta": "17f6ac7813e3f7c807595c4892ba1c384aaad7cfb0545733602c81212325e171",
-    "sweep_eps0.csv": "6c3850c0f3b4ccb1b0a1b5fc955414ed25607499423933f48d0ef6aaa9883415",
+    "sweep_eps0.csv": "da0d9212397da4e0861f5953761ef653d49a48d43975f9a37ebc37f5e42f41b4",
     "sweep_eps0.csv.meta": "c88cf86f398cd2a72d0a41ae0784cba50957d4c511d915fe31b6ce882fb8c2ca",
     "ensemble.csv": "59d113e6e3548e10c343938c576adfe671e5aa34fca94a69b63ea6fe8ac5beed",
     "ensemble.csv.meta": "139399e6bcb3fdffa3bd3e509e006dec2ba6ee353fe2aae6e4461c92aa528409",

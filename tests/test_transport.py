@@ -1,5 +1,4 @@
 import math
-import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -10,6 +9,7 @@ from numpy.polynomial.legendre import leggauss
 from nandtree import (
     ProbeSpec,
     StructureError,
+    assemble,
     build_tree,
     conductance,
     ideal_parameters,
@@ -205,12 +205,14 @@ def test_readout_ambiguity_flag():
     assert result.ambiguous
 
 
-# --- Batched thermal quadrature ------------------------------------------
+# --- Graded thermal quadrature -------------------------------------------
 #
-# ``reference_conductance`` and ``reference_sweep`` are the probe-by-probe
-# quadrature and the per-point sweep loop that preceded the batched
-# ``_conductances``, kept verbatim.  The batched code must reproduce them
-# bit for bit, errors included.
+# ``reference_conductance`` and ``reference_sweep`` are the uniform panel
+# doubling and the per-point sweep loop that preceded the graded mesh,
+# kept verbatim.  At kT = 0 the sweep must reproduce them bit for bit; at
+# kT > 0 the two quadratures agree to their tolerances wherever the old
+# one converged.  ``dense_reference`` is an independent graded quadrature
+# built on dense eigenvalues; it uses nothing from ``transport``.
 
 
 def reference_conductance(tree, params, probe: ProbeSpec) -> float:
@@ -280,33 +282,58 @@ def reference_sweep(tree, params, probe: ProbeSpec, axis: str, grid) -> Conducta
     )
 
 
-def hexes(values):
-    return [float(v).hex() for v in values]
+def dense_reference(tree, params, probe: ProbeSpec, growth: float = 2.0) -> float:
+    """Thermal average of T on panels graded from the dense poles.
 
-
-def reference_with_panels(monkeypatch, tree, params, probe, axis, grid):
-    """``reference_sweep`` and the finest panel count each kT > 0 point tried."""
-    curve, finest = transmission_curve, []
-
-    def spy(tree, params, probe, E):
-        size = np.size(E)
-        if size == 8 * 16:  # a point's first quadrature level
-            finest.append(8)
-        elif finest and size == 32 * finest[-1]:
-            finest[-1] *= 2
-        return curve(tree, params, probe, E)
-
-    with monkeypatch.context() as m:
-        m.setattr(sys.modules[__name__], "transmission_curve", spy)
-        return reference_sweep(tree, params, probe, axis, grid), finest
+    G_1 comes from the eigendecomposition of the dense tree Hamiltonian.
+    Breakpoints sit at E_f and at the real part of every eigenvalue of
+    the dense broadened probe+tree Hamiltonian, with panels growing by
+    ``growth`` outward from a quarter of its distance to the real axis
+    (of kT at E_f), clipped to the window.
+    """
+    H = assemble(tree, params)
+    levels, vectors = np.linalg.eigh(H.matrix)
+    root = H.index(tree.root)
+    weight = vectors[root] ** 2
+    n = H.dimension
+    A = np.zeros((n + 1, n + 1), dtype=complex)
+    A[1:, 1:] = H.matrix - 1j * params.gamma * np.eye(n)
+    A[0, 0] = probe.eps0 - 0.5j * (probe.gamma_l + probe.gamma_r)
+    A[0, root + 1] = A[root + 1, 0] = -probe.t1
+    poles = np.linalg.eigvals(A)
+    kt, e_f = probe.temperature, probe.e_f
+    lo, hi = e_f - 20.0 * kt, e_f + 20.0 * kt
+    centers = np.append(poles.real, e_f)
+    widths = np.append(np.abs(poles.imag), kt)
+    cuts = [np.array([lo, hi]), centers]
+    for c, w in zip(centers, widths):
+        d = 0.25 * w * growth ** np.arange(0.0, 60.0 / np.log2(growth))
+        cuts += [c - d[d < hi - lo], c + d[d < hi - lo]]
+    edges = np.unique(np.clip(np.concatenate(cuts), lo, hi))
+    x, wx = leggauss(16)
+    half = 0.5 * np.diff(edges)
+    E = ((edges[:-1] + half)[:, None] + half[:, None] * x).ravel()
+    total = 0.0
+    for part in np.array_split(np.arange(E.size), max(1, E.size // 4096)):
+        e = E[part]
+        g1 = (weight / (e[:, None] + 1j * params.gamma - levels)).sum(axis=1)
+        denom = e - probe.eps0 + 0.5j * (probe.gamma_l + probe.gamma_r) - probe.t1**2 * g1
+        kernel = 1.0 / (4.0 * kt * np.cosh((e - e_f) / (2.0 * kt)) ** 2)
+        w = (half[:, None] * wx).ravel()[part]
+        total += np.sum(w * kernel * probe.gamma_l * probe.gamma_r / np.abs(denom) ** 2)
+    return float(total)
 
 
 def disordered(depth, bits, seed=21):
-    # Dephasing 0.01 keeps resonances narrow enough that sweep points
-    # converge at different panel counts.
+    # Dephasing 0.01 keeps resonances narrow.
     tree = build_tree(depth, bits)
     ideal = ideal_parameters(tree, 10.0, 0.01)
     return tree, sample_disorder(tree, ideal, DisorderSpec(0.03, 0.03, seed=seed))
+
+
+def relative(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return np.max(np.abs(got - want) / np.abs(want))
 
 
 SWEEP_CASES = {
@@ -320,18 +347,18 @@ SWEEP_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
-def test_sweep_matches_per_point_reference(case, monkeypatch):
+def test_sweep_matches_per_point_reference(case):
     axis, probe = SWEEP_CASES[case]
     tree, params = disordered(5, [0] * 32)
     grid = np.linspace(-1.0, 1.0, 41)
-    want, finest = reference_with_panels(monkeypatch, tree, params, probe, axis, grid)
+    want = reference_sweep(tree, params, probe, axis, grid)
     got = sweep(tree, params, probe, axis, grid)
-    assert hexes(got.conductance) == hexes(want.conductance)
+    if probe.temperature == 0:
+        assert hexes(got.conductance) == hexes(want.conductance)
+    else:
+        assert relative(got.conductance, want.conductance) <= 1e-7
     assert hexes(got.transmission) == hexes(want.transmission)
     assert got.grid == want.grid and got.metadata == want.metadata
-    if probe.temperature > 0:
-        # Points leave the batch at different panel counts.
-        assert len(finest) == len(grid) and len(set(finest)) >= 2
 
 
 def test_sweep_matches_reference_on_deeper_tree():
@@ -341,7 +368,7 @@ def test_sweep_matches_reference_on_deeper_tree():
     for axis in ("E", "eps0"):
         got, want = sweep(tree, params, probe, axis, grid), reference_sweep(
             tree, params, probe, axis, grid)
-        assert hexes(got.conductance) == hexes(want.conductance)
+        assert relative(got.conductance, want.conductance) <= 1e-7
 
 
 def test_conductance_matches_reference_on_single_probes():
@@ -349,47 +376,55 @@ def test_conductance_matches_reference_on_single_probes():
     for probe in (ProbeSpec(), ProbeSpec(e_f=-0.0, temperature=0.02),
                   ProbeSpec(0.01, 0.03, t1=0.4, eps0=-0.3, e_f=0.2, temperature=0.004),
                   ProbeSpec(temperature=1e-6)):
-        got = conductance(tree, params, probe)
+        got, want = conductance(tree, params, probe), reference_conductance(tree, params, probe)
         assert type(got) is float
-        assert got.hex() == reference_conductance(tree, params, probe).hex()
+        if probe.temperature == 0:
+            assert got.hex() == want.hex()
+        else:
+            assert relative(got, want) <= 1e-7
+            assert relative(got, dense_reference(tree, params, probe)) <= 1e-8
 
 
-#: A depth-1 point whose quadrature does not converge (about 30 ms).
-FAILING_TREE = build_tree(1, (0, 1))
-FAILING_PARAMS = ideal_parameters(FAILING_TREE, 10.0, 1e-5)
-FAILING_PROBE = ProbeSpec(1e-5, 1e-5, temperature=0.1)
+@pytest.mark.parametrize("bit", [0, 1])
+@pytest.mark.parametrize("lead", [1e-3, 1e-4, 1e-5])
+def test_conductance_matches_dense_reference_below_temperature(bit, lead):
+    # The benchmark's grid: lead Gamma far below kT on depth-5 trees with
+    # dephasing 1e-6.  Uniform panel doubling failed at 8 of its 12 points.
+    tree = build_tree(5, [bit] * 32)
+    params = ideal_parameters(tree, 10.0, 1e-6)
+    for kt in (0.02, 0.1):
+        for eps0 in (0.0, 0.3):
+            probe = ProbeSpec(lead, lead, eps0=eps0, temperature=kt)
+            assert relative(conductance(tree, params, probe),
+                            dense_reference(tree, params, probe)) <= 1e-8
 
 
-def reference_outcome(probe):
-    try:
-        return reference_conductance(FAILING_TREE, FAILING_PARAMS, probe)
-    except QuadratureError as exc:
-        return exc
+def test_dense_reference_resolves_its_own_mesh():
+    # The test-side reference agrees with itself on a finer grading.
+    tree = build_tree(5, [1] * 32)
+    params = ideal_parameters(tree, 10.0, 1e-6)
+    probe = ProbeSpec(1e-5, 1e-5, temperature=0.1)
+    coarse = dense_reference(tree, params, probe)
+    assert relative(coarse, dense_reference(tree, params, probe, growth=2**0.5)) <= 1e-11
 
 
-@pytest.mark.parametrize("axis, grid", [
-    ("E", [-30.0, -0.4, 0.0, 0.4]),  # the window at E_f = -30 holds no resonance
-    ("eps0", [-0.5, 0.0, 0.5]),
-])
-def test_sweep_raises_lowest_index_quadrature_error(axis, grid):
-    field = "e_f" if axis == "E" else "eps0"
-    outcomes = [reference_outcome(replace(FAILING_PROBE, **{field: v})) for v in grid]
-    failed = [o for o in outcomes if isinstance(o, QuadratureError)]
-    assert len(failed) >= 2 and len({o.achieved for o in failed}) == len(failed)
-    with pytest.raises(QuadratureError) as info:
-        sweep(FAILING_TREE, FAILING_PARAMS, FAILING_PROBE, axis, grid)
-    assert (info.value.panels, info.value.achieved.hex()) == (
-        failed[0].panels, failed[0].achieved.hex())
-    with pytest.raises(QuadratureError) as info:
-        conductance(FAILING_TREE, FAILING_PARAMS, replace(FAILING_PROBE, **{field: grid[-1]}))
-    assert (info.value.panels, info.value.achieved.hex()) == (
-        failed[-1].panels, failed[-1].achieved.hex())
+def test_sweep_points_match_single_probes():
+    # A probe on a shared mesh and alone on its own agree to the tolerance.
+    tree, params = disordered(4, [0, 1] * 8)
+    probe = ProbeSpec(0.01, 0.01, temperature=0.02)
+    grid = np.linspace(-0.5, 0.5, 9)
+    for axis, field in (("E", "e_f"), ("eps0", "eps0")):
+        swept = sweep(tree, params, probe, axis, grid).conductance
+        alone = [conductance(tree, params, replace(probe, **{field: v})) for v in grid]
+        assert relative(swept, alone) <= 2e-8
 
 
-def test_failing_points_split_the_finest_levels(monkeypatch):
-    # Three failing E_f values: 2048 panels take all three in one call,
-    # 4096 panels two and then one, 8192 panels one per call; no call
-    # exceeds one 8192-panel level.
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+def spy_green_tree_many(monkeypatch):
+    """Record the size of every G_1 evaluation ``transport`` makes."""
     sizes, many = [], green_tree_many
 
     def spy(tree, params, energies):
@@ -397,14 +432,103 @@ def test_failing_points_split_the_finest_levels(monkeypatch):
         return many(tree, params, energies)
 
     monkeypatch.setattr(transport, "green_tree_many", spy)
-    with pytest.raises(QuadratureError):
-        sweep(FAILING_TREE, FAILING_PARAMS, FAILING_PROBE, "E", [-0.4, 0.0, 0.4])
-    level = 8192 * 16
-    assert level == transport._MAX_ENERGIES and max(sizes) == level
-    assert sizes[-6:] == [3 * level // 4, level, level // 2, level, level, level]
+    return sizes
 
 
-def test_failing_sweep_memory_stays_near_one_point():
+def test_zero_temperature_probes_share_g1_per_fermi_level(monkeypatch):
+    tree, params = disordered(5, [0] * 32)
+    grid = np.linspace(-1.0, 1.0, 201)
+    sizes = spy_green_tree_many(monkeypatch)
+    trace = sweep(tree, params, ProbeSpec(e_f=0.05), "eps0", grid)
+    # One G_1(E_f) for the transmission column, one for every conductance.
+    assert sizes == [1, 1]
+    assert trace.conductance == trace.transmission
+    sizes.clear()
+    probes = [ProbeSpec(e_f=e, eps0=v) for e in (0.1, -0.0, 0.0) for v in (0.0, 0.2)]
+    got = transport._conductances(tree, params, probes)
+    assert sizes == [1, 1]  # E_f = -0.0 and 0.0 share one
+    assert hexes(got) == hexes(transmission(tree, params, p, p.e_f) for p in probes)
+
+
+def test_zero_temperature_skips_the_resonance_search(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("resonance search at kT = 0")
+
+    monkeypatch.setattr(transport, "inertia_count", forbidden)
+    tree = build_tree(2, (1, 0, 1, 1))
+    params = ideal_parameters(tree, 10.0, 1e-6)
+    assert readout(tree, params, ProbeSpec()).bit == eval_nand(tree)
+    sweep(tree, params, ProbeSpec(), "E", [-0.1, 0.0, 0.1])
+
+
+#: A depth-1 point with peaks far narrower than kT.  With the resonance
+#: search blinded, its graded mesh misses them and cannot converge.
+FAILING_TREE = build_tree(1, (0, 1))
+FAILING_PARAMS = ideal_parameters(FAILING_TREE, 10.0, 1e-5)
+FAILING_PROBE = ProbeSpec(1e-5, 1e-5, temperature=0.1)
+
+
+def blind_resonances(monkeypatch):
+    monkeypatch.setattr(transport, "_resonances", lambda *args: np.zeros(0))
+
+
+def test_failing_probe_converges_with_its_resonances(monkeypatch):
+    probe = FAILING_PROBE
+    want = dense_reference(FAILING_TREE, FAILING_PARAMS, probe)
+    assert relative(conductance(FAILING_TREE, FAILING_PARAMS, probe), want) <= 1e-8
+    blind_resonances(monkeypatch)
+    with pytest.raises(QuadratureError) as info:
+        conductance(FAILING_TREE, FAILING_PARAMS, probe)
+    err = info.value
+    assert err.panels > 0 and err.achieved > 1e-8
+    assert f"{err.panels} graded panels" in str(err) and f"{err.achieved:.2e}" in str(err)
+
+
+@pytest.mark.parametrize("axis, grid", [
+    ("E", [-30.0, -0.4, 0.0, 0.4]),  # the window at E_f = -30 holds no resonance
+    ("eps0", [-0.5, 0.0, 0.5]),
+])
+def test_sweep_raises_lowest_index_quadrature_error(axis, grid, monkeypatch):
+    blind_resonances(monkeypatch)
+    field = "e_f" if axis == "E" else "eps0"
+    probes = [replace(FAILING_PROBE, **{field: v}) for v in grid]
+    outcomes = transport._conductances(FAILING_TREE, FAILING_PARAMS, probes)
+    failed = [o for o in outcomes if isinstance(o, QuadratureError)]
+    assert len(failed) >= 2 and len({o.achieved for o in failed}) == len(failed)
+    assert not isinstance(outcomes[0], QuadratureError) or axis == "eps0"
+    with pytest.raises(QuadratureError) as info:
+        sweep(FAILING_TREE, FAILING_PARAMS, FAILING_PROBE, axis, grid)
+    assert (info.value.panels, info.value.achieved.hex()) == (
+        failed[0].panels, failed[0].achieved.hex())
+
+
+def test_failing_points_split_the_finest_levels(monkeypatch):
+    # Four failing E_f values share one mesh.  With 1024 energies per
+    # G_1 call, the mesh and its halving go through in several calls,
+    # none above the cap, and each point fails as it does in one call.
+    blind_resonances(monkeypatch)
+    grid = [-0.3, -0.1, 0.1, 0.3]
+    probes = [replace(FAILING_PROBE, e_f=v) for v in grid]
+    whole = transport._conductances(FAILING_TREE, FAILING_PARAMS, probes)
+    sizes = spy_green_tree_many(monkeypatch)
+    monkeypatch.setattr(transport, "_MAX_ENERGIES", 1024)
+    split = transport._conductances(FAILING_TREE, FAILING_PARAMS, probes)
+    assert len(sizes) >= 10 and max(sizes) <= 1024
+    assert all(isinstance(o, QuadratureError) for o in whole + split)
+    assert [o.panels for o in split] == [o.panels for o in whole]
+    assert relative([o.achieved for o in split], [o.achieved for o in whole]) <= 1e-6
+    with pytest.raises(QuadratureError) as info:
+        sweep(FAILING_TREE, FAILING_PARAMS, FAILING_PROBE, "E", grid)
+    assert info.value.panels == split[0].panels
+
+
+def test_failing_sweep_memory_stays_near_one_point(monkeypatch):
+    # The four-point mesh is about five times the one-point mesh; with
+    # 1024 energies per G_1 call both go through in chunks, and the
+    # sweep peaks close to the single point.
+    blind_resonances(monkeypatch)
+    monkeypatch.setattr(transport, "_MAX_ENERGIES", 1024)
+
     def peak(run):
         tracemalloc.reset_peak()
         with pytest.raises(QuadratureError):
@@ -421,6 +545,48 @@ def test_failing_sweep_memory_stays_near_one_point():
     finally:
         tracemalloc.stop()
     assert swept <= 1.5 * single
+
+
+def test_green_function_calls_stay_under_the_cap(monkeypatch):
+    # A mesh larger than one call goes through in chunks, to the same sums.
+    tree, params = disordered(3, (1, 0, 1, 1, 0, 0, 1, 0))
+    probe = ProbeSpec(0.002, 0.002, temperature=0.01)
+    grid = np.linspace(-1.0, 1.0, 51)
+    whole = sweep(tree, params, probe, "E", grid).conductance
+    sizes = spy_green_tree_many(monkeypatch)
+    monkeypatch.setattr(transport, "_MAX_ENERGIES", 4096)
+    chunked = sweep(tree, params, probe, "E", grid).conductance
+    quadrature = sizes[1:]  # after the transmission column
+    assert 4000 < max(quadrature) <= 4096 and sum(quadrature) > 8 * 4096
+    assert relative(chunked, whole) <= 1e-12
+
+
+def test_many_point_sweep_memory_stays_bounded(monkeypatch):
+    # With 4096 energies per G_1 call, a 401-point sweep, whose mesh is
+    # over ten calls long, peaks close to a 41-point one.
+    tree = build_tree(1, (0, 1))
+    params = ideal_parameters(tree, 10.0, 0.01)
+    probe = ProbeSpec(temperature=0.005)
+    sizes = spy_green_tree_many(monkeypatch)
+    monkeypatch.setattr(transport, "_MAX_ENERGIES", 4096)
+
+    def peak(points):
+        grid = np.linspace(-1.0, 1.0, points)
+        sweep(tree, params, probe, "E", grid[:3])  # lazy imports and caches fill first
+        sizes.clear()
+        tracemalloc.start()
+        try:
+            trace = sweep(tree, params, probe, "E", grid)
+            used = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(trace.conductance))
+        return used
+
+    few = peak(41)
+    many = peak(401)
+    assert 4000 < max(sizes) <= 4096 and sum(sizes) > 10 * 4096
+    assert many <= 1.5 * few
 
 
 @pytest.mark.parametrize("field", ["gamma_l", "gamma_r", "t1", "eps0", "e_f", "temperature"])
