@@ -16,6 +16,7 @@ from .model import (
     build_tree,
     ideal_parameters,
     sample_disorder,
+    sample_disorder_many,
 )
 from .greens import (
     GreenValue,

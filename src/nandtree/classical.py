@@ -68,21 +68,23 @@ def eval_randomized(tree: TreeSpec, bits=None, seed: int = 0) -> QueryStats:
     :func:`eval_nand`.
     """
     tree = _with_bits(tree, bits)
-    rng = np.random.default_rng(seed)
+    leaves, n, markers = tree.input_bits, tree.n_leaves, tree.not_markers
+    # Fewer than N NAND nodes are visited; the k-th one visited takes the
+    # k-th draw, the stream that one integers(2) call per node gives.
+    flips = iter(np.random.default_rng(seed).integers(2, size=n).tolist())
     queries = 0
 
     def visit(node: int) -> int:
         nonlocal queries
-        kids = tree.children(node)
-        if not kids:
+        if node >= n:
             queries += 1
-            return tree.leaf_bit(node)
-        if len(kids) == 1:
-            return 1 - visit(kids[0])
-        first, second = kids if rng.integers(2) == 0 else (kids[1], kids[0])
+            return leaves[node - n]
+        if node in markers:
+            return 1 - visit(2 * node)
+        first = 2 * node + next(flips)
         if visit(first) == 0:
             return 1
-        return 1 - visit(second)
+        return 1 - visit(first ^ 1)
 
     return QueryStats(result=visit(tree.root), queries=queries, seed=seed)
 

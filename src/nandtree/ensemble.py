@@ -9,7 +9,7 @@ import numpy as np
 
 from .classical import eval_nand
 from .greens import worst_case_tree
-from .model import DisorderSpec, StructureError, TreeSpec, ideal_parameters, sample_disorder
+from .model import DisorderSpec, StructureError, TreeSpec, ideal_parameters, sample_disorder_many
 from .transport import ProbeSpec, readout, transmission_curve
 
 #: Fixed energy grid used for resonance-shift measurements: 401 points
@@ -46,25 +46,25 @@ def run_ensemble(
 ) -> EnsembleResult:
     """Readout-vs-truth statistics over ``trials`` disorder samples.
 
-    Per trial the seed is derived from (base_seed, index), one disorder
-    realization is drawn, and the probe readout is compared against the
-    classical NAND result.  Ambiguous readouts are tallied separately
-    rather than counted as failures.  The aggregate depends only on
-    (tree, disorder, probe, trials, base_seed, delta, gamma).
+    Trial i draws its disorder realization with the seed derived from
+    (base_seed, i); all of them are drawn by one
+    :func:`~nandtree.model.sample_disorder_many` call and read out by
+    one batched :func:`~nandtree.transport.readout`, and each readout
+    bit is compared against the classical NAND result.  Ambiguous
+    readouts are tallied separately rather than counted as failures.
+    The aggregate depends only on (tree, disorder, probe, trials,
+    base_seed, delta, gamma).  At kT > 0 a trial whose quadrature fails
+    raises its :class:`~nandtree.transport.QuadratureError`, the first
+    such trial's.
     """
     if trials < 1:
         raise StructureError(f"trials must be >= 1, got {trials}")
     truth = eval_nand(tree)
     ideal = ideal_parameters(tree, delta, gamma)
-    n_success = n_ambiguous = 0
-    for i in range(trials):
-        spec_i = replace(disorder, seed=trial_seed(base_seed, i))
-        params = sample_disorder(tree, ideal, spec_i)
-        result = readout(tree, params, probe)
-        if result.ambiguous:
-            n_ambiguous += 1
-        elif result.bit == truth:
-            n_success += 1
+    specs = [replace(disorder, seed=trial_seed(base_seed, i)) for i in range(trials)]
+    result = readout(tree, sample_disorder_many(tree, ideal, specs), probe)
+    n_ambiguous = int(result.ambiguous.sum())
+    n_success = int((~result.ambiguous & (result.bit == truth)).sum())
     config = {
         "depth": tree.depth,
         "bits": "".join(str(b) for b in tree.input_bits),
@@ -103,8 +103,13 @@ def shift_scaling(
     tree of the given depth and the transmission peak is located by
     argmax over the fixed 401-point grid spanning +-4 t/sqrt(N), so
     the resolution is t/(50 sqrt(N)).  The rms of the peak positions
-    is reported per N; it grows linearly in sigma_eps.
+    is reported per N; it grows linearly in sigma_eps.  Each depth
+    draws its trials with one :func:`~nandtree.model.sample_disorder_many`
+    call and evaluates them with one batched
+    :func:`~nandtree.transport.transmission_curve`.
     """
+    if trials < 1:
+        raise StructureError(f"trials must be >= 1, got {trials}")
     if any(d > 12 for d in depths):
         raise StructureError("shift scaling capped at depth 12")
     # Moderate dephasing suppresses transmission peaks near the other
@@ -120,12 +125,10 @@ def shift_scaling(
         ideal = ideal_parameters(tree, delta, gamma)
         grid = np.linspace(-SHIFT_GRID_HALFWIDTH / np.sqrt(n),
                            SHIFT_GRID_HALFWIDTH / np.sqrt(n), SHIFT_GRID_POINTS)
-        shifts = np.empty(trials)
-        for i in range(trials):
-            seed = trial_seed(base_seed, depth * 100003 + i)
-            spec = DisorderSpec(sigma_t=0.0, sigma_eps=sigma_eps, seed=seed)
-            params = sample_disorder(tree, ideal, spec)
-            curve = transmission_curve(tree, params, probe, grid)
-            shifts[i] = grid[int(np.argmax(curve))]
+        specs = [DisorderSpec(sigma_t=0.0, sigma_eps=sigma_eps,
+                              seed=trial_seed(base_seed, depth * 100003 + i))
+                 for i in range(trials)]
+        curves = transmission_curve(tree, sample_disorder_many(tree, ideal, specs), probe, grid)
+        shifts = grid[np.argmax(curves, axis=1)]
         out.append((n, float(np.sqrt(np.mean(shifts**2)))))
     return out

@@ -19,20 +19,27 @@ or a chain-augmented tree from :mod:`nandtree.layout`.
 **Level schedule.**  :meth:`~nandtree.model.RootedTree.levels` orders
 the reachable dots by distance from the root.  The recursion runs from
 the deepest level up, one numpy operation per level and child slot on a
-(dots x energies) block, and keeps only the level below alive.  Each
-dot's eps and each link's t^2 are gathered into per-level columns once
-per call, by binary search of the reachable dots and (parent, child)
-links in the sorted key arrays of the parameter tables
+(dots x samples x energies) block, and keeps only the level below
+alive.  The sample axis holds the disorder realizations of parameters
+with a sample axis (:func:`~nandtree.model.sample_disorder_many`), and
+has length 1 otherwise; every sample sees the same energies, and the
+result has shape (samples,) + the energies' shape, or the energies'
+shape alone for one realization.  Each dot's eps and each link's t^2
+are gathered into per-level (dots x samples) columns once per call, by
+binary search of the reachable dots and (parent, child) links in the
+sorted key arrays of the parameter tables
 (:class:`~nandtree.model.ParamTable`); entries for other dots and links
 are never read.  A missing entry for a reachable dot or link raises
 :class:`~nandtree.model.StructureError`.
 
-**Energy blocks.**  Levels whose (width x energies) block exceeds
-``_BLOCK`` complex values form the wide bottom band.  It runs in energy
-chunks of ``_BLOCK // width`` values, width being its widest level, so a
-level step touches a few MiB however many energies are asked for.  The
-narrow upper levels then run once over all energies, so long inverter
-chains, which are narrow, are not repeated per chunk.  ``_BLOCK`` is
+**Energy blocks.**  Levels whose (width x samples x energies) block
+exceeds ``_BLOCK`` complex values form the wide bottom band.  It runs
+in blocks of ``_BLOCK // width`` values, width being its widest level:
+groups of whole samples with all their energies when one sample's
+energies fit, else one sample at a time in energy chunks.  So a level
+step touches a few MiB however many samples and energies are asked
+for.  The narrow upper levels then run once over all of them, so long
+inverter chains, which are narrow, are not repeated per block.  ``_BLOCK`` is
 sized for cache: one block is 1 MiB against a 2 MiB L2 per core on the
 x86 server this was measured on.  There, four times larger blocks made
 401 energies on a depth-16 tree about 1.5x slower, and 16 times smaller
@@ -57,13 +64,15 @@ division and its fused-multiply-add complex product round differently.
 The derivative's products take numpy's array form for energy arrays
 with one or more dimensions, and the CPython form, which numpy's scalar
 arithmetic shares, for scalars and 0-d arrays: a 0-d energy becomes a
-numpy scalar at the first operation.
+numpy scalar at the first operation.  A sample's values therefore do
+not depend on the other samples evaluated with it.  Python-number
+energies take parameters without a sample axis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, islice
 
 import numpy as np
 
@@ -129,7 +138,8 @@ def _numpy_reciprocal(b):
 
 
 def _columns(params: DotParameters, schedule):
-    """Per level: eps of its dots, and t^2 of the links in each child slot."""
+    """Per level: eps of its dots, and t^2 of the links in each child slot,
+    as (dots, samples) columns; one sample for parameters without a sample axis."""
     nodes = [level.nodes for level in schedule]
     parent_parts, child_parts = [], []
     for below, (level, slots) in zip([None] + nodes, schedule):
@@ -144,9 +154,10 @@ def _columns(params: DotParameters, schedule):
         t = params.coupling.lookup(links)
     except KeyError as exc:
         raise StructureError(f"parameters missing entry for {exc.args[0]!r}") from exc
-    # Python's t ** 2 (libm pow), which can differ from t * t in the last bit.
-    t2 = np.fromiter(map(pow, t.tolist(), repeat(2)), float, len(t))
-    t2_parts = iter(_cut(t2, parent_parts))
+    eps, t = eps.reshape(-1, len(every)).T, t.reshape(-1, len(links)).T
+    # Python's t ** 2: np.float_power calls the same libm pow, which can
+    # differ from t * t, and from np.power's square, in the last bit.
+    t2_parts = iter(_cut(np.float_power(t, 2), parent_parts))
     return [(e, list(islice(t2_parts, len(level.slots))))
             for e, level in zip(_cut(eps, nodes), schedule)]
 
@@ -167,11 +178,11 @@ def _climb(schedule, columns, base, g, dg, reciprocal, product):
     """
     derivative = product is not None
     for (_, slots), (eps, t2s) in zip(schedule, columns):
-        denom = base - eps[:, None]
+        denom = base - eps[..., None]
         if derivative:
             ddenom = np.ones(denom.shape, dtype=complex)
         for (index, mask), t2 in zip(slots, t2s):
-            t2 = t2[:, None]
+            t2 = t2[..., None]
             if mask is None:
                 denom -= t2 * g[index]
                 if derivative:
@@ -187,30 +198,36 @@ def _climb(schedule, columns, base, g, dg, reciprocal, product):
 
 
 def _bottom_up(schedule, columns, base, step, product=None):
-    """Run ``schedule`` over the energies ``base``; returns the root level's values.
+    """Run ``schedule`` over the energies ``base`` for every sample of
+    ``columns``; returns the root level's (1, samples, energies) values.
 
-    The wide bottom band runs in energy chunks (see "Energy blocks"
-    above).  ``step(part)`` gives the map from a level's denominators to
-    its values for the energies ``base[part]``; ``product`` is as in
-    :func:`_climb`.
+    The wide bottom band runs in blocks of samples and energies (see
+    "Energy blocks" above).  ``step(part)`` gives the map from a level's
+    denominators to its values for the (samples, energies) block
+    ``part``; ``product`` is as in :func:`_climb`.
     """
-    n = base.size
+    n, samples = base.size, columns[0][0].shape[1]
     widths = [len(level.nodes) for level in schedule]
     split = len(schedule)
-    while split and widths[split - 1] * n <= _BLOCK:
+    while split and widths[split - 1] * samples * n <= _BLOCK:
         split -= 1
     g = dg = None
     if split:
         chunk = max(1, _BLOCK // max(widths[:split]))
-        g = np.empty((widths[split - 1], n), dtype=base.dtype)
+        rows, energies = max(1, chunk // n), min(n, chunk)
+        g = np.empty((widths[split - 1], samples, n), dtype=base.dtype)
         dg = None if product is None else np.empty_like(g)
-        for lo in range(0, n, chunk):
-            part = slice(lo, lo + chunk)
-            g[:, part], d = _climb(schedule[:split], columns[:split], base[part], None, None,
-                                   step(part), product)
-            if dg is not None:
-                dg[:, part] = d
-    return _climb(schedule[split:], columns[split:], base, g, dg, step(slice(None)), product)
+        for lo in range(0, samples, rows):
+            cut = slice(lo, lo + rows)
+            band = [(eps[:, cut], [t2[:, cut] for t2 in t2s]) for eps, t2s in columns[:split]]
+            for at in range(0, n, energies):
+                span = slice(at, at + energies)
+                g[:, cut, span], d = _climb(schedule[:split], band, base[span], None, None,
+                                            step((cut, span)), product)
+                if dg is not None:
+                    dg[:, cut, span] = d
+    every = (slice(None), slice(None))
+    return _climb(schedule[split:], columns[split:], base, g, dg, step(every), product)
 
 
 def _resolve(tree, params: DotParameters, E, derivative: bool = False):
@@ -223,10 +240,11 @@ def _resolve(tree, params: DotParameters, E, derivative: bool = False):
     product = (np.multiply if np.ndim(E) else _py_product) if derivative else None
     base = np.asarray(E + ig, dtype=complex).reshape(-1)
     g, dg = _bottom_up(schedule, columns, base, lambda part: reciprocal, product)
-    if numpy_energy:
-        g = g[0].reshape(np.shape(E))
-        return (g, dg[0].reshape(np.shape(E))) if derivative else g
-    return (complex(g[0, 0]), complex(dg[0, 0])) if derivative else complex(g[0, 0])
+    shape = params.sample_shape + np.shape(E)
+    out = [g[0].reshape(shape)] + ([dg[0].reshape(shape)] if derivative else [])
+    if not numpy_energy:
+        out = list(map(complex, out))
+    return tuple(out) if derivative else out[0]
 
 
 def _inertia_step(counts: np.ndarray):
@@ -257,22 +275,25 @@ def inertia_count(tree, params: DotParameters, energies) -> tuple[np.ndarray, np
     drops its own link.  An energy that is an eigenvalue therefore
     counts only the eigenvalues strictly below it.
 
-    Returns the counts (int64, the shape of ``energies``) and the root's
+    Returns the counts (int64, shaped as :func:`green_tree_many`'s
+    result, so one row per sample for parameters with a sample axis)
+    and the root's
     reciprocal pivot 1/d_root, the real G_1 at gamma = 0: 0 when the
     root paired with a child, -inf when its own pivot is zero.  A dot
     attached above the root with detuning eps and coupling t adds the
     pivot E - eps - t^2 G_1, counted if positive (+inf when it pairs
     with the root).  Real arithmetic, one level pass per call, in the
-    energy blocks of :func:`green_tree_many`.
+    blocks of :func:`green_tree_many`.
     """
     E = np.asarray(energies, dtype=float)
     schedule = tree.levels()
     columns = _columns(params, schedule)
-    counts = np.zeros(E.size, dtype=np.int64)
+    counts = np.zeros((columns[0][0].shape[1], E.size), dtype=np.int64)
     with np.errstate(divide="ignore", over="ignore"):
         g, _ = _bottom_up(schedule, columns, E.reshape(-1),
                           lambda part: _inertia_step(counts[part]))
-    return counts.reshape(E.shape), g[0].reshape(E.shape)
+    shape = params.sample_shape + E.shape
+    return counts.reshape(shape), g[0].reshape(shape)
 
 
 def green_tree(tree, params: DotParameters, E: float) -> GreenValue:
@@ -281,7 +302,9 @@ def green_tree(tree, params: DotParameters, E: float) -> GreenValue:
 
 
 def green_tree_many(tree, params: DotParameters, energies) -> np.ndarray:
-    """Vectorized :func:`green_tree` over an array of energies."""
+    """Vectorized :func:`green_tree` over an array of energies, and over
+    the samples of parameters with a sample axis: shape (samples,) + the
+    energies' shape, each sample bit for bit what it gives alone."""
     return np.asarray(_resolve(tree, params, np.asarray(energies, dtype=float)))
 
 

@@ -23,6 +23,7 @@ seeds.
 
 from __future__ import annotations
 
+import copy
 import math
 import operator
 from collections.abc import Mapping
@@ -269,21 +270,25 @@ class ParamTable(Mapping):
     """Read-only mapping over a key array and a float value array.
 
     ``keys_array`` holds node ids, shape (n,), or (parent, child) links,
-    shape (n, 2); ``values_array`` holds one float per key.  Iteration
-    follows the array order and yields Python ints or int pairs, so a
-    table iterates, indexes and compares like the dict it stands for;
-    ``values()`` and ``items()`` return lists in that order.  Keys are
-    distinct and node ids lie in [0, 2**31), so a link packs into one
-    int64 sort key; :meth:`lookup` finds many keys at once by binary
-    search over the keys in sorted order.
+    shape (n, 2); ``values_array`` holds one float per key, shape (n,),
+    or one per sample and key, shape (samples, n).  Iteration follows
+    the array order and yields Python ints or int pairs, so a table
+    iterates, indexes and compares like the dict it stands for;
+    ``values()`` and ``items()`` return lists in that order.  With a
+    sample axis a key's value is the list (``[]``: the array) of its
+    per-sample values.  Keys are distinct and node ids lie in
+    [0, 2**31), so a link packs into one int64 sort key; :meth:`lookup`
+    finds many keys at once by binary search over the keys in sorted
+    order.
     """
 
     def __init__(self, keys, values):
         keys = np.array(keys, dtype=np.int64)
         values = np.array(values, dtype=float)
-        if keys.shape[1:] not in ((), (2,)) or values.shape != keys.shape[:1]:
+        if keys.shape[1:] not in ((), (2,)) or values.ndim > 2 \
+                or values.shape[-1:] != keys.shape[:1]:
             raise StructureError(
-                f"need n keys or n (parent, child) links and n values, "
+                f"need n keys or n (parent, child) links and n values per sample, "
                 f"got shapes {keys.shape} and {values.shape}")
         if keys.size and not (0 <= keys.min() and keys.max() < _ID_LIMIT):
             raise StructureError("node ids must lie in [0, 2**31)")
@@ -326,8 +331,15 @@ class ParamTable(Mapping):
         """Positions of the keys in ascending order, links lexicographically."""
         return self._order
 
+    def row(self, i: int) -> ParamTable:
+        """Sample ``i`` of a table with a sample axis, sharing its keys."""
+        out = copy.copy(self)
+        out.values_array = self.values_array[i]
+        return out
+
     def lookup(self, keys) -> np.ndarray:
-        """The values of ``keys``, an array shaped like ``keys_array``.
+        """The values of ``keys``, shaped like ``values_array`` with ``keys``
+        for its key axis.
 
         Raises KeyError naming the first key that is missing.
         """
@@ -340,7 +352,7 @@ class ParamTable(Mapping):
         if not found.all():
             key = keys[np.argmin(found)].tolist()
             raise KeyError(tuple(key) if self.links else key)
-        return self.values_array[self._order[at]]
+        return self.values_array[..., self._order[at]]
 
     def __getitem__(self, key) -> float:
         # One key at a time, without the array set-up of lookup(): dense
@@ -355,20 +367,21 @@ class ParamTable(Mapping):
         at = self._sorted.searchsorted(code)
         if at == len(self) or self._sorted[at] != code:
             raise KeyError(key)
-        return float(self.values_array[self._order[at]])
+        value = self.values_array[..., self._order[at]]
+        return float(value) if value.ndim == 0 else value
 
     def __iter__(self):
         keys = self.keys_array.tolist()
         return map(tuple, keys) if self.links else iter(keys)
 
     def __len__(self) -> int:
-        return len(self.values_array)
+        return len(self.keys_array)
 
-    def values(self) -> list[float]:
-        return self.values_array.tolist()
+    def values(self) -> list:
+        return self.values_array.T.tolist()
 
     def items(self) -> list[tuple]:
-        return list(zip(self, self.values_array.tolist()))
+        return list(zip(self, self.values()))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({dict(self.items())!r})"
@@ -376,15 +389,19 @@ class ParamTable(Mapping):
 
 @dataclass(frozen=True)
 class DotParameters:
-    """One realization of per-dot detunings and per-link couplings.
+    """One realization of per-dot detunings and per-link couplings, or a
+    batch of them.
 
     ``epsilon`` maps node -> detuning, ``coupling`` maps (parent, child)
     -> tunnel coupling; both in units of t.  Either may be given as any
     mapping and is stored as a :class:`ParamTable`, in the mapping's
-    iteration order.  ``delta`` is the oracle coupling strength and
-    ``gamma`` the dephasing rate 1/tau_phi.  Couplings must be finite and
-    positive and detunings must not be NaN; the first entry that is not
-    raises :class:`StructureError`.
+    iteration order.  Tables whose values carry a leading sample axis
+    (:func:`sample_disorder_many`) hold one realization per sample;
+    :meth:`sample` takes one out.  ``delta`` is the oracle coupling
+    strength and ``gamma`` the dephasing rate 1/tau_phi, shared by all
+    samples.  Couplings must be finite and positive and detunings must
+    not be NaN; the first entry that is not raises
+    :class:`StructureError`.
     """
 
     epsilon: Mapping[int, float]
@@ -396,17 +413,29 @@ class DotParameters:
         eps, coup = ParamTable.of(self.epsilon, False), ParamTable.of(self.coupling, True)
         object.__setattr__(self, "epsilon", eps)
         object.__setattr__(self, "coupling", coup)
+        if eps.values_array.shape[:-1] != coup.values_array.shape[:-1]:
+            raise StructureError("detunings and couplings need the same sample axis")
         t = coup.values_array
         bad = ~(np.isfinite(t) & (t > 0))
         if bad.any():
-            i = int(np.argmax(bad))
-            raise StructureError(f"tunnel coupling {tuple(coup.keys_array[i].tolist())} "
-                                 f"must be finite and positive, got {t[i]}")
+            at = np.unravel_index(np.argmax(bad), bad.shape)
+            raise StructureError(f"tunnel coupling {tuple(coup.keys_array[at[-1]].tolist())} "
+                                 f"must be finite and positive, got {t[at]}")
         bad = np.isnan(eps.values_array)
         if bad.any():
-            raise StructureError(f"detuning of node {eps.keys_array[np.argmax(bad)]} is NaN")
+            at = np.unravel_index(np.argmax(bad), bad.shape)
+            raise StructureError(f"detuning of node {eps.keys_array[at[-1]]} is NaN")
         if self.gamma < GAMMA_FLOOR:
             object.__setattr__(self, "gamma", GAMMA_FLOOR)
+
+    @property
+    def sample_shape(self) -> tuple[int, ...]:
+        """(samples,) for a batch of realizations, () for one."""
+        return self.epsilon.values_array.shape[:-1]
+
+    def sample(self, i: int) -> DotParameters:
+        """Realization ``i`` of a batch."""
+        return replace(self, epsilon=self.epsilon.row(i), coupling=self.coupling.row(i))
 
 
 @dataclass(frozen=True)
@@ -471,15 +500,31 @@ def sample_disorder(tree: RootedTree, ideal: DotParameters, spec: DisorderSpec) 
     at ``coupling_floor``, additive N(0, sigma_eps) detuning noise on
     every dot (leaves included).  Pure function of (tree, ideal, spec).
 
-    The couplings are drawn first, one per link in ascending (parent,
-    child) order, then the detuning noise, one per node in ascending id
-    order; the sample's keys are in those orders.
+    The one-sample case of :func:`sample_disorder_many`: the couplings
+    are drawn first, one per link in ascending (parent, child) order,
+    then the detuning noise, one per node in ascending id order; the
+    sample's keys are in those orders.
     """
-    rng = np.random.default_rng(spec.seed)
+    return sample_disorder_many(tree, ideal, [spec]).sample(0)
+
+
+def sample_disorder_many(tree: RootedTree, ideal: DotParameters, specs) -> DotParameters:
+    """One disorder sample per spec, as parameters with a sample axis.
+
+    Row i is what :func:`sample_disorder` draws for ``specs[i]``, from
+    its own ``default_rng(specs[i].seed)``: the couplings first, one per
+    link in ascending (parent, child) order, then the detuning noise,
+    one per node in ascending id order.  Every row has the ideal keys in
+    those orders.
+    """
     links, nodes = ideal.coupling.argsort(), ideal.epsilon.argsort()
-    tvals = rng.normal(spec.mean_t, spec.sigma_t, size=len(links))
-    evals = rng.normal(0.0, spec.sigma_eps, size=len(nodes))
-    floor = spec.coupling_floor
+    tvals = np.empty((len(specs), len(links)))
+    evals = np.empty((len(specs), len(nodes)))
+    for spec, t, e in zip(specs, tvals, evals):
+        rng = np.random.default_rng(spec.seed)
+        t[:] = rng.normal(spec.mean_t, spec.sigma_t, size=len(links))
+        e[:] = rng.normal(0.0, spec.sigma_eps, size=len(nodes))
+    floor = np.array([spec.coupling_floor for spec in specs]).reshape(-1, 1)
     coup = ParamTable(ideal.coupling.keys_array[links], np.where(tvals < floor, floor, tvals))
     eps = ParamTable(ideal.epsilon.keys_array[nodes], ideal.epsilon.values_array[nodes] + evals)
     return replace(ideal, epsilon=eps, coupling=coup)

@@ -143,6 +143,15 @@ def _transmission_from_g1(g1, probe: ProbeSpec, E):
     return probe.gamma_l * probe.gamma_r / np.abs(_probe_denominator(g1, probe, E)) ** 2
 
 
+def _transmission_at_fermi(g1, probe: ProbeSpec):
+    """T(E_f) from G_1(E_f), per sample rounded as :func:`transmission`
+    rounds its scalar: ``** 2`` of a numpy scalar is libm's ``pow``, which
+    ``np.float_power`` applies elementwise, where an array's ``** 2`` squares.
+    """
+    d = np.abs(_probe_denominator(g1, probe, probe.e_f))
+    return probe.gamma_l * probe.gamma_r / np.float_power(d, 2)
+
+
 def transmission(tree, params: DotParameters, probe: ProbeSpec, E: float) -> float:
     """Two-lead transmission in [0, 1] at energy E."""
     g1 = green_tree_many(tree, params, E)
@@ -150,7 +159,8 @@ def transmission(tree, params: DotParameters, probe: ProbeSpec, E: float) -> flo
 
 
 def transmission_curve(tree, params: DotParameters, probe: ProbeSpec, energies) -> np.ndarray:
-    """Vectorized transmission over an energy grid."""
+    """Vectorized transmission over an energy grid, shaped (samples,) +
+    the grid's shape for parameters with a sample axis."""
     energies = np.asarray(energies, dtype=float)
     g1 = green_tree_many(tree, params, energies)
     return _transmission_from_g1(g1, probe, energies)
@@ -326,7 +336,11 @@ def _conductances(tree, params: DotParameters, probes) -> list:
     """Conductance of each probe, or the :class:`QuadratureError` it failed with.
 
     kT = 0 probes share one G_1 per E_f; the others go through
-    :func:`_thermal` in groups of equal kT, lead widths and t1.
+    :func:`_thermal` in groups of equal kT, lead widths and t1.  For
+    parameters with a sample axis a conductance is an array over the
+    samples, and a probe fails with its first failing sample's error.
+    The kT > 0 quadrature runs sample by sample, each on its own mesh,
+    and stops at the sample where every probe of its group has failed.
     """
     out: list = [None] * len(probes)
     cold: dict[float, list[int]] = {}
@@ -341,21 +355,36 @@ def _conductances(tree, params: DotParameters, probes) -> list:
         # The scalar call of transmission(), so the result is the same bit for bit.
         g1 = green_tree_many(tree, params, e_f)
         for i in members:
-            out[i] = float(_transmission_from_g1(g1, probes[i], probes[i].e_f))
+            c = _transmission_at_fermi(g1, probes[i])
+            out[i] = c if params.sample_shape else float(c)
     for members in warm.values():
-        for i, c in zip(members, _thermal(tree, params, [probes[i] for i in members])):
-            out[i] = c
+        group = [probes[i] for i in members]
+        rows = map(params.sample, range(params.sample_shape[0])) if params.sample_shape \
+            else [params]
+        found: list = [[] for _ in members]  # each probe's conductances, or its first error
+        for row in rows:
+            for k, c in enumerate(_thermal(tree, row, group)):
+                if isinstance(found[k], list):
+                    found[k] = c if isinstance(c, QuadratureError) else found[k] + [c]
+            if not any(isinstance(f, list) for f in found):
+                break
+        for i, f in zip(members, found):
+            if isinstance(f, list):
+                f = np.array(f) if params.sample_shape else f[0]
+            out[i] = f
     return out
 
 
 def conductance(tree, params: DotParameters, probe: ProbeSpec) -> float:
-    """Landauer conductance (e^2/h): thermal average of the transmission.
+    """Landauer conductance (e^2/h): thermal average of the transmission;
+    an array over the samples for parameters with a sample axis.
 
     At temperature 0 this is exactly T(E_f), at the scalar energy.
     Otherwise a Gauss-Legendre quadrature over [E_f - 20kT, E_f + 20kT]
     on panels graded toward E_f and the probe+tree resonances, checked
     against every panel halved; a relative change above 1e-8 raises
-    :class:`QuadratureError`.  It is the one-probe case of the
+    :class:`QuadratureError`, the first failing sample's for a batch
+    (see :func:`_conductances`).  It is the one-probe case of the
     quadrature :func:`sweep` shares ("Thermal quadrature" above).
     """
     (result,) = _conductances(tree, params, [probe])
@@ -419,13 +448,13 @@ def readout(tree, params: DotParameters, probe: ProbeSpec) -> ReadoutResult:
     """Logical readout: presence (>= 0.5 e^2/h) or absence of transport.
 
     Requires the probe tuned to eps0 = 0, E_f = 0; conductance inside
-    [0.25, 0.75] is flagged ambiguous.
+    [0.25, 0.75] is flagged ambiguous.  For parameters with a sample
+    axis every field is an array over the samples.
     """
     if probe.eps0 != 0.0 or probe.e_f != 0.0:
         raise StructureError("readout requires the probe tuned to eps0 = 0, E_f = 0")
     g = conductance(tree, params, probe)
-    return ReadoutResult(
-        bit=1 if g >= READOUT_THRESHOLD else 0,
-        conductance=g,
-        ambiguous=READOUT_BAND[0] <= g <= READOUT_BAND[1],
-    )
+    bit, ambiguous = g >= READOUT_THRESHOLD, (READOUT_BAND[0] <= g) & (g <= READOUT_BAND[1])
+    if params.sample_shape:
+        return ReadoutResult(bit=bit.astype(int), conductance=g, ambiguous=ambiguous)
+    return ReadoutResult(bit=int(bit), conductance=g, ambiguous=bool(ambiguous))

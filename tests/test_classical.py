@@ -12,7 +12,8 @@ from nandtree import (
     ideal_parameters,
     oracle_expectation,
 )
-from nandtree.classical import CRITICAL_P1, CapacityError, MAX_EXPECTATION_BITS, _nand
+from nandtree.classical import (CRITICAL_P1, CapacityError, MAX_EXPECTATION_BITS, QueryStats, _nand,
+                               _with_bits)
 from nandtree.model import StructureError
 
 
@@ -66,6 +67,44 @@ def test_eval_randomized_deterministic_given_seed():
     a = eval_randomized(tree, seed=123)
     b = eval_randomized(tree, seed=123)
     assert a == b
+
+
+def recursive_randomized(tree: TreeSpec, bits=None, seed: int = 0) -> QueryStats:
+    """``eval_randomized`` as it was before its child-order bits were drawn
+    in one call, kept verbatim as the reference."""
+    tree = _with_bits(tree, bits)
+    rng = np.random.default_rng(seed)
+    queries = 0
+
+    def visit(node: int) -> int:
+        nonlocal queries
+        kids = tree.children(node)
+        if not kids:
+            queries += 1
+            return tree.leaf_bit(node)
+        if len(kids) == 1:
+            return 1 - visit(kids[0])
+        first, second = kids if rng.integers(2) == 0 else (kids[1], kids[0])
+        if visit(first) == 0:
+            return 1
+        return 1 - visit(second)
+
+    return QueryStats(result=visit(tree.root), queries=queries, seed=seed)
+
+
+@pytest.mark.parametrize("marked", [False, True])
+@pytest.mark.parametrize("depth", range(1, 13))
+def test_eval_randomized_matches_recursive_reference(depth, marked):
+    rng = np.random.default_rng(depth + 100 * marked)
+    n = 2**depth
+    for _ in range(4):
+        markers = rng.integers(1, n, size=max(1, n // 8)).tolist() if marked else []
+        bits = (rng.random(n) < rng.uniform(0.3, 0.8)).astype(int)
+        tree = TreeSpec(depth, tuple(bits), frozenset(markers))
+        seed = int(rng.integers(2**63))
+        assert eval_randomized(tree, seed=seed) == recursive_randomized(tree, seed=seed)
+        bits = rng.integers(0, 2, n)
+        assert eval_randomized(tree, bits, seed) == recursive_randomized(tree, bits, seed)
 
 
 @settings(max_examples=60, deadline=None)

@@ -3,7 +3,9 @@
 ``reference_resolve`` is the dot-by-dot post-order recursion that
 evaluated every Green's function before the level schedule existed,
 kept verbatim as the reference.  The engine must reproduce it bit for
-bit: same values, same signed zeros, same output shapes.
+bit: same values, same signed zeros, same output shapes.  Parameters
+with a sample axis must give, bit for bit, what the loop over their
+samples that the axis replaces gives.
 """
 
 from types import SimpleNamespace
@@ -11,8 +13,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from nandtree import DotParameters, StructureError, build_tree, ideal_parameters, sample_disorder
-from nandtree.greens import _BLOCK, _py_product, _py_reciprocal, _resolve
+from nandtree import (DotParameters, StructureError, build_tree, green_tree_many, greens,
+                      ideal_parameters, sample_disorder, sample_disorder_many)
+from nandtree.greens import _BLOCK, _py_product, _py_reciprocal, _resolve, inertia_count
 from nandtree.layout import build_hfractal, chain_below, expand_to_tree
 from nandtree.model import DisorderSpec, RootedTree, TreeSpec
 
@@ -132,6 +135,37 @@ def test_engine_matches_reference_across_energy_blocks():
     params = ideal_parameters(chained, 10.0, 1e-6)
     assert_same(_resolve(chained, params, energies),
                 reference_resolve(chained, dict_snapshot(params), energies))
+
+
+def sample_axis_trees():
+    rng = np.random.default_rng(5)
+    yield TreeSpec(5, tuple(rng.integers(0, 2, 32)), random_markers(rng, 5))
+    yield chain_below(TreeSpec(3, tuple(rng.integers(0, 2, 8)), frozenset({2})), 5)
+    tree = build_tree(4, rng.integers(0, 2, 16))
+    yield expand_to_tree(build_hfractal(tree), tree)
+
+
+@pytest.mark.parametrize("block", [_BLOCK, 40, 200, 1000])
+def test_sample_axis_matches_per_sample_loop(block, monkeypatch):
+    # Small blocks split the wide band into blocks of a few samples, or
+    # of a few energies of one sample.
+    monkeypatch.setattr(greens, "_BLOCK", block)
+    specs = [DisorderSpec(0.1, 0.1, seed) for seed in range(7)]
+    for tree in sample_axis_trees():
+        ideal = ideal_parameters(tree, 10.0, 1e-3)
+        many = sample_disorder_many(tree, ideal, specs)
+        rows = [sample_disorder(tree, ideal, spec) for spec in specs]
+        for E in (0.37, np.asarray(-0.21), ENERGIES["1-D"], ENERGIES["2-D"]):
+            loop = [green_tree_many(tree, p, E) for p in rows]
+            assert_same(green_tree_many(tree, many, E), np.stack(loop))
+            if isinstance(E, np.ndarray):
+                got = _resolve(tree, many, E, True)
+                for k in range(2):
+                    assert_same(got[k], np.stack([_resolve(tree, p, E, True)[k] for p in rows]))
+        counts, g = inertia_count(tree, many, ENERGIES["2-D"])
+        loop = [inertia_count(tree, p, ENERGIES["2-D"]) for p in rows]
+        assert np.array_equal(counts, np.stack([c for c, _ in loop]))
+        assert np.array_equal(g.view(np.uint64), np.stack([r for _, r in loop]).view(np.uint64))
 
 
 def test_levels_closed_form_matches_breadth_first():

@@ -4,18 +4,22 @@
 dict-based builders from before :class:`~nandtree.model.ParamTable`,
 kept verbatim (returning their dicts) as the reference.  The array
 builders must give the same keys in the same order and the same values
-bit for bit, and draw the same random numbers.
+bit for bit, and draw the same random numbers.  ``single_sample_disorder``
+is the one-spec array sampler from before the sample axis, kept verbatim
+as the reference for :func:`~nandtree.model.sample_disorder_many`.
 """
 
 import math
 import pickle
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from nandtree import (ProbeSpec, QuadratureError, StructureError, build_tree, classify,
-                      conductance, ideal_parameters, sample_disorder, transport)
+                      conductance, ideal_parameters, sample_disorder, sample_disorder_many,
+                      transport)
 from nandtree.layout import build_hfractal, chain_below, expand_to_tree
 from nandtree.model import DisorderSpec, DotParameters, ParamTable, TreeSpec
 
@@ -124,6 +128,73 @@ def test_sample_disorder_clamps_at_the_floor():
         assert_table(sampled.epsilon, eps)
         clamped += int(np.sum(sampled.coupling.values_array == 0.4))
     assert clamped > 20
+
+
+def single_sample_disorder(tree, ideal: DotParameters, spec: DisorderSpec) -> DotParameters:
+    rng = np.random.default_rng(spec.seed)
+    links, nodes = ideal.coupling.argsort(), ideal.epsilon.argsort()
+    tvals = rng.normal(spec.mean_t, spec.sigma_t, size=len(links))
+    evals = rng.normal(0.0, spec.sigma_eps, size=len(nodes))
+    floor = spec.coupling_floor
+    coup = ParamTable(ideal.coupling.keys_array[links], np.where(tvals < floor, floor, tvals))
+    eps = ParamTable(ideal.epsilon.keys_array[nodes], ideal.epsilon.values_array[nodes] + evals)
+    return replace(ideal, epsilon=eps, coupling=coup)
+
+
+def assert_same_sample(got: DotParameters, want: DotParameters):
+    """Same keys in the same order, same values bit for bit."""
+    assert got.sample_shape == () and (got.delta, got.gamma) == (want.delta, want.gamma)
+    for a, b in ((got.epsilon, want.epsilon), (got.coupling, want.coupling)):
+        assert a.keys_array.tolist() == b.keys_array.tolist()
+        assert [v.hex() for v in a.values()] == [v.hex() for v in b.values()]
+
+
+SPECS = [DisorderSpec(0.05, 0.02, 0), DisorderSpec(0.9, 0.3, 7, coupling_floor=0.4),
+         DisorderSpec(0.2, 0.1, 2**40 + 3, mean_t=1.5), DisorderSpec(0.0, 0.0, 5)]
+
+
+@pytest.mark.parametrize("tree", TREES, ids=lambda t: type(t).__name__)
+def test_sample_disorder_many_rows_match_single_sampler(tree):
+    ideal = ideal_parameters(tree, 10.0, 1e-6)
+    many = sample_disorder_many(tree, ideal, SPECS)
+    assert many.sample_shape == (len(SPECS),)
+    assert many.epsilon.values_array.shape == (len(SPECS), len(ideal.epsilon))
+    for i, spec in enumerate(SPECS):
+        want = single_sample_disorder(tree, ideal, spec)
+        assert_same_sample(many.sample(i), want)
+        assert_same_sample(sample_disorder(tree, ideal, spec), want)
+
+
+def test_sample_disorder_many_clamps_each_row_at_its_floor():
+    tree = build_tree(6, [0, 1] * 32)
+    ideal = ideal_parameters(tree, 10.0, 1e-6)
+    specs = [DisorderSpec(0.9, 0.1, seed, coupling_floor=floor)
+             for seed, floor in enumerate((0.4, 0.1, 0.6, 0.4))]
+    many = sample_disorder_many(tree, ideal, specs)
+    for i, spec in enumerate(specs):
+        assert_same_sample(many.sample(i), single_sample_disorder(tree, ideal, spec))
+        row = many.coupling.values_array[i]
+        assert np.sum(row == spec.coupling_floor) > 5 and row.min() == spec.coupling_floor
+
+
+def test_tables_with_a_sample_axis():
+    tree = TreeSpec(2, (1, 0, 1, 1), frozenset({3}))
+    ideal = ideal_parameters(tree, 10.0, 1e-6)
+    many = sample_disorder_many(tree, ideal, [DisorderSpec(0.1, 0.1, s) for s in range(3)])
+    eps = many.epsilon
+    assert len(eps) == 6 and list(eps) == sorted(ideal.epsilon)
+    assert eps[4].tolist() == eps.values_array[:, eps.keys_array.tolist().index(4)].tolist()
+    assert eps.values() == eps.values_array.T.tolist() and dict(eps.items())[4] == eps[4].tolist()
+    assert many.coupling.lookup([[1, 2], [2, 4]]).shape == (3, 2)
+    assert [eps.row(i)[4] for i in range(3)] == eps[4].tolist()
+    with pytest.raises(StructureError, match="sample axis"):
+        DotParameters(eps, ideal.coupling, 10.0, 1e-6)
+    coup = many.coupling.values_array.copy()
+    coup[1, many.coupling.keys_array.tolist().index([2, 5])] = -1.0
+    with pytest.raises(StructureError, match=r"\(2, 5\)"):
+        DotParameters(eps, ParamTable(many.coupling.keys_array, coup), 10.0, 1e-6)
+    with pytest.raises(StructureError):
+        ParamTable([1, 2], np.zeros((2, 3)))
 
 
 def test_tables_behave_as_mappings():
