@@ -19,9 +19,7 @@ from .model import (
     sample_disorder_many,
 )
 from .greens import (
-    GreenValue,
     classify,
-    green_leaf,
     green_tree,
     green_tree_derivative,
     green_tree_many,

@@ -54,29 +54,20 @@ locates resonances with it.
 **Rounding.**  Results are reproducible bit for bit and match the
 dot-by-dot recursion exactly.  Every dot applies the same operations in
 the same order, ``(E + i*gamma) - eps - t_1^2 G_1 - t_2^2 G_2`` and then
-the reciprocal, with ``t^2`` taken as Python's ``t ** 2``.  Energies
-given as numpy arrays or scalars use numpy's complex arithmetic; its
-elementwise results do not depend on the block shape.  A Python-number
-energy is rounded as CPython's complex arithmetic rounds it.
-``_py_reciprocal`` and ``_py_product`` reproduce CPython's complex
-quotient and product in split real arithmetic, because numpy's complex
-division and its fused-multiply-add complex product round differently.
-The derivative's products take numpy's array form for energy arrays
-with one or more dimensions, and the CPython form, which numpy's scalar
-arithmetic shares, for scalars and 0-d arrays: a 0-d energy becomes a
-numpy scalar at the first operation.  A sample's values therefore do
-not depend on the other samples evaluated with it.  Python-number
-energies take parameters without a sample axis.
+the reciprocal, with ``t^2`` taken as Python's ``t ** 2``, in numpy's
+elementwise arithmetic for every kind of energy: a Python number, a
+numpy scalar and an array of any shape round alike, and a sample's
+values do not depend on the block shape or on the other samples
+evaluated with it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, islice
 
 import numpy as np
 
-from .model import GAMMA_FLOOR, DotParameters, LogicalForm, StructureError, TreeSpec, \
+from .model import DotParameters, LogicalForm, StructureError, TreeSpec, \
     build_tree, ideal_parameters
 
 #: |G(0)| decision threshold between "1"-like (small) and "0"-like (pole).
@@ -85,56 +76,14 @@ CLASSIFY_THRESHOLD = 1.0
 AMBIGUITY_BAND = (0.5, 2.0)
 
 
-@dataclass(frozen=True)
-class GreenValue:
-    """A Green's function sample with its evaluation context."""
-
-    value: complex
-    energy: float
-    gamma: float
-
-
-def green_leaf(epsilon: float, E: float, gamma: float) -> GreenValue:
-    """Single-dot Green's function 1/(E + i*gamma - epsilon)."""
-    g = max(gamma, GAMMA_FLOOR)
-    return GreenValue(value=1.0 / (E + 1j * g - epsilon), energy=E, gamma=g)
-
-
 #: Complex values per energy block of the wide bottom levels (1 MiB);
 #: see "Energy blocks" above.
 _BLOCK = 1 << 16
 
 
-def _py_product(a, b):
-    """a * b rounded as CPython's ``_Py_c_prod`` (no fused multiply-add)."""
-    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
-    out = np.empty_like(a)
-    np.subtract(ar * br, ai * bi, out=out.real)
-    np.add(ar * bi, ai * br, out=out.imag)
-    return out
-
-
-def _py_reciprocal(b):
-    """1 / b rounded as CPython's ``_Py_c_quot`` with numerator 1 + 0j.
-
-    The ratio |num / den| <= 1 is finite unless it is NaN, and a NaN
-    ratio makes the result NaN, so ``1 + 0*ratio`` is taken as 1 and
-    ``0*ratio - 1`` as -1.
-    """
-    br, bi = b.real, b.imag
-    flip = np.abs(br) < np.abs(bi)
-    num, den = np.where(flip, br, bi), np.where(flip, bi, br)
-    ratio = num / den
-    scale = den + num * ratio
-    out = np.empty_like(b)
-    np.divide(np.where(flip, ratio + 0.0, 1.0), scale, out=out.real)
-    np.divide(np.where(flip, -1.0, 0.0 - ratio), scale, out=out.imag)
-    return out
-
-
-def _numpy_reciprocal(b):
-    """1 / b in numpy's rounding, in place."""
-    return np.divide(1.0, b, out=b)
+def _reciprocal(d):
+    """1 / d, in place."""
+    return np.divide(1.0, d, out=d)
 
 
 def _columns(params: DotParameters, schedule):
@@ -168,15 +117,13 @@ def _cut(flat: np.ndarray, parts) -> list[np.ndarray]:
     return [flat[lo:hi] for lo, hi in zip([0] + ends, ends)]
 
 
-def _climb(schedule, columns, base, g, dg, reciprocal, product):
+def _climb(schedule, columns, base, g, dg, reciprocal, derivative):
     """Evaluate ``schedule`` bottom-up over ``base``: E + i*gamma, or the real E.
 
     ``g``/``dg`` hold the values of the level below the first one given
     (``None`` when it starts at the leaves); returns the last level's.
-    ``product`` multiplies in the derivative, which is skipped when it
-    is ``None``.
+    The derivative is carried along only if ``derivative`` is set.
     """
-    derivative = product is not None
     for (_, slots), (eps, t2s) in zip(schedule, columns):
         denom = base - eps[..., None]
         if derivative:
@@ -193,18 +140,18 @@ def _climb(schedule, columns, base, g, dg, reciprocal, product):
                     ddenom[mask] -= t2 * dg[index]
         g = reciprocal(denom)
         if derivative:
-            dg = product(product(-g, g), ddenom)
+            dg = -g * g * ddenom
     return g, dg
 
 
-def _bottom_up(schedule, columns, base, step, product=None):
+def _bottom_up(schedule, columns, base, step, derivative=False):
     """Run ``schedule`` over the energies ``base`` for every sample of
     ``columns``; returns the root level's (1, samples, energies) values.
 
     The wide bottom band runs in blocks of samples and energies (see
     "Energy blocks" above).  ``step(part)`` gives the map from a level's
     denominators to its values for the (samples, energies) block
-    ``part``; ``product`` is as in :func:`_climb`.
+    ``part``; ``derivative`` is as in :func:`_climb`.
     """
     n, samples = base.size, columns[0][0].shape[1]
     widths = [len(level.nodes) for level in schedule]
@@ -216,35 +163,29 @@ def _bottom_up(schedule, columns, base, step, product=None):
         chunk = max(1, _BLOCK // max(widths[:split]))
         rows, energies = max(1, chunk // n), min(n, chunk)
         g = np.empty((widths[split - 1], samples, n), dtype=base.dtype)
-        dg = None if product is None else np.empty_like(g)
+        dg = np.empty_like(g) if derivative else None
         for lo in range(0, samples, rows):
             cut = slice(lo, lo + rows)
             band = [(eps[:, cut], [t2[:, cut] for t2 in t2s]) for eps, t2s in columns[:split]]
             for at in range(0, n, energies):
                 span = slice(at, at + energies)
                 g[:, cut, span], d = _climb(schedule[:split], band, base[span], None, None,
-                                            step((cut, span)), product)
+                                            step((cut, span)), derivative)
                 if dg is not None:
                     dg[:, cut, span] = d
     every = (slice(None), slice(None))
-    return _climb(schedule[split:], columns[split:], base, g, dg, step(every), product)
+    return _climb(schedule[split:], columns[split:], base, g, dg, step(every), derivative)
 
 
 def _resolve(tree, params: DotParameters, E, derivative: bool = False):
-    """Level-by-level evaluation of G (and optionally dG/dE) at the root."""
+    """Level-by-level evaluation of G (and optionally dG/dE) at the root,
+    as arrays shaped (samples,) + the energies' shape."""
     schedule = tree.levels()
     columns = _columns(params, schedule)
-    ig = 1j * params.gamma
-    numpy_energy = isinstance(E, (np.ndarray, np.generic))
-    reciprocal = _numpy_reciprocal if numpy_energy else _py_reciprocal
-    product = (np.multiply if np.ndim(E) else _py_product) if derivative else None
-    base = np.asarray(E + ig, dtype=complex).reshape(-1)
-    g, dg = _bottom_up(schedule, columns, base, lambda part: reciprocal, product)
+    base = np.asarray(E + 1j * params.gamma, dtype=complex).reshape(-1)
+    g, dg = _bottom_up(schedule, columns, base, lambda part: _reciprocal, derivative)
     shape = params.sample_shape + np.shape(E)
-    out = [g[0].reshape(shape)] + ([dg[0].reshape(shape)] if derivative else [])
-    if not numpy_energy:
-        out = list(map(complex, out))
-    return tuple(out) if derivative else out[0]
+    return (g[0].reshape(shape), dg[0].reshape(shape)) if derivative else g[0].reshape(shape)
 
 
 def _inertia_step(counts: np.ndarray):
@@ -296,22 +237,21 @@ def inertia_count(tree, params: DotParameters, energies) -> tuple[np.ndarray, np
     return counts.reshape(shape), g[0].reshape(shape)
 
 
-def green_tree(tree, params: DotParameters, E: float) -> GreenValue:
+def green_tree(tree, params: DotParameters, E: float) -> complex:
     """Green's function at the tree root, exact up to rounding."""
-    return GreenValue(value=complex(_resolve(tree, params, E)), energy=E, gamma=params.gamma)
+    return complex(_resolve(tree, params, E))
 
 
 def green_tree_many(tree, params: DotParameters, energies) -> np.ndarray:
     """Vectorized :func:`green_tree` over an array of energies, and over
     the samples of parameters with a sample axis: shape (samples,) + the
     energies' shape, each sample bit for bit what it gives alone."""
-    return np.asarray(_resolve(tree, params, np.asarray(energies, dtype=float)))
+    return _resolve(tree, params, np.asarray(energies, dtype=float))
 
 
 def green_tree_derivative(tree, params: DotParameters, E: float) -> complex:
     """Analytic dG/dE at the root (chain rule through the recursion)."""
-    _, dg = _resolve(tree, params, E, derivative=True)
-    return complex(dg)
+    return complex(_resolve(tree, params, E, derivative=True)[1])
 
 
 def classify(tree, params: DotParameters) -> LogicalForm:
@@ -320,7 +260,7 @@ def classify(tree, params: DotParameters) -> LogicalForm:
     bit = 1 when |G(0)| < 1 (in units of t).  For "1" forms
     G = -(alpha E + i gamma beta); for "0" forms 1/G = alpha E + i gamma beta.
     """
-    g0, dg0 = _resolve(tree, params, 0.0, derivative=True)
+    g0, dg0 = map(complex, _resolve(tree, params, 0.0, derivative=True))
     gamma = params.gamma
     mag = abs(g0)
     ambiguous = AMBIGUITY_BAND[0] <= mag <= AMBIGUITY_BAND[1]

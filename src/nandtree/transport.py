@@ -42,9 +42,10 @@ breakpoints of every one, and one G_1 evaluation on it: a sweep along
 E or eps0 costs one mesh.  Each probe then sums only the nodes of its
 own window, and probes at one E_f share the kernel.  No G_1 call
 takes more than ``_MAX_ENERGIES`` energies; a longer mesh goes
-through in chunks.  At kT = 0 the conductance is T(E_f), from one
-scalar G_1 evaluation per distinct E_f, the operations of
-:func:`transmission`, so the result is the same bit for bit.
+through in chunks.  At kT = 0 the conductance is T(E_f), from one G_1
+evaluation per distinct E_f.  Scalars and arrays round alike, in
+:mod:`nandtree.greens` and in T's square, so this is :func:`transmission`
+at E_f bit for bit, for each sample of a batch.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from typing import Mapping
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .greens import GreenValue, green_tree_many, inertia_count
+from .greens import green_tree_many, inertia_count
 from .model import DotParameters, StructureError
 
 #: Default probe-to-tree coupling (units of t).  The source material does
@@ -133,23 +134,15 @@ def _probe_denominator(g1, probe: ProbeSpec, E):
     return E - probe.eps0 + 0.5j * (probe.gamma_l + probe.gamma_r) - probe.t1**2 * g1
 
 
-def probe_green(G1, probe: ProbeSpec, E: float) -> complex:
+def probe_green(g1: complex, probe: ProbeSpec, E: float) -> complex:
     """Probe-dot Green's function 1/(E - eps0 + i Gamma/2 - t1^2 G_1)."""
-    g1 = G1.value if isinstance(G1, GreenValue) else G1
     return 1.0 / _probe_denominator(g1, probe, E)
 
 
 def _transmission_from_g1(g1, probe: ProbeSpec, E):
-    return probe.gamma_l * probe.gamma_r / np.abs(_probe_denominator(g1, probe, E)) ** 2
-
-
-def _transmission_at_fermi(g1, probe: ProbeSpec):
-    """T(E_f) from G_1(E_f), per sample rounded as :func:`transmission`
-    rounds its scalar: ``** 2`` of a numpy scalar is libm's ``pow``, which
-    ``np.float_power`` applies elementwise, where an array's ``** 2`` squares.
-    """
-    d = np.abs(_probe_denominator(g1, probe, probe.e_f))
-    return probe.gamma_l * probe.gamma_r / np.float_power(d, 2)
+    # np.square, not ** 2: a numpy scalar's ** 2 is libm's pow, an array's
+    # a multiply, and they can differ in the last bit.
+    return probe.gamma_l * probe.gamma_r / np.square(np.abs(_probe_denominator(g1, probe, E)))
 
 
 def transmission(tree, params: DotParameters, probe: ProbeSpec, E: float) -> float:
@@ -335,7 +328,8 @@ def _thermal(tree, params: DotParameters, probes) -> list:
 def _conductances(tree, params: DotParameters, probes) -> list:
     """Conductance of each probe, or the :class:`QuadratureError` it failed with.
 
-    kT = 0 probes share one G_1 per E_f; the others go through
+    kT = 0 probes share one G_1 per E_f, each giving :func:`transmission`
+    at its E_f bit for bit, per sample; the others go through
     :func:`_thermal` in groups of equal kT, lead widths and t1.  For
     parameters with a sample axis a conductance is an array over the
     samples, and a probe fails with its first failing sample's error.
@@ -352,10 +346,9 @@ def _conductances(tree, params: DotParameters, probes) -> list:
         else:
             warm.setdefault((p.temperature, p.gamma_l, p.gamma_r, p.t1), []).append(i)
     for e_f, members in cold.items():
-        # The scalar call of transmission(), so the result is the same bit for bit.
         g1 = green_tree_many(tree, params, e_f)
         for i in members:
-            c = _transmission_at_fermi(g1, probes[i])
+            c = _transmission_from_g1(g1, probes[i], probes[i].e_f)
             out[i] = c if params.sample_shape else float(c)
     for members in warm.values():
         group = [probes[i] for i in members]
@@ -379,7 +372,7 @@ def conductance(tree, params: DotParameters, probe: ProbeSpec) -> float:
     """Landauer conductance (e^2/h): thermal average of the transmission;
     an array over the samples for parameters with a sample axis.
 
-    At temperature 0 this is exactly T(E_f), at the scalar energy.
+    At temperature 0 this is exactly :func:`transmission` at E_f.
     Otherwise a Gauss-Legendre quadrature over [E_f - 20kT, E_f + 20kT]
     on panels graded toward E_f and the probe+tree resonances, checked
     against every panel halved; a relative change above 1e-8 raises

@@ -59,7 +59,7 @@ def test_criterion_01_oracle_equivalence():
         H = assemble(tree, params)
         for E in rng.uniform(-3, 3, size=20):
             direct = green_direct(H, float(E), gamma, tree.root)
-            recursive = green_tree(tree, params, float(E)).value
+            recursive = green_tree(tree, params, float(E))
             worst = max(worst, abs(recursive - direct) / abs(direct))
     assert worst <= 1e-10
     assert time.time() - t0 < 10.0
@@ -129,7 +129,7 @@ def test_criterion_04_worst_case_scaling():
         assert 1.8 <= ratio <= 2.2
     tree = worst_case_tree(7)
     assert tree.n_leaves == 128
-    value = green_tree(tree, ideal_parameters(tree, DELTA, 1e-6), 0.0).value
+    value = green_tree(tree, ideal_parameters(tree, DELTA, 1e-6), 0.0)
     assert np.isfinite(value.real) and np.isfinite(value.imag)
 
 

@@ -71,7 +71,7 @@ def test_oracle_matches_small_tree_value():
     H = assemble(tree, params)
     direct = green_direct(H, 0.01, params.gamma, 1)
     assert direct == pytest.approx(-0.0050003, rel=1e-4)
-    recursive = green_tree(tree, params, 0.01).value
+    recursive = green_tree(tree, params, 0.01)
     assert abs(recursive - direct) <= 1e-10 * abs(direct)
 
 
@@ -83,7 +83,7 @@ def test_oracle_equivalence_disordered_63_dots():
     H = assemble(tree, params)
     for E in rng.uniform(-3, 3, size=20):
         direct = green_direct(H, float(E), params.gamma, tree.root)
-        recursive = green_tree(tree, params, float(E)).value
+        recursive = green_tree(tree, params, float(E))
         assert abs(recursive - direct) <= 1e-10 * abs(direct)
 
 
@@ -96,7 +96,7 @@ def test_oracle_equivalence_with_not_markers():
     H = assemble(tree, params)
     for E in (-1.7, -0.2, 0.0, 0.4, 2.1):
         direct = green_direct(H, E, params.gamma, tree.root)
-        recursive = green_tree(tree, params, E).value
+        recursive = green_tree(tree, params, E)
         assert abs(recursive - direct) <= 1e-10 * abs(direct)
 
 

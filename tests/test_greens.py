@@ -8,7 +8,6 @@ from nandtree import (
     StructureError,
     build_tree,
     classify,
-    green_leaf,
     green_tree,
     green_tree_derivative,
     green_tree_many,
@@ -21,18 +20,35 @@ from nandtree.classical import eval_nand
 from nandtree.model import DisorderSpec
 
 
-def test_green_leaf_values():
-    assert green_leaf(0.0, 0.0, 1e-3).value == pytest.approx(-1000j)
-    expected = 1.0 / (-10.0 + 1e-3j)
-    assert green_leaf(10.0, 0.0, 1e-3).value == pytest.approx(expected)
-    # gamma = 0 clamps to the floor; the pole formula 1/E survives
-    assert green_leaf(0.0, 0.01, 0.0).value == pytest.approx(100.0, rel=1e-9)
+def depth_one_closed_form(params, E):
+    """1/(E + i gamma - eps_1 - sum_c t_c^2 G_c) with G_c = 1/(E + i gamma - eps_c),
+    and the leaves' G_c."""
+    z = E + 1j * params.gamma
+    leaves = [1.0 / (z - params.epsilon[c]) for c in (2, 3)]
+    sigma = sum(params.coupling[(1, c)] ** 2 * g for c, g in zip((2, 3), leaves))
+    return 1.0 / (z - params.epsilon[1] - sigma), leaves
 
 
-def test_green_leaf_retarded_sign():
-    for eps in (-3.0, 0.0, 5.0):
-        for E in (-1.0, 0.0, 2.0):
-            assert green_leaf(eps, E, 1e-4).value.imag <= 0.0
+def test_green_tree_depth_one_closed_form():
+    rng = np.random.default_rng(3)
+    for bits in ((0, 0), (0, 1), (1, 1)):
+        tree = build_tree(1, bits)
+        for gamma in (0.0, 1e-3):
+            ideal = ideal_parameters(tree, 10.0, gamma)
+            params = sample_disorder(tree, ideal, DisorderSpec(0.1, 0.1, int(rng.integers(100))))
+            for E in (-0.7, 0.0, 0.01, 1.3):
+                want, _ = depth_one_closed_form(params, E)
+                assert green_tree(tree, params, E) == pytest.approx(want, rel=1e-12)
+
+
+def test_green_tree_retarded_sign():
+    rng = np.random.default_rng(4)
+    for depth in (1, 2, 3):
+        tree = build_tree(depth, rng.integers(0, 2, 2**depth))
+        ideal = ideal_parameters(tree, 10.0, 1e-4)
+        params = sample_disorder(tree, ideal, DisorderSpec(0.1, 0.1, depth))
+        for E in (-1.0, 0.0, 0.3, 2.0):
+            assert green_tree(tree, params, E).imag <= 0.0
 
 
 def test_green_tree_double_zero_input():
@@ -40,7 +56,7 @@ def test_green_tree_double_zero_input():
     # the unapproximated version of the leading form -E/2.
     tree = build_tree(1, (0, 0))
     params = ideal_parameters(tree, 10.0, 0.0)
-    g = green_tree(tree, params, 0.01).value
+    g = green_tree(tree, params, 0.01)
     assert g == pytest.approx(1.0 / (0.01 - 2.0 / 0.01), rel=1e-9)
     assert g == pytest.approx(-0.0050003, rel=1e-4)
 
@@ -50,7 +66,7 @@ def test_green_tree_mixed_input():
     tree = build_tree(1, (0, 1))
     params = ideal_parameters(tree, 10.0, 0.0)
     E = 0.01
-    g = green_tree(tree, params, E).value
+    g = green_tree(tree, params, E)
     exact = 1.0 / (E - 1.0 / E - 1.0 / (E + 10.0))
     assert g == pytest.approx(exact, rel=1e-9)
     assert abs(g - (-E)) <= 0.1 * E
@@ -59,7 +75,7 @@ def test_green_tree_mixed_input():
 def test_green_tree_double_one_is_pole():
     tree = build_tree(1, (1, 1))
     params = ideal_parameters(tree, 10.0, 1e-3)
-    assert abs(green_tree(tree, params, 0.0).value) >= 100.0
+    assert abs(green_tree(tree, params, 0.0)) >= 100.0
 
 
 def test_green_tree_many_matches_scalar():
@@ -68,7 +84,7 @@ def test_green_tree_many_matches_scalar():
     energies = np.linspace(-2, 2, 9)
     vec = green_tree_many(tree, params, energies)
     for E, g in zip(energies, vec):
-        assert g == pytest.approx(green_tree(tree, params, float(E)).value, rel=1e-12)
+        assert g == pytest.approx(green_tree(tree, params, float(E)), rel=1e-12)
     # repeated vectorized evaluation is bit-identical
     assert np.array_equal(vec, green_tree_many(tree, params, energies))
 
@@ -84,9 +100,15 @@ def test_green_tree_missing_parameters():
 
 
 def test_derivative_leaf_form():
-    # dG/dE of a single level is -G**2.
-    g = green_leaf(0.0, 0.0, 1e-3).value
-    assert -(g * g) == pytest.approx(1e6)
+    # dG/dE of a depth-1 tree is -G^2 (1 + sum_c t_c^2 G_c^2), the leaves
+    # having dG_c/dE = -G_c^2.
+    tree = build_tree(1, (0, 1))
+    params = sample_disorder(tree, ideal_parameters(tree, 10.0, 1e-3), DisorderSpec(0.1, 0.1, 2))
+    for E in (-0.4, 0.0, 0.2):
+        g, leaves = depth_one_closed_form(params, E)
+        want = -g * g * (1 + sum(params.coupling[(1, c)] ** 2 * gc * gc
+                                 for c, gc in zip((2, 3), leaves)))
+        assert green_tree_derivative(tree, params, E) == pytest.approx(want, rel=1e-10)
 
 
 def test_derivative_double_zero_slope():
@@ -109,7 +131,7 @@ def test_derivative_matches_finite_differences():
         )
         E = float(rng.uniform(-1.5, 1.5))
         analytic = green_tree_derivative(tree, params, E)
-        fd = (green_tree(tree, params, E + h).value - green_tree(tree, params, E - h).value) / (2 * h)
+        fd = (green_tree(tree, params, E + h) - green_tree(tree, params, E - h)) / (2 * h)
         assert abs(analytic - fd) <= 1e-6 * abs(fd) + 1e-12
 
 
@@ -208,5 +230,5 @@ def test_deep_structure_iterative_traversal():
 
     chained = chain_below(build_tree(1, (0, 0)), 3000)
     params = ideal_chain_parameters(chained, 10.0, 1e-6)
-    g = green_tree(chained, params, 0.0).value
+    g = green_tree(chained, params, 0.0)
     assert np.isfinite(g)

@@ -2,10 +2,11 @@
 
 ``reference_resolve`` is the dot-by-dot post-order recursion that
 evaluated every Green's function before the level schedule existed,
-kept verbatim as the reference.  The engine must reproduce it bit for
-bit: same values, same signed zeros, same output shapes.  Parameters
-with a sample axis must give, bit for bit, what the loop over their
-samples that the axis replaces gives.
+kept verbatim as the reference.  It runs on the energies as a 1-D
+array, so in numpy's arithmetic, and the engine must reproduce it bit
+for bit for every kind of energy: same values, same signed zeros, same
+output shapes.  Parameters with a sample axis must give, bit for bit,
+what the loop over their samples that the axis replaces gives.
 """
 
 from types import SimpleNamespace
@@ -13,9 +14,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from nandtree import (DotParameters, StructureError, build_tree, green_tree_many, greens,
-                      ideal_parameters, sample_disorder, sample_disorder_many)
-from nandtree.greens import _BLOCK, _py_product, _py_reciprocal, _resolve, inertia_count
+from nandtree import (DotParameters, StructureError, build_tree, classify, green_tree,
+                      green_tree_derivative, green_tree_many, greens, ideal_parameters,
+                      sample_disorder, sample_disorder_many)
+from nandtree.greens import _BLOCK, _resolve, inertia_count
 from nandtree.layout import build_hfractal, chain_below, expand_to_tree
 from nandtree.model import DisorderSpec, RootedTree, TreeSpec
 
@@ -46,6 +48,19 @@ def reference_resolve(tree, params: DotParameters, E, derivative: bool = False):
     return g[tree.root]
 
 
+def on_flat_array(resolve):
+    """``resolve`` run on the energies ``E`` as a 1-D array, its results
+    reshaped to the energies' shape."""
+    def run(tree, params, E, derivative: bool = False):
+        out = resolve(tree, params, np.reshape(E, -1), derivative)
+        shape = np.shape(E)
+        return tuple(v.reshape(shape) for v in out) if derivative else out.reshape(shape)
+    return run
+
+
+reference_on_array = on_flat_array(reference_resolve)
+
+
 def dict_snapshot(params: DotParameters) -> SimpleNamespace:
     """``params`` with plain-dict tables (equal to the ``ParamTable``s), for
     the reference's one-key-at-a-time reads on large trees."""
@@ -54,9 +69,7 @@ def dict_snapshot(params: DotParameters) -> SimpleNamespace:
 
 
 def assert_same(got, want):
-    """Equal bit for bit, with the same type for Python scalars and the same shape."""
-    if type(want) is complex:
-        assert type(got) is complex
+    """Equal bit for bit, with the same shape."""
     got, want = np.asarray(got), np.asarray(want)
     assert got.shape == want.shape and got.dtype == want.dtype == complex
     assert np.array_equal(got.reshape(-1).view(np.uint64), want.reshape(-1).view(np.uint64))
@@ -75,9 +88,9 @@ ENERGIES = {
 
 def assert_engine_matches(tree, params):
     for E in ENERGIES.values():
-        assert_same(_resolve(tree, params, E), reference_resolve(tree, params, E))
+        assert_same(_resolve(tree, params, E), reference_on_array(tree, params, E))
     for E in (-1.2, *ENERGIES.values()):
-        got, want = _resolve(tree, params, E, True), reference_resolve(tree, params, E, True)
+        got, want = _resolve(tree, params, E, True), reference_on_array(tree, params, E, True)
         assert_same(got[0], want[0])
         assert_same(got[1], want[1])
 
@@ -158,10 +171,9 @@ def test_sample_axis_matches_per_sample_loop(block, monkeypatch):
         for E in (0.37, np.asarray(-0.21), ENERGIES["1-D"], ENERGIES["2-D"]):
             loop = [green_tree_many(tree, p, E) for p in rows]
             assert_same(green_tree_many(tree, many, E), np.stack(loop))
-            if isinstance(E, np.ndarray):
-                got = _resolve(tree, many, E, True)
-                for k in range(2):
-                    assert_same(got[k], np.stack([_resolve(tree, p, E, True)[k] for p in rows]))
+            got = _resolve(tree, many, E, True)
+            for k in range(2):
+                assert_same(got[k], np.stack([_resolve(tree, p, E, True)[k] for p in rows]))
         counts, g = inertia_count(tree, many, ENERGIES["2-D"])
         loop = [inertia_count(tree, p, ENERGIES["2-D"]) for p in rows]
         assert np.array_equal(counts, np.stack([c for c, _ in loop]))
@@ -227,19 +239,22 @@ def test_couplings_matched_by_parent_and_child():
         _resolve(tree, DotParameters(params.epsilon, {}, params.delta, params.gamma), 0.0)
 
 
-def test_split_real_helpers_round_as_cpython():
-    rng = np.random.default_rng(21)
-    parts = rng.normal(size=(2, 4000)) * 10.0 ** rng.uniform(-8, 8, size=(2, 4000))
-    special = [0.0, -0.0, 1.0, -1.0, 3.0, 1e-300, -1e300, np.inf, -np.inf]
-    grid = np.array([(a, b) for a in special for b in special if a or b]).T
-    z = np.empty(parts.shape[1] + grid.shape[1], dtype=complex)
-    z.real, z.imag = np.concatenate([parts, grid], axis=1)
-    w = rng.permutation(z)
-    with np.errstate(invalid="ignore"):
-        product, reciprocal = _py_product(z, w), _py_reciprocal(z)
-    want = np.array([complex(x) * complex(y) for x, y in zip(z, w)])
-    assert_same(product, want)
-    want = np.array([1.0 / complex(x) for x in z])
-    nan = np.isnan(want)
-    assert np.array_equal(np.isnan(reciprocal), nan)
-    assert_same(reciprocal[~nan], want[~nan])
+@pytest.mark.parametrize("tree", sample_axis_trees(), ids=["marked", "chained", "hfractal"])
+def test_scalar_energies_round_as_arrays(tree, monkeypatch):
+    ideal = ideal_parameters(tree, 10.0, 1e-3)
+    many = sample_disorder_many(tree, ideal, [DisorderSpec(0.1, 0.1, seed) for seed in range(8)])
+    rows = [many.sample(s) for s in range(8)]
+    energies = [float(E) for E in np.linspace(-1.5, 1.5, 7)]
+
+    def evaluate():
+        values = [f(tree, p, E) for p in rows for E in energies
+                  for f in (green_tree, green_tree_derivative)]
+        forms = [classify(tree, p) for p in rows]
+        assert all(type(v) is complex for v in values)
+        return np.array(values), np.array([(f.alpha, f.beta) for f in forms])
+
+    scalar = evaluate()
+    # From here on every Python-float energy goes in as a 1-element array.
+    monkeypatch.setattr(greens, "_resolve", on_flat_array(greens._resolve))
+    for got, want in zip(scalar, evaluate()):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

@@ -23,7 +23,8 @@ from nandtree import (
     transport,
 )
 from nandtree.classical import eval_nand
-from nandtree.model import DisorderSpec
+from nandtree.layout import build_hfractal, chain_below, expand_to_tree
+from nandtree.model import DisorderSpec, TreeSpec
 from nandtree.transport import (
     READOUT_BAND,
     ConductanceTrace,
@@ -471,13 +472,35 @@ def test_zero_temperature_probes_share_g1_per_fermi_level(monkeypatch):
 
 def test_zero_temperature_batch_rounds_as_transmission():
     # A numpy scalar's ** 2 is libm's pow, an array's squares: they differ
-    # in the last bit for about one sample in a thousand.
+    # in the last bit for about one sample in a thousand, unless T squares
+    # with np.square.
     tree = build_tree(3, (0, 1, 1, 0, 1, 1, 1, 0))
     many = sample_disorder_many(tree, ideal_parameters(tree, 10.0, 1e-6),
                                 [DisorderSpec(0.0, 0.07, seed) for seed in range(3000)])
     got = conductance(tree, many, ProbeSpec())
     assert hexes(got) == hexes(transmission(tree, many.sample(s), ProbeSpec(), 0.0)
                                for s in range(3000))
+
+
+def rounding_cases():
+    rng = np.random.default_rng(9)
+    yield TreeSpec(3, (0, 1, 1, 0, 1, 1, 1, 0), frozenset({5})), 1000
+    yield chain_below(TreeSpec(2, tuple(rng.integers(0, 2, 4)), frozenset({2})), 3), 200
+    tree = build_tree(2, rng.integers(0, 2, 4))
+    yield expand_to_tree(build_hfractal(tree), tree), 200
+
+
+@pytest.mark.parametrize("tree, samples", rounding_cases(), ids=["marked", "chained", "hfractal"])
+def test_scalar_and_array_transmission_agree(tree, samples):
+    many = sample_disorder_many(tree, ideal_parameters(tree, 10.0, 1e-6),
+                                [DisorderSpec(0.0, 0.07, seed) for seed in range(samples)])
+    rows = [many.sample(s) for s in range(samples)]
+    for E in (0.0, 0.05):
+        probe = ProbeSpec(e_f=E)
+        single = hexes(transmission(tree, p, probe, E) for p in rows)
+        assert single == hexes(transmission_curve(tree, p, probe, [E])[0] for p in rows)
+        assert single == hexes(conductance(tree, p, probe) for p in rows)
+        assert single == hexes(conductance(tree, many, probe))
 
 
 def test_zero_temperature_skips_the_resonance_search(monkeypatch):
