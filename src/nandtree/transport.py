@@ -46,6 +46,14 @@ through in chunks.  At kT = 0 the conductance is T(E_f), from one G_1
 evaluation per distinct E_f.  Scalars and arrays round alike, in
 :mod:`nandtree.greens` and in T's square, so this is :func:`transmission`
 at E_f bit for bit, for each sample of a batch.
+
+**One compilation per call.**  Each public call (:func:`transmission_curve`,
+:func:`conductance`, :func:`sweep`, :func:`readout`) compiles the tree
+and its parameters once (:func:`~nandtree.greens.compile_tree`: one
+gather of the parameter columns, identical subtrees merged), and its
+resonance search and mesh sums, and a sweep's transmission column, all
+run on that one compiled tree.  The kT > 0 quadrature of a batch runs
+each sample on the batch's compilation, cut to that sample.
 """
 
 from __future__ import annotations
@@ -58,7 +66,7 @@ from typing import Mapping
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .greens import green_tree_many, inertia_count
+from .greens import compile_tree, green_tree_many, inertia_count
 from .model import DotParameters, StructureError
 
 #: Default probe-to-tree coupling (units of t).  The source material does
@@ -335,7 +343,9 @@ def _conductances(tree, params: DotParameters, probes) -> list:
     samples, and a probe fails with its first failing sample's error.
     The kT > 0 quadrature runs sample by sample, each on its own mesh,
     and stops at the sample where every probe of its group has failed.
+    ``tree`` is compiled once for all of them.
     """
+    tree = compile_tree(tree, params)
     out: list = [None] * len(probes)
     cold: dict[float, list[int]] = {}
     warm: dict[tuple[float, ...], list[int]] = {}
@@ -352,11 +362,11 @@ def _conductances(tree, params: DotParameters, probes) -> list:
             out[i] = c if params.sample_shape else float(c)
     for members in warm.values():
         group = [probes[i] for i in members]
-        rows = map(params.sample, range(params.sample_shape[0])) if params.sample_shape \
-            else [params]
+        rows = map(tree.sample, range(params.sample_shape[0])) if params.sample_shape \
+            else [tree]
         found: list = [[] for _ in members]  # each probe's conductances, or its first error
         for row in rows:
-            for k, c in enumerate(_thermal(tree, row, group)):
+            for k, c in enumerate(_thermal(row, row.params, group)):
                 if isinstance(found[k], list):
                     found[k] = c if isinstance(c, QuadratureError) else found[k] + [c]
             if not any(isinstance(f, list) for f in found):
@@ -403,6 +413,7 @@ def sweep(tree, params: DotParameters, probe: ProbeSpec, axis: str, grid) -> Con
         raise StructureError("sweep grid values must be finite")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise StructureError("sweep grid must be strictly increasing")
+    tree = compile_tree(tree, params)
     if axis == "E":
         trans = [float(t) for t in transmission_curve(tree, params, probe, grid)]
         probes = [replace(probe, e_f=v) for v in grid]

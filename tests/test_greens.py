@@ -216,9 +216,16 @@ def test_worst_case_profile_ratios():
         assert 1.8 <= alphas[k + 2] / alphas[k] <= 2.2
 
 
+def test_worst_case_profile_deep_ratios():
+    # Past the old depth-14 cap: the ratios settle at 2 (about 2.008 and 2.003).
+    alphas = {k: a for k, a, _ in worst_case_profile(18, 10.0, 1e-6)}
+    for k in (14, 16):
+        assert 1.8 <= alphas[k + 2] / alphas[k] <= 2.2
+
+
 def test_worst_case_profile_limits():
     with pytest.raises(StructureError):
-        worst_case_profile(16, 10.0, 1e-6)
+        worst_case_profile(22, 10.0, 1e-6)
     with pytest.raises(StructureError):
         worst_case_tree(0)
 

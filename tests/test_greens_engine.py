@@ -19,7 +19,7 @@ from nandtree import (DotParameters, StructureError, build_tree, classify, green
                       sample_disorder, sample_disorder_many)
 from nandtree.greens import _BLOCK, _resolve, inertia_count
 from nandtree.layout import build_hfractal, chain_below, expand_to_tree
-from nandtree.model import DisorderSpec, RootedTree, TreeSpec
+from nandtree.model import DisorderSpec, ParamTable, RootedTree, TreeSpec
 
 
 def reference_resolve(tree, params: DotParameters, E, derivative: bool = False):
@@ -258,3 +258,165 @@ def test_scalar_energies_round_as_arrays(tree, monkeypatch):
     monkeypatch.setattr(greens, "_resolve", on_flat_array(greens._resolve))
     for got, want in zip(scalar, evaluate()):
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+# The merged schedule: dots whose subtrees carry bit-identical parameters
+# are evaluated once (``compile_tree``).
+
+def merged_widths(tree, params):
+    """Classes and summed multiplicities per level, deepest first."""
+    steps = greens.compile_tree(tree, params).steps
+    return [len(s.eps) for s in steps], [len(s.eps) if s.mult is None else int(s.mult.sum()) for s in steps]
+
+
+def test_ideal_worst_case_tree_merges_to_three_dots_per_level():
+    tree = greens.worst_case_tree(16)
+    classes, dots = merged_widths(tree, ideal_parameters(tree, 10.0, 1e-6))
+    assert max(classes) <= 3 and len(classes) == 17
+    assert dots == [len(level.nodes) for level in tree.levels()]
+
+
+def test_disordered_tree_keeps_every_width():
+    rng = np.random.default_rng(4)
+    for tree in (build_tree(9, rng.integers(0, 2, 512)),
+                 chain_below(TreeSpec(4, tuple(rng.integers(0, 2, 16)), frozenset({3})), 6)):
+        ideal = ideal_parameters(tree, 10.0, 1e-6)
+        widths = [len(level.nodes) for level in tree.levels()]
+        noisy = sample_disorder(tree, ideal, DisorderSpec(0.1, 0.1, 4))
+        assert merged_widths(tree, noisy) == (widths, widths)
+        classes, dots = merged_widths(tree, ideal)
+        assert dots == widths and sum(classes) < sum(widths)
+
+
+def test_hash_collisions_fall_back_to_exact_rows(monkeypatch):
+    # Every row hashes alike: each level is grouped by its full key rows.
+    monkeypatch.setattr(greens, "_row_hash", lambda keys: np.zeros(len(keys), np.uint64))
+    rng = np.random.default_rng(6)
+    tree = TreeSpec(6, tuple(rng.integers(0, 2, 64)), random_markers(rng, 6))
+    hfractal = expand_to_tree(build_hfractal(build_tree(3, rng.integers(0, 2, 8))),
+                              build_tree(3, rng.integers(0, 2, 8)))
+    for t in (tree, greens.worst_case_tree(6), hfractal):
+        for params in parameter_sets(t, 6):
+            assert_engine_matches(t, params)
+    worst = greens.worst_case_tree(6)
+    ideal = ideal_parameters(worst, 10.0, 1e-6)
+    assert max(merged_widths(worst, ideal)[0]) <= 3
+    E = np.linspace(-2.0, 2.0, 41)
+    counts, g = inertia_count(worst, ideal, E)
+    monkeypatch.undo()
+    want = inertia_count(worst, ideal, E)
+    assert np.array_equal(counts, want[0]) and np.array_equal(g.view(np.uint64),
+                                                             want[1].view(np.uint64))
+
+
+def test_signed_zero_detunings_stay_two_classes():
+    tree = build_tree(2, (0, 0, 0, 0))
+    ideal = ideal_parameters(tree, 10.0, 1e-6)
+    eps = dict(ideal.epsilon.items())
+    eps[5] = -0.0
+    params = DotParameters(eps, ideal.coupling, ideal.delta, ideal.gamma)
+    classes, dots = merged_widths(tree, params)
+    assert classes == [2, 2, 1] and dots == [4, 2, 1]
+    assert merged_widths(tree, ideal)[0] == [1, 1, 1]
+    assert_engine_matches(tree, params)
+    # At E = -0.0 the two leaves' denominators differ in the sign of their real part.
+    E = np.array([-0.0, 0.0])
+    assert_same(_resolve(tree, params, E), reference_on_array(tree, params, E))
+
+
+@pytest.mark.parametrize("node, link, classes", [
+    (5, None, [2, 2, 1]),  # a leaf
+    (3, None, [1, 2, 1]),  # a dot with children
+    (None, (2, 4), [1, 2, 1]),  # a coupling
+])
+def test_batch_keys_span_every_sample(node, link, classes):
+    # Samples 0 and 1 are the ideal uniform tree, whose levels merge to
+    # one dot; sample 2 differs in one entry, so the keys that span every
+    # sample split its level.  Each sample stays what it gives alone.
+    tree = build_tree(2, (0, 0, 0, 0))
+    ideal = ideal_parameters(tree, 10.0, 1e-6)
+    eps, t = ideal.epsilon, ideal.coupling
+    eps_rows = np.stack([eps.values_array] * 3)
+    t_rows = np.stack([t.values_array] * 3)
+    eps_rows[2] += 0.1 * (eps.keys_array == node)
+    t_rows[2] += 0.1 * (t.keys_array == link).all(axis=1)
+    many = DotParameters(ParamTable(eps.keys_array, eps_rows),
+                         ParamTable(t.keys_array, t_rows), ideal.delta, ideal.gamma)
+    assert merged_widths(tree, many)[0] == classes
+    assert merged_widths(tree, many.sample(0))[0] == [1, 1, 1]
+    E = ENERGIES["1-D"]
+    rows = [DotParameters(dict(zip(eps.keys_array.tolist(), eps_rows[s])),
+                          dict(zip(map(tuple, t.keys_array.tolist()), t_rows[s])),
+                          ideal.delta, ideal.gamma) for s in range(3)]
+    assert_same(green_tree_many(tree, many, E),
+                np.stack([green_tree_many(tree, p, E) for p in rows]))
+    compiled = greens.compile_tree(tree, many)
+    for s in range(3):
+        row = compiled.sample(s)
+        assert_same(green_tree_many(row, row.params, E), green_tree_many(tree, rows[s], E))
+        assert_same(green_tree_many(row, row.params, E), reference_on_array(tree, rows[s], E))
+
+
+def test_compiled_tree_belongs_to_its_parameters():
+    tree = build_tree(3, (1, 0, 1, 1, 0, 0, 1, 0))
+    ideal, noisy = parameter_sets(tree, 3)
+    compiled = greens.compile_tree(tree, ideal)
+    assert greens.compile_tree(compiled, ideal) is compiled
+    assert_same(green_tree_many(compiled, ideal, ENERGIES["2-D"]),
+                green_tree_many(tree, ideal, ENERGIES["2-D"]))
+    with pytest.raises(StructureError, match="compiled from"):
+        green_tree_many(compiled, noisy, 0.0)
+
+
+def test_scalar_evaluators_reject_a_sample_axis():
+    tree = build_tree(2, (1, 0, 1, 1))
+    many = sample_disorder_many(tree, ideal_parameters(tree, 10.0, 1e-6),
+                                [DisorderSpec(0.1, 0.1, seed) for seed in range(3)])
+    for call in (lambda: green_tree(tree, many, 0.1), lambda: green_tree_derivative(tree, many, 0.1),
+                 lambda: classify(tree, many)):
+        with pytest.raises(StructureError, match="green_tree_many or DotParameters.sample"):
+            call()
+    assert type(green_tree(tree, many.sample(2), 0.1)) is complex
+
+
+class RaggedTree(RootedTree):
+    """A random tree whose leaves sit at many depths."""
+
+    def __init__(self, rng, depth):
+        self.root, self.kids, frontier, n = 1, {}, [1], 1
+        for level in range(depth):
+            nxt = []
+            for node in frontier:
+                count = 2 if level < 2 else int(rng.choice([0, 1, 2], p=[0.3, 0.2, 0.5]))
+                self.kids[node] = tuple(range(n + 1, n + 1 + count))
+                n += count
+                nxt += self.kids[node]
+            frontier = nxt
+        self.deepest = frontier
+
+    def children(self, node):
+        return self.kids.get(node, ())
+
+
+def ragged_parameters(tree, rng, distinct_bottom):
+    """Detunings and couplings from a few values, so subtrees repeat; with
+    ``distinct_bottom`` the deepest dots get distinct detunings, so
+    classing stops there and only childless dots above are classed."""
+    nodes = tree.postorder()
+    eps = {n: float(rng.choice([0.0, 0.5, -0.5])) for n in nodes}
+    if distinct_bottom:
+        eps.update({n: 0.1 * i + 1.0 for i, n in enumerate(tree.deepest)})
+    coupling = {link: float(rng.choice([1.0, 0.8])) for link in tree.links()}
+    return DotParameters(eps, coupling, 10.0, 1e-3)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_ragged_trees_match_reference(seed):
+    rng = np.random.default_rng(seed)
+    tree = RaggedTree(rng, 7)
+    for distinct_bottom in (False, True):
+        params = ragged_parameters(tree, rng, distinct_bottom)
+        classes, dots = merged_widths(tree, params)
+        assert dots == [len(level.nodes) for level in tree.levels()]
+        assert sum(classes) < sum(dots)
+        assert_engine_matches(tree, params)

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from nandtree import assemble, build_tree, ideal_parameters, sample_disorder
-from nandtree.greens import inertia_count
+from nandtree.greens import compile_tree, inertia_count, worst_case_tree
 from nandtree.layout import build_hfractal, chain_below, expand_to_tree
 from nandtree.model import DisorderSpec, TreeSpec
+from test_greens_engine import RaggedTree, ragged_parameters
 
 #: Probe detuning and coupling (t1^2 = 0.0225) attached above the root.
 EPS0, T1 = 0.0, 0.15
@@ -144,3 +145,39 @@ def test_count_across_energy_blocks():
     parts = [inertia_count(tree, params, E[i:i + 7]) for i in range(0, 600, 7)]
     assert np.array_equal(whole[0], np.concatenate([c for c, _ in parts]))
     assert np.array_equal(whole[1], np.concatenate([g for _, g in parts]))
+
+
+def merged_trees():
+    """Ideal trees whose subtrees repeat, so the merged schedule has
+    fewer dots than the tree: uniform, worst-case and an H-fractal."""
+    yield "all-0", build_tree(6, [0] * 64)
+    yield "all-1", build_tree(6, [1] * 64)
+    yield "worst-case", worst_case_tree(6)
+    tree = worst_case_tree(4)
+    yield "hfractal", expand_to_tree(build_hfractal(tree), tree)
+
+
+@pytest.mark.parametrize("name, tree", merged_trees(), ids=[n for n, _ in merged_trees()])
+def test_count_weights_merged_classes(name, tree):
+    # Each class counts once per dot it stands for, also at E = 0, where
+    # ideal trees have exact eigenvalues and zero pivots.
+    params = ideal_parameters(tree, 10.0, 1e-6)
+    steps = compile_tree(tree, params).steps
+    assert sum(len(s.eps) for s in steps) < sum(len(s.eps) if s.mult is None else int(s.mult.sum()) for s in steps)
+    spectrum = probe_plus_tree(tree, params)
+    rng = np.random.default_rng(len(spectrum))
+    assert_counts(tree, params, spectrum, energies_for(spectrum, rng), exact=(0.0,))
+    tree_only = np.linalg.eigvalsh(assemble(tree, params).matrix)
+    assert inertia_count(tree, params, 0.0)[0] == (tree_only < -1e-9).sum()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_count_matches_dense_on_ragged_trees(seed):
+    # Leaves at many depths, detunings and couplings from a few values:
+    # childless dots above a level of distinct dots still merge.
+    rng = np.random.default_rng(seed)
+    tree = RaggedTree(rng, 7)
+    for distinct_bottom in (False, True):
+        params = ragged_parameters(tree, rng, distinct_bottom)
+        spectrum = probe_plus_tree(tree, params)
+        assert_counts(tree, params, spectrum, energies_for(spectrum, rng))

@@ -12,6 +12,7 @@ from nandtree import (
     assemble,
     build_tree,
     conductance,
+    greens,
     ideal_parameters,
     probe_green,
     readout,
@@ -656,3 +657,34 @@ def test_sweep_rejects_non_finite_grid(grid):
     for axis in ("E", "eps0"):
         with pytest.raises(StructureError, match="finite"):
             sweep(tree, params, ProbeSpec(temperature=0.01), axis, grid)
+
+
+def test_one_column_gather_per_public_call(monkeypatch):
+    # Each public call compiles the tree once; the resonance search, the
+    # mesh sums and a sweep's transmission column share it.
+    gathers, columns = [], greens._columns
+
+    def spy(params, schedule):
+        gathers.append(len(schedule))
+        return columns(params, schedule)
+
+    monkeypatch.setattr(greens, "_columns", spy)
+    tree, params = disordered(3, (1, 0, 1, 1, 0, 0, 1, 0))
+    ideal = ideal_parameters(tree, 10.0, 0.01)
+    many = sample_disorder_many(tree, ideal, [DisorderSpec(0.03, 0.03, s) for s in range(3)])
+    warm, cold = ProbeSpec(temperature=0.01), ProbeSpec()
+    calls = [
+        lambda: transmission_curve(tree, params, warm, np.linspace(-1.0, 1.0, 11)),
+        lambda: conductance(tree, params, warm),
+        lambda: conductance(tree, params, cold),
+        lambda: conductance(tree, many, warm),
+        lambda: readout(tree, ideal, warm),
+        lambda: readout(tree, many, cold),
+        lambda: sweep(tree, params, warm, "E", [-0.2, 0.0, 0.2]),
+        lambda: sweep(tree, params, warm, "eps0", [-0.2, 0.0, 0.2]),
+        lambda: sweep(tree, params, cold, "E", [-0.2, 0.0, 0.2]),
+    ]
+    for call in calls:
+        gathers.clear()
+        call()
+        assert gathers == [4]
