@@ -13,12 +13,9 @@ from .model import StructureError, TreeSpec, _as_bits
 #: P(leaf = 0) = (3 - sqrt(5))/2).
 CRITICAL_P1 = (np.sqrt(5.0) - 1.0) / 2.0
 
-#: Brute-force cap for oracle_expectation (2**N assignments).
-MAX_EXPECTATION_BITS = 20
-
 
 class CapacityError(ValueError):
-    """Input size beyond the documented brute-force limit."""
+    """Input size beyond a documented limit (no function raises it at present)."""
 
 
 @dataclass(frozen=True)
@@ -36,13 +33,15 @@ def _with_bits(tree: TreeSpec, bits) -> TreeSpec:
 
 def _nand(tree: TreeSpec, leaves):
     """NAND of the tree over ``leaves[i]``, the value of leaf N + i: 0/1
-    ints, or 0/1 integer arrays whose trailing axes are evaluated
-    elementwise.  Runs over ``tree.levels()``, one numpy step per level
-    and child slot, in uint8 to keep the arrays small; a NOT-marked node
-    has only its first slot filled, so it inverts its single child.
+    values, or arrays whose trailing axes are evaluated elementwise.
+    Probabilities P(leaf = 1) of independent leaves give P(root = 1),
+    since sibling subtrees stay independent: 1 - P_a P_b per NAND.
+    Runs over ``tree.levels()``, one numpy step per level and child
+    slot, in the dtype of ``leaves``; a NOT-marked node has only its
+    first slot filled, so it inverts its single child (1 - P).
     """
     bottom, *upper = tree.levels()
-    value = np.asarray(leaves, dtype=np.uint8)[bottom.nodes - tree.n_leaves]
+    value = np.asarray(leaves)[bottom.nodes - tree.n_leaves]
     for _, ((first, _), *rest) in upper:
         prod = value[first]
         for index, mask in rest:
@@ -57,7 +56,8 @@ def _nand(tree: TreeSpec, leaves):
 
 def eval_nand(tree: TreeSpec, bits=None) -> int:
     """Recursive NAND of the tree; NOT markers invert their single child."""
-    return int(_nand(tree, _with_bits(tree, bits).input_bits))
+    leaves = np.asarray(_with_bits(tree, bits).input_bits, dtype=np.uint8)
+    return int(_nand(tree, leaves))
 
 
 def eval_randomized(tree: TreeSpec, bits=None, seed: int = 0) -> QueryStats:
@@ -92,20 +92,12 @@ def eval_randomized(tree: TreeSpec, bits=None, seed: int = 0) -> QueryStats:
 def oracle_expectation(tree: TreeSpec, probs) -> float:
     """Expected tree output over independent Bernoulli input bits.
 
-    Brute-force sum over all 2**N assignments of Pr(assignment) * f,
-    with f the deterministic NAND evaluation.  Capped at N = 20.
+    The NAND of the probabilities themselves, in O(N): see :func:`_nand`.
     """
     probs = np.asarray(probs, dtype=float)
     n = tree.n_leaves
     if probs.shape != (n,):
         raise StructureError(f"need {n} probabilities, got shape {probs.shape}")
-    if np.any((probs < 0) | (probs > 1)):
+    if not np.all((probs >= 0) & (probs <= 1)):
         raise StructureError("probabilities must lie in [0, 1]")
-    if n > MAX_EXPECTATION_BITS:
-        raise CapacityError(f"brute-force expectation capped at N = {MAX_EXPECTATION_BITS}")
-
-    # All assignments at once: column i of `bits` is leaf bit b_i.
-    codes = np.arange(2**n, dtype=np.int64)
-    bits = (codes[:, None] >> np.arange(n)) & 1
-    weight = np.prod(np.where(bits == 1, probs, 1.0 - probs), axis=1)
-    return float(np.sum(weight * _nand(tree, bits.T)))
+    return float(_nand(tree, probs))

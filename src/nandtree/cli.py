@@ -14,14 +14,14 @@ import argparse
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import classical, ensemble, layout
 from .model import DisorderSpec, StructureError, TreeSpec, ideal_parameters, sample_disorder
 from .greens import classify
-from .transport import DEFAULT_T1, ProbeSpec, QuadratureError, conductance, readout, sweep
+from .transport import DEFAULT_T1, ProbeSpec, QuadratureError, readout, sweep
 
 COMMANDS = ("evaluate", "sweep", "ensemble", "layout", "feasibility", "classical")
 
@@ -34,46 +34,6 @@ class ConfigError(ValueError):
         super().__init__("; ".join(errors))
 
 
-@dataclass
-class RunConfig:
-    command: str = ""
-    # tree
-    depth: int = 2
-    bits: str = ""
-    not_markers: tuple[int, ...] = ()
-    # physics (units of t)
-    delta: float = 10.0
-    gamma: float = 1e-6
-    gamma_l: float = 0.05
-    gamma_r: float = 0.05
-    t1: float = DEFAULT_T1
-    eps0: float = 0.0
-    e_f: float = 0.0
-    kt: float = 0.0
-    # disorder
-    sigma_t: float = 0.0
-    sigma_eps: float = 0.0
-    seed: int = 1
-    trials: int = 200
-    # sweep
-    sweep_axis: str = "eps0"
-    sweep_min: float = -1.0
-    sweep_max: float = 1.0
-    sweep_points: int = 101
-    # feasibility (physical units: micro-eV, nm)
-    feas_gamma: float = 0.1
-    feas_t: float = 100.0
-    feas_alpha_orb: float = 1000.0
-    feas_big_gamma: float = 0.1
-    feas_sigma_eps: float = 1.0
-    feas_sigma_t: float = 1.0
-    feas_kt: float = 2.0
-    feas_spacing_nm: float = 100.0
-    # output
-    out_path: str = ""
-    out_format: str = "csv"
-
-
 def _parse_markers(text: str) -> tuple[int, ...]:
     text = text.strip()
     if not text:
@@ -81,38 +41,53 @@ def _parse_markers(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(","))
 
 
-_KEYS: dict[str, tuple[str, type | object]] = {
-    "command": ("command", str),
-    "tree.depth": ("depth", int),
-    "tree.bits": ("bits", str),
-    "tree.not_markers": ("not_markers", _parse_markers),
-    "physics.delta": ("delta", float),
-    "physics.gamma": ("gamma", float),
-    "physics.gamma_l": ("gamma_l", float),
-    "physics.gamma_r": ("gamma_r", float),
-    "physics.t1": ("t1", float),
-    "physics.eps0": ("eps0", float),
-    "physics.e_f": ("e_f", float),
-    "physics.kt": ("kt", float),
-    "disorder.sigma_t": ("sigma_t", float),
-    "disorder.sigma_eps": ("sigma_eps", float),
-    "disorder.seed": ("seed", int),
-    "disorder.trials": ("trials", int),
-    "sweep.axis": ("sweep_axis", str),
-    "sweep.min": ("sweep_min", float),
-    "sweep.max": ("sweep_max", float),
-    "sweep.points": ("sweep_points", int),
-    "feasibility.gamma": ("feas_gamma", float),
-    "feasibility.t": ("feas_t", float),
-    "feasibility.alpha_orb": ("feas_alpha_orb", float),
-    "feasibility.big_gamma": ("feas_big_gamma", float),
-    "feasibility.sigma_eps": ("feas_sigma_eps", float),
-    "feasibility.sigma_t": ("feas_sigma_t", float),
-    "feasibility.kt": ("feas_kt", float),
-    "feasibility.spacing_nm": ("feas_spacing_nm", float),
-    "output.path": ("out_path", str),
-    "output.format": ("out_format", str),
-}
+def _key(key: str, parse, default):
+    """A config field: its dotted key, the parser of its value text, its default."""
+    return field(default=default, metadata={"key": key, "parse": parse})
+
+
+@dataclass
+class RunConfig:
+    """One run; its fields, in order, are the config keys and the
+    lines of the ``.meta`` sidecar."""
+
+    command: str = _key("command", str, "")
+    # tree
+    depth: int = _key("tree.depth", int, 2)
+    bits: str = _key("tree.bits", str, "")
+    not_markers: tuple[int, ...] = _key("tree.not_markers", _parse_markers, ())
+    # physics (units of t)
+    delta: float = _key("physics.delta", float, 10.0)
+    gamma: float = _key("physics.gamma", float, 1e-6)
+    gamma_l: float = _key("physics.gamma_l", float, 0.05)
+    gamma_r: float = _key("physics.gamma_r", float, 0.05)
+    t1: float = _key("physics.t1", float, DEFAULT_T1)
+    eps0: float = _key("physics.eps0", float, 0.0)
+    e_f: float = _key("physics.e_f", float, 0.0)
+    kt: float = _key("physics.kt", float, 0.0)
+    # disorder
+    sigma_t: float = _key("disorder.sigma_t", float, 0.0)
+    sigma_eps: float = _key("disorder.sigma_eps", float, 0.0)
+    seed: int = _key("disorder.seed", int, 1)
+    trials: int = _key("disorder.trials", int, 200)
+    # sweep
+    sweep_axis: str = _key("sweep.axis", str, "eps0")
+    sweep_min: float = _key("sweep.min", float, -1.0)
+    sweep_max: float = _key("sweep.max", float, 1.0)
+    sweep_points: int = _key("sweep.points", int, 101)
+    # feasibility (physical units: micro-eV, nm)
+    feas_gamma: float = _key("feasibility.gamma", float, 0.1)
+    feas_t: float = _key("feasibility.t", float, 100.0)
+    feas_big_gamma: float = _key("feasibility.big_gamma", float, 0.1)
+    feas_sigma_eps: float = _key("feasibility.sigma_eps", float, 1.0)
+    feas_sigma_t: float = _key("feasibility.sigma_t", float, 1.0)
+    feas_spacing_nm: float = _key("feasibility.spacing_nm", float, 100.0)
+    # output
+    out_path: str = _key("output.path", str, "")
+
+
+#: RunConfig's fields by config key.
+_FIELDS = {f.metadata["key"]: f for f in fields(RunConfig)}
 
 
 def parse_config(text: str) -> RunConfig:
@@ -127,14 +102,14 @@ def parse_config(text: str) -> RunConfig:
             errors.append(f"line {lineno}: expected key = value, got {line!r}")
             continue
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _KEYS:
+        if key not in _FIELDS:
             errors.append(f"line {lineno}: unknown key {key!r}")
             continue
-        attr, conv = _KEYS[key]
+        parse = _FIELDS[key].metadata["parse"]
         try:
-            setattr(cfg, attr, conv(value))
+            setattr(cfg, _FIELDS[key].name, parse(value))
         except (TypeError, ValueError):
-            errors.append(f"line {lineno}: {key}: cannot parse {value!r} as {getattr(conv, '__name__', 'value')}")
+            errors.append(f"line {lineno}: {key}: cannot parse {value!r} as {parse.__name__}")
     errors.extend(_validate(cfg))
     if errors:
         raise ConfigError(errors)
@@ -142,28 +117,34 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _validate(cfg: RunConfig) -> list[str]:
+    """The CLI's own rules, plus the domain objects the command builds.
+
+    Each domain object checks the keys it is built from, and its error
+    is prefixed with those keys.  The ideal parameters are built only
+    on a valid tree.
+    """
     errors: list[str] = []
-    if cfg.command not in COMMANDS:
-        errors.append(f"command: must be one of {COMMANDS}, got {cfg.command!r}")
-    for name in ("delta", "t1"):
-        if getattr(cfg, name) <= 0:
-            errors.append(f"physics.{name}: must be positive, got {getattr(cfg, name)}")
-    if cfg.gamma < 0:
-        errors.append(f"physics.gamma: must be nonnegative, got {cfg.gamma}")
-    # The domain types own the remaining rules; their messages are
-    # prefixed with the config keys they were built from.
-    builders = [
-        ("disorder.sigma_t, disorder.sigma_eps", _disorder),
-        ("physics.gamma_l, physics.gamma_r, physics.t1, physics.eps0, physics.e_f, physics.kt",
-         _probe),
-    ]
-    if cfg.command in ("evaluate", "sweep", "ensemble", "layout", "classical"):
-        builders.insert(0, ("tree.depth, tree.bits, tree.not_markers", _tree))
-    for keys, build in builders:
+
+    def build(keys: str, make, *args):
         try:
-            build(cfg)
+            return make(*args)
         except StructureError as exc:
             errors.append(f"{keys}: {exc}")
+
+    if cfg.command not in COMMANDS:
+        errors.append(f"command: must be one of {COMMANDS}, got {cfg.command!r}")
+    tree = None
+    if cfg.command in ("evaluate", "sweep", "ensemble", "layout", "classical"):
+        tree = build("tree.depth, tree.bits, tree.not_markers", _tree, cfg)
+    if cfg.command in ("evaluate", "sweep", "ensemble"):
+        if tree is not None:
+            build("physics.delta, physics.gamma", ideal_parameters, tree, cfg.delta, cfg.gamma)
+        build("disorder.sigma_t, disorder.sigma_eps", _disorder, cfg)
+        build("physics.gamma_l, physics.gamma_r, physics.t1, physics.eps0, physics.e_f, "
+              "physics.kt", _probe, cfg)
+    if cfg.command == "feasibility":
+        build("feasibility.gamma, feasibility.t, feasibility.big_gamma, feasibility.sigma_eps, "
+              "feasibility.sigma_t, feasibility.spacing_nm", _feasibility, cfg)
     if cfg.trials < 1:
         errors.append(f"disorder.trials: must be >= 1, got {cfg.trials}")
     if cfg.command == "sweep":
@@ -175,20 +156,16 @@ def _validate(cfg: RunConfig) -> list[str]:
             )
         if cfg.sweep_points < 2:
             errors.append(f"sweep.points: must be >= 2, got {cfg.sweep_points}")
-    if cfg.command == "feasibility":
-        for f in fields(cfg):
-            if f.name.startswith("feas_") and getattr(cfg, f.name) <= 0:
-                errors.append(f"feasibility.{f.name[5:]}: must be positive")
     if cfg.command in ("sweep", "ensemble", "layout") and not cfg.out_path:
         errors.append(f"output.path: required for command {cfg.command!r}")
-    if cfg.out_format != "csv":
-        errors.append(f"output.format: only 'csv' is supported, got {cfg.out_format!r}")
     return errors
 
 
 def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.17g}"
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
     return str(value)
 
 
@@ -212,13 +189,7 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
 
 
 def _write_meta(cfg: RunConfig) -> None:
-    inverse = {attr: key for key, (attr, _) in _KEYS.items()}
-    lines = []
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if f.name == "not_markers":
-            value = ",".join(str(m) for m in value)
-        lines.append(f"{inverse[f.name]} = {_fmt(value)}")
+    lines = [f"{f.metadata['key']} = {_fmt(getattr(cfg, f.name))}" for f in fields(cfg)]
     _write_atomic(cfg.out_path + ".meta", "\n".join(lines) + "\n")
 
 
@@ -250,112 +221,81 @@ def _probe(cfg: RunConfig) -> ProbeSpec:
     )
 
 
+def _feasibility(cfg: RunConfig) -> layout.FeasibilityReport:
+    return layout.feasibility(
+        gamma_phys=cfg.feas_gamma,
+        t_phys=cfg.feas_t,
+        Gamma_phys=cfg.feas_big_gamma,
+        sigma_eps_phys=cfg.feas_sigma_eps,
+        sigma_t_phys=cfg.feas_sigma_t,
+        spacing_nm=cfg.feas_spacing_nm,
+    )
+
+
 def run(config: RunConfig, out=sys.stdout) -> int:
-    """Dispatch one validated config; returns the process exit code."""
+    """Dispatch one validated config; returns the process exit code.
+
+    Each command yields its ``name = value`` stdout lines, its CSV
+    header and rows, and its exit code.  The lines go to ``out``; with
+    ``output.path`` set, the CSV and the ``.meta`` sidecar are written.
+    """
+    code = 0
     if config.command == "feasibility":
-        report = layout.feasibility(
-            config.feas_gamma,
-            config.feas_t,
-            config.feas_alpha_orb,
-            config.feas_big_gamma,
-            config.feas_sigma_eps,
-            config.feas_sigma_t,
-            config.feas_kt,
-            config.feas_spacing_nm,
-        )
-        print(f"n_max = {report.n_max} (2**{report.n_max.bit_length() - 1})", file=out)
-        print(f"area_mm2 = {_fmt(report.area_mm2)}", file=out)
-        print(f"eval_time_ns = {_fmt(report.eval_time_ns)}", file=out)
-        print(f"limiting_factor = {report.limiting_factor}", file=out)
-        if config.out_path:
-            _write_csv(
-                config.out_path,
-                ["n_max", "area_mm2", "eval_time_ns", "limiting_factor"],
-                [[report.n_max, report.area_mm2, report.eval_time_ns, report.limiting_factor]],
-            )
-            _write_meta(config)
-        return 0
-
-    tree = _tree(config)
-
-    if config.command == "classical":
-        truth = classical.eval_nand(tree)
-        stats = classical.eval_randomized(tree, seed=config.seed)
-        print(f"result = {truth}", file=out)
-        print(f"queries = {stats.queries}", file=out)
-        if config.out_path:
-            _write_csv(
-                config.out_path,
-                ["result", "queries", "seed"],
-                [[stats.result, stats.queries, stats.seed]],
-            )
-            _write_meta(config)
-        return 0
-
-    if config.command == "layout":
-        graph = layout.build_hfractal(tree)
+        report = _feasibility(config)
+        header = ["n_max", "area_mm2", "eval_time_ns", "limiting_factor"]
+        rows = [[report.n_max, report.area_mm2, report.eval_time_ns, report.limiting_factor]]
+        shown = list(zip(header, rows[0]))
+        shown[0] = ("n_max", f"{report.n_max} (2**{report.n_max.bit_length() - 1})")
+    elif config.command == "classical":
+        stats = classical.eval_randomized(_tree(config), seed=config.seed)
+        header = ["result", "queries", "seed"]
+        rows = [[stats.result, stats.queries, stats.seed]]
+        shown = [("result", stats.result), ("queries", stats.queries)]
+    elif config.command == "layout":
+        graph = layout.build_hfractal(_tree(config))
         binding = {dot: node for node, dot in graph.tree_binding.items()}
-        rows = [
-            [dot, x, y, graph.role[dot], binding.get(dot, "")]
-            for dot, x, y in graph.dots
-        ]
-        _write_csv(config.out_path, ["id", "x", "y", "role", "tree_node"], rows)
-        _write_meta(config)
-        print(f"dots = {len(graph.dots)}", file=out)
-        print(f"inverters = {graph.n_inverters}", file=out)
-        return 0
-
-    params = _params(config, tree)
-    probe = _probe(config)
-
-    if config.command == "evaluate":
+        header = ["id", "x", "y", "role", "tree_node"]
+        rows = [[dot, x, y, graph.role[dot], binding.get(dot, "")] for dot, x, y in graph.dots]
+        shown = [("dots", len(graph.dots)), ("inverters", graph.n_inverters)]
+    elif config.command == "evaluate":
+        tree = _tree(config)
+        params = _params(config, tree)
         form = classify(tree, params)
-        result = readout(tree, params, probe)
-        truth = classical.eval_nand(tree)
-        print(f"bit = {result.bit}", file=out)
-        print(f"conductance = {_fmt(result.conductance)}", file=out)
-        print(f"classified_bit = {form.bit}", file=out)
-        print(f"alpha = {_fmt(form.alpha)}", file=out)
-        print(f"beta = {_fmt(form.beta)}", file=out)
-        print(f"classical = {truth}", file=out)
-        if config.out_path:
-            _write_csv(
-                config.out_path,
-                ["bit", "conductance", "classified_bit", "alpha", "beta", "classical"],
-                [[result.bit, result.conductance, form.bit, form.alpha, form.beta, truth]],
-            )
-            _write_meta(config)
-        return 2 if result.ambiguous else 0
-
-    if config.command == "sweep":
+        result = readout(tree, params, _probe(config))
+        header = ["bit", "conductance", "classified_bit", "alpha", "beta", "classical"]
+        rows = [[result.bit, result.conductance, form.bit, form.alpha, form.beta,
+                 classical.eval_nand(tree)]]
+        shown = list(zip(header, rows[0]))
+        code = 2 if result.ambiguous else 0
+    elif config.command == "sweep":
+        tree = _tree(config)
         grid = np.linspace(config.sweep_min, config.sweep_max, config.sweep_points)
-        trace = sweep(tree, params, probe, config.sweep_axis, grid)
+        trace = sweep(tree, _params(config, tree), _probe(config), config.sweep_axis, grid)
+        header = [trace.axis, "transmission", "conductance"]
         rows = list(zip(trace.grid, trace.transmission, trace.conductance))
-        _write_csv(config.out_path, [trace.axis, "transmission", "conductance"], rows)
-        _write_meta(config)
-        print(f"points = {len(trace.grid)}", file=out)
-        return 0
-
-    if config.command == "ensemble":
+        shown = [("points", len(trace.grid))]
+    elif config.command == "ensemble":
         result = ensemble.run_ensemble(
-            tree,
+            _tree(config),
             _disorder(config),
-            probe,
+            _probe(config),
             config.trials,
             config.seed,
             delta=config.delta,
             gamma=config.gamma,
         )
-        _write_csv(
-            config.out_path,
-            ["trials", "success_rate", "failure_rate", "ambiguous_rate"],
-            [[result.trials, result.success_rate, result.failure_rate, result.ambiguous_rate]],
-        )
-        _write_meta(config)
-        print(f"success_rate = {_fmt(result.success_rate)}", file=out)
-        return 0
+        header = ["trials", "success_rate", "failure_rate", "ambiguous_rate"]
+        rows = [[result.trials, result.success_rate, result.failure_rate, result.ambiguous_rate]]
+        shown = [("success_rate", result.success_rate)]
+    else:
+        raise ConfigError([f"command: unhandled {config.command!r}"])
 
-    raise ConfigError([f"command: unhandled {config.command!r}"])
+    for name, value in shown:
+        print(f"{name} = {_fmt(value)}", file=out)
+    if config.out_path:
+        _write_csv(config.out_path, header, rows)
+        _write_meta(config)
+    return code
 
 
 def main(argv=None) -> int:

@@ -46,8 +46,9 @@ def run_ensemble(
 ) -> EnsembleResult:
     """Readout-vs-truth statistics over ``trials`` disorder samples.
 
-    Trial i draws its disorder realization with the seed derived from
-    (base_seed, i); all of them are drawn by one
+    Trial i draws its disorder realization with ``disorder.seed``
+    replaced by ``trial_seed(base_seed, i)``, so ``disorder.seed`` itself
+    is never used; all of them are drawn by one
     :func:`~nandtree.model.sample_disorder_many` call and read out by
     one batched :func:`~nandtree.transport.readout`, and each readout
     bit is compared against the classical NAND result.  Ambiguous

@@ -146,6 +146,7 @@ def build_hfractal(tree: TreeSpec) -> LayoutGraph:
             place(child, x + dx * d, y + dy * d)
 
     place(tree.root, 0, 0)
+    del place  # its closure cell refers to itself; dropping it frees the lists at once
     return LayoutGraph(
         dots=tuple(dots), links=tuple(links), role=dict(role), tree_binding=dict(binding)
     )
@@ -262,11 +263,9 @@ class FeasibilityReport:
 def feasibility(
     gamma_phys: float,
     t_phys: float,
-    alpha_orb: float,
     Gamma_phys: float,
     sigma_eps_phys: float,
     sigma_t_phys: float,
-    kT_phys: float,
     spacing_nm: float,
 ) -> FeasibilityReport:
     """Device-feasibility estimate from physical parameters.
@@ -275,21 +274,21 @@ def feasibility(
     gamma, sigma_eps << t/sqrt(N) limits the input size to
     N = 2**floor(2 log2(t/sigma_max)); the H-fractal footprint is
     spacing**2 * 3**log2(N); the evaluation time is 10 hbar / Gamma
-    (a ten-electron differential signal).
+    (a ten-electron differential signal).  Temperature does not enter:
+    evaluation is limited by disorder and dephasing, not directly by
+    temperature.
     """
     values = {
         "gamma": gamma_phys,
         "t": t_phys,
-        "alpha_orb": alpha_orb,
         "Gamma": Gamma_phys,
         "sigma_eps": sigma_eps_phys,
         "sigma_t": sigma_t_phys,
-        "kT": kT_phys,
         "spacing": spacing_nm,
     }
-    bad = [k for k, v in values.items() if v <= 0]
+    bad = [k for k, v in values.items() if not 0 < v < math.inf]
     if bad:
-        raise StructureError(f"feasibility inputs must be positive: {bad}")
+        raise StructureError(f"feasibility inputs must be positive and finite: {bad}")
 
     constraints = {
         "detuning disorder": sigma_eps_phys,

@@ -115,6 +115,8 @@ class ProbeSpec:
                 raise StructureError(f"{name} must be finite, got {value!r}")
         if self.gamma_l <= 0 or self.gamma_r <= 0:
             raise StructureError("lead broadenings Gamma_l, Gamma_r must be positive")
+        if self.t1 <= 0:
+            raise StructureError(f"probe coupling t1 must be positive, got {self.t1}")
         if self.temperature < 0:
             raise StructureError("temperature must be nonnegative")
 

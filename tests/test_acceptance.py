@@ -237,7 +237,7 @@ def test_criterion_09_hfractal_geometry():
 def test_criterion_10_feasibility_numbers():
     # GaAs-scale constants: 8192 dots, under 0.02 mm^2, evaluation time
     # in the 50-70 ns window, and the exact hybrid runtime exponent.
-    report = feasibility(0.1, 100.0, 1000.0, 0.1, 1.0, 1.0, 2.0, 100.0)
+    report = feasibility(0.1, 100.0, 0.1, 1.0, 1.0, 100.0)
     assert report.n_max == 2**13
     assert report.area_mm2 <= 0.02
     assert 50.0 <= report.eval_time_ns <= 70.0

@@ -12,8 +12,7 @@ from nandtree import (
     ideal_parameters,
     oracle_expectation,
 )
-from nandtree.classical import (CRITICAL_P1, CapacityError, MAX_EXPECTATION_BITS, QueryStats, _nand,
-                               _with_bits)
+from nandtree.classical import CRITICAL_P1, QueryStats, _nand, _with_bits
 from nandtree.model import StructureError
 
 
@@ -168,10 +167,36 @@ def test_oracle_expectation_validation():
         oracle_expectation(tree, (0.5, 0.5))
     with pytest.raises(StructureError):
         oracle_expectation(tree, (0.5, 0.5, 0.5, 1.5))
-    big = build_tree(5, [0] * 32)
-    assert 32 > MAX_EXPECTATION_BITS
-    with pytest.raises(CapacityError):
-        oracle_expectation(big, [0.5] * 32)
+    with pytest.raises(StructureError):
+        oracle_expectation(tree, (0.5, 0.5, 0.5, float("nan")))
+
+
+def _brute_expectation(tree, probs):
+    """Sum over all 2**N assignments of Pr(assignment) * NAND(assignment)."""
+    n = tree.n_leaves
+    bits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
+    weight = np.prod(np.where(bits == 1, probs, 1.0 - probs), axis=1)
+    return float(np.sum(weight * _nand(tree, bits.T)))
+
+
+def test_oracle_expectation_matches_brute_force_with_not_markers():
+    rng = np.random.default_rng(31)
+    for _ in range(60):
+        depth = int(rng.integers(1, 5))
+        n = 2**depth
+        markers = rng.choice(np.arange(1, n), size=int(rng.integers(0, n)), replace=False)
+        tree = TreeSpec(depth, (0,) * n, frozenset(markers.tolist()))
+        probs = rng.random(n)
+        want = _brute_expectation(tree, probs)
+        assert oracle_expectation(tree, probs) == pytest.approx(want, rel=1e-13, abs=1e-15)
+
+
+def test_oracle_expectation_scales_to_4096_leaves():
+    rng = np.random.default_rng(5)
+    for markers in (frozenset(), frozenset({1, 6, 100, 2047})):
+        bits = rng.integers(0, 2, 4096)
+        tree = TreeSpec(12, tuple(bits.tolist()), markers)
+        assert oracle_expectation(tree, bits.astype(float)) == float(eval_nand(tree))
 
 
 def _reference_nand(tree, leaves):

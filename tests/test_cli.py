@@ -1,5 +1,8 @@
 import hashlib
 import io
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 
@@ -153,6 +156,48 @@ def test_meta_sidecar_reparses_to_same_config(tmp_path):
     run(cfg, out=io.StringIO())
     meta = (tmp_path / "trace.csv.meta").read_text()
     assert parse_config(meta) == cfg
+    for name, text in GOLDEN_CONFIGS.items():
+        cfg = parse_config(text + f"output.path = {tmp_path / name}.csv\n")
+        run(cfg, out=io.StringIO())
+        meta = (tmp_path / f"{name}.csv.meta").read_text()
+        assert meta.startswith(f"command = {cfg.command}\n")
+        assert parse_config(meta) == cfg, name
+
+
+@pytest.mark.parametrize("key", ["output.format = csv", "feasibility.alpha_orb = 1000",
+                                 "feasibility.kt = 2"])
+def test_deleted_keys_are_unknown(key):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(EVALUATE_CONFIG + key + "\n")
+    assert exc.value.errors == [f"line 5: unknown key {key.split(' = ')[0]!r}"]
+
+
+PROBE_KEYS = "physics.gamma_l, physics.gamma_r, physics.t1, physics.eps0, physics.e_f, physics.kt"
+FEASIBILITY_KEYS = ("feasibility.gamma, feasibility.t, feasibility.big_gamma, "
+                    "feasibility.sigma_eps, feasibility.sigma_t, feasibility.spacing_nm")
+
+
+@pytest.mark.parametrize("text, error", [
+    (EVALUATE_CONFIG + "physics.delta = 0\n",
+     "physics.delta, physics.gamma: delta must be positive and finite, got 0.0"),
+    (EVALUATE_CONFIG + "physics.gamma = -1\n",
+     "physics.delta, physics.gamma: gamma must be nonnegative, got -1.0"),
+    (EVALUATE_CONFIG + "physics.t1 = 0\n",
+     f"{PROBE_KEYS}: probe coupling t1 must be positive, got 0.0"),
+    ("command = feasibility\nfeasibility.t = 0\nfeasibility.spacing_nm = -1\n",
+     f"{FEASIBILITY_KEYS}: feasibility inputs must be positive and finite: ['t', 'spacing']"),
+], ids=["delta", "gamma", "t1", "feasibility"])
+def test_domain_errors_are_prefixed_with_their_keys(text, error):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert exc.value.errors == [error]
+
+
+def test_commands_check_only_the_keys_they_read():
+    # classical builds no parameters and no probe
+    cfg = parse_config("command = classical\ntree.depth = 1\ntree.bits = 01\n"
+                       "physics.delta = 0\nphysics.t1 = 0\n")
+    assert cfg.delta == 0.0 and cfg.t1 == 0.0
 
 
 def test_run_feasibility_stdout():
@@ -307,20 +352,23 @@ GOLDEN_CONFIGS = {
 }
 
 #: SHA-256 of every emitted file.  Refactors of the engine must keep
-#: these bytes; a change to them needs a stated reason.
+#: these bytes; a change to them needs a stated reason.  The ``.meta``
+#: digests were re-pinned when the config keys ``output.format``,
+#: ``feasibility.alpha_orb`` and ``feasibility.kt`` were deleted: each
+#: sidecar lost exactly those three lines.
 GOLDEN_DIGESTS = {
     "evaluate.csv": "65fc03864eaf76f587259b28ce34b78fc091e992a7453e63128c1cb97840a4da",
-    "evaluate.csv.meta": "6b1e2dacba48d7f45b164e5f6d993f5bd6704b358834888aadf05669b1d92269",
+    "evaluate.csv.meta": "8c748f38dc034e13d032904c150b95d35279b350ea8088efac6a095cfe597961",
     "sweep_E.csv": "14b30ed9cd47c0fc31aca3f05ae677c8294662f5fe0ecbf969d038acaf837a05",
-    "sweep_E.csv.meta": "17f6ac7813e3f7c807595c4892ba1c384aaad7cfb0545733602c81212325e171",
+    "sweep_E.csv.meta": "c2d3217701fd72c3182d71380a8c95ae30cf330b8e772575bda03db18eebf717",
     "sweep_eps0.csv": "da0d9212397da4e0861f5953761ef653d49a48d43975f9a37ebc37f5e42f41b4",
-    "sweep_eps0.csv.meta": "c88cf86f398cd2a72d0a41ae0784cba50957d4c511d915fe31b6ce882fb8c2ca",
+    "sweep_eps0.csv.meta": "bac9f244a2a33ea84afba0576890641a5b6eeea14620a4fdae79f983c2c209ea",
     "ensemble.csv": "59d113e6e3548e10c343938c576adfe671e5aa34fca94a69b63ea6fe8ac5beed",
-    "ensemble.csv.meta": "139399e6bcb3fdffa3bd3e509e006dec2ba6ee353fe2aae6e4461c92aa528409",
+    "ensemble.csv.meta": "ee48869555e7a43e04d313f4ef48c688314f6908ce83686e7e408f6a3a16bb6e",
     "layout.csv": "8b236428dc0e380320afbf8fa28b746185ab54af9543d1957f1f48864c2453d0",
-    "layout.csv.meta": "c60699aa63912fd0a3c80ca04acdd0fc17c835a988c9bf1663bc39ae89d2887e",
+    "layout.csv.meta": "afc787ca320a511847543685b7f85db30a6dcfe410a9ea28415b8c993554fa28",
     "classical.csv": "eebdc55f7c03e99b9523e50a0e7a7fb24de12dc4ab2ee78dec976e9f44614d33",
-    "classical.csv.meta": "70e40256808bdbbe3ec5a4e2aaa766cbe8464f924cec1f9d473513e969f469ec",
+    "classical.csv.meta": "0a6106716a3a87bec7facbf8860a29b44a0f8454e5f4c1f98325e4b6faabc661",
 }
 
 
@@ -332,3 +380,17 @@ def test_golden_output_digests(name, tmp_path, monkeypatch):
     for path in (f"{name}.csv", f"{name}.csv.meta"):
         digest = hashlib.sha256((tmp_path / path).read_bytes()).hexdigest()
         assert digest == GOLDEN_DIGESTS[path], path
+
+
+def test_readme_config_blocks_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```[a-z]*\n(.*?)^```", readme, re.S | re.M)
+    configs = [b for b in blocks if re.search(r"^command = ", b, re.M)]
+    assert len(configs) == 3
+    for text in configs:
+        parse_config(text)
+    # one block lists every key with its default
+    every = {f.metadata["key"] for f in fields(RunConfig)}
+    (reference,) = [text for text in configs
+                    if {line.split("=")[0].strip() for line in text.splitlines()} == every]
+    assert parse_config(reference) == RunConfig(command="evaluate", bits="1011")

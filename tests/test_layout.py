@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -101,6 +102,19 @@ def test_hfractal_area_scaling():
 def test_hfractal_depth_cap():
     with pytest.raises(StructureError):
         build_hfractal(build_tree(15, [0] * 2**15))
+
+
+def test_hfractal_leaves_no_reference_cycle():
+    # The lists and dicts of a build are freed when the build returns,
+    # not left for the cyclic garbage collector.
+    tree = build_tree(8, [0] * 256)
+    gc.disable()
+    try:
+        gc.collect()
+        build_hfractal(tree)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_expand_even_chain_preserves_bit():
@@ -251,7 +265,7 @@ def test_worst_case_2d_values():
 
 
 def test_feasibility_gaas_scale_constants():
-    report = feasibility(0.1, 100.0, 1000.0, 0.1, 1.0, 1.0, 2.0, 100.0)
+    report = feasibility(0.1, 100.0, 0.1, 1.0, 1.0, 100.0)
     assert report.n_max == 2**13
     assert report.area_mm2 <= 0.02
     assert 50.0 <= report.eval_time_ns <= 70.0
@@ -259,18 +273,21 @@ def test_feasibility_gaas_scale_constants():
 
 
 def test_feasibility_strong_disorder():
-    report = feasibility(0.1, 100.0, 1000.0, 0.1, 100.0, 1.0, 2.0, 100.0)
+    report = feasibility(0.1, 100.0, 0.1, 100.0, 1.0, 100.0)
     assert report.n_max == 1
     assert report.limiting_factor == "detuning disorder"
 
 
 def test_feasibility_rejects_nonpositive():
     with pytest.raises(StructureError):
-        feasibility(0.1, 100.0, 1000.0, 0.0, 1.0, 1.0, 2.0, 100.0)
+        feasibility(0.1, 100.0, 0.0, 1.0, 1.0, 100.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(StructureError, match="positive and finite"):
+            feasibility(0.1, bad, 0.1, 1.0, 1.0, 100.0)
 
 
 def test_feasibility_time_unit_conversion():
-    report = feasibility(0.1, 100.0, 1000.0, 0.1, 1.0, 1.0, 2.0, 100.0)
+    report = feasibility(0.1, 100.0, 0.1, 1.0, 1.0, 100.0)
     assert report.eval_time_ns == pytest.approx(10.0 * 0.6582119569 / 0.1)
 
 

@@ -41,6 +41,9 @@ def test_probe_spec_validation():
         ProbeSpec(gamma_l=0.0)
     with pytest.raises(StructureError):
         ProbeSpec(temperature=-0.1)
+    for t1 in (0.0, -0.15):
+        with pytest.raises(StructureError, match="t1 must be positive"):
+            ProbeSpec(t1=t1)
 
 
 def test_probe_green_values():
