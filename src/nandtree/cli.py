@@ -41,9 +41,16 @@ def _parse_markers(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(","))
 
 
+#: What each value parser reads, for parse errors.
+_TYPE_NAMES = {str: "text", int: "an integer", float: "a number",
+               _parse_markers: "a comma-separated list of integers"}
+
+
 def _key(key: str, parse, default):
-    """A config field: its dotted key, the parser of its value text, its default."""
-    return field(default=default, metadata={"key": key, "parse": parse})
+    """A config field: its dotted key, the parser of its value text and
+    the name of what it reads, its default."""
+    return field(default=default,
+                 metadata={"key": key, "parse": parse, "type": _TYPE_NAMES[parse]})
 
 
 @dataclass
@@ -105,11 +112,11 @@ def parse_config(text: str) -> RunConfig:
         if key not in _FIELDS:
             errors.append(f"line {lineno}: unknown key {key!r}")
             continue
-        parse = _FIELDS[key].metadata["parse"]
+        meta = _FIELDS[key].metadata
         try:
-            setattr(cfg, _FIELDS[key].name, parse(value))
+            setattr(cfg, _FIELDS[key].name, meta["parse"](value))
         except (TypeError, ValueError):
-            errors.append(f"line {lineno}: {key}: cannot parse {value!r} as {parse.__name__}")
+            errors.append(f"line {lineno}: {key}: expected {meta['type']}, got {value!r}")
     errors.extend(_validate(cfg))
     if errors:
         raise ConfigError(errors)
@@ -255,7 +262,8 @@ def run(config: RunConfig, out=sys.stdout) -> int:
         graph = layout.build_hfractal(_tree(config))
         binding = {dot: node for node, dot in graph.tree_binding.items()}
         header = ["id", "x", "y", "role", "tree_node"]
-        rows = [[dot, x, y, graph.role[dot], binding.get(dot, "")] for dot, x, y in graph.dots]
+        rows = [[dot, x, y, graph.role[dot], binding.get(dot, "")]
+                for dot, x, y in graph.dots.tolist()]
         shown = [("dots", len(graph.dots)), ("inverters", graph.n_inverters)]
     elif config.command == "evaluate":
         tree = _tree(config)

@@ -10,6 +10,16 @@ of inverters is logically transparent up to the slope map
 gives (d + alpha, d + beta).  The published inverter counts per level
 are 0, 2, 4, 10, 20, 38, 76 starting from the leaf links.
 
+Layouts and chained trees are arrays throughout.  A chained tree is
+its logical tree plus, for each tree node, the ids of the inverter dots
+on the link above it (:class:`ChainedTree`).  With one numpy step per
+tree level, :func:`_preorder` places every dot in preorder, from the
+chain lengths alone; the H-fractal's dots, links and coordinates
+(:func:`build_hfractal`), and a chained tree's evaluation schedule and
+postorder, follow from those positions by broadcasting.
+:func:`expand_to_tree` reads the chains back from a layout's links by
+pointer jumping.  No step loops over the dots in Python.
+
 The feasibility estimates at the bottom of the module are the only
 place in the package that uses physical units (micro-eV, nm, ns).
 """
@@ -17,17 +27,26 @@ place in the package that uses physical units (micro-eV, nm, ns).
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Mapping
+from functools import cached_property
+from typing import NamedTuple
 
-from .model import RootedTree, StructureError, TreeSpec, ideal_parameters
+import numpy as np
+
+from .model import Level, RootedTree, StructureError, TreeSpec, _child_slots, ideal_parameters
 
 #: Inverter counts between tree levels, leaf links first.  The published
 #: prefix is hard-coded; past it the count keeps all distances odd while
 #: at least doubling every level (a_next = 2a + 2).
 INVERTER_COUNTS_PREFIX = (0, 2, 4, 10, 20, 38, 76)
 
-MAX_LAYOUT_DEPTH = 14
+#: Deepest :func:`build_hfractal`, set by memory: the depth-16 H-fractal
+#: has 1 298 435 dots in 79 865 levels, and building it, expanding it,
+#: its ideal parameters and one :func:`~nandtree.greens.classify` peak at
+#: about 350 MB resident and take about 3.5 s (measured on x86-64 Linux,
+#: Python 3.11, numpy 2.4), twice as much for each level deeper.
+MAX_LAYOUT_DEPTH = 16
 
 #: hbar in micro-eV * ns.
 HBAR_UEV_NS = 0.6582119569
@@ -43,56 +62,285 @@ def inverter_counts(depth: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
-@dataclass(frozen=True)
+class DotRoles(Mapping):
+    """Read-only map dot id -> "level-k" or "inverter", over an int array
+    ``ids`` and the aligned ``levels``: a tree dot's level, -1 for an
+    inverter."""
+
+    def __init__(self, ids, levels):
+        self.ids = np.asarray(ids, dtype=np.int64)
+        self.levels = np.asarray(levels, dtype=np.int64)
+
+    @classmethod
+    def of(cls, role: Mapping[int, str]) -> DotRoles:
+        """``role`` as a :class:`DotRoles`."""
+        if isinstance(role, DotRoles):
+            return role
+        try:
+            levels = [-1 if r == "inverter" else int(r.removeprefix("level-"))
+                      for r in role.values()]
+        except (AttributeError, ValueError) as exc:
+            raise StructureError(f"dot roles must be 'level-k' or 'inverter': {exc}") from exc
+        return cls(list(role), levels)
+
+    @cached_property
+    def _dict(self) -> dict[int, str]:
+        return dict(self.items())
+
+    def __getitem__(self, dot) -> str:
+        return self._dict[dot]
+
+    def __iter__(self):
+        return iter(self.ids.tolist())
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def items(self) -> list[tuple[int, str]]:
+        """(dot, role) pairs in array order, without the lookup table."""
+        return list(zip(self.ids.tolist(), map(_role_name, self.levels.tolist())))
+
+
+def _role_name(level: int) -> str:
+    return "inverter" if level < 0 else f"level-{level}"
+
+
+@dataclass(frozen=True, eq=False)
 class LayoutGraph:
     """Planar grid embedding of a tree with its inverter chains.
 
-    ``dots`` is a sequence of (id, x, y); ``links`` the tunnel-coupled
-    pairs (all unit length); ``role`` maps dot -> "level-k" or
-    "inverter"; ``tree_binding`` maps tree node -> dot id.
+    ``dots`` holds one (id, x, y) row per dot and ``links`` the
+    tunnel-coupled (parent, child) pairs, all unit length, as int arrays;
+    ``role`` maps dot -> "level-k" or "inverter" (any mapping is stored
+    as :class:`DotRoles`); ``tree_binding`` maps tree node -> dot id.
     """
 
-    dots: tuple[tuple[int, int, int], ...]
-    links: tuple[tuple[int, int], ...]
-    role: Mapping[int, str]
+    dots: np.ndarray
+    links: np.ndarray
+    role: DotRoles
     tree_binding: Mapping[int, int]
+
+    def __post_init__(self):
+        object.__setattr__(self, "dots", np.asarray(self.dots, dtype=np.int64).reshape(-1, 3))
+        object.__setattr__(self, "links", np.asarray(self.links, dtype=np.int64).reshape(-1, 2))
+        object.__setattr__(self, "role", DotRoles.of(self.role))
 
     @property
     def n_inverters(self) -> int:
-        return sum(1 for r in self.role.values() if r == "inverter")
+        return int(np.count_nonzero(self.role.levels < 0))
 
     def bounding_box_area(self) -> int:
-        xs = [x for _, x, _ in self.dots]
-        ys = [y for _, _, y in self.dots]
-        return (max(xs) - min(xs) + 1) * (max(ys) - min(ys) + 1)
+        xy = self.dots[:, 1:]
+        return int(np.prod(xy.max(axis=0) - xy.min(axis=0) + 1))
 
 
-@dataclass(frozen=True)
+def _structure(tree: TreeSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Per heap index in [0, 2N): is the node reachable (a NOT marker
+    drops its right subtree), and its number of children."""
+    n = tree.n_leaves
+    marked = np.zeros(n, bool)
+    marked[list(tree.not_markers)] = True
+    reach = np.zeros(2 * n, bool)
+    reach[1] = True
+    for k in range(tree.depth):
+        level = reach[2**k:2 ** (k + 1)]
+        reach[2 ** (k + 1)::2][:2**k] = level
+        reach[2 ** (k + 1) + 1::2][:2**k] = level & ~marked[2**k:2 ** (k + 1)]
+    kids = np.zeros(2 * n, np.int64)
+    kids[1:n] = reach[2::2].astype(np.int64) + reach[3::2]
+    return reach, kids
+
+
+class _Preorder(NamedTuple):
+    """The dots of a chained tree in preorder, one entry per dot."""
+
+    owner: np.ndarray  # the tree node it is, or whose chain it is on
+    above: np.ndarray  # its distance up the chain from that node (0: the node)
+    parent: np.ndarray  # its parent's position, -1 for the root
+    depth: np.ndarray  # its distance from the root
+    size: np.ndarray  # the dots of its subtree, itself included
+    kids: np.ndarray  # its number of children
+
+
+def _preorder(tree: TreeSpec, length: np.ndarray) -> _Preorder:
+    """The dots of ``tree`` with ``length[c]`` inline dots on the link
+    above each heap node c (above the root for c = 1), in preorder with
+    each node's children in heap order.
+
+    One numpy step per tree level: the tree nodes' subtree sizes from
+    the leaves up, then their preorder positions and depths from the
+    root down.  The chain above node c takes the positions and depths
+    just before c's, so the other dots follow by broadcasting.  The
+    dots' preorder is the breadth-first order of each level, and fixes
+    the postorder (see :meth:`ChainedTree.postorder_arrays`).
+    """
+    reach, kids = _structure(tree)
+    length = np.where(reach, length, 0)
+    block = length + 1  # a node with its chain and, once set, its subtree
+    for k in range(tree.depth - 1, -1, -1):
+        below = block[2 ** (k + 1):2 ** (k + 2)] * reach[2 ** (k + 1):2 ** (k + 2)]
+        block[2**k:2 ** (k + 1)] += below[::2] + below[1::2]
+    size = block - length
+    pos, depth = length.copy(), length.copy()
+    for k in range(tree.depth):
+        up, left = slice(2**k, 2 ** (k + 1)), slice(2 ** (k + 1), None, 2)
+        pos[left][:2**k] += pos[up] + 1
+        pos[2 ** (k + 1) + 1::2][:2**k] += pos[up] + 1 + block[left][:2**k]
+        depth[2 ** (k + 1):2 ** (k + 2)] += depth[up].repeat(2) + 1
+
+    nodes = np.flatnonzero(reach)
+    nodes = nodes[np.argsort(pos[nodes])]
+    first = pos[nodes] - length[nodes]  # where each node's chain starts
+    owner = np.repeat(nodes, length[nodes] + 1)
+    at = np.arange(len(owner))
+    above = pos[owner] - at
+    parent = at - 1
+    right = (nodes & 1).astype(bool) & (nodes > 1)  # a right child's chain hangs off its parent
+    parent[first[right]] = pos[nodes[right] >> 1]
+    return _Preorder(owner, above, parent, depth[owner] - above, size[owner] + above,
+                     np.where(above > 0, 1, kids[owner]))
+
+
+def build_hfractal(tree: TreeSpec) -> LayoutGraph:
+    """H-fractal embedding of ``tree`` with inverter chains per level.
+
+    The root sits at the origin; links at tree level k run along x for
+    even k and y for odd k, at center-to-center distance
+    (inverter count) + 1.  Inverters are placed on the straight grid
+    path between parent and child anchors.  Dots are listed in preorder
+    (a node, then the chain to its left child and that child's subtree,
+    then the same on the right), inverters numbered from 2N in that
+    order, and ``links[i]`` is the link into ``dots[i + 1]``.
+    """
+    if tree.depth > MAX_LAYOUT_DEPTH:
+        raise StructureError(f"layout capped at depth {MAX_LAYOUT_DEPTH}")
+    n = tree.n_leaves
+    heap = np.arange(2 * n)
+    level = np.repeat(np.arange(tree.depth + 1), 2 ** np.arange(tree.depth + 1))
+    level = np.concatenate([[0], level])
+    length = np.array(inverter_counts(tree.depth) + (0,))[tree.depth - level]
+    # Unit step along the link above each node, from its parent.
+    sign = np.where(heap & 1, 1, -1) * (heap > 1)
+    ux, uy = sign * (level % 2), sign * (1 - level % 2)
+    x, y = ux * (length + 1), uy * (length + 1)
+    for k in range(1, tree.depth + 1):
+        x[2**k:2 ** (k + 1)] += x[2 ** (k - 1):2**k].repeat(2)
+        y[2**k:2 ** (k + 1)] += y[2 ** (k - 1):2**k].repeat(2)
+
+    dots = _preorder(tree, length)
+    owner, above = dots.owner, dots.above
+    inverter = above > 0
+    ids = np.where(inverter, 2 * n + np.cumsum(inverter) - 1, owner)
+    coords = [x[owner] - ux[owner] * above, y[owner] - uy[owner] * above]
+    nodes = owner[~inverter].tolist()
+    return LayoutGraph(
+        dots=np.stack([ids, *coords], axis=1),
+        links=np.stack([ids[dots.parent[1:]], ids[1:]], axis=1),
+        role=DotRoles(ids, np.where(inverter, -1, level[owner])),
+        tree_binding=dict(zip(nodes, nodes)),
+    )
+
+
+@dataclass(frozen=True, eq=False)
 class ChainedTree(RootedTree):
     """``tree`` with inline inverter dots, evaluable like a :class:`TreeSpec`.
 
-    ``child_map`` maps every dot that has children to them, in traversal
-    order; inverter dots have exactly one child, their missing leg acting
-    as a virtual logical "1".  Leaf dots keep their tree node ids, so the
-    leaf bits and detuning signs come from ``tree`` and
-    :func:`~nandtree.model.ideal_parameters` builds the parameters.
+    ``length`` holds, per heap index c in [0, 2N), the number of
+    inverter dots on the link above tree node c; for c = 1 they sit
+    above the tree root, the topmost one being the chained tree's root.
+    ``chains`` holds their ids, chain after chain in heap order of c,
+    each from its parent side.  An inverter dot has exactly one child,
+    its missing leg acting as a virtual logical "1".  Leaf dots keep
+    their tree node ids, so the leaf bits and detuning signs come from
+    ``tree`` and :func:`~nandtree.model.ideal_parameters` builds the
+    parameters.
+
+    :meth:`levels` and :meth:`postorder_arrays` follow from these
+    arrays through the dots' preorder (:func:`_preorder`), with no walk
+    over the dots.  ``children()`` and ``is_leaf()`` look up one dot, for
+    the reference recursions and the dense oracle.
     """
 
     tree: TreeSpec
-    root: int
-    child_map: Mapping[int, tuple[int, ...]]
+    length: np.ndarray
+    chains: np.ndarray
+
+    @property
+    def root(self) -> int:
+        return int(self.chains[0]) if self.length[1] else self.tree.root
+
+    @cached_property
+    def _dots(self) -> tuple[np.ndarray, _Preorder]:
+        """Each dot's id, in preorder, and its place in the tree."""
+        dots = _preorder(self.tree, self.length)
+        ids = dots.owner.copy()
+        chain = dots.above > 0
+        owner = ids[chain]
+        start = np.cumsum(self.length) - self.length
+        ids[chain] = self.chains[start[owner] + self.length[owner] - dots.above[chain]]
+        return ids, dots
+
+    @cached_property
+    def _position(self) -> dict[int, int]:
+        return dict(zip(self._dots[0].tolist(), range(len(self._dots[0]))))
 
     def children(self, node: int) -> tuple[int, ...]:
-        return self.child_map.get(node, ())
+        (ids, dots), at = self._dots, self._position.get(node)
+        if at is None or not dots.kids[at]:
+            return ()
+        first = at + 1
+        return tuple(ids[[first, first + dots.size[first]][:dots.kids[at]]].tolist())
 
     def is_leaf(self, node: int) -> bool:
-        return node not in self.child_map
+        return not self.children(node)
 
     def leaf_bit(self, node: int) -> int:
         return self.tree.leaf_bit(node)
 
     def leaf_sign(self, node: int) -> int:
         return self.tree.leaf_sign(node)
+
+    def levels(self) -> list[Level]:
+        """:meth:`RootedTree.levels` from the dots' preorder: a level lists
+        its dots in preorder, which is the breadth-first order, so a
+        stable sort by depth gives every level at once, each a slice."""
+        ids, dots = self._dots
+        order = np.argsort(dots.depth, kind="stable")
+        nodes, kids = ids[order].astype(np.intp), dots.kids[order]
+        widths = np.bincount(dots.depth)
+        ends = np.cumsum(widths)
+        starts = ends - widths
+        bounds = zip(starts.tolist(), ends.tolist(), np.minimum.reduceat(kids, starts).tolist(),
+                     np.maximum.reduceat(kids, starts).tolist())
+        uniform = [_child_slots(kids, most, most) for most in range(3)]
+        out = [Level(nodes[lo:hi], uniform[most] if least == most
+                     else _child_slots(kids[lo:hi], least, most))
+               for lo, hi, least, most in bounds]
+        out.reverse()
+        return out
+
+    def postorder_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`RootedTree.postorder_arrays` from the dots' preorder.
+
+        A dot at preorder position p, with d ancestors and s dots in its
+        subtree, is preceded in postorder by the s - 1 others of its
+        subtree and by the p - d dots before it that are not its
+        ancestors: its postorder position is p + s - 1 - d.
+        """
+        ids, dots = self._dots
+        at = np.arange(len(ids))
+        post = at + dots.size - 1 - dots.depth
+        nodes, kids = np.empty_like(ids), np.empty_like(dots.kids)
+        nodes[post], kids[post] = ids, dots.kids
+        parent = dots.parent[1:]
+        # A node's links follow its postorder, a second child's after the first.
+        where = (np.cumsum(kids) - kids)[post[parent]] + (at[1:] != parent + 1)
+        links = np.empty((len(ids) - 1, 2), np.int64)
+        links[where] = np.stack([ids[parent], ids[1:]], axis=1)
+        signs = np.zeros_like(nodes)
+        leaf = kids == 0
+        signs[leaf] = self.tree.leaf_values(nodes[leaf])
+        return nodes, links, signs
 
 
 def inverter_map(alpha: float, beta: float, d: int) -> tuple[float, float]:
@@ -102,112 +350,85 @@ def inverter_map(alpha: float, beta: float, d: int) -> tuple[float, float]:
     return (d + alpha, d + beta)
 
 
-def build_hfractal(tree: TreeSpec) -> LayoutGraph:
-    """H-fractal embedding of ``tree`` with inverter chains per level.
-
-    The root sits at the origin; links at tree level k run along x for
-    even k and y for odd k, at center-to-center distance
-    (inverter count) + 1.  Inverters are placed on the straight grid
-    path between parent and child anchors.
-    """
-    if tree.depth > MAX_LAYOUT_DEPTH:
-        raise StructureError(f"layout capped at depth {MAX_LAYOUT_DEPTH}")
-    counts = inverter_counts(tree.depth)
-
-    dots: list[tuple[int, int, int]] = []
-    links: list[tuple[int, int]] = []
-    role: dict[int, str] = {}
-    binding: dict[int, int] = {}
-    next_id = 2 * tree.n_leaves  # inverter ids start past the tree nodes
-
-    def place(node: int, x: int, y: int) -> None:
-        nonlocal next_id
-        level = tree.level(node)
-        dots.append((node, x, y))
-        role[node] = f"level-{level}"
-        binding[node] = node
-        kids = tree.children(node)
-        if not kids:
-            return
-        m = counts[tree.depth - 1 - level]
-        d = m + 1
-        axis_x = level % 2 == 0
-        for child, sign in zip(kids, (-1, +1)):
-            dx, dy = (sign, 0) if axis_x else (0, sign)
-            prev = node
-            for step in range(1, m + 1):
-                inv = next_id
-                next_id += 1
-                dots.append((inv, x + dx * step, y + dy * step))
-                role[inv] = "inverter"
-                links.append((prev, inv))
-                prev = inv
-            links.append((prev, child))
-            place(child, x + dx * d, y + dy * d)
-
-    place(tree.root, 0, 0)
-    del place  # its closure cell refers to itself; dropping it frees the lists at once
-    return LayoutGraph(
-        dots=tuple(dots), links=tuple(links), role=dict(role), tree_binding=dict(binding)
-    )
-
-
 def expand_to_tree(layout: LayoutGraph, tree: TreeSpec) -> ChainedTree:
     """Chain-augmented tree realizing ``layout``: inverter dots become
     single-child nodes on the path between tree levels.
 
-    Tree dots must keep their node ids, as :func:`build_hfractal` binds
-    them, because the leaves take their bits and signs from ``tree``.
-    An odd inverter chain below a node without a NOT marker would
-    silently invert the logic and is rejected.
+    ``layout.links`` are (parent, child) pairs.  Tree dots must keep
+    their node ids, as :func:`build_hfractal` binds them, because the
+    leaves take their bits and signs from ``tree``; each reachable tree
+    node must hang, through a chain of inverter dots, below its tree
+    parent, and the root below nothing.  An odd inverter chain below a
+    node without a NOT marker would silently invert the logic and is
+    rejected.  Each inverter finds the tree dot below its chain, and its
+    distance to it, by pointer jumping: log2(longest chain) numpy steps.
     """
-    adjacency: dict[int, list[int]] = {}
-    for a, b in layout.links:
-        adjacency.setdefault(a, []).append(b)
-        adjacency.setdefault(b, []).append(a)
-    tree_dots = {layout.tree_binding[n]: n for n in tree.postorder()}
-    if any(dot != n for dot, n in tree_dots.items()):
+    n = tree.n_leaves
+    reach, kids = _structure(tree)
+    nodes = np.flatnonzero(reach)
+    bound = np.fromiter(map(layout.tree_binding.__getitem__, nodes.tolist()), np.int64, len(nodes))
+    if np.any(bound != nodes):
         raise StructureError("tree nodes must keep their ids as dot ids")
 
-    child_map: dict[int, tuple[int, ...]] = {}
-    root_dot = layout.tree_binding[tree.root]
-    stack = [(root_dot, None)]
-    while stack:
-        dot, parent_dot = stack.pop()
-        node = tree_dots[dot]
-        kids: list[tuple[int, tuple[int, ...]]] = []
-        for nb in adjacency.get(dot, ()):
-            if nb == parent_dot:
-                continue
-            chain: list[int] = []
-            prev, cur = dot, nb
-            while layout.role[cur] == "inverter":
-                chain.append(cur)
-                nxt = [x for x in adjacency[cur] if x != prev]
-                if len(nxt) != 1:
-                    raise StructureError(f"inverter dot {cur} must have exactly 2 links")
-                prev, cur = cur, nxt[0]
-            if len(chain) % 2 and node not in tree.not_markers:
-                raise StructureError(
-                    f"odd inverter chain ({len(chain)} dots) below unmarked node {node}"
-                )
-            kids.append((cur, tuple(chain)))
-            stack.append((cur, prev))
-        # Children in canonical (tree-index) order for reproducible traversal.
-        kids.sort(key=lambda item: tree_dots[item[0]])
-        if kids:
-            heads = []
-            for child_dot, chain in kids:
-                if chain:
-                    heads.append(chain[0])
-                    for a, b in zip(chain, chain[1:]):
-                        child_map[a] = (b,)
-                    child_map[chain[-1]] = (child_dot,)
-                else:
-                    heads.append(child_dot)
-            child_map[dot] = tuple(heads)
+    # Dots by position in ``ids``: links, inverters, tree nodes.
+    inverters = layout.role.ids[layout.role.levels < 0]
+    ids, at = np.unique(np.concatenate([layout.links.T.ravel(), inverters, nodes]),
+                        return_inverse=True)
+    up, down, inv_at, node_at = np.split(at, np.cumsum([len(layout.links)] * 2 + [len(inverters)]))
+    n_up, n_down = np.bincount(down, minlength=len(ids)), np.bincount(up, minlength=len(ids))
+    if np.any(n_up > 1):
+        raise StructureError(f"dot {ids[np.argmax(n_up > 1)]} has more than one parent link")
+    inv = np.zeros(len(ids), bool)
+    inv[inv_at] = True
+    bad = inv & ((n_up != 1) | (n_down != 1))
+    if bad.any():
+        raise StructureError(f"inverter dot {ids[np.argmax(bad)]} must have exactly 2 links, "
+                             f"one up and one down")
+    bad = n_down[node_at] != kids[nodes]
+    if bad.any():
+        node = nodes[np.argmax(bad)]
+        raise StructureError(f"tree dot {node} has {n_down[node_at][np.argmax(bad)]} child "
+                             f"links for {kids[node]} tree children")
+    parent = np.full(len(ids), -1)
+    parent[down] = up
 
-    return ChainedTree(tree=tree, root=root_dot, child_map=child_map)
+    # low: the dot below each inverter, then the tree dot below its chain;
+    # dist: the links between them.
+    low = np.arange(len(ids))
+    low[up[inv[up]]] = down[inv[up]]
+    dist = inv.astype(np.int64)
+    hop = np.flatnonzero(inv)
+    for _ in range(len(ids).bit_length()):
+        hop = hop[inv[low[hop]]]
+        dist[hop] += dist[low[hop]]
+        low[hop] = low[low[hop]]
+    is_node = np.zeros(len(ids), bool)
+    is_node[node_at] = True
+    bad = ~is_node[low[inv]]  # a chain to another dot, or a closed loop
+    if bad.any():
+        raise StructureError(f"inverter dot {ids[inv][np.argmax(bad)]} is on no chain down "
+                             f"to a tree dot")
+    below = ids[low[inv]]
+    length = np.bincount(below, minlength=2 * n)
+    start = np.cumsum(length) - length
+    chains = np.empty(len(below), np.int64)
+    chains[start[below] + length[below] - dist[inv]] = ids[inv]
+    top = nodes.copy()
+    chained = length[nodes] > 0
+    top[chained] = chains[start[nodes[chained]]]
+    hung = parent[np.searchsorted(ids, top)]
+    hung = np.where(hung >= 0, ids[hung], -1)
+    bad = hung != np.where(nodes > 1, nodes >> 1, -1)
+    if bad.any():
+        raise StructureError(f"tree dot {nodes[np.argmax(bad)]} does not hang below its "
+                             f"tree parent")
+    odd = nodes[(length[nodes] % 2 == 1) & (nodes > 1)]
+    odd = odd[~np.isin(odd >> 1, list(tree.not_markers))]
+    if odd.size:
+        raise StructureError(
+            f"odd inverter chain ({length[odd[0]]} dots) below unmarked node {odd[0] >> 1}"
+        )
+    return ChainedTree(tree, length, chains)
 
 
 def chain_below(tree: TreeSpec, n_inverters: int) -> ChainedTree:
@@ -215,19 +436,14 @@ def chain_below(tree: TreeSpec, n_inverters: int) -> ChainedTree:
 
     The returned root is the last chain dot, so classifying it sees the
     tree through ``n_inverters`` inline dots (even counts preserve the
-    logical bit, odd counts invert it).
+    logical bit, odd counts invert it).  The chain dots are numbered
+    from 2N, the one next to the tree root first.
     """
     if n_inverters < 0:
         raise StructureError(f"n_inverters must be >= 0, got {n_inverters}")
-    child_map: dict[int, tuple[int, ...]] = {
-        n: tree.children(n) for n in tree.postorder() if tree.children(n)
-    }
-    base = 2 * tree.n_leaves
-    prev = tree.root
-    for i in range(n_inverters):
-        child_map[base + i] = (prev,)
-        prev = base + i
-    return ChainedTree(tree=tree, root=prev, child_map=child_map)
+    length = np.zeros(2 * tree.n_leaves, np.int64)
+    length[1] = n_inverters
+    return ChainedTree(tree, length, 2 * tree.n_leaves + np.arange(n_inverters)[::-1])
 
 
 #: Chain-augmented trees share the tree protocol, so one builder serves both.

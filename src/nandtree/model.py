@@ -79,6 +79,16 @@ class Level(NamedTuple):
     slots: tuple[Slot, ...]
 
 
+def _child_slots(counts: np.ndarray, least: int, most: int) -> tuple[Slot, ...]:
+    """The child slots of a level whose nodes have ``counts`` children,
+    ``least`` to ``most`` of them (see :meth:`RootedTree.levels`)."""
+    if least == most:
+        return tuple(Slot(slice(s, None, most), None) for s in range(most))
+    first = np.cumsum(counts) - counts
+    masks = [counts > s for s in range(most)]
+    return tuple(Slot(first[m] + s, None if m.all() else m) for s, m in enumerate(masks))
+
+
 class RootedTree:
     """Traversal shared by every dot tree.
 
@@ -143,16 +153,8 @@ class RootedTree:
         nodes = [self.root]
         while nodes:
             kids = list(map(self.children, nodes))
-            counts = list(map(len, kids))
-            most = max(counts)
-            if min(counts) == most:
-                slots = tuple(Slot(slice(s, None, most), None) for s in range(most))
-            else:
-                counts = np.array(counts)
-                first = np.cumsum(counts) - counts
-                masks = [counts > s for s in range(most)]
-                slots = tuple(Slot(first[m] + s, None if m.all() else m)
-                              for s, m in enumerate(masks))
+            counts = np.fromiter(map(len, kids), np.int64, len(kids))
+            slots = _child_slots(counts, int(counts.min()), int(counts.max()))
             out.append(Level(np.array(nodes, dtype=np.intp), slots))
             nodes = list(chain.from_iterable(kids))
         out.reverse()
@@ -259,11 +261,15 @@ class TreeSpec(RootedTree):
         n = self.n_leaves
         inner = order[order < n]
         links = np.stack([inner.repeat(2), (2 * inner[:, None] + [0, 1]).ravel()], axis=1)
-        leaf = order >= n
-        i = order[leaf] - n
         signs = np.zeros_like(order)
-        signs[leaf] = (1 - 2 * (i & 1)) * np.array(self.input_bits)[i]
+        leaf = order >= n
+        signs[leaf] = self.leaf_values(order[leaf])
         return order, links, signs
+
+    def leaf_values(self, leaves: np.ndarray) -> np.ndarray:
+        """``leaf_sign * leaf_bit`` of each leaf node in the int array ``leaves``."""
+        i = leaves - self.n_leaves
+        return (1 - 2 * (i & 1)) * np.array(self.input_bits)[i]
 
 
 class ParamTable(Mapping):

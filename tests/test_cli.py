@@ -79,6 +79,18 @@ def test_parse_config_reports_bad_not_markers_with_other_errors():
     assert any("physics.kt" in e for e in errors)
 
 
+@pytest.mark.parametrize("line, error", [
+    ("tree.not_markers = 1;2",
+     "line 5: tree.not_markers: expected a comma-separated list of integers, got '1;2'"),
+    ("tree.depth = two", "line 5: tree.depth: expected an integer, got 'two'"),
+    ("physics.delta = 1e", "line 5: physics.delta: expected a number, got '1e'"),
+])
+def test_parse_errors_name_the_expected_type(line, error):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(EVALUATE_CONFIG + line + "\n")
+    assert exc.value.errors == [error]
+
+
 def test_parse_config_rejects_bad_bits_and_command():
     with pytest.raises(ConfigError):
         parse_config("command = fly\ntree.bits = 01\ntree.depth = 1\n")

@@ -101,7 +101,7 @@ def test_hfractal_area_scaling():
 
 def test_hfractal_depth_cap():
     with pytest.raises(StructureError):
-        build_hfractal(build_tree(15, [0] * 2**15))
+        build_hfractal(build_tree(17, [0] * 2**17))
 
 
 def test_hfractal_leaves_no_reference_cycle():
