@@ -260,10 +260,10 @@ def run(config: RunConfig, out=sys.stdout) -> int:
         shown = [("result", stats.result), ("queries", stats.queries)]
     elif config.command == "layout":
         graph = layout.build_hfractal(_tree(config))
-        binding = {dot: node for node, dot in graph.tree_binding.items()}
         header = ["id", "x", "y", "role", "tree_node"]
-        rows = [[dot, x, y, graph.role[dot], binding.get(dot, "")]
-                for dot, x, y in graph.dots.tolist()]
+        # Roles come in the dots' order; a tree dot's id is its tree node.
+        rows = [[dot, x, y, role, "" if role == "inverter" else dot]
+                for (dot, x, y), (_, role) in zip(graph.dots.tolist(), graph.role.items())]
         shown = [("dots", len(graph.dots)), ("inverters", graph.n_inverters)]
     elif config.command == "evaluate":
         tree = _tree(config)

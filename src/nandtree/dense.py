@@ -42,11 +42,17 @@ class HamiltonianMatrix:
 
 
 def assemble(tree, params: DotParameters) -> HamiltonianMatrix:
-    """H with diagonal eps_i and off-diagonal -t on each (i, 2i), (i, 2i+1) link.
+    """H with diagonal eps_i and off-diagonal -t on each (parent, child) link.
 
-    Nodes dropped by NOT markers are absent.
+    The dots are collected by a walk over ``children()`` from the root,
+    so the oracle shares no traversal code with the recursive engine;
+    nodes dropped by NOT markers are absent.
     """
-    nodes = tuple(sorted(tree.postorder()))
+    nodes, stack = [], [tree.root]
+    while stack:
+        nodes.append(stack.pop())
+        stack.extend(tree.children(nodes[-1]))
+    nodes = tuple(sorted(nodes))
     if len(nodes) > 2 ** (MAX_ORACLE_DEPTH + 1) - 1:
         raise StructureError(f"dense oracle capped at depth {MAX_ORACLE_DEPTH}")
     idx = {n: i for i, n in enumerate(nodes)}

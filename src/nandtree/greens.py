@@ -13,8 +13,9 @@ The analytic energy derivative is propagated alongside via
 which is what the slope extraction in :func:`classify` uses.
 
 Evaluators take any :class:`~nandtree.model.RootedTree`, the tree
-protocol with the shared traversal: a :class:`~nandtree.model.TreeSpec`
-or a chain-augmented tree from :mod:`nandtree.layout`.
+protocol: a :class:`~nandtree.model.TreeSpec` or a chain-augmented tree
+from :mod:`nandtree.layout`, each of which computes its evaluation
+schedule in closed form.
 
 **Level schedule.**  :meth:`~nandtree.model.RootedTree.levels` orders
 the reachable dots by distance from the root.  The recursion runs from

@@ -10,15 +10,18 @@ of inverters is logically transparent up to the slope map
 gives (d + alpha, d + beta).  The published inverter counts per level
 are 0, 2, 4, 10, 20, 38, 76 starting from the leaf links.
 
-Layouts and chained trees are arrays throughout.  A chained tree is
+Layouts and chained trees are arrays throughout.  A tree dot's id is
+its tree node and inverters are numbered from 2N.  A chained tree is
 its logical tree plus, for each tree node, the ids of the inverter dots
 on the link above it (:class:`ChainedTree`).  With one numpy step per
 tree level, :func:`_preorder` places every dot in preorder, from the
-chain lengths alone; the H-fractal's dots, links and coordinates
-(:func:`build_hfractal`), and a chained tree's evaluation schedule and
-postorder, follow from those positions by broadcasting.
-:func:`expand_to_tree` reads the chains back from a layout's links by
-pointer jumping.  No step loops over the dots in Python.
+chain lengths and the tree's reach mask
+(:meth:`~nandtree.model.TreeSpec.structure`) alone; the H-fractal's
+dots, links and coordinates (:func:`build_hfractal`), and a chained
+tree's evaluation schedule and postorder, follow from those positions
+by broadcasting.  :func:`expand_to_tree` reads the chains back from a
+layout's links by pointer jumping.  No step loops over the dots in
+Python.
 
 The feasibility estimates at the bottom of the module are the only
 place in the package that uses physical units (micro-eV, nm, ns).
@@ -112,13 +115,13 @@ class LayoutGraph:
     ``dots`` holds one (id, x, y) row per dot and ``links`` the
     tunnel-coupled (parent, child) pairs, all unit length, as int arrays;
     ``role`` maps dot -> "level-k" or "inverter" (any mapping is stored
-    as :class:`DotRoles`); ``tree_binding`` maps tree node -> dot id.
+    as :class:`DotRoles`).  A tree dot's id is its tree node, so the
+    role alone tells which dots are the tree's.
     """
 
     dots: np.ndarray
     links: np.ndarray
     role: DotRoles
-    tree_binding: Mapping[int, int]
 
     def __post_init__(self):
         object.__setattr__(self, "dots", np.asarray(self.dots, dtype=np.int64).reshape(-1, 3))
@@ -132,23 +135,6 @@ class LayoutGraph:
     def bounding_box_area(self) -> int:
         xy = self.dots[:, 1:]
         return int(np.prod(xy.max(axis=0) - xy.min(axis=0) + 1))
-
-
-def _structure(tree: TreeSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Per heap index in [0, 2N): is the node reachable (a NOT marker
-    drops its right subtree), and its number of children."""
-    n = tree.n_leaves
-    marked = np.zeros(n, bool)
-    marked[list(tree.not_markers)] = True
-    reach = np.zeros(2 * n, bool)
-    reach[1] = True
-    for k in range(tree.depth):
-        level = reach[2**k:2 ** (k + 1)]
-        reach[2 ** (k + 1)::2][:2**k] = level
-        reach[2 ** (k + 1) + 1::2][:2**k] = level & ~marked[2**k:2 ** (k + 1)]
-    kids = np.zeros(2 * n, np.int64)
-    kids[1:n] = reach[2::2].astype(np.int64) + reach[3::2]
-    return reach, kids
 
 
 class _Preorder(NamedTuple):
@@ -174,7 +160,7 @@ def _preorder(tree: TreeSpec, length: np.ndarray) -> _Preorder:
     dots' preorder is the breadth-first order of each level, and fixes
     the postorder (see :meth:`ChainedTree.postorder_arrays`).
     """
-    reach, kids = _structure(tree)
+    reach, kids = tree.structure()
     length = np.where(reach, length, 0)
     block = length + 1  # a node with its chain and, once set, its subtree
     for k in range(tree.depth - 1, -1, -1):
@@ -232,12 +218,10 @@ def build_hfractal(tree: TreeSpec) -> LayoutGraph:
     inverter = above > 0
     ids = np.where(inverter, 2 * n + np.cumsum(inverter) - 1, owner)
     coords = [x[owner] - ux[owner] * above, y[owner] - uy[owner] * above]
-    nodes = owner[~inverter].tolist()
     return LayoutGraph(
         dots=np.stack([ids, *coords], axis=1),
         links=np.stack([ids[dots.parent[1:]], ids[1:]], axis=1),
         role=DotRoles(ids, np.where(inverter, -1, level[owner])),
-        tree_binding=dict(zip(nodes, nodes)),
     )
 
 
@@ -258,7 +242,7 @@ class ChainedTree(RootedTree):
     :meth:`levels` and :meth:`postorder_arrays` follow from these
     arrays through the dots' preorder (:func:`_preorder`), with no walk
     over the dots.  ``children()`` and ``is_leaf()`` look up one dot, for
-    the reference recursions and the dense oracle.
+    the dense oracle and per-dot checks.
     """
 
     tree: TreeSpec
@@ -354,9 +338,9 @@ def expand_to_tree(layout: LayoutGraph, tree: TreeSpec) -> ChainedTree:
     """Chain-augmented tree realizing ``layout``: inverter dots become
     single-child nodes on the path between tree levels.
 
-    ``layout.links`` are (parent, child) pairs.  Tree dots must keep
-    their node ids, as :func:`build_hfractal` binds them, because the
-    leaves take their bits and signs from ``tree``; each reachable tree
+    ``layout.links`` are (parent, child) pairs.  Tree dots carry their
+    node ids, as :func:`build_hfractal` numbers them, because the leaves
+    take their bits and signs from ``tree``; each reachable tree
     node must hang, through a chain of inverter dots, below its tree
     parent, and the root below nothing.  An odd inverter chain below a
     node without a NOT marker would silently invert the logic and is
@@ -364,11 +348,8 @@ def expand_to_tree(layout: LayoutGraph, tree: TreeSpec) -> ChainedTree:
     distance to it, by pointer jumping: log2(longest chain) numpy steps.
     """
     n = tree.n_leaves
-    reach, kids = _structure(tree)
+    reach, kids = tree.structure()
     nodes = np.flatnonzero(reach)
-    bound = np.fromiter(map(layout.tree_binding.__getitem__, nodes.tolist()), np.int64, len(nodes))
-    if np.any(bound != nodes):
-        raise StructureError("tree nodes must keep their ids as dot ids")
 
     # Dots by position in ``ids``: links, inverters, tree nodes.
     inverters = layout.role.ids[layout.role.levels < 0]

@@ -28,7 +28,6 @@ import math
 import operator
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -90,52 +89,16 @@ def _child_slots(counts: np.ndarray, least: int, most: int) -> tuple[Slot, ...]:
 
 
 class RootedTree:
-    """Traversal shared by every dot tree.
+    """The tree protocol every evaluator reads.
 
-    Subclasses provide ``root``, ``children(node)``, ``is_leaf(node)``
-    and the leaf encoding ``leaf_bit(node)`` / ``leaf_sign(node)``; the
-    Green's-function evaluators and :func:`ideal_parameters` need
-    nothing else.
+    A tree provides ``root``, and its shape twice over in closed form:
+    the evaluation schedule :meth:`levels` and the reachable nodes and
+    links :meth:`postorder_arrays`; the Green's-function evaluators and
+    :func:`ideal_parameters` need nothing else.  ``children(node)``
+    lists one node's children, in the order :meth:`levels` and
+    :meth:`postorder_arrays` use, for the dense oracle, which collects
+    the dots by its own walk.
     """
-
-    def postorder(self) -> list[int]:
-        """Reachable nodes, children before parents, fixed order."""
-        return self._walk()[0]
-
-    def _walk(self) -> tuple[list[int], list[tuple[int, ...]]]:
-        """``postorder()`` and each of its nodes' ``children()``."""
-        order: list[int] = []
-        kids: list[tuple[int, ...]] = []
-        stack: list[tuple[int, tuple[int, ...] | None]] = [(self.root, None)]
-        while stack:
-            node, cs = stack.pop()
-            if cs is None:
-                cs = self.children(node)
-                stack.append((node, cs))
-                for c in reversed(cs):
-                    stack.append((c, None))
-            else:
-                order.append(node)
-                kids.append(cs)
-        return order, kids
-
-    def links(self) -> list[Link]:
-        """(parent, child) pairs of the reachable structure."""
-        return [(n, c) for n, cs in zip(*self._walk()) for c in cs]
-
-    def postorder_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``postorder()`` and ``links()`` as int arrays of shape (n,) and
-        (m, 2), with each node's ``leaf_sign * leaf_bit`` (0 for internal
-        nodes) in postorder; :func:`ideal_parameters` builds on these.
-        """
-        order, kids = self._walk()
-        nodes = np.array(order, dtype=np.int64)
-        counts = np.fromiter(map(len, kids), np.int64, len(kids))
-        children = np.fromiter(chain.from_iterable(kids), np.int64, counts.sum())
-        leaves = counts == 0
-        signs = np.zeros_like(nodes)
-        signs[leaves] = [self.leaf_sign(n) * self.leaf_bit(n) for n in nodes[leaves].tolist()]
-        return nodes, np.stack([nodes.repeat(counts), children], axis=1), signs
 
     def levels(self) -> list[Level]:
         """Bottom-up evaluation schedule: one :class:`Level` per distance
@@ -149,16 +112,24 @@ class RootedTree:
         Evaluating one level needs only the level below, so a recursion
         over the schedule keeps a single level of values alive.
         """
-        out: list[Level] = []
-        nodes = [self.root]
-        while nodes:
-            kids = list(map(self.children, nodes))
-            counts = np.fromiter(map(len, kids), np.int64, len(kids))
-            slots = _child_slots(counts, int(counts.min()), int(counts.max()))
-            out.append(Level(np.array(nodes, dtype=np.intp), slots))
-            nodes = list(chain.from_iterable(kids))
-        out.reverse()
-        return out
+        raise NotImplementedError
+
+    def postorder_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The reachable nodes, children before parents, each node's
+        children in ``children()`` order, as an int array of shape (n,);
+        their (parent, child) links in the order of the parents, shape
+        (n - 1, 2); and each node's ``leaf_sign * leaf_bit`` (0 for
+        internal nodes).  :func:`ideal_parameters` builds on these.
+        """
+        raise NotImplementedError
+
+    def postorder(self) -> list[int]:
+        """The nodes of :meth:`postorder_arrays` as a list."""
+        return self.postorder_arrays()[0].tolist()
+
+    def links(self) -> list[Link]:
+        """The links of :meth:`postorder_arrays` as a list of pairs."""
+        return list(map(tuple, self.postorder_arrays()[1].tolist()))
 
 
 @dataclass(frozen=True)
@@ -230,30 +201,56 @@ class TreeSpec(RootedTree):
             return (2 * node,)
         return (2 * node, 2 * node + 1)
 
+    def structure(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per heap index in [0, 2N): is the node reachable (a NOT marker
+        drops its right subtree), and its number of children."""
+        n = self.n_leaves
+        marked = np.zeros(n, bool)
+        marked[list(self.not_markers)] = True
+        reach = np.zeros(2 * n, bool)
+        reach[1] = True
+        for k in range(self.depth):
+            level = reach[2**k:2 ** (k + 1)]
+            reach[2 ** (k + 1)::2][:2**k] = level
+            reach[2 ** (k + 1) + 1::2][:2**k] = level & ~marked[2**k:2 ** (k + 1)]
+        kids = np.zeros(2 * n, np.int64)
+        kids[1:n] = reach[2::2].astype(np.int64) + reach[3::2]
+        return reach, kids
+
     def levels(self) -> list[Level]:
         """:meth:`RootedTree.levels` in closed form on the heap indices.
 
-        Without NOT markers, level k holds the nodes 2**k .. 2**(k+1) - 1
-        and the children of consecutive nodes are consecutive, so the two
-        child slots are the slices ``0::2`` and ``1::2`` of the level
-        below.  A tree with NOT markers takes the breadth-first pass.
+        Level k holds the reachable nodes among 2**k .. 2**(k+1) - 1 in
+        heap order, which is the breadth-first order.  Without NOT
+        markers all of them are reachable and the children of
+        consecutive nodes are consecutive, so the two child slots are the
+        slices ``0::2`` and ``1::2`` of the level below.  With markers
+        the nodes are filtered by reach (:meth:`structure`), and the
+        slots, masked where a marked node lacks its right child, come
+        from the child counts.
         """
-        if self.not_markers:
-            return super().levels()
+        reach, kids = self.structure() if self.not_markers else (None, None)
         pair = (Slot(slice(0, None, 2), None), Slot(slice(1, None, 2), None))
-        return [Level(np.arange(2**k, 2 ** (k + 1)), pair if k < self.depth else ())
-                for k in range(self.depth, -1, -1)]
+        out = []
+        for k in range(self.depth, -1, -1):
+            nodes, slots = np.arange(2**k, 2 ** (k + 1)), pair if k < self.depth else ()
+            if reach is not None:
+                nodes = nodes[reach[2**k:2 ** (k + 1)]]
+                counts = kids[nodes]
+                slots = _child_slots(counts, int(counts.min()), int(counts.max()))
+            out.append(Level(nodes, slots))
+        return out
 
     def postorder_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """:meth:`RootedTree.postorder_arrays` in closed form on the heap indices.
 
-        Without NOT markers, the postorder of the subtree of height k + 1
-        is that of height k shifted onto node 2, then onto node 3, then
-        the root: node v at level l of a subtree moves to v + 2**l and
-        v + 2**(l+1).  A tree with NOT markers takes ``postorder()``.
+        The postorder of the full subtree of height k + 1 is that of
+        height k shifted onto node 2, then onto node 3, then the root:
+        node v at level l of a subtree moves to v + 2**l and v + 2**(l+1).
+        A NOT marker drops whole subtrees, which keeps the order of the
+        rest, so with markers the full postorder and its links are
+        filtered by reach (:meth:`structure`).
         """
-        if self.not_markers:
-            return super().postorder_arrays()
         order = step = np.ones(1, dtype=np.int64)
         for _ in range(self.depth):
             order = np.concatenate([order + step, order + 2 * step, [1]])
@@ -261,6 +258,9 @@ class TreeSpec(RootedTree):
         n = self.n_leaves
         inner = order[order < n]
         links = np.stack([inner.repeat(2), (2 * inner[:, None] + [0, 1]).ravel()], axis=1)
+        if self.not_markers:
+            reach = self.structure()[0]
+            order, links = order[reach[order]], links[reach[links[:, 1]]]
         signs = np.zeros_like(order)
         leaf = order >= n
         signs[leaf] = self.leaf_values(order[leaf])
@@ -405,9 +405,9 @@ class DotParameters:
     (:func:`sample_disorder_many`) hold one realization per sample;
     :meth:`sample` takes one out.  ``delta`` is the oracle coupling
     strength and ``gamma`` the dephasing rate 1/tau_phi, shared by all
-    samples.  Couplings must be finite and positive and detunings must
-    not be NaN; the first entry that is not raises
-    :class:`StructureError`.
+    samples.  Couplings must be finite and positive, detunings must not
+    be NaN and ``gamma`` must be finite; the first entry that is not
+    raises :class:`StructureError`.
     """
 
     epsilon: Mapping[int, float]
@@ -431,6 +431,8 @@ class DotParameters:
         if bad.any():
             at = np.unravel_index(np.argmax(bad), bad.shape)
             raise StructureError(f"detuning of node {eps.keys_array[at[-1]]} is NaN")
+        if not math.isfinite(self.gamma):
+            raise StructureError(f"gamma must be finite, got {self.gamma}")
         if self.gamma < GAMMA_FLOOR:
             object.__setattr__(self, "gamma", GAMMA_FLOOR)
 
@@ -446,7 +448,8 @@ class DotParameters:
 
 @dataclass(frozen=True)
 class DisorderSpec:
-    """Gaussian disorder widths (units of t) plus the sampling seed."""
+    """Gaussian disorder widths (units of t) plus the sampling seed; the
+    widths, ``mean_t`` and ``coupling_floor`` must be finite."""
 
     sigma_t: float
     sigma_eps: float
@@ -455,6 +458,9 @@ class DisorderSpec:
     coupling_floor: float = 0.1
 
     def __post_init__(self):
+        for name in ("sigma_t", "sigma_eps", "mean_t", "coupling_floor"):
+            if not math.isfinite(getattr(self, name)):
+                raise StructureError(f"{name} must be finite, got {getattr(self, name)}")
         if self.sigma_t < 0 or self.sigma_eps < 0:
             raise StructureError("disorder widths must be nonnegative")
         if self.sigma_t >= self.mean_t:

@@ -314,6 +314,25 @@ def test_main_rejects_nan_sweep_bound(tmp_path, capsys):
     assert capsys.readouterr().err == "error: sweep grid values must be finite\n"
 
 
+@pytest.mark.parametrize("line, keys, message", [
+    ("physics.gamma = nan", "physics.delta, physics.gamma:", "gamma must be finite, got nan"),
+    ("physics.gamma = inf", "physics.delta, physics.gamma:", "gamma must be finite, got inf"),
+    ("disorder.sigma_eps = nan", "disorder.sigma_t, disorder.sigma_eps:",
+     "sigma_eps must be finite, got nan"),
+    ("disorder.sigma_eps = inf", "disorder.sigma_t, disorder.sigma_eps:",
+     "sigma_eps must be finite, got inf"),
+    ("disorder.sigma_t = nan", "disorder.sigma_t, disorder.sigma_eps:",
+     "sigma_t must be finite, got nan"),
+], ids=["gamma-nan", "gamma-inf", "sigma_eps-nan", "sigma_eps-inf", "sigma_t-nan"])
+def test_main_rejects_non_finite_dephasing_and_disorder(line, keys, message, tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text(EVALUATE_CONFIG + line + "\n")
+    assert main([str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"{keys} {message}" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("key", ["gamma_l", "gamma_r", "t1", "eps0", "e_f", "kt"])
 def test_parse_config_rejects_nan_probe_values(key):
     with pytest.raises(ConfigError) as exc:

@@ -19,7 +19,9 @@ from nandtree import (DotParameters, StructureError, build_tree, classify, green
                       sample_disorder, sample_disorder_many)
 from nandtree.greens import _BLOCK, _resolve, inertia_count
 from nandtree.layout import build_hfractal, chain_below, expand_to_tree
-from nandtree.model import DisorderSpec, ParamTable, RootedTree, TreeSpec
+from nandtree.model import DisorderSpec, ParamTable, TreeSpec
+
+import reference_walks as walks
 
 
 def reference_resolve(tree, params: DotParameters, E, derivative: bool = False):
@@ -183,7 +185,7 @@ def test_sample_axis_matches_per_sample_loop(block, monkeypatch):
 def test_levels_closed_form_matches_breadth_first():
     for depth in range(1, 7):
         tree = TreeSpec(depth, (0,) * 2**depth)
-        closed, generic = tree.levels(), RootedTree.levels(tree)
+        closed, generic = tree.levels(), walks.levels(tree)
         assert len(closed) == len(generic) == depth + 1
         below = None
         for a, b in zip(closed, generic):
@@ -379,7 +381,7 @@ def test_scalar_evaluators_reject_a_sample_axis():
     assert type(green_tree(tree, many.sample(2), 0.1)) is complex
 
 
-class RaggedTree(RootedTree):
+class RaggedTree(walks.WalkedTree):
     """A random tree whose leaves sit at many depths."""
 
     def __init__(self, rng, depth):

@@ -169,22 +169,10 @@ def test_expand_rejects_odd_unmarked_chain():
         dots=((1, 0, 0), (4, 1, 0), (2, 2, 0), (3, -1, 0)),
         links=((1, 4), (4, 2), (1, 3)),
         role={1: "level-0", 2: "level-1", 3: "level-1", 4: "inverter"},
-        tree_binding={1: 1, 2: 2, 3: 3},
     )
     tree = build_tree(1, (1, 1))
     with pytest.raises(StructureError):
         expand_to_tree(graph, tree)
-
-
-def test_expand_rejects_renumbered_tree_dots():
-    graph = LayoutGraph(
-        dots=((1, 0, 0), (3, 1, 0), (2, -1, 0)),
-        links=((1, 3), (1, 2)),
-        role={1: "level-0", 2: "level-1", 3: "level-1"},
-        tree_binding={1: 1, 2: 3, 3: 2},
-    )
-    with pytest.raises(StructureError):
-        expand_to_tree(graph, build_tree(1, (1, 0)))
 
 
 CHAIN_TREE = TreeSpec(

@@ -7,7 +7,7 @@ and dicts, and ``ReferenceChainedTree`` is the ``child_map`` tree they
 produced.  The array versions must give the same dots, links and roles
 in the same order, and chained trees whose evaluation schedule
 (``levels()``) and postorder (``postorder_arrays()``) are those of the
-generic breadth-first and depth-first walks over ``children()``, so the
+reference breadth-first and depth-first walks over ``children()``, so the
 Green's-function engine and the parameter tables see the same arrays.
 """
 
@@ -22,7 +22,9 @@ from nandtree import StructureError, TreeSpec, build_tree
 from nandtree.cli import parse_config, run
 from nandtree.layout import LayoutGraph, build_hfractal, chain_below, expand_to_tree, \
     inverter_counts
-from nandtree.model import RootedTree
+
+import reference_walks as walks
+from reference_walks import WalkedTree
 
 
 def reference_build_hfractal(tree: TreeSpec):
@@ -66,7 +68,7 @@ def reference_build_hfractal(tree: TreeSpec):
 
 
 @dataclass(frozen=True)
-class ReferenceChainedTree(RootedTree):
+class ReferenceChainedTree(WalkedTree):
     tree: TreeSpec
     root: int
     child_map: Mapping[int, tuple[int, ...]]
@@ -177,7 +179,7 @@ def test_build_matches_reference(tree):
     assert graph.links.tolist() == [list(link) for link in links]
     assert list(graph.role.items()) == list(role.items())
     assert dict(graph.role) == role
-    assert dict(graph.tree_binding) == binding
+    assert {d: d for d, r in graph.role.items() if r != "inverter"} == binding
     assert graph.n_inverters == sum(r == "inverter" for r in role.values())
     # links[i] is the link into dots[i + 1].
     assert np.array_equal(graph.links[:, 1], graph.dots[1:, 0])
@@ -208,10 +210,10 @@ def assert_same_arrays(got, want):
 
 def assert_same_chained(chained, reference):
     assert chained.root == reference.root
-    assert_same_levels(chained.levels(), RootedTree.levels(reference))
-    assert_same_levels(chained.levels(), RootedTree.levels(chained))
-    assert_same_arrays(chained.postorder_arrays(), RootedTree.postorder_arrays(reference))
-    assert_same_arrays(chained.postorder_arrays(), RootedTree.postorder_arrays(chained))
+    assert_same_levels(chained.levels(), walks.levels(reference))
+    assert_same_levels(chained.levels(), walks.levels(chained))
+    assert_same_arrays(chained.postorder_arrays(), walks.postorder_arrays(reference))
+    assert_same_arrays(chained.postorder_arrays(), walks.postorder_arrays(chained))
     for node in reference.postorder():
         assert chained.children(node) == reference.children(node)
         assert chained.is_leaf(node) == reference.is_leaf(node)
@@ -224,7 +226,7 @@ def test_expand_matches_reference(tree):
     reference = reference_expand_to_tree(links, role, binding, tree)
     assert_same_chained(expand_to_tree(build_hfractal(tree), tree), reference)
     # Hand-built layouts take the same path.
-    graph = LayoutGraph(dots=dots, links=links, role=role, tree_binding=binding)
+    graph = LayoutGraph(dots=dots, links=links, role=role)
     assert_same_chained(expand_to_tree(graph, tree), reference)
 
 
@@ -254,8 +256,7 @@ def hand_built(links, inverters=()):
     """A layout of the depth-2 tree 1..7; dots 8 and up are extra."""
     dots = sorted({d for link in links for d in link} | set(inverters) | set(range(1, 8)))
     role = {d: "inverter" if d in inverters else f"level-{d.bit_length() - 1}" for d in dots}
-    return LayoutGraph(dots=[(d, d, 0) for d in dots], links=links, role=role,
-                       tree_binding={d: d for d in range(1, 8)})
+    return LayoutGraph(dots=[(d, d, 0) for d in dots], links=links, role=role)
 
 
 @pytest.mark.parametrize("graph, message", [

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -102,6 +104,22 @@ def test_dot_parameters_clamps_gamma_and_rejects_bad_couplings():
     assert p.gamma == GAMMA_FLOOR
     with pytest.raises(StructureError):
         DotParameters(epsilon={1: 0.0}, coupling={(1, 2): 0.0}, delta=10.0, gamma=1e-6)
+
+
+@pytest.mark.parametrize("gamma", [math.nan, math.inf])
+def test_dot_parameters_rejects_non_finite_gamma(gamma):
+    with pytest.raises(StructureError, match="gamma must be finite"):
+        DotParameters(epsilon={1: 0.0}, coupling={}, delta=10.0, gamma=gamma)
+    with pytest.raises(StructureError, match="gamma must be finite"):
+        ideal_parameters(build_tree(1, (0, 1)), 10.0, gamma)
+
+
+@pytest.mark.parametrize("field", ["sigma_t", "sigma_eps", "mean_t", "coupling_floor"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_disorder_spec_rejects_non_finite_fields(field, value):
+    kwargs = {"sigma_t": 0.1, "sigma_eps": 0.1, "seed": 0, field: value}
+    with pytest.raises(StructureError, match=f"{field} must be finite, got {value}"):
+        DisorderSpec(**kwargs)
 
 
 def test_disorder_spec_validation():

@@ -23,9 +23,11 @@ from nandtree import (ProbeSpec, QuadratureError, StructureError, build_tree, cl
 from nandtree.layout import build_hfractal, chain_below, expand_to_tree
 from nandtree.model import DisorderSpec, DotParameters, ParamTable, TreeSpec
 
+import reference_walks as walks
+
 
 def reference_ideal_parameters(tree, delta, gamma):
-    order = tree.postorder()
+    order = walks.postorder(tree)
     eps = dict.fromkeys(order, 0.0)
     coup = {}
     for node in order:
@@ -90,15 +92,15 @@ def test_ideal_parameters_match_dict_builder(tree):
     assert_table(params.epsilon, eps)
     assert_table(params.coupling, coup)
     nodes, links, _ = tree.postorder_arrays()
-    assert nodes.tolist() == tree.postorder()
-    assert list(map(tuple, links.tolist())) == tree.links()
+    assert nodes.tolist() == walks.postorder(tree)
+    assert list(map(tuple, links.tolist())) == walks.links(tree)
 
 
 def test_closed_form_postorder_matches_traversal():
     for depth in range(1, 12):
         tree = build_tree(depth, [1, 0] * 2 ** (depth - 1))
         closed = tree.postorder_arrays()
-        generic = super(TreeSpec, tree).postorder_arrays()
+        generic = walks.postorder_arrays(tree)
         for a, b in zip(closed, generic):
             assert a.dtype == b.dtype and np.array_equal(a, b)
 
