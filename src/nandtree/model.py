@@ -406,8 +406,9 @@ class DotParameters:
     :meth:`sample` takes one out.  ``delta`` is the oracle coupling
     strength and ``gamma`` the dephasing rate 1/tau_phi, shared by all
     samples.  Couplings must be finite and positive, detunings must not
-    be NaN and ``gamma`` must be finite; the first entry that is not
-    raises :class:`StructureError`.
+    be NaN and ``gamma`` must be finite and nonnegative; the first entry
+    that is not raises :class:`StructureError`.  A ``gamma`` below
+    ``GAMMA_FLOOR`` is raised to it.
     """
 
     epsilon: Mapping[int, float]
@@ -431,6 +432,8 @@ class DotParameters:
         if bad.any():
             at = np.unravel_index(np.argmax(bad), bad.shape)
             raise StructureError(f"detuning of node {eps.keys_array[at[-1]]} is NaN")
+        if self.gamma < 0:
+            raise StructureError(f"gamma must be nonnegative, got {self.gamma}")
         if not math.isfinite(self.gamma):
             raise StructureError(f"gamma must be finite, got {self.gamma}")
         if self.gamma < GAMMA_FLOOR:
@@ -499,12 +502,10 @@ def ideal_parameters(tree: RootedTree, delta: float, gamma: float) -> DotParamet
     """
     if not 0 < delta < math.inf:
         raise StructureError(f"delta must be positive and finite, got {delta}")
-    if gamma < 0:
-        raise StructureError(f"gamma must be nonnegative, got {gamma}")
     nodes, links, signs = tree.postorder_arrays()
     return DotParameters(epsilon=ParamTable(nodes, signs * delta),
                          coupling=ParamTable(links, np.ones(len(links))),
-                         delta=delta, gamma=max(gamma, GAMMA_FLOOR))
+                         delta=delta, gamma=gamma)
 
 
 def sample_disorder(tree: RootedTree, ideal: DotParameters, spec: DisorderSpec) -> DotParameters:

@@ -32,28 +32,30 @@ The eigenvalues come from an inertia count on the tree
 inertia, the positive pivots of the gamma = 0 recursion, leaves first
 and then the probe's E - eps0 - t1^2 G_1, number the eigenvalues below
 E (Jacobs and Trevisan, "Locating the eigenvalues of trees", Linear
-Algebra Appl. 434 (2011) 81-88).  The brackets of every probe are cut
+Algebra Appl. 434 (2011) 81-88).  The brackets of every detuning are cut
 together, up to 8 pieces and one count per step, until each eigenvalue
 is known to within the first panel width; no dense matrix is formed.
 
-G_1 depends on neither E_f nor eps0, so probes that share kT, the lead
-widths and t1 share one mesh over all their windows, with the
-breakpoints of every one, and one G_1 evaluation on it: a sweep along
-E or eps0 costs one mesh.  Each probe then sums only the nodes of its
-own window, and probes at one E_f share the kernel.  No G_1 call
-takes more than ``_MAX_ENERGIES`` energies; a longer mesh goes
-through in chunks.  At kT = 0 the conductance is T(E_f), from one G_1
-evaluation per distinct E_f.  Scalars and arrays round alike, in
-:mod:`nandtree.greens` and in T's square, so this is :func:`transmission`
-at E_f bit for bit, for each sample of a batch.
+G_1 depends on neither E_f nor eps0, so the unit of work is one probe
+(kT, lead widths, t1) with arrays of points (E_f, eps0).  At kT > 0 the
+points share one mesh over all their windows, with the breakpoints of
+every one, and one G_1 evaluation on it: a sweep along E or eps0 costs
+one mesh.  Each point sums only the nodes of its own window, points at
+one E_f share the kernel, and the lowest-index point that fails raises.
+No G_1 call takes more than ``_MAX_ENERGIES`` energies; a longer mesh
+goes through in chunks.  At kT = 0 the conductance is T(E_f), from one
+G_1 evaluation over the distinct E_f.  Scalars and arrays round alike,
+in :mod:`nandtree.greens` and in T's square, so this is
+:func:`transmission` at each point bit for bit, for each sample of a
+batch.
 
 **One compilation per call.**  Each public call (:func:`transmission_curve`,
 :func:`conductance`, :func:`sweep`, :func:`readout`) compiles the tree
 and its parameters once (:func:`~nandtree.greens.compile_tree`: one
 gather of the parameter columns, identical subtrees merged), and its
-resonance search and mesh sums, and a sweep's transmission column, all
-run on that one compiled tree.  The kT > 0 quadrature of a batch runs
-each sample on the batch's compilation, cut to that sample.
+resonance search, mesh sums and transmission column all run on that
+one compiled tree.  The kT > 0 quadrature of a batch runs each sample
+on the batch's compilation, cut to that sample.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ from typing import Mapping
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .greens import compile_tree, green_tree_many, inertia_count
+from .greens import _one_realization, compile_tree, green_tree_many, inertia_count
 from .model import DotParameters, StructureError
 
 #: Default probe-to-tree coupling (units of t).  The source material does
@@ -139,26 +141,27 @@ class ReadoutResult:
     ambiguous: bool
 
 
-def _probe_denominator(g1, probe: ProbeSpec, E):
+def _probe_denominator(g1, probe: ProbeSpec, E, eps0):
     """E - eps0 + i Gamma/2 - t1^2 G_1, the inverse probe-dot Green's function."""
-    return E - probe.eps0 + 0.5j * (probe.gamma_l + probe.gamma_r) - probe.t1**2 * g1
+    return E - eps0 + 0.5j * (probe.gamma_l + probe.gamma_r) - probe.t1**2 * g1
 
 
 def probe_green(g1: complex, probe: ProbeSpec, E: float) -> complex:
     """Probe-dot Green's function 1/(E - eps0 + i Gamma/2 - t1^2 G_1)."""
-    return 1.0 / _probe_denominator(g1, probe, E)
+    return 1.0 / _probe_denominator(g1, probe, E, probe.eps0)
 
 
-def _transmission_from_g1(g1, probe: ProbeSpec, E):
+def _transmission_from_g1(g1, probe: ProbeSpec, E, eps0):
     # np.square, not ** 2: a numpy scalar's ** 2 is libm's pow, an array's
     # a multiply, and they can differ in the last bit.
-    return probe.gamma_l * probe.gamma_r / np.square(np.abs(_probe_denominator(g1, probe, E)))
+    d = _probe_denominator(g1, probe, E, eps0)
+    return probe.gamma_l * probe.gamma_r / np.square(np.abs(d))
 
 
 def transmission(tree, params: DotParameters, probe: ProbeSpec, E: float) -> float:
     """Two-lead transmission in [0, 1] at energy E."""
     g1 = green_tree_many(tree, params, E)
-    return float(_transmission_from_g1(g1, probe, E))
+    return float(_transmission_from_g1(g1, probe, E, probe.eps0))
 
 
 def transmission_curve(tree, params: DotParameters, probe: ProbeSpec, energies) -> np.ndarray:
@@ -166,7 +169,7 @@ def transmission_curve(tree, params: DotParameters, probe: ProbeSpec, energies) 
     the grid's shape for parameters with a sample axis."""
     energies = np.asarray(energies, dtype=float)
     g1 = green_tree_many(tree, params, energies)
-    return _transmission_from_g1(g1, probe, energies)
+    return _transmission_from_g1(g1, probe, energies, probe.eps0)
 
 
 def thermal_kernel(E, e_f: float, kt: float):
@@ -263,14 +266,14 @@ def _graded_edges(breaks: np.ndarray, width: float) -> np.ndarray:
 
 def _mesh_sums(tree, params: DotParameters, probe: ProbeSpec, edges, panels, fermi, members,
                eps0) -> np.ndarray:
-    """Each probe's quadrature sums on the mesh ``edges`` and on it halved.
+    """Each point's quadrature sums on the mesh ``edges`` and on it halved.
 
-    The probes ``members[j]`` share the Fermi level ``fermi[j]``, and
+    The points ``members[j]`` share the Fermi level ``fermi[j]``, and
     with it the kernel and the window of panels ``panels[j, 0]`` to
-    ``panels[j, 1]``; ``eps0`` holds every probe's detuning, and
+    ``panels[j, 1]``; ``eps0`` holds every point's detuning, and
     ``probe`` kT, the lead widths and t1.  The panels go through G_1 in
     chunks of at most ``_MAX_ENERGIES`` nodes, whole and halved
-    together.  Returns the (2, probes) sums.
+    together.  Returns the (2, points) sums.
     """
     x, wx = _gauss_legendre()
     kt, t2 = probe.temperature, probe.t1**2
@@ -305,79 +308,60 @@ def _mesh_sums(tree, params: DotParameters, probe: ProbeSpec, edges, panels, fer
     return sums
 
 
-def _thermal(tree, params: DotParameters, probes) -> list:
-    """Conductances of kT > 0 ``probes`` that differ at most in E_f and eps0.
+def _thermal(tree, params: DotParameters, probe: ProbeSpec, e_f, eps0):
+    """Quadrature at kT > 0 of the points (``e_f[i]``, ``eps0[i]``), with
+    ``probe``'s kT, lead widths and t1.
 
     One graded mesh over all their windows, and its halving, serve them
-    all; see "Thermal quadrature" above.
+    all; see "Thermal quadrature" above.  Returns three arrays over the
+    points: the halved mesh's sum, its relative change from the whole
+    mesh's, and the number of panels in the point's window.
     """
-    probe = probes[0]
     kt, width = probe.temperature, _finest(params, probe)
-    eps0 = np.array([p.eps0 for p in probes])
     # E_f = -0.0 and 0.0 are one Fermi level.
-    fermi, level = np.unique([p.e_f for p in probes], return_inverse=True)
+    fermi, level = np.unique(e_f, return_inverse=True)
     members = np.split(np.argsort(level, kind="stable"), np.cumsum(np.bincount(level))[:-1])
     windows = fermi[:, None] + [-20.0 * kt, 20.0 * kt]
     resonances = _resonances(tree, params, np.unique(eps0), probe.t1**2, windows[0, 0],
                              windows[-1, 1], width)
     breaks = np.unique(np.concatenate([windows.ravel(), fermi, resonances]))
-    # A window edge a rounding error away from another probe's E_f would
+    # A window edge a rounding error away from another point's E_f would
     # only add a sliver panel: breakpoints that close are one, the first.
     breaks = breaks[np.r_[True, np.diff(breaks) > 1e-6 * width]]
     edges = _graded_edges(breaks, width)
     panels = np.searchsorted(edges, windows, side="right") - 1
     coarse, fine = _mesh_sums(tree, params, probe, edges, panels, fermi, members, eps0)
-    out = []
-    for (first, last), c, f in zip(panels[level], coarse, fine):
-        achieved = abs(f - c) / max(abs(f), 1e-300)
-        out.append(float(f) if achieved <= _TOLERANCE
-                   else QuadratureError(int(last - first), achieved))
-    return out
+    achieved = np.abs(fine - coarse) / np.maximum(np.abs(fine), 1e-300)
+    return fine, achieved, (panels[:, 1] - panels[:, 0])[level]
 
 
-def _conductances(tree, params: DotParameters, probes) -> list:
-    """Conductance of each probe, or the :class:`QuadratureError` it failed with.
+def _conductances(tree, params: DotParameters, probe: ProbeSpec, e_f, eps0) -> np.ndarray:
+    """Conductance at each point (``e_f[i]``, ``eps0[i]``), with ``probe``'s
+    kT, lead widths and t1; shaped (samples, points) for parameters with
+    a sample axis, (points,) otherwise.
 
-    kT = 0 probes share one G_1 per E_f, each giving :func:`transmission`
-    at its E_f bit for bit, per sample; the others go through
-    :func:`_thermal` in groups of equal kT, lead widths and t1.  For
-    parameters with a sample axis a conductance is an array over the
-    samples, and a probe fails with its first failing sample's error.
-    The kT > 0 quadrature runs sample by sample, each on its own mesh,
-    and stops at the sample where every probe of its group has failed.
-    ``tree`` is compiled once for all of them.
+    At kT = 0 one G_1 evaluation over the distinct E_f gives
+    :func:`transmission` at each point bit for bit, per sample.
+    Otherwise :func:`_thermal` runs sample by sample, each on the
+    batch's compilation cut to it, and the first sample with a failing
+    point raises the :class:`QuadratureError` of its lowest-index one.
+    ``tree`` is compiled once.
     """
     tree = compile_tree(tree, params)
-    out: list = [None] * len(probes)
-    cold: dict[float, list[int]] = {}
-    warm: dict[tuple[float, ...], list[int]] = {}
-    for i, p in enumerate(probes):
-        if p.temperature == 0.0:
-            # E_f = -0.0 and 0.0 share a key; they give the same G_1.
-            cold.setdefault(p.e_f, []).append(i)
-        else:
-            warm.setdefault((p.temperature, p.gamma_l, p.gamma_r, p.t1), []).append(i)
-    for e_f, members in cold.items():
-        g1 = green_tree_many(tree, params, e_f)
-        for i in members:
-            c = _transmission_from_g1(g1, probes[i], probes[i].e_f)
-            out[i] = c if params.sample_shape else float(c)
-    for members in warm.values():
-        group = [probes[i] for i in members]
-        rows = map(tree.sample, range(params.sample_shape[0])) if params.sample_shape \
-            else [tree]
-        found: list = [[] for _ in members]  # each probe's conductances, or its first error
-        for row in rows:
-            for k, c in enumerate(_thermal(row, row.params, group)):
-                if isinstance(found[k], list):
-                    found[k] = c if isinstance(c, QuadratureError) else found[k] + [c]
-            if not any(isinstance(f, list) for f in found):
-                break
-        for i, f in zip(members, found):
-            if isinstance(f, list):
-                f = np.array(f) if params.sample_shape else f[0]
-            out[i] = f
-    return out
+    if probe.temperature == 0.0:
+        # E_f = -0.0 and 0.0 are one energy; they give the same G_1.
+        fermi, at = np.unique(e_f, return_inverse=True)
+        g1 = green_tree_many(tree, params, fermi)[..., at]
+        return _transmission_from_g1(g1, probe, e_f, eps0)
+    rows = map(tree.sample, range(params.sample_shape[0])) if params.sample_shape else [tree]
+    out = []
+    for row in rows:
+        total, achieved, panels = _thermal(row, row.params, probe, e_f, eps0)
+        failed = np.flatnonzero(~(achieved <= _TOLERANCE))  # NaN fails too
+        if len(failed):
+            raise QuadratureError(int(panels[failed[0]]), float(achieved[failed[0]]))
+        out.append(total)
+    return np.array(out) if params.sample_shape else out[0]
 
 
 def conductance(tree, params: DotParameters, probe: ProbeSpec) -> float:
@@ -388,25 +372,25 @@ def conductance(tree, params: DotParameters, probe: ProbeSpec) -> float:
     Otherwise a Gauss-Legendre quadrature over [E_f - 20kT, E_f + 20kT]
     on panels graded toward E_f and the probe+tree resonances, checked
     against every panel halved; a relative change above 1e-8 raises
-    :class:`QuadratureError`, the first failing sample's for a batch
-    (see :func:`_conductances`).  It is the one-probe case of the
-    quadrature :func:`sweep` shares ("Thermal quadrature" above).
+    :class:`QuadratureError`, the first failing sample's for a batch.
+    It is the one-point case of :func:`_conductances`, which
+    :func:`sweep` runs on a whole grid ("Thermal quadrature" above).
     """
-    (result,) = _conductances(tree, params, [probe])
-    if isinstance(result, QuadratureError):
-        raise result
-    return result
+    g = _conductances(tree, params, probe, np.array([probe.e_f]), np.array([probe.eps0]))
+    return g[:, 0] if params.sample_shape else float(g[0])
 
 
 def sweep(tree, params: DotParameters, probe: ProbeSpec, axis: str, grid) -> ConductanceTrace:
     """Transmission and conductance versus E or eps0, other parameters fixed.
 
-    The grid must be finite and strictly increasing.  Each point's
-    conductance is :func:`conductance` at that point, to the quadrature
-    tolerance; the points share one graded mesh and its G_1 evaluation,
-    as "Thermal quadrature" above describes (bit for bit at kT = 0).
-    If points fail to converge, the :class:`QuadratureError` of the
-    lowest-index one is raised, with its ``panels`` and ``achieved``.
+    The grid must be finite and strictly increasing, and ``params`` one
+    realization.  The grid makes the points of :func:`_conductances`:
+    its kT = 0 call gives the transmission column, which is the
+    conductance column at kT = 0, and a second call at the probe's kT
+    gives each point's :func:`conductance` otherwise, to the quadrature
+    tolerance.  If points fail to converge, the :class:`QuadratureError`
+    of the lowest-index one is raised, with its ``panels`` and
+    ``achieved``.
     """
     grid = tuple(float(v) for v in grid)
     if not grid:
@@ -415,21 +399,15 @@ def sweep(tree, params: DotParameters, probe: ProbeSpec, axis: str, grid) -> Con
         raise StructureError("sweep grid values must be finite")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise StructureError("sweep grid must be strictly increasing")
-    tree = compile_tree(tree, params)
-    if axis == "E":
-        trans = [float(t) for t in transmission_curve(tree, params, probe, grid)]
-        probes = [replace(probe, e_f=v) for v in grid]
-    elif axis == "eps0":
-        # G_1 does not depend on eps0: one evaluation at E_f serves every point.
-        g1 = green_tree_many(tree, params, probe.e_f)
-        probes = [replace(probe, eps0=v) for v in grid]
-        trans = [float(_transmission_from_g1(g1, p, p.e_f)) for p in probes]
-    else:
+    if axis not in ("E", "eps0"):
         raise StructureError(f"sweep axis must be 'E' or 'eps0', got {axis!r}")
-    cond = _conductances(tree, params, probes)
-    for c in cond:
-        if isinstance(c, QuadratureError):
-            raise c
+    _one_realization(params, "sweep")
+    points = np.array(grid)
+    fixed = np.full_like(points, probe.eps0 if axis == "E" else probe.e_f)
+    e_f, eps0 = (points, fixed) if axis == "E" else (fixed, points)
+    tree = compile_tree(tree, params)
+    trans = _conductances(tree, params, replace(probe, temperature=0.0), e_f, eps0)
+    cond = trans if probe.temperature == 0.0 else _conductances(tree, params, probe, e_f, eps0)
     meta = {
         "axis": axis,
         "gamma_l": probe.gamma_l,
@@ -444,8 +422,8 @@ def sweep(tree, params: DotParameters, probe: ProbeSpec, axis: str, grid) -> Con
     return ConductanceTrace(
         axis=axis,
         grid=grid,
-        transmission=tuple(trans),
-        conductance=tuple(cond),
+        transmission=tuple(map(float, trans)),
+        conductance=tuple(map(float, cond)),
         metadata=meta,
     )
 

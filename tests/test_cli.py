@@ -380,6 +380,20 @@ GOLDEN_CONFIGS = {
         "command = classical\ntree.depth = 4\ntree.bits = 1011000111010010\n"
         "disorder.seed = 9\n"
     ),
+    # Disordered sweeps at kT = 0, where the conductance column is the
+    # transmission column.
+    "sweep_E_cold": (
+        "command = sweep\ntree.depth = 4\ntree.bits = 0110100110010110\nphysics.gamma = 0.001\n"
+        "physics.eps0 = 0.02\ndisorder.sigma_eps = 0.05\ndisorder.sigma_t = 0.05\n"
+        "disorder.seed = 8\nsweep.axis = E\nsweep.min = -0.5\nsweep.max = 0.5\n"
+        "sweep.points = 33\n"
+    ),
+    "sweep_eps0_cold": (
+        "command = sweep\ntree.depth = 4\ntree.bits = 0110100110010110\nphysics.gamma = 0.001\n"
+        "physics.e_f = 0.05\ndisorder.sigma_eps = 0.05\ndisorder.sigma_t = 0.05\n"
+        "disorder.seed = 8\nsweep.axis = eps0\nsweep.min = -0.5\nsweep.max = 0.5\n"
+        "sweep.points = 33\n"
+    ),
 }
 
 #: SHA-256 of every emitted file.  Refactors of the engine must keep
@@ -400,6 +414,10 @@ GOLDEN_DIGESTS = {
     "layout.csv.meta": "afc787ca320a511847543685b7f85db30a6dcfe410a9ea28415b8c993554fa28",
     "classical.csv": "eebdc55f7c03e99b9523e50a0e7a7fb24de12dc4ab2ee78dec976e9f44614d33",
     "classical.csv.meta": "0a6106716a3a87bec7facbf8860a29b44a0f8454e5f4c1f98325e4b6faabc661",
+    "sweep_E_cold.csv": "a69196758a088d8201ecc111fc9e42d3281ad477f711785b82f135e4e98c77d8",
+    "sweep_E_cold.csv.meta": "4b3fbfa6cdf234db215d34e897f5fc21ebcf149c49b3331499585bdb3eab8075",
+    "sweep_eps0_cold.csv": "af79c1ad88d051044ff0c8442923832f20ce788bd9ee7f430acd4c6b488131f5",
+    "sweep_eps0_cold.csv.meta": "71259222de4cb3403735c558dfb1224c1b11f382a98dbc0db38073c8f1e1295a",
 }
 
 
@@ -413,13 +431,14 @@ def test_golden_output_digests(name, tmp_path, monkeypatch):
         assert digest == GOLDEN_DIGESTS[path], path
 
 
-def test_readme_config_blocks_parse():
+def test_readme_config_blocks_parse(tmp_path, monkeypatch):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     blocks = re.findall(r"^```[a-z]*\n(.*?)^```", readme, re.S | re.M)
     configs = [b for b in blocks if re.search(r"^command = ", b, re.M)]
     assert len(configs) == 3
+    monkeypatch.chdir(tmp_path)  # a block's relative output.path lands here
     for text in configs:
-        parse_config(text)
+        assert run(parse_config(text), out=io.StringIO()) in (0, 2)
     # one block lists every key with its default
     every = {f.metadata["key"] for f in fields(RunConfig)}
     (reference,) = [text for text in configs

@@ -256,7 +256,7 @@ def test_one_green_function_call_per_ensemble(monkeypatch):
 
     monkeypatch.setattr(transport, "green_tree_many", spy)
     run_ensemble(build_tree(4, [0] * 16), DisorderSpec(0.05, 0.05, 0), ProbeSpec(), 30, 1)
-    assert calls == [(30,)]
+    assert calls == [(30, 1)]
     calls.clear()
     shift_scaling((3, 5), 0.01, 12, 1)
     assert calls == [(12, SHIFT_GRID_POINTS)] * 2

@@ -102,6 +102,9 @@ def test_ideal_parameters_validation_and_gamma_floor():
 def test_dot_parameters_clamps_gamma_and_rejects_bad_couplings():
     p = DotParameters(epsilon={1: 0.0}, coupling={}, delta=10.0, gamma=0.0)
     assert p.gamma == GAMMA_FLOOR
+    for gamma in (-1.0, -1e-15, -math.inf):
+        with pytest.raises(StructureError, match=f"gamma must be nonnegative, got {gamma}"):
+            DotParameters(epsilon={1: 0.0}, coupling={}, delta=10.0, gamma=gamma)
     with pytest.raises(StructureError):
         DotParameters(epsilon={1: 0.0}, coupling={(1, 2): 0.0}, delta=10.0, gamma=1e-6)
 

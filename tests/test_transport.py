@@ -264,7 +264,7 @@ def reference_sweep(tree, params, probe: ProbeSpec, axis: str, grid) -> Conducta
         g1 = green_tree_many(tree, params, probe.e_f)
         for v in grid:
             p = replace(probe, eps0=v)
-            trans.append(float(_transmission_from_g1(g1, p, p.e_f)))
+            trans.append(float(_transmission_from_g1(g1, p, p.e_f, p.eps0)))
             cond.append(reference_conductance(tree, params, p))
     else:
         raise StructureError(f"sweep axis must be 'E' or 'eps0', got {axis!r}")
@@ -464,14 +464,35 @@ def test_zero_temperature_probes_share_g1_per_fermi_level(monkeypatch):
     grid = np.linspace(-1.0, 1.0, 201)
     sizes = spy_green_tree_many(monkeypatch)
     trace = sweep(tree, params, ProbeSpec(e_f=0.05), "eps0", grid)
-    # One G_1(E_f) for the transmission column, one for every conductance.
-    assert sizes == [1, 1]
+    # One G_1(E_f) gives the transmission column, which is the conductance.
+    assert sizes == [1]
     assert trace.conductance == trace.transmission
     sizes.clear()
-    probes = [ProbeSpec(e_f=e, eps0=v) for e in (0.1, -0.0, 0.0) for v in (0.0, 0.2)]
-    got = transport._conductances(tree, params, probes)
-    assert sizes == [1, 1]  # E_f = -0.0 and 0.0 share one
-    assert hexes(got) == hexes(transmission(tree, params, p, p.e_f) for p in probes)
+    e_f, eps0 = np.repeat([0.1, -0.0, 0.0], 2), np.tile([0.0, 0.2], 3)
+    got = transport._conductances(tree, params, ProbeSpec(), e_f, eps0)
+    assert sizes == [2]  # E_f = -0.0 and 0.0 are one energy
+    assert hexes(got) == hexes(transmission(tree, params, ProbeSpec(e_f=e, eps0=v), e)
+                               for e, v in zip(e_f, eps0))
+
+
+@pytest.mark.parametrize("axis", ["E", "eps0"])
+def test_zero_temperature_sweep_makes_one_g1_call(axis, monkeypatch):
+    tree, params = disordered(3, (1, 0, 1, 1, 0, 0, 1, 0))
+    grid = np.linspace(-1.0, 1.0, 11)
+    sizes = spy_green_tree_many(monkeypatch)
+    trace = sweep(tree, params, ProbeSpec(e_f=0.05, eps0=0.02), axis, grid)
+    assert sizes == [11 if axis == "E" else 1]
+    assert trace.conductance == trace.transmission
+
+
+@pytest.mark.parametrize("axis", ["E", "eps0"])
+@pytest.mark.parametrize("kt", [0.0, 0.01])
+def test_sweep_takes_one_realization(axis, kt):
+    tree = build_tree(2, (1, 0, 1, 1))
+    many = sample_disorder_many(tree, ideal_parameters(tree, 10.0, 0.01),
+                                [DisorderSpec(0.03, 0.03, seed) for seed in range(3)])
+    with pytest.raises(StructureError, match="sweep takes one realization, got 3 samples"):
+        sweep(tree, many, ProbeSpec(temperature=kt), axis, [-0.1, 0.1])
 
 
 def test_zero_temperature_batch_rounds_as_transmission():
@@ -529,6 +550,13 @@ def blind_resonances(monkeypatch):
     monkeypatch.setattr(transport, "_resonances", lambda *args: np.zeros(0))
 
 
+def failing_points(axis, grid):
+    """The (E_f, eps0) arrays of a sweep of ``FAILING_PROBE`` along ``axis``."""
+    grid = np.array(grid, dtype=float)
+    fixed = np.zeros_like(grid)  # FAILING_PROBE is at E_f = eps0 = 0
+    return (grid, fixed) if axis == "E" else (fixed, grid)
+
+
 def test_failing_probe_converges_with_its_resonances(monkeypatch):
     probe = FAILING_PROBE
     want = dense_reference(FAILING_TREE, FAILING_PARAMS, probe)
@@ -547,16 +575,18 @@ def test_failing_probe_converges_with_its_resonances(monkeypatch):
 ])
 def test_sweep_raises_lowest_index_quadrature_error(axis, grid, monkeypatch):
     blind_resonances(monkeypatch)
-    field = "e_f" if axis == "E" else "eps0"
-    probes = [replace(FAILING_PROBE, **{field: v}) for v in grid]
-    outcomes = transport._conductances(FAILING_TREE, FAILING_PARAMS, probes)
-    failed = [o for o in outcomes if isinstance(o, QuadratureError)]
-    assert len(failed) >= 2 and len({o.achieved for o in failed}) == len(failed)
-    assert not isinstance(outcomes[0], QuadratureError) or axis == "eps0"
-    with pytest.raises(QuadratureError) as info:
-        sweep(FAILING_TREE, FAILING_PARAMS, FAILING_PROBE, axis, grid)
-    assert (info.value.panels, info.value.achieved.hex()) == (
-        failed[0].panels, failed[0].achieved.hex())
+    points = failing_points(axis, grid)
+    _, achieved, panels = transport._thermal(FAILING_TREE, FAILING_PARAMS, FAILING_PROBE, *points)
+    (failed,) = np.nonzero(achieved > 1e-8)
+    assert len(failed) >= 2 and len(set(achieved[failed])) == len(failed)
+    assert failed[0] > 0 or axis == "eps0"
+    want = (int(panels[failed[0]]), float(achieved[failed[0]]).hex())
+    for run in (lambda: transport._conductances(FAILING_TREE, FAILING_PARAMS, FAILING_PROBE,
+                                                *points),
+                lambda: sweep(FAILING_TREE, FAILING_PARAMS, FAILING_PROBE, axis, grid)):
+        with pytest.raises(QuadratureError) as info:
+            run()
+        assert (info.value.panels, info.value.achieved.hex()) == want
 
 
 def test_failing_points_split_the_finest_levels(monkeypatch):
@@ -565,18 +595,18 @@ def test_failing_points_split_the_finest_levels(monkeypatch):
     # none above the cap, and each point fails as it does in one call.
     blind_resonances(monkeypatch)
     grid = [-0.3, -0.1, 0.1, 0.3]
-    probes = [replace(FAILING_PROBE, e_f=v) for v in grid]
-    whole = transport._conductances(FAILING_TREE, FAILING_PARAMS, probes)
+    points = (FAILING_TREE, FAILING_PARAMS, FAILING_PROBE) + failing_points("E", grid)
+    _, whole, whole_panels = transport._thermal(*points)
     sizes = spy_green_tree_many(monkeypatch)
     monkeypatch.setattr(transport, "_MAX_ENERGIES", 1024)
-    split = transport._conductances(FAILING_TREE, FAILING_PARAMS, probes)
+    _, split, split_panels = transport._thermal(*points)
     assert len(sizes) >= 10 and max(sizes) <= 1024
-    assert all(isinstance(o, QuadratureError) for o in whole + split)
-    assert [o.panels for o in split] == [o.panels for o in whole]
-    assert relative([o.achieved for o in split], [o.achieved for o in whole]) <= 1e-6
+    assert np.all(whole > 1e-8) and np.all(split > 1e-8)
+    assert split_panels.tolist() == whole_panels.tolist()
+    assert relative(split, whole) <= 1e-6
     with pytest.raises(QuadratureError) as info:
         sweep(FAILING_TREE, FAILING_PARAMS, FAILING_PROBE, "E", grid)
-    assert info.value.panels == split[0].panels
+    assert info.value.panels == split_panels[0]
 
 
 def test_failing_sweep_memory_stays_near_one_point(monkeypatch):
