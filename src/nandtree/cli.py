@@ -146,12 +146,14 @@ def _validate(cfg: RunConfig) -> list[str]:
     if cfg.command in ("evaluate", "sweep", "ensemble"):
         if tree is not None:
             build("physics.delta, physics.gamma", ideal_parameters, tree, cfg.delta, cfg.gamma)
-        build("disorder.sigma_t, disorder.sigma_eps", _disorder, cfg)
+        build("disorder.sigma_t, disorder.sigma_eps, disorder.seed", _disorder, cfg)
         build("physics.gamma_l, physics.gamma_r, physics.t1, physics.eps0, physics.e_f, "
               "physics.kt", _probe, cfg)
     if cfg.command == "feasibility":
         build("feasibility.gamma, feasibility.t, feasibility.big_gamma, feasibility.sigma_eps, "
               "feasibility.sigma_t, feasibility.spacing_nm", _feasibility, cfg)
+    if cfg.command == "classical" and cfg.seed < 0:
+        errors.append(f"disorder.seed: seed must be nonnegative, got {cfg.seed}")
     if cfg.trials < 1:
         errors.append(f"disorder.trials: must be >= 1, got {cfg.trials}")
     if cfg.command == "sweep":

@@ -28,9 +28,9 @@ result has shape (samples,) + the energies' shape, or the energies'
 shape alone for one realization.  Each dot's eps and each link's t^2
 are gathered into per-level (dots x samples) columns once per
 compilation, by binary search of the reachable dots and (parent, child)
-links in the sorted key arrays of the parameter tables
-(:class:`~nandtree.model.ParamTable`); entries for other dots and links
-are never read.  A missing entry for a reachable dot or link raises
+links in the key arrays of the parameter tables, which keep their keys
+in ascending order (:class:`~nandtree.model.ParamTable`); entries for
+other dots and links are never read.  A missing entry for a reachable dot or link raises
 :class:`~nandtree.model.StructureError`.
 
 **Merged subtrees.**  :func:`compile_tree` turns the schedule and its

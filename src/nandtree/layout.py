@@ -18,10 +18,10 @@ tree level, :func:`_preorder` places every dot in preorder, from the
 chain lengths and the tree's reach mask
 (:meth:`~nandtree.model.TreeSpec.structure`) alone; the H-fractal's
 dots, links and coordinates (:func:`build_hfractal`), and a chained
-tree's evaluation schedule and postorder, follow from those positions
-by broadcasting.  :func:`expand_to_tree` reads the chains back from a
-layout's links by pointer jumping.  No step loops over the dots in
-Python.
+tree's evaluation schedule and its dots with their parents, follow
+from those positions by broadcasting.  :func:`expand_to_tree` reads
+the chains back from a layout's links by pointer jumping.  No step
+loops over the dots in Python.
 
 The feasibility estimates at the bottom of the module are the only
 place in the package that uses physical units (micro-eV, nm, ns).
@@ -157,8 +157,7 @@ def _preorder(tree: TreeSpec, length: np.ndarray) -> _Preorder:
     the leaves up, then their preorder positions and depths from the
     root down.  The chain above node c takes the positions and depths
     just before c's, so the other dots follow by broadcasting.  The
-    dots' preorder is the breadth-first order of each level, and fixes
-    the postorder (see :meth:`ChainedTree.postorder_arrays`).
+    dots' preorder is the breadth-first order of each level.
     """
     reach, kids = tree.structure()
     length = np.where(reach, length, 0)
@@ -239,10 +238,10 @@ class ChainedTree(RootedTree):
     ``tree`` and :func:`~nandtree.model.ideal_parameters` builds the
     parameters.
 
-    :meth:`levels` and :meth:`postorder_arrays` follow from these
-    arrays through the dots' preorder (:func:`_preorder`), with no walk
-    over the dots.  ``children()`` and ``is_leaf()`` look up one dot, for
-    the dense oracle and per-dot checks.
+    :meth:`levels` and :meth:`dots` follow from these arrays through
+    the dots' preorder (:func:`_preorder`), with no walk over the dots.
+    ``children()`` and ``is_leaf()`` look up one dot, for the dense
+    oracle and per-dot checks.
     """
 
     tree: TreeSpec
@@ -303,28 +302,11 @@ class ChainedTree(RootedTree):
         out.reverse()
         return out
 
-    def postorder_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`RootedTree.postorder_arrays` from the dots' preorder.
-
-        A dot at preorder position p, with d ancestors and s dots in its
-        subtree, is preceded in postorder by the s - 1 others of its
-        subtree and by the p - d dots before it that are not its
-        ancestors: its postorder position is p + s - 1 - d.
-        """
+    def dots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`RootedTree.dots` in the dots' preorder."""
         ids, dots = self._dots
-        at = np.arange(len(ids))
-        post = at + dots.size - 1 - dots.depth
-        nodes, kids = np.empty_like(ids), np.empty_like(dots.kids)
-        nodes[post], kids[post] = ids, dots.kids
-        parent = dots.parent[1:]
-        # A node's links follow its postorder, a second child's after the first.
-        where = (np.cumsum(kids) - kids)[post[parent]] + (at[1:] != parent + 1)
-        links = np.empty((len(ids) - 1, 2), np.int64)
-        links[where] = np.stack([ids[parent], ids[1:]], axis=1)
-        signs = np.zeros_like(nodes)
-        leaf = kids == 0
-        signs[leaf] = self.tree.leaf_values(nodes[leaf])
-        return nodes, links, signs
+        parents = np.where(dots.parent >= 0, ids[dots.parent], -1)
+        return ids, parents, self.tree.leaf_values(ids)
 
 
 def inverter_map(alpha: float, beta: float, d: int) -> tuple[float, float]:
@@ -473,7 +455,8 @@ def feasibility(
     spacing**2 * 3**log2(N); the evaluation time is 10 hbar / Gamma
     (a ten-electron differential signal).  Temperature does not enter:
     evaluation is limited by disorder and dephasing, not directly by
-    temperature.
+    temperature.  A footprint too large for a float (t/sigma_max near
+    1e97 and above) raises :class:`StructureError`.
     """
     values = {
         "gamma": gamma_phys,
@@ -495,7 +478,13 @@ def feasibility(
     limiting = max(constraints, key=constraints.__getitem__)
     sigma_max = constraints[limiting]
     n_levels = max(0, math.floor(2.0 * math.log2(t_phys / sigma_max))) if sigma_max < t_phys else 0
-    area_mm2 = spacing_nm**2 * 3.0**n_levels / 1e12
+    try:
+        area_mm2 = spacing_nm**2 * 3.0**n_levels / 1e12
+    except OverflowError:
+        area_mm2 = math.inf
+    if area_mm2 == math.inf:
+        raise StructureError(f"the H-fractal footprint of 2**{n_levels} inputs overflows a float "
+                             f"(t/sigma_max = {t_phys / sigma_max:.3g})")
     eval_time_ns = 10.0 * HBAR_UEV_NS / Gamma_phys
     return FeasibilityReport(
         n_max=2**n_levels,

@@ -92,12 +92,11 @@ class RootedTree:
     """The tree protocol every evaluator reads.
 
     A tree provides ``root``, and its shape twice over in closed form:
-    the evaluation schedule :meth:`levels` and the reachable nodes and
-    links :meth:`postorder_arrays`; the Green's-function evaluators and
+    the evaluation schedule :meth:`levels` and the reachable dots
+    :meth:`dots`; the Green's-function evaluators and
     :func:`ideal_parameters` need nothing else.  ``children(node)``
-    lists one node's children, in the order :meth:`levels` and
-    :meth:`postorder_arrays` use, for the dense oracle, which collects
-    the dots by its own walk.
+    lists one node's children, in the order :meth:`levels` uses, for
+    the dense oracle, which collects the dots by its own walk.
     """
 
     def levels(self) -> list[Level]:
@@ -114,22 +113,13 @@ class RootedTree:
         """
         raise NotImplementedError
 
-    def postorder_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The reachable nodes, children before parents, each node's
-        children in ``children()`` order, as an int array of shape (n,);
-        their (parent, child) links in the order of the parents, shape
-        (n - 1, 2); and each node's ``leaf_sign * leaf_bit`` (0 for
-        internal nodes).  :func:`ideal_parameters` builds on these.
+    def dots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every reachable dot once, in no set order, as three aligned
+        int arrays of shape (n,): its id, its parent's id (-1 for the
+        root), and its ``leaf_sign * leaf_bit`` (0 for internal dots).
+        :func:`ideal_parameters` builds on these.
         """
         raise NotImplementedError
-
-    def postorder(self) -> list[int]:
-        """The nodes of :meth:`postorder_arrays` as a list."""
-        return self.postorder_arrays()[0].tolist()
-
-    def links(self) -> list[Link]:
-        """The links of :meth:`postorder_arrays` as a list of pairs."""
-        return list(map(tuple, self.postorder_arrays()[1].tolist()))
 
 
 @dataclass(frozen=True)
@@ -241,35 +231,25 @@ class TreeSpec(RootedTree):
             out.append(Level(nodes, slots))
         return out
 
-    def postorder_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`RootedTree.postorder_arrays` in closed form on the heap indices.
+    def dots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`RootedTree.dots` on the heap indices: the reachable ids
+        in ascending order (all of 1 .. 2N - 1, or those that a NOT
+        marker leaves in reach, :meth:`structure`), each node's parent
+        being ``id >> 1``."""
+        ids = (np.flatnonzero(self.structure()[0]) if self.not_markers
+               else np.arange(1, 2 * self.n_leaves))
+        parents = ids >> 1
+        parents[0] = -1
+        return ids, parents, self.leaf_values(ids)
 
-        The postorder of the full subtree of height k + 1 is that of
-        height k shifted onto node 2, then onto node 3, then the root:
-        node v at level l of a subtree moves to v + 2**l and v + 2**(l+1).
-        A NOT marker drops whole subtrees, which keeps the order of the
-        rest, so with markers the full postorder and its links are
-        filtered by reach (:meth:`structure`).
-        """
-        order = step = np.ones(1, dtype=np.int64)
-        for _ in range(self.depth):
-            order = np.concatenate([order + step, order + 2 * step, [1]])
-            step = np.concatenate([2 * step, 2 * step, [1]])
-        n = self.n_leaves
-        inner = order[order < n]
-        links = np.stack([inner.repeat(2), (2 * inner[:, None] + [0, 1]).ravel()], axis=1)
-        if self.not_markers:
-            reach = self.structure()[0]
-            order, links = order[reach[order]], links[reach[links[:, 1]]]
-        signs = np.zeros_like(order)
-        leaf = order >= n
-        signs[leaf] = self.leaf_values(order[leaf])
-        return order, links, signs
-
-    def leaf_values(self, leaves: np.ndarray) -> np.ndarray:
-        """``leaf_sign * leaf_bit`` of each leaf node in the int array ``leaves``."""
-        i = leaves - self.n_leaves
-        return (1 - 2 * (i & 1)) * np.array(self.input_bits)[i]
+    def leaf_values(self, ids: np.ndarray) -> np.ndarray:
+        """``leaf_sign * leaf_bit`` of each id in the int array ``ids``
+        that is a leaf node, 0 for the others."""
+        i = ids - self.n_leaves
+        leaf = (i >= 0) & (i < self.n_leaves)
+        out = np.zeros_like(ids)
+        out[leaf] = (1 - 2 * (i[leaf] & 1)) * np.array(self.input_bits)[i[leaf]]
+        return out
 
 
 class ParamTable(Mapping):
@@ -277,15 +257,17 @@ class ParamTable(Mapping):
 
     ``keys_array`` holds node ids, shape (n,), or (parent, child) links,
     shape (n, 2); ``values_array`` holds one float per key, shape (n,),
-    or one per sample and key, shape (samples, n).  Iteration follows
-    the array order and yields Python ints or int pairs, so a table
-    iterates, indexes and compares like the dict it stands for;
-    ``values()`` and ``items()`` return lists in that order.  With a
-    sample axis a key's value is the list (``[]``: the array) of its
-    per-sample values.  Keys are distinct and node ids lie in
-    [0, 2**31), so a link packs into one int64 sort key; :meth:`lookup`
-    finds many keys at once by binary search over the keys in sorted
-    order.
+    or one per sample and key, shape (samples, n).  Keys are distinct
+    and node ids lie in [0, 2**31), so a link packs into one int64 code,
+    ``parent << 32 | child``.  The table keeps its keys in ascending
+    order of their codes, node ids ascending and links by (parent,
+    child), whatever order they are given in; the values move with their
+    keys.  Iteration follows that order and yields Python ints or int
+    pairs, so a table iterates, indexes and compares like the dict it
+    stands for; ``values()`` and ``items()`` return lists in that order.
+    With a sample axis a key's value is the list (``[]``: the array) of
+    its per-sample values.  :meth:`lookup` finds many keys at once by
+    binary search.
     """
 
     def __init__(self, keys, values):
@@ -298,14 +280,16 @@ class ParamTable(Mapping):
                 f"got shapes {keys.shape} and {values.shape}")
         if keys.size and not (0 <= keys.min() and keys.max() < _ID_LIMIT):
             raise StructureError("node ids must lie in [0, 2**31)")
-        keys.flags.writeable = values.flags.writeable = False
-        self.keys_array, self.values_array = keys, values
+        self.keys_array = keys
         codes = self._codes(keys)
-        self._order = np.argsort(codes, kind="stable")
-        self._sorted = codes[self._order]
-        if np.any(self._sorted[1:] == self._sorted[:-1]):
-            raise StructureError("parameter keys must be distinct")
-        self._order.flags.writeable = False
+        # Strictly ascending codes are sorted and distinct: one O(n) check.
+        if np.any(codes[1:] <= codes[:-1]):
+            order = np.argsort(codes, kind="stable")
+            keys, values, codes = keys.take(order, 0), values.take(order, -1), codes[order]
+            if np.any(codes[1:] == codes[:-1]):
+                raise StructureError("parameter keys must be distinct")
+        keys.flags.writeable = values.flags.writeable = codes.flags.writeable = False
+        self.keys_array, self.values_array, self._sorted = keys, values, codes
 
     @classmethod
     def of(cls, mapping: Mapping, links: bool) -> ParamTable:
@@ -333,15 +317,16 @@ class ParamTable(Mapping):
     def _codes(self, keys: np.ndarray) -> np.ndarray:
         return (keys[:, 0] << 32) | keys[:, 1] if self.links else keys
 
-    def argsort(self) -> np.ndarray:
-        """Positions of the keys in ascending order, links lexicographically."""
-        return self._order
+    def _with(self, values: np.ndarray) -> ParamTable:
+        """These keys with ``values``, shaped like ``values_array``, made read-only."""
+        values.flags.writeable = False
+        out = copy.copy(self)
+        out.values_array = values
+        return out
 
     def row(self, i: int) -> ParamTable:
         """Sample ``i`` of a table with a sample axis, sharing its keys."""
-        out = copy.copy(self)
-        out.values_array = self.values_array[i]
-        return out
+        return self._with(self.values_array[i])
 
     def lookup(self, keys) -> np.ndarray:
         """The values of ``keys``, shaped like ``values_array`` with ``keys``
@@ -358,7 +343,7 @@ class ParamTable(Mapping):
         if not found.all():
             key = keys[np.argmin(found)].tolist()
             raise KeyError(tuple(key) if self.links else key)
-        return self.values_array[..., self._order[at]]
+        return self.values_array[..., at]
 
     def __getitem__(self, key) -> float:
         # One key at a time, without the array set-up of lookup(): dense
@@ -373,7 +358,7 @@ class ParamTable(Mapping):
         at = self._sorted.searchsorted(code)
         if at == len(self) or self._sorted[at] != code:
             raise KeyError(key)
-        value = self.values_array[..., self._order[at]]
+        value = self.values_array[..., at]
         return float(value) if value.ndim == 0 else value
 
     def __iter__(self):
@@ -400,15 +385,16 @@ class DotParameters:
 
     ``epsilon`` maps node -> detuning, ``coupling`` maps (parent, child)
     -> tunnel coupling; both in units of t.  Either may be given as any
-    mapping and is stored as a :class:`ParamTable`, in the mapping's
-    iteration order.  Tables whose values carry a leading sample axis
+    mapping and is stored as a :class:`ParamTable`, its keys in ascending
+    order.  Tables whose values carry a leading sample axis
     (:func:`sample_disorder_many`) hold one realization per sample;
     :meth:`sample` takes one out.  ``delta`` is the oracle coupling
     strength and ``gamma`` the dephasing rate 1/tau_phi, shared by all
     samples.  Couplings must be finite and positive, detunings must not
-    be NaN and ``gamma`` must be finite and nonnegative; the first entry
-    that is not raises :class:`StructureError`.  A ``gamma`` below
-    ``GAMMA_FLOOR`` is raised to it.
+    be NaN and ``gamma`` must be finite and nonnegative; otherwise
+    :class:`StructureError` names the bad entry with the lowest key
+    (whatever order the mapping gave), in the first sample that has it
+    bad.  A ``gamma`` below ``GAMMA_FLOOR`` is raised to it.
     """
 
     epsilon: Mapping[int, float]
@@ -425,12 +411,13 @@ class DotParameters:
         t = coup.values_array
         bad = ~(np.isfinite(t) & (t > 0))
         if bad.any():
-            at = np.unravel_index(np.argmax(bad), bad.shape)
+            # The key axis first: the lowest bad key, then its first bad sample.
+            at = np.unravel_index(np.argmax(bad.T), bad.T.shape)[::-1]
             raise StructureError(f"tunnel coupling {tuple(coup.keys_array[at[-1]].tolist())} "
                                  f"must be finite and positive, got {t[at]}")
         bad = np.isnan(eps.values_array)
         if bad.any():
-            at = np.unravel_index(np.argmax(bad), bad.shape)
+            at = np.unravel_index(np.argmax(bad.T), bad.T.shape)[::-1]
             raise StructureError(f"detuning of node {eps.keys_array[at[-1]]} is NaN")
         if self.gamma < 0:
             raise StructureError(f"gamma must be nonnegative, got {self.gamma}")
@@ -452,7 +439,8 @@ class DotParameters:
 @dataclass(frozen=True)
 class DisorderSpec:
     """Gaussian disorder widths (units of t) plus the sampling seed; the
-    widths, ``mean_t`` and ``coupling_floor`` must be finite."""
+    widths, ``mean_t`` and ``coupling_floor`` must be finite, and the
+    seed nonnegative, as numpy's generators take it."""
 
     sigma_t: float
     sigma_eps: float
@@ -466,6 +454,8 @@ class DisorderSpec:
                 raise StructureError(f"{name} must be finite, got {getattr(self, name)}")
         if self.sigma_t < 0 or self.sigma_eps < 0:
             raise StructureError("disorder widths must be nonnegative")
+        if self.seed < 0:
+            raise StructureError(f"seed must be nonnegative, got {self.seed}")
         if self.sigma_t >= self.mean_t:
             raise StructureError(
                 f"sigma_t = {self.sigma_t} must stay below mean_t = {self.mean_t}"
@@ -498,13 +488,17 @@ def ideal_parameters(tree: RootedTree, delta: float, gamma: float) -> DotParamet
 
     Serves :class:`TreeSpec` and the chain-augmented trees of
     :mod:`nandtree.layout` alike; inverter dots are internal, so they get
-    zero detuning.  Keys follow ``postorder()`` and ``links()``.
+    zero detuning.  One detuning per dot of ``tree.dots()`` and one
+    coupling per (parent, dot) link below the root, the keys of each
+    table in ascending order (see :class:`ParamTable`).
     """
     if not 0 < delta < math.inf:
         raise StructureError(f"delta must be positive and finite, got {delta}")
-    nodes, links, signs = tree.postorder_arrays()
-    return DotParameters(epsilon=ParamTable(nodes, signs * delta),
-                         coupling=ParamTable(links, np.ones(len(links))),
+    ids, parents, signs = tree.dots()
+    below = parents >= 0
+    return DotParameters(epsilon=ParamTable(ids, signs * delta),
+                         coupling=ParamTable(np.stack([parents[below], ids[below]], axis=1),
+                                             np.ones(len(ids) - 1)),
                          delta=delta, gamma=gamma)
 
 
@@ -515,8 +509,8 @@ def sample_disorder(tree: RootedTree, ideal: DotParameters, spec: DisorderSpec) 
 
     The one-sample case of :func:`sample_disorder_many`: the couplings
     are drawn first, one per link in ascending (parent, child) order,
-    then the detuning noise, one per node in ascending id order; the
-    sample's keys are in those orders.
+    then the detuning noise, one per node in ascending id order, which
+    are the tables' own orders.
     """
     return sample_disorder_many(tree, ideal, [spec]).sample(0)
 
@@ -527,17 +521,18 @@ def sample_disorder_many(tree: RootedTree, ideal: DotParameters, specs) -> DotPa
     Row i is what :func:`sample_disorder` draws for ``specs[i]``, from
     its own ``default_rng(specs[i].seed)``: the couplings first, one per
     link in ascending (parent, child) order, then the detuning noise,
-    one per node in ascending id order.  Every row has the ideal keys in
-    those orders.
+    one per node in ascending id order.  Those are the orders the ideal
+    tables keep, so the draws fill their value arrays as they come, and
+    every row shares the ideal key arrays.
     """
-    links, nodes = ideal.coupling.argsort(), ideal.epsilon.argsort()
-    tvals = np.empty((len(specs), len(links)))
-    evals = np.empty((len(specs), len(nodes)))
+    coup, eps = ideal.coupling, ideal.epsilon
+    tvals = np.empty((len(specs), len(coup)))
+    evals = np.empty((len(specs), len(eps)))
     for spec, t, e in zip(specs, tvals, evals):
         rng = np.random.default_rng(spec.seed)
-        t[:] = rng.normal(spec.mean_t, spec.sigma_t, size=len(links))
-        e[:] = rng.normal(0.0, spec.sigma_eps, size=len(nodes))
+        t[:] = rng.normal(spec.mean_t, spec.sigma_t, size=len(coup))
+        e[:] = rng.normal(0.0, spec.sigma_eps, size=len(eps))
     floor = np.array([spec.coupling_floor for spec in specs]).reshape(-1, 1)
-    coup = ParamTable(ideal.coupling.keys_array[links], np.where(tvals < floor, floor, tvals))
-    eps = ParamTable(ideal.epsilon.keys_array[nodes], ideal.epsilon.values_array[nodes] + evals)
-    return replace(ideal, epsilon=eps, coupling=coup)
+    tvals = np.where(tvals < floor, floor, tvals)
+    evals += eps.values_array
+    return replace(ideal, epsilon=eps._with(evals), coupling=coup._with(tvals))

@@ -5,7 +5,9 @@ verbatim as functions of the tree: a depth-first walk for the postorder
 and links, and a breadth-first pass for the evaluation schedule.  The
 closed forms of :class:`~nandtree.model.TreeSpec` and
 :class:`~nandtree.layout.ChainedTree` must give the same arrays bit for
-bit.  :class:`WalkedTree` evaluates a test-built tree through them.
+bit: the same levels, and the same dots, parents and signs once both
+are put in ascending id order (:func:`dots`, :func:`by_id`).
+:class:`WalkedTree` evaluates a test-built tree through them.
 """
 
 from itertools import chain
@@ -58,6 +60,24 @@ def postorder_arrays(tree) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return nodes, np.stack([nodes.repeat(counts), children], axis=1), signs
 
 
+def by_id(dots) -> tuple[np.ndarray, ...]:
+    """The arrays of a tree's ``dots()``, reordered by ascending id."""
+    order = np.argsort(dots[0])
+    return tuple(a[order] for a in dots)
+
+
+def dots(tree) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``dots()`` by the depth-first walk: the nodes of
+    :func:`postorder_arrays` in ascending id order, with their parents
+    (-1 for the root) and signs."""
+    nodes, links, signs = postorder_arrays(tree)
+    order = np.argsort(nodes)
+    ids = nodes[order]
+    parents = np.full_like(ids, -1)
+    parents[np.searchsorted(ids, links[:, 1])] = links[:, 0]
+    return ids, parents, signs[order]
+
+
 def levels(tree) -> list[Level]:
     """Bottom-up evaluation schedule by a breadth-first pass: one
     :class:`~nandtree.model.Level` per distance from the root, the
@@ -76,10 +96,8 @@ def levels(tree) -> list[Level]:
 
 class WalkedTree(RootedTree):
     """A tree given by ``root`` and ``children()`` alone, its shape
-    computed by the walks (``postorder_arrays()`` also needs
-    ``leaf_bit()`` and ``leaf_sign()``)."""
+    computed by the walks (``dots()`` also needs ``leaf_bit()`` and
+    ``leaf_sign()``)."""
 
-    postorder = postorder
-    links = links
-    postorder_arrays = postorder_arrays
+    dots = dots
     levels = levels

@@ -15,6 +15,8 @@ from nandtree import (
 from nandtree.classical import CRITICAL_P1, QueryStats, _nand, _with_bits
 from nandtree.model import StructureError
 
+import reference_walks as walks
+
 
 def test_eval_nand_truth_table():
     assert eval_nand(build_tree(1, (1, 1))) == 0
@@ -202,7 +204,7 @@ def test_oracle_expectation_scales_to_4096_leaves():
 def _reference_nand(tree, leaves):
     """The post-order dict recursion that evaluated the NAND before the level schedule."""
     value = {}
-    for node in tree.postorder():
+    for node in walks.postorder(tree):
         kids = tree.children(node)
         if not kids:
             value[node] = leaves[tree.leaf_index(node)]

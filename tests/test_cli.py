@@ -185,6 +185,7 @@ def test_deleted_keys_are_unknown(key):
 
 
 PROBE_KEYS = "physics.gamma_l, physics.gamma_r, physics.t1, physics.eps0, physics.e_f, physics.kt"
+DISORDER_KEYS = "disorder.sigma_t, disorder.sigma_eps, disorder.seed:"
 FEASIBILITY_KEYS = ("feasibility.gamma, feasibility.t, feasibility.big_gamma, "
                     "feasibility.sigma_eps, feasibility.sigma_t, feasibility.spacing_nm")
 
@@ -317,11 +318,11 @@ def test_main_rejects_nan_sweep_bound(tmp_path, capsys):
 @pytest.mark.parametrize("line, keys, message", [
     ("physics.gamma = nan", "physics.delta, physics.gamma:", "gamma must be finite, got nan"),
     ("physics.gamma = inf", "physics.delta, physics.gamma:", "gamma must be finite, got inf"),
-    ("disorder.sigma_eps = nan", "disorder.sigma_t, disorder.sigma_eps:",
+    ("disorder.sigma_eps = nan", DISORDER_KEYS,
      "sigma_eps must be finite, got nan"),
-    ("disorder.sigma_eps = inf", "disorder.sigma_t, disorder.sigma_eps:",
+    ("disorder.sigma_eps = inf", DISORDER_KEYS,
      "sigma_eps must be finite, got inf"),
-    ("disorder.sigma_t = nan", "disorder.sigma_t, disorder.sigma_eps:",
+    ("disorder.sigma_t = nan", DISORDER_KEYS,
      "sigma_t must be finite, got nan"),
 ], ids=["gamma-nan", "gamma-inf", "sigma_eps-nan", "sigma_eps-inf", "sigma_t-nan"])
 def test_main_rejects_non_finite_dephasing_and_disorder(line, keys, message, tmp_path, capsys):
@@ -331,6 +332,33 @@ def test_main_rejects_non_finite_dephasing_and_disorder(line, keys, message, tmp
     err = capsys.readouterr().err
     assert f"{keys} {message}" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text, keys", [
+    (EVALUATE_CONFIG + "disorder.sigma_eps = 0.1\n", DISORDER_KEYS),
+    (EVALUATE_CONFIG, DISORDER_KEYS),
+    (SWEEP_CONFIG, DISORDER_KEYS),
+    (EVALUATE_CONFIG.replace("evaluate", "ensemble") + "disorder.trials = 2\n", DISORDER_KEYS),
+    ("command = classical\ntree.depth = 1\ntree.bits = 01\n", "disorder.seed:"),
+], ids=["evaluate-disordered", "evaluate", "sweep", "ensemble", "classical"])
+def test_main_rejects_a_negative_seed(text, keys, tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text(text + f"disorder.seed = -3\noutput.path = {tmp_path / 'out.csv'}\n")
+    assert main([str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"config error: {keys} seed must be nonnegative, got -3\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("sigma", ["1e-95", "1e-96"])
+def test_main_rejects_a_feasibility_area_beyond_a_float(sigma, tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text("command = feasibility\n" + "".join(
+        f"feasibility.{key} = {sigma}\n" for key in ("gamma", "sigma_eps", "sigma_t")))
+    assert main([str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {FEASIBILITY_KEYS}: the H-fractal footprint of 2**")
+    assert "overflows a float" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("key", ["gamma_l", "gamma_r", "t1", "eps0", "e_f", "kt"])

@@ -31,7 +31,7 @@ def reference_resolve(tree, params: DotParameters, E, derivative: bool = False):
     g: dict = {}
     dg: dict = {}
     try:
-        for node in tree.postorder():
+        for node in walks.postorder(tree):
             denom = E + ig - params.epsilon[node]
             ddenom = 1.0
             for c in tree.children(node):
@@ -197,7 +197,7 @@ def test_levels_closed_form_matches_breadth_first():
                 assert ma is None and mb is None
             below = a.nodes
         reachable = sorted(int(n) for level in closed for n in level.nodes)
-        assert reachable == sorted(tree.postorder())
+        assert reachable == sorted(walks.postorder(tree))
 
 
 def _without(params, node=None, link=None):
@@ -213,7 +213,7 @@ def test_missing_entries_raise_for_reachable_dots_only():
         params = ideal_parameters(t, 10.0, 1e-6)
         # The dropped subtree under the NOT marker at node 3 has no entries.
         assert 7 not in params.epsilon and (3, 7) not in params.coupling
-        inner = next(n for n in t.postorder() if len(t.children(n)) == 1)
+        inner = next(n for n in walks.postorder(t) if len(t.children(n)) == 1)
         link = (inner, t.children(inner)[0])
         for broken in (_without(params, node=inner), _without(params, link=link)):
             for E in (0.0, np.linspace(-1.0, 1.0, 5)):
@@ -404,11 +404,11 @@ def ragged_parameters(tree, rng, distinct_bottom):
     """Detunings and couplings from a few values, so subtrees repeat; with
     ``distinct_bottom`` the deepest dots get distinct detunings, so
     classing stops there and only childless dots above are classed."""
-    nodes = tree.postorder()
+    nodes = walks.postorder(tree)
     eps = {n: float(rng.choice([0.0, 0.5, -0.5])) for n in nodes}
     if distinct_bottom:
         eps.update({n: 0.1 * i + 1.0 for i, n in enumerate(tree.deepest)})
-    coupling = {link: float(rng.choice([1.0, 0.8])) for link in tree.links()}
+    coupling = {link: float(rng.choice([1.0, 0.8])) for link in walks.links(tree)}
     return DotParameters(eps, coupling, 10.0, 1e-3)
 
 

@@ -24,6 +24,8 @@ from nandtree import (
 )
 from nandtree.classical import eval_nand
 
+import reference_walks as walks
+
 
 def test_inverter_counts_published_prefix():
     assert inverter_counts(7) == (0, 2, 4, 10, 20, 38, 76)
@@ -64,7 +66,7 @@ def test_hfractal_depth3_counts_per_level():
     # root link level has 4 inverters per leg, then 2, then 0
     by_level = {}
     pos = {d: (x, y) for d, x, y in graph.dots}
-    for node in tree.postorder():
+    for node in walks.postorder(tree):
         for child in tree.children(node):
             dist = sum(abs(a - b) for a, b in zip(pos[node], pos[child]))
             by_level.setdefault(tree.level(node), set()).add(dist - 1)
@@ -193,11 +195,11 @@ def test_ideal_parameters_on_chained_tree(name):
     chained = CHAINED[name]
     delta = 10.0
     params = ideal_parameters(chained, delta, 1e-6)
-    assert list(params.epsilon) == chained.postorder()
-    assert list(params.coupling) == chained.links()
+    assert list(params.epsilon) == sorted(walks.postorder(chained))
+    assert list(params.coupling) == sorted(walks.links(chained))
     assert set(params.coupling.values()) == {1.0}
     n = CHAIN_TREE.n_leaves
-    leaves = [node for node in chained.postorder() if chained.is_leaf(node)]
+    leaves = [node for node in walks.postorder(chained) if chained.is_leaf(node)]
     # Node 3 carries a NOT marker, so node 7 and its leaves 14, 15 are absent.
     assert leaves == list(range(n, 2 * n - 2))
     for node, eps in params.epsilon.items():
@@ -272,6 +274,15 @@ def test_feasibility_rejects_nonpositive():
     for bad in (math.nan, math.inf):
         with pytest.raises(StructureError, match="positive and finite"):
             feasibility(0.1, bad, 0.1, 1.0, 1.0, 100.0)
+
+
+@pytest.mark.parametrize("sigma", [1e-95, 1e-96, 1e-300])
+def test_feasibility_rejects_an_area_beyond_a_float(sigma):
+    with pytest.raises(StructureError, match="footprint of 2\\*\\*\\d+ inputs overflows"):
+        feasibility(sigma, 100.0, 0.1, sigma, sigma, 100.0)
+    # The largest ratio whose area still fits gives a finite area.
+    report = feasibility(1e-90, 100.0, 0.1, 1e-90, 1e-90, 100.0)
+    assert math.isfinite(report.area_mm2) and report.n_max == 2**611
 
 
 def test_feasibility_time_unit_conversion():

@@ -6,9 +6,9 @@ from the dot-by-dot implementation, with their results as plain tuples
 and dicts, and ``ReferenceChainedTree`` is the ``child_map`` tree they
 produced.  The array versions must give the same dots, links and roles
 in the same order, and chained trees whose evaluation schedule
-(``levels()``) and postorder (``postorder_arrays()``) are those of the
-reference breadth-first and depth-first walks over ``children()``, so the
-Green's-function engine and the parameter tables see the same arrays.
+(``levels()``) and dots (``dots()``, in ascending id order) are those of
+the reference breadth-first and depth-first walks over ``children()``, so
+the Green's-function engine and the parameter tables see the same arrays.
 """
 
 import io
@@ -91,7 +91,7 @@ def reference_expand_to_tree(links, role, binding, tree: TreeSpec) -> ReferenceC
     for a, b in links:
         adjacency.setdefault(a, []).append(b)
         adjacency.setdefault(b, []).append(a)
-    tree_dots = {binding[n]: n for n in tree.postorder()}
+    tree_dots = {binding[n]: n for n in walks.postorder(tree)}
     if any(dot != n for dot, n in tree_dots.items()):
         raise StructureError("tree nodes must keep their ids as dot ids")
 
@@ -138,7 +138,7 @@ def reference_expand_to_tree(links, role, binding, tree: TreeSpec) -> ReferenceC
 
 def reference_chain_below(tree: TreeSpec, n_inverters: int) -> ReferenceChainedTree:
     child_map: dict[int, tuple[int, ...]] = {
-        n: tree.children(n) for n in tree.postorder() if tree.children(n)
+        n: tree.children(n) for n in walks.postorder(tree) if tree.children(n)
     }
     base = 2 * tree.n_leaves
     prev = tree.root
@@ -212,9 +212,9 @@ def assert_same_chained(chained, reference):
     assert chained.root == reference.root
     assert_same_levels(chained.levels(), walks.levels(reference))
     assert_same_levels(chained.levels(), walks.levels(chained))
-    assert_same_arrays(chained.postorder_arrays(), walks.postorder_arrays(reference))
-    assert_same_arrays(chained.postorder_arrays(), walks.postorder_arrays(chained))
-    for node in reference.postorder():
+    assert_same_arrays(walks.by_id(chained.dots()), walks.dots(reference))
+    assert_same_arrays(walks.by_id(chained.dots()), walks.dots(chained))
+    for node in walks.postorder(reference):
         assert chained.children(node) == reference.children(node)
         assert chained.is_leaf(node) == reference.is_leaf(node)
     assert chained.children(-1) == () and chained.is_leaf(10**9)

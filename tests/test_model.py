@@ -16,6 +16,8 @@ from nandtree import (
     sample_disorder,
 )
 
+import reference_walks as walks
+
 
 def test_build_tree_depth3_shape():
     tree = build_tree(3, "10110010")
@@ -58,7 +60,7 @@ def test_index_algebra():
         leaf = 8 + i
         assert tree.leaf_index(leaf) == i
         assert tree.leaf_sign(leaf) == (-1) ** i
-    order = tree.postorder()
+    order = walks.postorder(tree)
     assert sorted(order) == list(range(1, 16))
     assert order[-1] == tree.root
     seen = set()
@@ -70,8 +72,8 @@ def test_index_algebra():
 def test_not_marker_drops_right_subtree():
     tree = TreeSpec(depth=2, input_bits=(1, 0, 1, 1), not_markers=frozenset({1}))
     assert tree.children(1) == (2,)
-    assert 3 not in tree.postorder()
-    assert 6 not in tree.postorder()
+    assert 3 not in walks.postorder(tree)
+    assert 6 not in walks.postorder(tree)
 
 
 def test_ideal_parameters_detunings():
@@ -130,6 +132,9 @@ def test_disorder_spec_validation():
         DisorderSpec(sigma_t=-0.1, sigma_eps=0.0, seed=0)
     with pytest.raises(StructureError):
         DisorderSpec(sigma_t=1.0, sigma_eps=0.0, seed=0)  # >= mean_t
+    with pytest.raises(StructureError, match="seed must be nonnegative, got -1"):
+        DisorderSpec(sigma_t=0.1, sigma_eps=0.1, seed=-1)
+    assert DisorderSpec(sigma_t=0.1, sigma_eps=0.1, seed=0).seed == 0
 
 
 def test_sample_disorder_zero_width_is_identity():
@@ -166,7 +171,7 @@ def test_sample_disorder_detuning_statistics():
     tree = build_tree(5, [0] * 32)
     ideal = ideal_parameters(tree, 10.0, 1e-6)
     sigma = 0.03
-    internal = [n for n in tree.postorder() if not tree.is_leaf(n)]
+    internal = [n for n in walks.postorder(tree) if not tree.is_leaf(n)]
     values = []
     for seed in range(40):
         sampled = sample_disorder(tree, ideal, DisorderSpec(0.0, sigma, seed=seed))
@@ -197,4 +202,4 @@ def test_leaf_round_trip_property(depth, data):
         assert tree.is_leaf(leaf)
         assert tree.leaf_bit(leaf) == b
         assert tree.leaf_index(leaf) == i
-    assert len(tree.links()) == tree.n_nodes - 1
+    assert len(walks.links(tree)) == tree.n_nodes - 1

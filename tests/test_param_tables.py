@@ -3,10 +3,12 @@
 ``reference_ideal_parameters`` and ``reference_sample_disorder`` are the
 dict-based builders from before :class:`~nandtree.model.ParamTable`,
 kept verbatim (returning their dicts) as the reference.  The array
-builders must give the same keys in the same order and the same values
-bit for bit, and draw the same random numbers.  ``single_sample_disorder``
-is the one-spec array sampler from before the sample axis, kept verbatim
-as the reference for :func:`~nandtree.model.sample_disorder_many`.
+builders must give the same keys, in ascending order, and the same
+values bit for bit, and draw the same random numbers.
+``single_sample_disorder`` is the one-spec array sampler from before the
+sample axis, kept as the reference for
+:func:`~nandtree.model.sample_disorder_many` with its reorder into
+ascending key order spelled out, as tables no longer keep another order.
 """
 
 import math
@@ -24,6 +26,7 @@ from nandtree.layout import build_hfractal, chain_below, expand_to_tree
 from nandtree.model import DisorderSpec, DotParameters, ParamTable, TreeSpec
 
 import reference_walks as walks
+from test_layout_reference import assert_same_arrays
 
 
 def reference_ideal_parameters(tree, delta, gamma):
@@ -55,8 +58,10 @@ def reference_sample_disorder(eps_ideal, coup_ideal, spec):
 
 
 def assert_table(table, want: dict):
-    """Same keys in the same order, as Python ints or int pairs, and the same bits."""
+    """The keys of ``want`` in ascending order, as Python ints or int
+    pairs, and the same bits."""
     assert isinstance(table, ParamTable)
+    want = dict(sorted(want.items()))
     keys = list(table)
     assert keys == list(want)
     assert all(type(k) is (tuple if table.links else int) for k in keys)
@@ -91,18 +96,15 @@ def test_ideal_parameters_match_dict_builder(tree):
     eps, coup = reference_ideal_parameters(tree, 10.0, 1e-6)
     assert_table(params.epsilon, eps)
     assert_table(params.coupling, coup)
-    nodes, links, _ = tree.postorder_arrays()
-    assert nodes.tolist() == walks.postorder(tree)
-    assert list(map(tuple, links.tolist())) == walks.links(tree)
+    assert_same_arrays(walks.by_id(tree.dots()), walks.dots(tree))
 
 
-def test_closed_form_postorder_matches_traversal():
+def test_closed_form_dots_match_traversal():
     for depth in range(1, 12):
         tree = build_tree(depth, [1, 0] * 2 ** (depth - 1))
-        closed = tree.postorder_arrays()
-        generic = walks.postorder_arrays(tree)
-        for a, b in zip(closed, generic):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
+        ids, parents, signs = tree.dots()
+        assert ids.tolist() == list(range(1, 2 ** (depth + 1)))
+        assert_same_arrays((ids, parents, signs), walks.dots(tree))
 
 
 @pytest.mark.parametrize("tree", TREES, ids=lambda t: type(t).__name__)
@@ -132,9 +134,14 @@ def test_sample_disorder_clamps_at_the_floor():
     assert clamped > 20
 
 
+def ascending(table: ParamTable) -> np.ndarray:
+    """Positions of the keys in ascending order, links lexicographically."""
+    return np.lexsort(table.keys_array.reshape(len(table), -1).T[::-1])
+
+
 def single_sample_disorder(tree, ideal: DotParameters, spec: DisorderSpec) -> DotParameters:
     rng = np.random.default_rng(spec.seed)
-    links, nodes = ideal.coupling.argsort(), ideal.epsilon.argsort()
+    links, nodes = ascending(ideal.coupling), ascending(ideal.epsilon)
     tvals = rng.normal(spec.mean_t, spec.sigma_t, size=len(links))
     evals = rng.normal(0.0, spec.sigma_eps, size=len(nodes))
     floor = spec.coupling_floor
@@ -195,6 +202,10 @@ def test_tables_with_a_sample_axis():
     coup[1, many.coupling.keys_array.tolist().index([2, 5])] = -1.0
     with pytest.raises(StructureError, match=r"\(2, 5\)"):
         DotParameters(eps, ParamTable(many.coupling.keys_array, coup), 10.0, 1e-6)
+    # The lowest bad key is named, even when a higher one is bad in an earlier sample.
+    coup[2, many.coupling.keys_array.tolist().index([1, 2])] = 0.0
+    with pytest.raises(StructureError, match=r"\(1, 2\) must be finite and positive, got 0\.0"):
+        DotParameters(eps, ParamTable(many.coupling.keys_array, coup), 10.0, 1e-6)
     with pytest.raises(StructureError):
         ParamTable([1, 2], np.zeros((2, 3)))
 
@@ -224,10 +235,38 @@ def test_tables_behave_as_mappings():
     assert params.coupling.lookup([[1, 3], [1, 2]]).tolist() == [1.0, 1.0]
 
 
-def test_tables_from_dicts_keep_their_order():
+def assert_same_table(got: ParamTable, want: ParamTable):
+    """Same key and value arrays bit for bit, same lookups and iteration."""
+    assert got.keys_array.dtype == want.keys_array.dtype
+    assert np.array_equal(got.keys_array, want.keys_array)
+    assert got.values_array.shape == want.values_array.shape
+    assert np.array_equal(got.values_array.view(np.uint64), want.values_array.view(np.uint64))
+    keys = want.keys_array[::-1]
+    assert np.array_equal(got.lookup(keys).view(np.uint64), want.lookup(keys).view(np.uint64))
+    assert list(got) == list(want) and got.values() == want.values()
+
+
+@pytest.mark.parametrize("samples", [(), (3,)])
+def test_tables_from_shuffled_entries_match_the_sorted_build(samples):
+    rng = np.random.default_rng(15)
+    nodes = np.sort(rng.choice(1000, 40, replace=False))
+    links = np.stack([nodes[:-1] // 2, nodes[1:]], axis=1)
+    links = links[np.lexsort(links.T[::-1])]
+    for keys in (nodes, links):
+        values = rng.normal(size=samples + (len(keys),))
+        values[..., ::7] = -0.0
+        shuffle = rng.permutation(len(keys))
+        want = ParamTable(keys, values)
+        assert_same_table(want, ParamTable(keys.tolist(), values.tolist()))
+        assert_same_table(ParamTable(keys[shuffle], values[..., shuffle]), want)
+        assert want.keys_array.tolist() == keys.tolist()
+
+
+def test_tables_from_dicts_follow_ascending_keys():
     eps = {3: 0.5, 1: -0.25, 2: 0.0}
     coup = {(1, 3): 0.5, (1, 2): 2.0}
     params = DotParameters(eps, coup, 10.0, 1e-6)
+    assert list(params.epsilon) == [1, 2, 3] and list(params.coupling) == [(1, 2), (1, 3)]
     assert_table(params.epsilon, eps)
     assert_table(params.coupling, coup)
     assert DotParameters(params.epsilon, params.coupling, 10.0, 1e-6) == params
@@ -258,10 +297,13 @@ def test_tables_reject_swapped_kinds_and_duplicate_keys():
         DotParameters(links, links, 10.0, 1e-6)
     with pytest.raises(StructureError):
         DotParameters(nodes, nodes, 10.0, 1e-6)
-    with pytest.raises(StructureError):
-        ParamTable([1, 1], [0.0, 1.0])
-    with pytest.raises(StructureError):
-        ParamTable([[1, 2], [3, 4], [1, 2]], [1.0, 1.0, 1.0])
+    # Duplicates among keys given in ascending order and among shuffled ones.
+    for keys in ([1, 1], [1, 2, 2, 3], [3, 1, 3], [[1, 2], [1, 2], [1, 3]],
+                 [[1, 2], [3, 4], [1, 2]]):
+        with pytest.raises(StructureError, match="distinct"):
+            ParamTable(keys, np.ones(len(keys)))
+        with pytest.raises(StructureError, match="distinct"):
+            ParamTable(keys, np.ones((2, len(keys))))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
@@ -269,15 +311,17 @@ def test_nonfinite_or_nonpositive_coupling_is_rejected(bad):
     tree = build_tree(2, (1, 0, 1, 1))
     params = ideal_parameters(tree, 10.0, 1e-6)
     coup = {**params.coupling, (3, 6): bad, (1, 2): bad}
-    with pytest.raises(StructureError, match=r"\(3, 6\)"):
+    coup = dict(reversed(coup.items()))  # (3, 6) before (1, 2)
+    # The bad entry with the lowest key is named, whatever the mapping's order.
+    with pytest.raises(StructureError, match=r"\(1, 2\)"):
         DotParameters(params.epsilon, coup, 10.0, 1e-6)
 
 
 def test_nan_detuning_is_rejected():
     tree = build_tree(2, (1, 0, 1, 1))
     params = ideal_parameters(tree, 10.0, 1e-6)
-    eps = {**params.epsilon, 6: math.nan, 3: math.nan}
-    with pytest.raises(StructureError, match="node 6 "):
+    eps = dict(reversed({**params.epsilon, 6: math.nan, 3: math.nan}.items()))
+    with pytest.raises(StructureError, match="node 3 "):
         DotParameters(eps, params.coupling, 10.0, 1e-6)
     # A fully detuned dot stays allowed.
     far = DotParameters({**params.epsilon, 7: math.inf}, params.coupling, 10.0, 1e-6)

@@ -1,16 +1,16 @@
 """Closed-form tree shapes against the node-by-node walks they replaced.
 
-``TreeSpec.levels()`` and ``TreeSpec.postorder_arrays()`` compute the
-shape of a tree with NOT markers by filtering the unmarked closed forms
-by reach; they must equal the breadth-first and depth-first walks of
+``TreeSpec.levels()`` and ``TreeSpec.dots()`` compute the shape of a
+tree with NOT markers by filtering the unmarked closed forms by reach;
+they must equal the breadth-first and depth-first walks of
 :mod:`reference_walks` bit for bit: the same nodes, slot positions,
-masks, dtypes and values.
+masks, dtypes and values, the dots in ascending id order.
 """
 
 import numpy as np
 import pytest
 
-from nandtree import TreeSpec, build_tree
+from nandtree import TreeSpec, build_tree, ideal_parameters
 from nandtree.layout import build_hfractal, chain_below, expand_to_tree
 
 import reference_walks as walks
@@ -52,15 +52,16 @@ def test_marked_levels_match_breadth_first_walk(tree):
 
 @pytest.mark.parametrize("tree", SHAPES.values(), ids=SHAPES.keys())
 def test_marked_postorder_arrays_match_depth_first_walk(tree):
-    assert_same_arrays(tree.postorder_arrays(), walks.postorder_arrays(tree))
+    # The walk's postorder arrays, put in ascending id order, are dots().
+    assert_same_arrays(tree.dots(), walks.dots(tree))
 
 
 def test_all_marked_tree_is_a_chain():
     tree = SHAPES["chain-d7"]
     assert [level.nodes.tolist() for level in tree.levels()] == [[2**k] for k in range(7, -1, -1)]
-    nodes, links, _ = tree.postorder_arrays()
-    assert nodes.tolist() == [2**k for k in range(7, -1, -1)]
-    assert links.tolist() == [[2**k, 2 ** (k + 1)] for k in range(6, -1, -1)]
+    ids, parents, _ = tree.dots()
+    assert ids.tolist() == [2**k for k in range(8)]
+    assert parents.tolist() == [-1] + [2**k for k in range(7)]
 
 
 def listed_trees():
@@ -76,7 +77,10 @@ def listed_trees():
 
 @pytest.mark.parametrize("tree", listed_trees(), ids=lambda t: type(t).__name__)
 def test_postorder_and_links_match_walks(tree):
-    assert tree.postorder() == walks.postorder(tree)
-    assert tree.links() == walks.links(tree)
-    assert all(type(n) is int for n in tree.postorder())
-    assert all(type(p) is int and type(c) is int for p, c in tree.links())
+    # The ideal tables hold the walks' nodes and links, in ascending order.
+    params = ideal_parameters(tree, 10.0, 1e-6)
+    assert list(params.epsilon) == sorted(walks.postorder(tree))
+    assert list(params.coupling) == sorted(walks.links(tree))
+    assert all(type(n) is int for n in params.epsilon)
+    assert all(type(p) is int and type(c) is int for p, c in params.coupling)
+    assert_same_arrays(walks.by_id(tree.dots()), walks.dots(tree))
