@@ -42,7 +42,8 @@ def _nand(tree: TreeSpec, leaves):
     """
     bottom, *upper = tree.levels()
     value = np.asarray(leaves)[bottom.nodes - tree.n_leaves]
-    for _, ((first, _), *rest) in upper:
+    for level in upper:
+        (first, _), *rest = level.slots
         prod = value[first]
         for index, mask in rest:
             if mask is None:
@@ -65,8 +66,11 @@ def eval_randomized(tree: TreeSpec, bits=None, seed: int = 0) -> QueryStats:
 
     A child returning 0 settles the NAND as 1 without querying the
     sibling.  Deterministic given the seed, and the result always equals
-    :func:`eval_nand`.
+    :func:`eval_nand`.  A negative seed raises
+    :class:`~nandtree.model.StructureError`.
     """
+    if seed < 0:
+        raise StructureError(f"seed must be nonnegative, got {seed}")
     tree = _with_bits(tree, bits)
     leaves, n, markers = tree.input_bits, tree.n_leaves, tree.not_markers
     # Fewer than N NAND nodes are visited; the k-th one visited takes the

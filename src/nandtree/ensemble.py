@@ -30,7 +30,11 @@ class EnsembleResult:
 
 
 def trial_seed(base_seed: int, index: int) -> int:
-    """Derived per-trial seed; mixing keeps trial sets extensible."""
+    """Derived per-trial seed; mixing keeps trial sets extensible.  Both
+    arguments must be nonnegative, else :class:`~nandtree.model.StructureError`."""
+    if min(base_seed, index) < 0:
+        raise StructureError(f"trial seeds need a nonnegative base_seed and index, "
+                             f"got {base_seed} and {index}")
     return int(np.random.SeedSequence([int(base_seed), int(index)]).generate_state(1)[0])
 
 

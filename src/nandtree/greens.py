@@ -25,19 +25,36 @@ alive.  The sample axis holds the disorder realizations of parameters
 with a sample axis (:func:`~nandtree.model.sample_disorder_many`), and
 has length 1 otherwise; every sample sees the same energies, and the
 result has shape (samples,) + the energies' shape, or the energies'
-shape alone for one realization.  Each dot's eps and each link's t^2
-are gathered into per-level (dots x samples) columns once per
-compilation, by binary search of the reachable dots and (parent, child)
-links in the key arrays of the parameter tables, which keep their keys
-in ascending order (:class:`~nandtree.model.ParamTable`); entries for
-other dots and links are never read.  A missing entry for a reachable dot or link raises
-:class:`~nandtree.model.StructureError`.
+shape alone for one realization.  Each dot's eps and the t^2 of the
+link into it are gathered into per-level (dots x samples) columns once
+per compilation, t^2 over the whole coupling table at once; a child
+slot's t^2 are those of the level below at the slot's index.  The
+gather goes by position: tables built from the tree's own dots
+(:func:`~nandtree.model.ideal_parameters`,
+:func:`~nandtree.model.sample_disorder`) hold exactly its dots and links
+in ascending order (:class:`~nandtree.model.ParamTable`), and
+:meth:`~nandtree.model.RootedTree.levels` gives each level's rows there:
+slices for a :class:`~nandtree.model.TreeSpec`, whose unmarked slots
+then cut stride-2 views without a copy, and one gather for a chained
+tree.  One comparison of the tables' codes with
+:meth:`~nandtree.model.RootedTree.table_codes` decides; other tables, and
+trees that do not give rows, fall back to the binary search of
+:meth:`~nandtree.model.ParamTable.lookup`.  Entries for dots and links
+out of reach are never read, and a missing entry for a reachable one
+raises :class:`~nandtree.model.StructureError`.
 
 **Merged subtrees.**  :func:`compile_tree` turns the schedule and its
 columns into a schedule of distinct subtrees: level by level from the
 leaves up, it merges every dot whose subtree carries bit for bit the
-same parameters as another's into one class, and every evaluator runs
-on the merged schedule.  A dot's key is the bit pattern of its eps and,
+same parameters as another's into one class.  Merging pays only where a
+call evaluates more than one energy per sample: classing a level reads
+every dot's key row over all samples and sorts their hashes, at least
+the work of evaluating each dot once per sample.  So calls at one
+energy (:func:`green_tree`, :func:`green_tree_derivative`,
+:func:`classify`, and :func:`green_tree_many` or :func:`inertia_count`
+at one energy) run the unmerged columns, and calls at more energies
+merge first; the rule counts energies, with no tuned threshold.
+A dot's key is the bit pattern of its eps and,
 for each child slot, of its t^2 and its child's class (t^2 bits 0 and
 class -1 for a missing child), over all samples for parameters with a
 sample axis.  Keys compare as int64 bit patterns, so -0.0 and 0.0 are
@@ -48,21 +65,21 @@ grouped again by ``np.unique(axis=0)``.  Once the dots of a level are
 all distinct, their parents are too, as disjoint children of distinct
 classes make distinct keys: above such a level a dot with a child is
 its own class, only childless dots are classed, among themselves, and a
-level that stays all distinct is kept in its own order.  So of the 4989
-levels of the depth-12 H-fractal only the leaves are classed, and the
-40-odd levels above them whose classes point into a merged level are
-rewritten.  A merged dot applies the same operations to the same values
-as each dot of its class, so the results keep their bits.  Each class
-carries its multiplicity, the number of dots it stands for, which
-weights the inertia count.  A :class:`CompiledTree` belongs to the
-parameters it was made from and can stand in for the tree, with those
-parameters, in every evaluator; :mod:`nandtree.transport` compiles once
-per public call.  Nothing is kept across calls.
+level that stays all distinct is kept in its own order.  So a
+disordered depth-12 H-fractal classes only its leaves, and the ideal one
+2494 of its 4989 levels.  A merged dot applies the same operations to
+the same values as each dot of its class, so the results keep their
+bits.  Each class carries its multiplicity, the number of dots it
+stands for, which weights the inertia count.  A :class:`CompiledTree`
+belongs to the parameters it was made from and can stand in for the
+tree, with those parameters, in every evaluator.
+:mod:`nandtree.transport` gathers once per public call.  Nothing is
+kept across calls.
 
-**Energy blocks.**  Widths are merged widths, the number of classes of
-a level.  Levels whose (width x samples x energies) block exceeds
-``_BLOCK`` complex values form the wide bottom band.  It runs in blocks
-of ``_BLOCK // width`` values, width being its widest level:
+**Energy blocks.**  A level's width is its number of classes, or of
+dots when unmerged.  Levels whose (width x samples x energies) block
+exceeds ``_BLOCK`` complex values form the wide bottom band.  It runs
+in blocks of ``_BLOCK // width`` values, width being its widest level:
 groups of whole samples with all their energies when one sample's
 energies fit, else one sample at a time in energy chunks.  So a level
 step touches a few MiB however many samples and energies are asked
@@ -74,8 +91,8 @@ x86 server this was measured on.  There, four times larger blocks made
 ones made the depth-12 H-fractal about 5x slower through per-level
 overhead.
 
-**Inertia count.**  :func:`inertia_count` runs the same merged schedule
-and energy blocks in real arithmetic at gamma = 0 and counts the
+**Inertia count.**  :func:`inertia_count` runs the same schedule and
+energy blocks in real arithmetic at gamma = 0 and counts the
 positive denominators, each class as many times as its multiplicity;
 they number the eigenvalues below E.  :mod:`nandtree.transport`
 locates resonances with it.
@@ -92,12 +109,12 @@ evaluated with it.
 
 from __future__ import annotations
 
-from itertools import accumulate, islice
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
 
-from .model import DotParameters, LogicalForm, Slot, StructureError, TreeSpec, \
+from .model import DotParameters, Level, LogicalForm, Slot, StructureError, TreeSpec, \
     build_tree, ideal_parameters
 
 #: |G(0)| decision threshold between "1"-like (small) and "0"-like (pole).
@@ -115,7 +132,8 @@ _BLOCK = 1 << 16
 
 
 class _Step(NamedTuple):
-    """One level of the merged schedule: one row per class of its dots."""
+    """One level of a compiled schedule: one row per class of its dots,
+    or per dot when unmerged."""
 
     eps: np.ndarray  # (classes, samples)
     slots: tuple[Slot, ...]  # into the classes of the level below
@@ -128,10 +146,11 @@ class _Step(NamedTuple):
 
 
 class CompiledTree(NamedTuple):
-    """A tree and its parameters as a merged schedule of distinct subtrees.
+    """A tree and its parameters as a schedule of per-level columns.
 
-    Made by :func:`compile_tree`; see "Merged subtrees" above.  Every
-    evaluator takes it in place of the tree, with ``params``.
+    Made by :func:`compile_tree`, merged into distinct subtrees (see
+    "Merged subtrees" above).  Every evaluator takes it in place of the
+    tree, with ``params``.
     """
 
     params: DotParameters
@@ -149,30 +168,68 @@ def _reciprocal(d, mult=None):
     return np.divide(1.0, d, out=d)
 
 
-def _columns(params: DotParameters, schedule) -> list[_Step]:
-    """Each level as a :class:`_Step` of one dot per class: eps of its dots,
-    and t^2 of the links in each child slot, as (dots, samples) columns;
-    one sample for parameters without a sample axis."""
+def _gather(tree, params: DotParameters) -> list[_Step]:
+    """The unmerged columns of ``tree`` with ``params`` (see "Level
+    schedule" above): by position when the tables' keys are the tree's
+    own (:meth:`~nandtree.model.RootedTree.table_codes`), else by lookup."""
+    schedule = tree.levels()
+    own = schedule[0].rows is not None and all(
+        np.array_equal(table.codes, codes)
+        for table, codes in zip((params.epsilon, params.coupling), tree.table_codes()))
+    return _columns(params, schedule if own else _located(params, schedule))
+
+
+def _located(params: DotParameters, schedule) -> list[Level]:
+    """``schedule`` with the rows of its dots and of the links into them
+    found in the tables by binary search; the first missing dot, or else
+    the first missing link level by level and slot by slot, raises
+    :class:`~nandtree.model.StructureError`."""
     nodes = [level.nodes for level in schedule]
-    parent_parts, child_parts = [], []
-    for below, (level, slots) in zip([None] + nodes, schedule):
-        for index, mask in slots:
-            parent_parts.append(level if mask is None else level[mask])
-            child_parts.append(below[index])
+    parents, children = [], []
+    for below, level in zip([None] + nodes, schedule):
+        for index, mask in level.slots:
+            parents.append(level.nodes if mask is None else level.nodes[mask])
+            children.append(below[index])
     every = np.concatenate(nodes)
-    links = np.stack([np.concatenate([every[:0], *parts])
-                      for parts in (parent_parts, child_parts)], axis=1)
     try:
-        eps = params.epsilon.lookup(every)
-        t = params.coupling.lookup(links)
+        found_dots = params.epsilon.find(every)
+        found = params.coupling.find(np.stack([np.concatenate([every[:0], *parts])
+                                               for parts in (parents, children)], axis=1))
     except KeyError as exc:
         raise StructureError(f"parameters missing entry for {exc.args[0]!r}") from exc
-    eps, t = eps.reshape(-1, len(every)).T, t.reshape(-1, len(links)).T
+    found, out = iter(_cut(found, children)), []
+    for level, rows in zip(schedule, _cut(found_dots, nodes)):
+        if level.slots:  # every dot of the level below has its parent here
+            up = np.empty(len(out[-1].nodes), np.intp)
+            for index, _ in level.slots:
+                up[index] = next(found)
+            out[-1] = out[-1]._replace(up=up)
+        out.append(Level(level.nodes, level.slots, rows))
+    return out
+
+
+def _columns(params: DotParameters, schedule) -> list[_Step]:
+    """Each level as a :class:`_Step` of one dot per class: eps of its
+    dots, and t^2 of the links in each child slot, as (dots, samples)
+    columns taken at the levels' ``rows`` and ``up``; one sample for
+    parameters without a sample axis."""
+    eps = np.atleast_2d(params.epsilon.values_array).T
     # Python's t ** 2: np.float_power calls the same libm pow, which can
     # differ from t * t, and from np.power's square, in the last bit.
-    t2_parts = iter(_cut(np.float_power(t, 2), parent_parts))
-    return [_Step(e, level.slots, tuple(islice(t2_parts, len(level.slots))), None)
-            for e, level in zip(_cut(eps, nodes), schedule)]
+    t2 = np.float_power(np.atleast_2d(params.coupling.values_array).T, 2)
+    ups = _at(t2, [level.up for level in schedule])
+    # A slot's t^2 are those of the links into the level below, at its index.
+    return [_Step(e, level.slots, tuple(up[index] for index, _ in level.slots), None)
+            for level, e, up in zip(schedule, _at(eps, [level.rows for level in schedule]),
+                                    [None] + ups)]
+
+
+def _at(values: np.ndarray, rows) -> list:
+    """``values`` at each of ``rows``: a view for a slice, ``None`` for
+    ``None``, and for int arrays one gather over all of them, cut."""
+    arrays = [r for r in rows if isinstance(r, np.ndarray)]
+    taken = iter(_cut(values[np.concatenate(arrays)], arrays) if arrays else ())
+    return [r if r is None else values[r] if isinstance(r, slice) else next(taken) for r in rows]
 
 
 def _cut(flat: np.ndarray, parts) -> list[np.ndarray]:
@@ -281,6 +338,36 @@ def _merge(level: _Step, rep, classes, below, width_below: int) -> _Step:
     return _Step(level.eps[rep], tuple(slots), tuple(t2s), mult)
 
 
+def _merged(steps) -> tuple[_Step, ...]:
+    """The unmerged ``steps`` with their identical subtrees merged, level
+    by level from the leaves up (see "Merged subtrees" above)."""
+    merged = []
+    below, width_below = None, 0
+    for level in steps:
+        grouped = _group(level, below)
+        if grouped is None:
+            merged.append(level)
+        else:
+            rep, classes = grouped
+            merged.append(_merge(level, rep, classes, below, width_below))
+            below = None if len(rep) == len(classes) else classes
+        width_below = len(level.eps)
+    return tuple(merged)
+
+
+def _schedule(tree, params: DotParameters, merge: bool) -> tuple[_Step, ...]:
+    """The steps of ``tree`` with ``params``: gathered, and merged if
+    ``merge``, or those of a :class:`CompiledTree` made from ``params``;
+    one made from other parameters raises
+    :class:`~nandtree.model.StructureError`."""
+    if isinstance(tree, CompiledTree):
+        if tree.params is not params:
+            raise StructureError("a compiled tree takes the parameters it was compiled from")
+        return tree.steps
+    steps = _gather(tree, params)
+    return _merged(steps) if merge else tuple(steps)
+
+
 def compile_tree(tree, params: DotParameters) -> CompiledTree:
     """``tree`` with ``params`` as a merged schedule of its distinct subtrees.
 
@@ -288,22 +375,8 @@ def compile_tree(tree, params: DotParameters) -> CompiledTree:
     ``params`` comes back as it is; one made from other parameters
     raises :class:`~nandtree.model.StructureError`.
     """
-    if isinstance(tree, CompiledTree):
-        if tree.params is not params:
-            raise StructureError("a compiled tree takes the parameters it was compiled from")
-        return tree
-    steps = []
-    below, width_below = None, 0
-    for level in _columns(params, tree.levels()):
-        grouped = _group(level, below)
-        if grouped is None:
-            steps.append(level)
-        else:
-            rep, classes = grouped
-            steps.append(_merge(level, rep, classes, below, width_below))
-            below = None if len(rep) == len(classes) else classes
-        width_below = len(level.eps)
-    return CompiledTree(params, tuple(steps))
+    steps = _schedule(tree, params, True)
+    return tree if isinstance(tree, CompiledTree) else CompiledTree(params, steps)
 
 
 def _subtract(target, t2, values, index, mask) -> None:
@@ -343,7 +416,7 @@ def _climb(steps, base, g, dg, reciprocal, derivative):
 
 
 def _bottom_up(steps, base, reciprocal, derivative=False):
-    """Run the merged ``steps`` over the energies ``base`` for every
+    """Run the compiled ``steps`` over the energies ``base`` for every
     sample; returns the root level's (1, samples, energies) values.
 
     The wide bottom band runs in blocks of samples and energies (see
@@ -375,12 +448,22 @@ def _bottom_up(steps, base, reciprocal, derivative=False):
     return _climb(steps[split:], base, g, dg, reciprocal(every), derivative)
 
 
+def _finite(E) -> None:
+    """Raise :class:`~nandtree.model.StructureError` naming the first
+    energy of ``E`` that is not finite."""
+    bad = ~np.isfinite(E)
+    if bad.any():
+        raise StructureError(f"energies must be finite, got {float(np.ravel(E)[np.argmax(bad)])}")
+
+
 def _resolve(tree, params: DotParameters, E, derivative: bool = False):
     """Level-by-level evaluation of G (and optionally dG/dE) at the root,
-    as arrays shaped (samples,) + the energies' shape."""
-    compiled = compile_tree(tree, params)
+    as arrays shaped (samples,) + the energies' shape; merged only over
+    more than one energy."""
+    _finite(E)
+    steps = _schedule(tree, params, np.size(E) > 1)
     base = np.asarray(E + 1j * params.gamma, dtype=complex).reshape(-1)
-    g, dg = _bottom_up(compiled.steps, base, lambda part: _reciprocal, derivative)
+    g, dg = _bottom_up(steps, base, lambda part: _reciprocal, derivative)
     shape = params.sample_shape + np.shape(E)
     return (g[0].reshape(shape), dg[0].reshape(shape)) if derivative else g[0].reshape(shape)
 
@@ -436,10 +519,11 @@ def inertia_count(tree, params: DotParameters, energies) -> tuple[np.ndarray, np
     (:func:`compile_tree`).
     """
     E = np.asarray(energies, dtype=float)
-    compiled = compile_tree(tree, params)
-    counts = np.zeros((compiled.steps[0].eps.shape[1], E.size), dtype=np.int64)
+    _finite(E)
+    steps = _schedule(tree, params, E.size > 1)
+    counts = np.zeros((steps[0].eps.shape[1], E.size), dtype=np.int64)
     with np.errstate(divide="ignore", over="ignore"):
-        g, _ = _bottom_up(compiled.steps, E.reshape(-1),
+        g, _ = _bottom_up(steps, E.reshape(-1),
                           lambda part: _inertia_step(counts[part]))
     shape = params.sample_shape + E.shape
     return counts.reshape(shape), g[0].reshape(shape)

@@ -238,7 +238,7 @@ class ChainedTree(RootedTree):
     ``tree`` and :func:`~nandtree.model.ideal_parameters` builds the
     parameters.
 
-    :meth:`levels` and :meth:`dots` follow from these arrays through
+    :meth:`levels` and :meth:`links` follow from these arrays through
     the dots' preorder (:func:`_preorder`), with no walk over the dots.
     ``children()`` and ``is_leaf()`` look up one dot, for the dense
     oracle and per-dot checks.
@@ -264,6 +264,17 @@ class ChainedTree(RootedTree):
         return ids, dots
 
     @cached_property
+    def _ranks(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per dot, in preorder: its row among the ids ascending, and the
+        row of the link into it among the (parent, child) links ascending
+        (0 at the root); the rows of :meth:`RootedTree.table_codes`."""
+        ids, dots = self._dots
+        rows, up = np.empty(len(ids), np.intp), np.zeros(len(ids), np.intp)
+        rows[np.argsort(ids)] = np.arange(len(ids))
+        up[np.lexsort((ids[1:], ids[dots.parent[1:]])) + 1] = np.arange(len(ids) - 1)
+        return rows, up
+
+    @cached_property
     def _position(self) -> dict[int, int]:
         return dict(zip(self._dots[0].tolist(), range(len(self._dots[0]))))
 
@@ -286,10 +297,12 @@ class ChainedTree(RootedTree):
     def levels(self) -> list[Level]:
         """:meth:`RootedTree.levels` from the dots' preorder: a level lists
         its dots in preorder, which is the breadth-first order, so a
-        stable sort by depth gives every level at once, each a slice."""
+        stable sort by depth gives every level at once, each a slice.
+        Each dot's rows come from :attr:`_ranks`."""
         ids, dots = self._dots
         order = np.argsort(dots.depth, kind="stable")
         nodes, kids = ids[order].astype(np.intp), dots.kids[order]
+        rows, up = (rank[order] for rank in self._ranks)
         widths = np.bincount(dots.depth)
         ends = np.cumsum(widths)
         starts = ends - widths
@@ -297,16 +310,19 @@ class ChainedTree(RootedTree):
                      np.maximum.reduceat(kids, starts).tolist())
         uniform = [_child_slots(kids, most, most) for most in range(3)]
         out = [Level(nodes[lo:hi], uniform[most] if least == most
-                     else _child_slots(kids[lo:hi], least, most))
+                     else _child_slots(kids[lo:hi], least, most),
+                     rows[lo:hi], up[lo:hi] if lo else None)
                for lo, hi, least, most in bounds]
         out.reverse()
         return out
 
-    def dots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`RootedTree.dots` in the dots' preorder."""
+    def links(self) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`RootedTree.links` in the dots' preorder."""
         ids, dots = self._dots
-        parents = np.where(dots.parent >= 0, ids[dots.parent], -1)
-        return ids, parents, self.tree.leaf_values(ids)
+        return ids, np.where(dots.parent >= 0, ids[dots.parent], -1)
+
+    def leaf_values(self, ids: np.ndarray) -> np.ndarray:
+        return self.tree.leaf_values(ids)
 
 
 def inverter_map(alpha: float, beta: float, d: int) -> tuple[float, float]:

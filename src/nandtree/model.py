@@ -72,10 +72,17 @@ class Slot(NamedTuple):
 
 
 class Level(NamedTuple):
-    """The reachable nodes at one distance from the root, with their child slots."""
+    """The reachable nodes at one distance from the root, with their child slots.
+
+    ``rows`` and ``up``, when given, locate the nodes' detunings and the
+    couplings of the links into them (``None`` at the root) in the tables
+    whose codes are :meth:`RootedTree.table_codes`, as int arrays or slices.
+    """
 
     nodes: np.ndarray
     slots: tuple[Slot, ...]
+    rows: np.ndarray | slice | None = None
+    up: np.ndarray | slice | None = None
 
 
 def _child_slots(counts: np.ndarray, least: int, most: int) -> tuple[Slot, ...]:
@@ -93,10 +100,11 @@ class RootedTree:
 
     A tree provides ``root``, and its shape twice over in closed form:
     the evaluation schedule :meth:`levels` and the reachable dots
-    :meth:`dots`; the Green's-function evaluators and
-    :func:`ideal_parameters` need nothing else.  ``children(node)``
-    lists one node's children, in the order :meth:`levels` uses, for
-    the dense oracle, which collects the dots by its own walk.
+    :meth:`links`, with :meth:`leaf_values` for their detuning signs;
+    the Green's-function evaluators and :func:`ideal_parameters` need
+    nothing else.  ``children(node)`` lists one node's children, in the
+    order :meth:`levels` uses, for the dense oracle, which collects the
+    dots by its own walk.
     """
 
     def levels(self) -> list[Level]:
@@ -113,13 +121,31 @@ class RootedTree:
         """
         raise NotImplementedError
 
-    def dots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every reachable dot once, in no set order, as three aligned
-        int arrays of shape (n,): its id, its parent's id (-1 for the
-        root), and its ``leaf_sign * leaf_bit`` (0 for internal dots).
-        :func:`ideal_parameters` builds on these.
-        """
+    def links(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every reachable dot once, in no set order, as two aligned int
+        arrays of shape (n,): its id and its parent's id (-1 for the
+        root)."""
         raise NotImplementedError
+
+    def leaf_values(self, ids: np.ndarray) -> np.ndarray:
+        """``leaf_sign * leaf_bit`` of each id in the int array ``ids``
+        that is a leaf node, 0 for the others."""
+        raise NotImplementedError
+
+    def dots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`links` and each dot's ``leaf_sign * leaf_bit`` (0 for
+        internal dots), three aligned arrays; :func:`ideal_parameters`
+        builds on these."""
+        ids, parents = self.links()
+        return ids, parents, self.leaf_values(ids)
+
+    def table_codes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The :attr:`ParamTable.codes` of the tables :func:`ideal_parameters`
+        builds: of the ids, and of the (parent, child) links below the
+        root.  A level's ``rows`` and ``up`` point into these."""
+        ids, parents = self.links()
+        below = parents >= 0
+        return _ascending(ids)[0], _ascending(_pack(parents[below], ids[below]))[0]
 
 
 @dataclass(frozen=True)
@@ -218,21 +244,31 @@ class TreeSpec(RootedTree):
         the nodes are filtered by reach (:meth:`structure`), and the
         slots, masked where a marked node lacks its right child, come
         from the child counts.
+
+        The reachable ids ascending are the tables' keys, and so are the
+        links into them, as a parent's id grows with its child's
+        (:meth:`table_codes`): a level's rows are the slice of its ranks
+        in the reach mask, and the rows of the links into it the same
+        slice less one (node id - 1 and id - 2 without markers).
         """
         reach, kids = self.structure() if self.not_markers else (None, None)
         pair = (Slot(slice(0, None, 2), None), Slot(slice(1, None, 2), None))
         out = []
         for k in range(self.depth, -1, -1):
             nodes, slots = np.arange(2**k, 2 ** (k + 1)), pair if k < self.depth else ()
+            first = 2**k - 1
             if reach is not None:
+                first = int(np.count_nonzero(reach[:2**k]))
                 nodes = nodes[reach[2**k:2 ** (k + 1)]]
                 counts = kids[nodes]
                 slots = _child_slots(counts, int(counts.min()), int(counts.max()))
-            out.append(Level(nodes, slots))
+            last = first + len(nodes)
+            up = slice(first - 1, last - 1) if k else None
+            out.append(Level(nodes, slots, slice(first, last), up))
         return out
 
-    def dots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`RootedTree.dots` on the heap indices: the reachable ids
+    def links(self) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`RootedTree.links` on the heap indices: the reachable ids
         in ascending order (all of 1 .. 2N - 1, or those that a NOT
         marker leaves in reach, :meth:`structure`), each node's parent
         being ``id >> 1``."""
@@ -240,7 +276,7 @@ class TreeSpec(RootedTree):
                else np.arange(1, 2 * self.n_leaves))
         parents = ids >> 1
         parents[0] = -1
-        return ids, parents, self.leaf_values(ids)
+        return ids, parents
 
     def leaf_values(self, ids: np.ndarray) -> np.ndarray:
         """``leaf_sign * leaf_bit`` of each id in the int array ``ids``
@@ -252,6 +288,26 @@ class TreeSpec(RootedTree):
         return out
 
 
+def _pack(parents: np.ndarray, children: np.ndarray) -> np.ndarray:
+    """The int64 code of each (parent, child) link, ``parent << 32 | child``."""
+    return parents << 32 | children
+
+
+def _codes(keys: np.ndarray) -> np.ndarray:
+    """The int64 code of each key: a node id itself, a link packed."""
+    return _pack(keys[:, 0], keys[:, 1]) if keys.ndim == 2 else keys
+
+
+def _ascending(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """``codes`` sorted, and the stable order that sorts them: ``None``
+    when one O(n) check finds them strictly ascending, so sorted and
+    distinct, already."""
+    if not np.any(codes[1:] <= codes[:-1]):
+        return codes, None
+    order = np.argsort(codes, kind="stable")
+    return codes[order], order
+
+
 class ParamTable(Mapping):
     """Read-only mapping over a key array and a float value array.
 
@@ -259,15 +315,16 @@ class ParamTable(Mapping):
     shape (n, 2); ``values_array`` holds one float per key, shape (n,),
     or one per sample and key, shape (samples, n).  Keys are distinct
     and node ids lie in [0, 2**31), so a link packs into one int64 code,
-    ``parent << 32 | child``.  The table keeps its keys in ascending
-    order of their codes, node ids ascending and links by (parent,
-    child), whatever order they are given in; the values move with their
-    keys.  Iteration follows that order and yields Python ints or int
-    pairs, so a table iterates, indexes and compares like the dict it
-    stands for; ``values()`` and ``items()`` return lists in that order.
-    With a sample axis a key's value is the list (``[]``: the array) of
-    its per-sample values.  :meth:`lookup` finds many keys at once by
-    binary search.
+    ``parent << 32 | child``, and a node id is its own code.  The table
+    keeps its keys in ascending order of their ``codes``, node ids
+    ascending and links by (parent, child), whatever order they are
+    given in; the values move with their keys.  Iteration follows that
+    order and yields Python ints or int pairs, so a table iterates,
+    indexes and compares like the dict it stands for; ``values()`` and
+    ``items()`` return lists in that order.  With a sample axis a key's
+    value is the list (``[]``: the array) of its per-sample values.
+    :meth:`find` and :meth:`lookup` find many keys at once by binary
+    search.
     """
 
     def __init__(self, keys, values):
@@ -280,16 +337,13 @@ class ParamTable(Mapping):
                 f"got shapes {keys.shape} and {values.shape}")
         if keys.size and not (0 <= keys.min() and keys.max() < _ID_LIMIT):
             raise StructureError("node ids must lie in [0, 2**31)")
-        self.keys_array = keys
-        codes = self._codes(keys)
-        # Strictly ascending codes are sorted and distinct: one O(n) check.
-        if np.any(codes[1:] <= codes[:-1]):
-            order = np.argsort(codes, kind="stable")
-            keys, values, codes = keys.take(order, 0), values.take(order, -1), codes[order]
+        codes, order = _ascending(_codes(keys))
+        if order is not None:
+            keys, values = keys.take(order, 0), values.take(order, -1)
             if np.any(codes[1:] == codes[:-1]):
                 raise StructureError("parameter keys must be distinct")
         keys.flags.writeable = values.flags.writeable = codes.flags.writeable = False
-        self.keys_array, self.values_array, self._sorted = keys, values, codes
+        self.keys_array, self.values_array, self.codes = keys, values, codes
 
     @classmethod
     def of(cls, mapping: Mapping, links: bool) -> ParamTable:
@@ -314,9 +368,6 @@ class ParamTable(Mapping):
     def links(self) -> bool:
         return self.keys_array.ndim == 2
 
-    def _codes(self, keys: np.ndarray) -> np.ndarray:
-        return (keys[:, 0] << 32) | keys[:, 1] if self.links else keys
-
     def _with(self, values: np.ndarray) -> ParamTable:
         """These keys with ``values``, shaped like ``values_array``, made read-only."""
         values.flags.writeable = False
@@ -334,16 +385,21 @@ class ParamTable(Mapping):
 
         Raises KeyError naming the first key that is missing.
         """
+        return self.values_array[..., self.find(keys)]
+
+    def find(self, keys) -> np.ndarray:
+        """The position of each of ``keys`` in ``keys_array``; raises
+        KeyError naming the first key that is missing."""
         keys = np.asarray(keys, dtype=np.int64)
-        query = self._codes(keys)
-        at = np.minimum(np.searchsorted(self._sorted, query), len(self) - 1)
-        found = self._sorted[at] == query if len(self) else np.zeros(len(keys), dtype=bool)
+        query = _codes(keys)
+        at = np.minimum(np.searchsorted(self.codes, query), len(self) - 1)
+        found = self.codes[at] == query if len(self) else np.zeros(len(keys), dtype=bool)
         # Ids outside [0, 2**31) can pack into the code of another link.
         found &= ((keys >= 0) & (keys < _ID_LIMIT)).reshape(len(keys), -1).all(axis=1)
         if not found.all():
             key = keys[np.argmin(found)].tolist()
             raise KeyError(tuple(key) if self.links else key)
-        return self.values_array[..., at]
+        return at
 
     def __getitem__(self, key) -> float:
         # One key at a time, without the array set-up of lookup(): dense
@@ -355,8 +411,8 @@ class ParamTable(Mapping):
         if len(ids) != self.keys_array.ndim or not all(0 <= i < _ID_LIMIT for i in ids):
             raise KeyError(key)
         code = ids[0] << 32 | ids[1] if self.links else ids[0]
-        at = self._sorted.searchsorted(code)
-        if at == len(self) or self._sorted[at] != code:
+        at = self.codes.searchsorted(code)
+        if at == len(self) or self.codes[at] != code:
             raise KeyError(key)
         value = self.values_array[..., at]
         return float(value) if value.ndim == 0 else value

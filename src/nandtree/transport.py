@@ -50,12 +50,17 @@ in :mod:`nandtree.greens` and in T's square, so this is
 batch.
 
 **One compilation per call.**  Each public call (:func:`transmission_curve`,
-:func:`conductance`, :func:`sweep`, :func:`readout`) compiles the tree
-and its parameters once (:func:`~nandtree.greens.compile_tree`: one
-gather of the parameter columns, identical subtrees merged), and its
-resonance search, mesh sums and transmission column all run on that
-one compiled tree.  The kT > 0 quadrature of a batch runs each sample
-on the batch's compilation, cut to that sample.
+:func:`conductance`, :func:`sweep`, :func:`readout`) gathers the
+parameter columns of the tree once.  At kT > 0 it compiles the tree
+(:func:`~nandtree.greens.compile_tree`: one gather, identical subtrees
+merged), and the resonance search, mesh sums and a sweep's
+transmission column all run on that one compiled tree.  At kT = 0 it
+makes one engine call over the distinct E_f, which merges only when
+there is more than one: a kT = 0 :func:`readout` or
+:func:`conductance`, or an eps0 sweep, evaluates one energy and runs
+unmerged (see "Merged subtrees" in :mod:`nandtree.greens`).  The
+kT > 0 quadrature of a batch runs each sample on the batch's
+compilation, cut to that sample.
 """
 
 from __future__ import annotations
@@ -322,6 +327,8 @@ def _thermal(tree, params: DotParameters, probe: ProbeSpec, e_f, eps0):
     fermi, level = np.unique(e_f, return_inverse=True)
     members = np.split(np.argsort(level, kind="stable"), np.cumsum(np.bincount(level))[:-1])
     windows = fermi[:, None] + [-20.0 * kt, 20.0 * kt]
+    if not np.isfinite(windows).all():
+        raise StructureError(f"thermal window E_f +- 20 kT overflows at kT = {kt!r}")
     resonances = _resonances(tree, params, np.unique(eps0), probe.t1**2, windows[0, 0],
                              windows[-1, 1], width)
     breaks = np.unique(np.concatenate([windows.ravel(), fermi, resonances]))
@@ -345,14 +352,15 @@ def _conductances(tree, params: DotParameters, probe: ProbeSpec, e_f, eps0) -> n
     Otherwise :func:`_thermal` runs sample by sample, each on the
     batch's compilation cut to it, and the first sample with a failing
     point raises the :class:`QuadratureError` of its lowest-index one.
-    ``tree`` is compiled once.
+    ``tree`` is gathered once, and merged only for the quadrature or for
+    more than one distinct E_f.
     """
-    tree = compile_tree(tree, params)
     if probe.temperature == 0.0:
         # E_f = -0.0 and 0.0 are one energy; they give the same G_1.
         fermi, at = np.unique(e_f, return_inverse=True)
         g1 = green_tree_many(tree, params, fermi)[..., at]
         return _transmission_from_g1(g1, probe, e_f, eps0)
+    tree = compile_tree(tree, params)
     rows = map(tree.sample, range(params.sample_shape[0])) if params.sample_shape else [tree]
     out = []
     for row in rows:
@@ -405,7 +413,7 @@ def sweep(tree, params: DotParameters, probe: ProbeSpec, axis: str, grid) -> Con
     points = np.array(grid)
     fixed = np.full_like(points, probe.eps0 if axis == "E" else probe.e_f)
     e_f, eps0 = (points, fixed) if axis == "E" else (fixed, points)
-    tree = compile_tree(tree, params)
+    tree = compile_tree(tree, params) if probe.temperature > 0.0 else tree
     trans = _conductances(tree, params, replace(probe, temperature=0.0), e_f, eps0)
     cond = trans if probe.temperature == 0.0 else _conductances(tree, params, probe, e_f, eps0)
     meta = {

@@ -230,3 +230,8 @@ def test_level_nand_matches_postorder_recursion():
         bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
         want = np.array([_reference_nand(tree, row.tolist()) for row in bits])
         assert np.array_equal(_nand(tree, bits.T), want)
+
+
+def test_eval_randomized_rejects_a_negative_seed():
+    with pytest.raises(StructureError, match="seed must be nonnegative, got -1"):
+        eval_randomized(build_tree(2, (1, 0, 1, 1)), seed=-1)

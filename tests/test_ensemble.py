@@ -260,3 +260,14 @@ def test_one_green_function_call_per_ensemble(monkeypatch):
     calls.clear()
     shift_scaling((3, 5), 0.01, 12, 1)
     assert calls == [(12, SHIFT_GRID_POINTS)] * 2
+
+
+def test_negative_seeds_raise_structure_errors():
+    tree = build_tree(2, (1, 0, 1, 1))
+    message = "nonnegative base_seed and index, got -1"
+    with pytest.raises(StructureError, match=message):
+        trial_seed(-1, 0)
+    with pytest.raises(StructureError, match=message):
+        run_ensemble(tree, DisorderSpec(0.1, 0.1, 0), ProbeSpec(), 3, -1)
+    with pytest.raises(StructureError, match=message):
+        shift_scaling([2], 0.1, 2, -1)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from nandtree import (
     worst_case_tree,
 )
 from nandtree.classical import eval_nand
+from nandtree.greens import inertia_count
 from nandtree.model import DisorderSpec
 
 
@@ -239,3 +242,18 @@ def test_deep_structure_iterative_traversal():
     params = ideal_chain_parameters(chained, 10.0, 1e-6)
     g = green_tree(chained, params, 0.0)
     assert np.isfinite(g)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_energies_raise(bad):
+    # Each evaluator names the first energy that is not finite, in the
+    # order of the flattened energies.
+    tree = build_tree(2, (1, 0, 1, 1))
+    params = ideal_parameters(tree, 10.0, 1e-6)
+    message = f"energies must be finite, got {bad}$"
+    for call in (lambda: green_tree(tree, params, bad),
+                 lambda: green_tree_derivative(tree, params, bad),
+                 lambda: green_tree_many(tree, params, [[0.0, bad], [math.nan, 0.5]]),
+                 lambda: inertia_count(tree, params, [0.0, bad, -math.inf])):
+        with pytest.raises(StructureError, match=message):
+            call()

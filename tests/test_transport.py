@@ -721,3 +721,19 @@ def test_one_column_gather_per_public_call(monkeypatch):
         gathers.clear()
         call()
         assert gathers == [4]
+
+
+def test_transport_passes_no_non_finite_energy():
+    # Energies given to transport reach the engine's finiteness check; a
+    # thermal window too wide for a float raises before the engine runs.
+    tree = build_tree(1, (0, 1))
+    params = ideal_parameters(tree, 10.0, 1e-6)
+    probe = ProbeSpec()
+    for call in (lambda: transmission(tree, params, probe, math.nan),
+                 lambda: transmission_curve(tree, params, probe, [0.0, math.inf])):
+        with pytest.raises(StructureError, match="energies must be finite"):
+            call()
+    for probe in (ProbeSpec(temperature=1e307), ProbeSpec(e_f=1.7e308, temperature=1e307)):
+        with pytest.raises(StructureError, match=r"^thermal window E_f \+- 20 kT overflows "
+                                                 r"at kT = 1e\+307$"):
+            conductance(tree, params, probe)
