@@ -43,6 +43,21 @@ trees that do not give rows, fall back to the binary search of
 out of reach are never read, and a missing entry for a reachable one
 raises :class:`~nandtree.model.StructureError`.
 
+A chained tree gives each maximal run of two or more single-child
+levels, its inverter chains, as one stacked level (L rows of w dots,
+see :class:`~nandtree.model.Level`), gathered in one take: eps as
+(L x w x samples), and the t^2 of each dot's link to its child, which
+are those into the level below and then into rows 0 .. L-2.  A stack
+runs as Möbius products: the dot map G -> 1 / (z - eps - t^2 G) is the
+matrix M = [[0, 1], [-t^2, z - eps]] acting on G, so a column's L maps
+compose to one product, formed by pairwise products that halve L at
+each step, over every column, sample and energy at once, with the
+dual part dM/dz = [[0, 0], [0, 1]] carried along when the derivative is
+asked for.  The product then maps the values of the level below,
+G -> (a G + b) / (c G + d), with its derivative.  So the depth-12
+H-fractal's 4976 inverter levels run as 11 stacks in log2(L) steps
+each, not one step per level.
+
 **Merged subtrees.**  :func:`compile_tree` turns the schedule and its
 columns into a schedule of distinct subtrees: level by level from the
 leaves up, it merges every dot whose subtree carries bit for bit the
@@ -58,7 +73,9 @@ A dot's key is the bit pattern of its eps and,
 for each child slot, of its t^2 and its child's class (t^2 bits 0 and
 class -1 for a missing child), over all samples for parameters with a
 sample axis.  Keys compare as int64 bit patterns, so -0.0 and 0.0 are
-different classes and there is no tolerance.  A level's key rows are
+different classes and there is no tolerance.  A stack is classed by
+whole columns: a column's key is the bits of all its eps and t^2 and
+the class of its bottom dot's child.  A level's key rows are
 hashed, the hashes sorted once, and every row is checked against its
 class's representative; on any mismatch (a hash collision) the level is
 grouped again by ``np.unique(axis=0)``.  Once the dots of a level are
@@ -67,7 +84,7 @@ classes make distinct keys: above such a level a dot with a child is
 its own class, only childless dots are classed, among themselves, and a
 level that stays all distinct is kept in its own order.  So a
 disordered depth-12 H-fractal classes only its leaves, and the ideal one
-2494 of its 4989 levels.  A merged dot applies the same operations to
+10 of its 24 levels and stacks.  A merged dot applies the same operations to
 the same values as each dot of its class, so the results keep their
 bits.  Each class carries its multiplicity, the number of dots it
 stands for, which weights the inertia count.  A :class:`CompiledTree`
@@ -77,38 +94,54 @@ tree, with those parameters, in every evaluator.
 kept across calls.
 
 **Energy blocks.**  A level's width is its number of classes, or of
-dots when unmerged.  Levels whose (width x samples x energies) block
-exceeds ``_BLOCK`` complex values form the wide bottom band.  It runs
-in blocks of ``_BLOCK // width`` values, width being its widest level:
-groups of whole samples with all their energies when one sample's
-energies fit, else one sample at a time in energy chunks.  So a level
-step touches a few MiB however many samples and energies are asked
-for.  The narrow upper levels then run once over all of them, so long
-inverter chains, which are narrow, are not repeated per block.  ``_BLOCK`` is
-sized for cache: one block is 1 MiB against a 2 MiB L2 per core on the
-x86 server this was measured on.  There, four times larger blocks made
-401 energies on a depth-16 tree about 1.5x slower, and 16 times smaller
-ones made the depth-12 H-fractal about 5x slower through per-level
-overhead.
+dots when unmerged (of columns for a stack).  Levels whose (width x
+samples x energies) block exceeds ``_BLOCK`` complex values form the
+wide bottom band.  It runs in blocks of ``_BLOCK // width`` values,
+width being its widest level: groups of whole samples with all their
+energies when one sample's energies fit, else one sample at a time in
+energy chunks.  So a level step touches a few MiB however many samples
+and energies are asked for.  The narrow upper levels then run once
+over all of them.  A stack of L rows composes its products in chunks
+in which each matrix entry, an (L x columns x energies) plane over the
+columns of every sample, holds at most ``_BLOCK`` complex values: as
+many energies as fit, then as many columns, and at least one of each.
+So 401 energies on the depth-12 H-fractal, whose longest stack has 2494
+rows, run its products 26 energies at a time.  ``_BLOCK`` is sized for
+cache: one block is 1 MiB against a 2 MiB L2 per core on the x86 server
+this was measured on.  There, four times
+larger blocks made 401 energies on a depth-16 tree about 1.5x slower,
+and 16 times smaller ones made the depth-12 H-fractal about 5x slower
+through per-level overhead (before its chains ran as products).
 
 **Inertia count.**  :func:`inertia_count` runs the same schedule and
 energy blocks in real arithmetic at gamma = 0 and counts the
 positive denominators, each class as many times as its multiplicity;
-they number the eigenvalues below E.  :mod:`nandtree.transport`
-locates resonances with it.
+they number the eigenvalues below E.  A product keeps no pivot signs,
+so it walks a stack row by row in the level recursion's arithmetic.
+:mod:`nandtree.transport` locates resonances with it.
 
-**Rounding.**  Results are reproducible bit for bit and match the
-dot-by-dot recursion exactly.  Every dot applies the same operations in
-the same order, ``(E + i*gamma) - eps - t_1^2 G_1 - t_2^2 G_2`` and then
-the reciprocal, with ``t^2`` taken as Python's ``t ** 2``, in numpy's
-elementwise arithmetic for every kind of energy: a Python number, a
-numpy scalar and an array of any shape round alike, and a sample's
-values do not depend on the block shape or on the other samples
-evaluated with it.
+**Rounding.**  Results are reproducible bit for bit.  On every
+schedule without a stack, a :class:`~nandtree.model.TreeSpec`'s
+included, they match the dot-by-dot recursion exactly: every dot
+applies the same operations in the same order, ``(E + i*gamma) - eps -
+t_1^2 G_1 - t_2^2 G_2`` and then the reciprocal, with ``t^2`` taken as
+Python's ``t ** 2``, in numpy's elementwise arithmetic for every kind of
+energy: a Python number, a numpy scalar and an array of any shape round
+alike.  A stack's products round differently: against the recursion,
+G and dG/dE agree to 4e-11 relative at worst on the chained trees and
+H-fractals tested, 401 energies on the depth-12 H-fractal, where |G|
+reaches 233, included (4e-14 at E = 0, which :func:`classify` reads),
+and the tests hold them to 1e-9, far finer than the readout's
+thresholds on |G(0)|.  Each product of more than two dots is rescaled
+by a power of two from its own largest entry, exactly and never by a
+value shared across the block, so on every schedule a sample's values
+do not depend on the block shape or on the other samples and energies
+evaluated with it, and the inertia count stays bit for bit.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -126,23 +159,26 @@ AMBIGUITY_BAND = (0.5, 2.0)
 #: Deepest :func:`worst_case_profile`; see its docstring for the reason.
 MAX_PROFILE_DEPTH = 20
 
-#: Complex values per energy block of the wide bottom levels (1 MiB);
-#: see "Energy blocks" above.
+#: Complex values per energy block of the wide bottom levels (1 MiB),
+#: and at most per plane of a stack's products; see "Energy blocks" above.
 _BLOCK = 1 << 16
 
 
 class _Step(NamedTuple):
     """One level of a compiled schedule: one row per class of its dots,
-    or per dot when unmerged."""
+    or per dot when unmerged.  A stacked level (:class:`~nandtree.model.Level`)
+    has one more axis in front, its L rows deepest first, and its one
+    slot's t^2 holds, per row, the links into the row below (into the
+    level below for row 0); a class is then a whole column."""
 
-    eps: np.ndarray  # (classes, samples)
+    eps: np.ndarray  # (classes, samples), or (L, classes, samples) stacked
     slots: tuple[Slot, ...]  # into the classes of the level below
-    t2s: tuple[np.ndarray, ...]  # per slot: (classes with that child, samples)
+    t2s: tuple[np.ndarray, ...]  # per slot: (classes with that child, samples), or (L, ...)
     mult: np.ndarray | None  # dots per class (int64); None: one each
 
     def samples(self, cut) -> _Step:
         """The samples ``cut`` (a slice) of this level."""
-        return self._replace(eps=self.eps[:, cut], t2s=tuple(t2[:, cut] for t2 in self.t2s))
+        return self._replace(eps=self.eps[..., cut], t2s=tuple(t2[..., cut] for t2 in self.t2s))
 
 
 class CompiledTree(NamedTuple):
@@ -179,63 +215,88 @@ def _gather(tree, params: DotParameters) -> list[_Step]:
     return _columns(params, schedule if own else _located(params, schedule))
 
 
+def _top(values: np.ndarray, level: Level) -> np.ndarray:
+    """The top row of ``values``, given per dot of ``level``: all of them
+    unless the level is stacked."""
+    return values[-1] if level.nodes.ndim == 2 else values
+
+
 def _located(params: DotParameters, schedule) -> list[Level]:
     """``schedule`` with the rows of its dots and of the links into them
     found in the tables by binary search; the first missing dot, or else
-    the first missing link level by level and slot by slot, raises
-    :class:`~nandtree.model.StructureError`."""
+    the first missing link level by level, slot by slot and then within
+    a stack, raises :class:`~nandtree.model.StructureError`."""
     nodes = [level.nodes for level in schedule]
     parents, children = [], []
-    for below, level in zip([None] + nodes, schedule):
+    for below, level in zip([None] + schedule, schedule):
+        bottom = level.nodes if level.nodes.ndim == 1 else level.nodes[0]
         for index, mask in level.slots:
-            parents.append(level.nodes if mask is None else level.nodes[mask])
-            children.append(below[index])
-    every = np.concatenate(nodes)
+            parents.append(bottom if mask is None else bottom[mask])
+            children.append(_top(below.nodes, below)[index])
+        if level.nodes.ndim == 2:
+            parents.append(level.nodes[1:].ravel())
+            children.append(level.nodes[:-1].ravel())
+    every = np.concatenate([n.ravel() for n in nodes])
     try:
         found_dots = params.epsilon.find(every)
         found = params.coupling.find(np.stack([np.concatenate([every[:0], *parts])
                                                for parts in (parents, children)], axis=1))
     except KeyError as exc:
         raise StructureError(f"parameters missing entry for {exc.args[0]!r}") from exc
-    found, out = iter(_cut(found, children)), []
-    for level, rows in zip(schedule, _cut(found_dots, nodes)):
-        if level.slots:  # every dot of the level below has its parent here
-            up = np.empty(len(out[-1].nodes), np.intp)
-            for index, _ in level.slots:
-                up[index] = next(found)
-            out[-1] = out[-1]._replace(up=up)
-        out.append(Level(level.nodes, level.slots, rows))
-    return out
+    # Every dot but the root has its parent in its own stack or the level above.
+    ups = [np.zeros(n.shape, np.intp) for n in nodes]
+    found = iter(_cut(found, children))
+    for below, up_below, level, up in zip([None] + schedule, [None] + ups, schedule, ups):
+        for index, _ in level.slots:
+            _top(up_below, below)[index] = next(found)
+        if level.nodes.ndim == 2:
+            up[:-1] = next(found).reshape(-1, up.shape[1])
+    ups[-1] = ups[-1] if nodes[-1].ndim == 2 else None
+    return [Level(level.nodes, level.slots, rows, up)
+            for level, rows, up in zip(schedule, _cut(found_dots, nodes), ups)]
 
 
 def _columns(params: DotParameters, schedule) -> list[_Step]:
     """Each level as a :class:`_Step` of one dot per class: eps of its
     dots, and t^2 of the links in each child slot, as (dots, samples)
-    columns taken at the levels' ``rows`` and ``up``; one sample for
-    parameters without a sample axis."""
+    columns, (L, dots, samples) for a stack, taken at the levels'
+    ``rows`` and ``up``; one sample for parameters without a sample
+    axis."""
     eps = np.atleast_2d(params.epsilon.values_array).T
     # Python's t ** 2: np.float_power calls the same libm pow, which can
     # differ from t * t, and from np.power's square, in the last bit.
     t2 = np.float_power(np.atleast_2d(params.coupling.values_array).T, 2)
-    ups = _at(t2, [level.up for level in schedule])
-    # A slot's t^2 are those of the links into the level below, at its index.
-    return [_Step(e, level.slots, tuple(up[index] for index, _ in level.slots), None)
-            for level, e, up in zip(schedule, _at(eps, [level.rows for level in schedule]),
-                                    [None] + ups)]
+    *lower, root = schedule
+    # The links into every dot; the top row of a stacked root has none.
+    ups = _at(t2, [level.up for level in lower] + [root.up[:-1] if root.nodes.ndim == 2 else None])
+    tops = [None] + [up if up is None else _top(up, level) for level, up in zip(schedule, ups)]
+    steps = []
+    for level, e, top, up in zip(schedule, _at(eps, [level.rows for level in schedule]),
+                                 tops, ups):
+        # A slot's t^2 are those of the links into the level below's top
+        # row, at its index.
+        t2s = tuple(top[index] for index, _ in level.slots)
+        if e.ndim == 3:  # and above the stack's bottom row, the links within it
+            t2s = (np.concatenate([t2s[0][None], up[:len(e) - 1]]),)
+        steps.append(_Step(e, level.slots, t2s, None))
+    return steps
 
 
 def _at(values: np.ndarray, rows) -> list:
     """``values`` at each of ``rows``: a view for a slice, ``None`` for
     ``None``, and for int arrays one gather over all of them, cut."""
     arrays = [r for r in rows if isinstance(r, np.ndarray)]
-    taken = iter(_cut(values[np.concatenate(arrays)], arrays) if arrays else ())
+    taken = iter(_cut(values[np.concatenate([a.ravel() for a in arrays])], arrays)
+                 if arrays else ())
     return [r if r is None else values[r] if isinstance(r, slice) else next(taken) for r in rows]
 
 
 def _cut(flat: np.ndarray, parts) -> list[np.ndarray]:
-    """``flat`` cut into consecutive pieces as long as ``parts``."""
-    ends = list(accumulate(map(len, parts)))
-    return [flat[lo:hi] for lo, hi in zip([0] + ends, ends)]
+    """``flat`` cut into consecutive pieces, each shaped like its array of
+    ``parts`` (and then ``flat``'s trailing axes)."""
+    ends = list(accumulate(part.size for part in parts))
+    return [flat[lo:hi].reshape(part.shape + flat.shape[1:])
+            for part, lo, hi in zip(parts, [0] + ends, ends)]
 
 
 def _row_hash(keys: np.ndarray) -> np.ndarray:
@@ -277,15 +338,22 @@ def _classes(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rep, classes.reshape(-1)
 
 
+def _per_dot(values: np.ndarray) -> np.ndarray:
+    """The int64 bits of a level's ``values``, one row per dot (per
+    column of a stack)."""
+    return values.swapaxes(0, -2).reshape(values.shape[-2], -1).view(np.int64)
+
+
 def _key(eps, slots, t2s, below) -> np.ndarray:
     """Each dot's key row (see "Merged subtrees" above), as int64; ``below``
     holds the class of each dot of the level below."""
-    cols = [eps.view(np.int64)]
-    width, samples = eps.shape
+    cols = [_per_dot(eps)]
+    width = eps.shape[-2]
     for (index, mask), t2 in zip(slots, t2s):
-        bits, child = np.zeros((width, samples), np.int64), np.full((width, 1), -1)
+        t2 = _per_dot(t2)
+        bits, child = np.zeros((width, t2.shape[1]), np.int64), np.full((width, 1), -1)
         present = slice(None) if mask is None else mask
-        bits[present], child[present, 0] = t2.view(np.int64), below[index]
+        bits[present], child[present, 0] = t2, below[index]
         cols += [bits, child]
     return np.concatenate(cols, axis=1)
 
@@ -296,7 +364,7 @@ def _group(level: _Step, below):
     below, ``None`` when each of its dots is its own.  Returns ``None``
     when every dot is its own class and ``below`` is ``None``."""
     eps, slots, t2s, _ = level
-    width = len(eps)
+    width = eps.shape[-2]
     if below is not None:
         rep, classes = _classes(_key(eps, slots, t2s, below))
     elif not slots:
@@ -333,9 +401,9 @@ def _merge(level: _Step, rep, classes, below, width_below: int) -> _Step:
             if has.all():
                 has = None
         slots.append(Slot(child_classes[index][at], has))
-        t2s.append(t2[at])
+        t2s.append(t2[..., at, :])
     mult = np.bincount(classes, minlength=len(rep))
-    return _Step(level.eps[rep], tuple(slots), tuple(t2s), mult)
+    return _Step(level.eps[..., rep, :], tuple(slots), tuple(t2s), mult)
 
 
 def _merged(steps) -> tuple[_Step, ...]:
@@ -351,7 +419,7 @@ def _merged(steps) -> tuple[_Step, ...]:
             rep, classes = grouped
             merged.append(_merge(level, rep, classes, below, width_below))
             below = None if len(rep) == len(classes) else classes
-        width_below = len(level.eps)
+        width_below = level.eps.shape[-2]
     return tuple(merged)
 
 
@@ -392,15 +460,109 @@ def _subtract(target, t2, values, index, mask) -> None:
         target[mask] -= part
 
 
+def _product(left, right) -> list:
+    """The 2x2 matrix products ``left @ right`` of two stacks of planes
+    [a, b, c, d], and their derivatives when the planes carry them as
+    four more (the product rule)."""
+    a, b, c, d = left[:4]
+    e, f, g, h = right[:4]
+    out = [a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h]
+    if len(left) > 4:
+        da, db, dc, dd = left[4:]
+        de, df, dg, dh = right[4:]
+        out += [da * e + db * g + a * de + b * dg, da * f + db * h + a * df + b * dh,
+                dc * e + dd * g + c * de + d * dg, dc * f + dd * h + c * df + d * dh]
+    return out
+
+
+def _rescaled(planes) -> list:
+    """``planes``, fresh arrays, scaled in place, each matrix by the power
+    of two nearest below its own largest entry: exact, and blind to the
+    other matrices of the block.  A Möbius map, and its derivative, do
+    not change when the matrix and its derivative are scaled together."""
+    largest = reduce(np.maximum, map(np.abs, planes[:4]))
+    scale = np.ldexp(1.0, -np.frexp(largest)[1])
+    for p in planes:
+        p *= scale
+    return planes
+
+
+def _compose(c, d, derivative) -> list:
+    """The product M_{L-1} ... M_0 of the dot matrices M_j = [[0, 1],
+    [c_j, d_j]], stacked on the first axis, as planes [a, b, c, d] and,
+    if ``derivative``, their z-derivatives, M_j' being [[0, 0], [0, 1]].
+
+    Pairwise products halve the stack at each step; the top of a stack
+    of odd length waits aside and multiplies in from the left at the end.
+    Every product of more than two dots is rescaled (:func:`_rescaled`),
+    so however far the products grow or shrink nothing overflows.
+    """
+    n = len(d) - len(d) % 2
+    seed = [0.0, 0.0, 0.0, 1.0] if derivative else []
+    tops = [[0.0, 1.0, c[n:], d[n:]] + seed] if n < len(d) else []
+    c0, d0, c1, d1 = c[0:n:2], d[0:n:2], c[1:n:2], d[1:n:2]
+    planes = [c0, d0, d1 * c0, c1 + d1 * d0]
+    if derivative:
+        planes += [np.zeros_like(c0), np.ones_like(c0), c0, d0 + d1]
+    while len(planes[0]) > 1:
+        n = len(planes[0]) - len(planes[0]) % 2
+        if n < len(planes[0]):
+            tops.append([p[n:] for p in planes])
+        planes = _rescaled(_product([p[1:n:2] for p in planes], [p[0:n:2] for p in planes]))
+    for top in reversed(tops):
+        planes = _rescaled(_product(top, planes))
+    return [p[0] for p in planes]
+
+
+def _chain(step, base, g, dg, derivative):
+    """The values of a stacked ``step``'s top row, from the values ``g``
+    (and ``dg``) of the level below: each column is one Möbius map, the
+    product of its dots' matrices, applied as (a G + b) / (c G + d).
+
+    The columns of all samples, and the energies, run in chunks whose
+    planes hold at most ``_BLOCK`` complex values (see "Energy blocks"
+    above).
+    """
+    ((index, _),), (t2,) = step.slots, step.t2s
+    length, width, samples = step.eps.shape
+    # One axis for the columns of every sample, as in the values.
+    eps, t2 = (a.reshape(length, -1, 1) for a in (step.eps, t2))
+    g = g[index].reshape(width * samples, -1)
+    dg = dg[index].reshape(g.shape) if derivative else None
+    room = max(1, _BLOCK // length)
+    energies = max(1, min(base.size, room))
+    columns = max(1, room // energies)
+    out = np.empty(g.shape, complex)
+    dout = np.empty_like(out) if derivative else None
+    for i in range(0, len(g), columns):
+        for e in range(0, base.size, energies):
+            at = (slice(i, i + columns), slice(e, e + energies))
+            a, b, c, d, *dual = _compose(-t2[:, at[0]], base[at[1]] - eps[:, at[0]], derivative)
+            below = g[at]
+            den = c * below + d
+            out[at] = value = (a * below + b) / den
+            if derivative:
+                da, db, dc, dd = dual
+                dbelow = dg[at]
+                dout[at] = (da * below + a * dbelow + db
+                            - value * (dc * below + c * dbelow + dd)) / den
+    shape = (width, samples, base.size)
+    return out.reshape(shape), dout.reshape(shape) if derivative else None
+
+
 def _climb(steps, base, g, dg, reciprocal, derivative):
     """Evaluate ``steps`` bottom-up over ``base``: E + i*gamma, or the real E.
 
     ``g``/``dg`` hold the values of the level below the first one given
     (``None`` when it starts at the leaves); returns the last level's.
     ``reciprocal(denom, mult)`` maps a level's denominators to its
-    values.  The derivative is carried along only if ``derivative`` is set.
+    values; stacked levels run as products (:func:`_chain`).  The
+    derivative is carried along only if ``derivative`` is set.
     """
     for step in steps:
+        if step.eps.ndim == 3:
+            g, dg = _chain(step, base, g, dg, derivative)
+            continue
         denom = base - step.eps[..., None]
         if derivative:
             ddenom = np.ones(denom.shape, dtype=complex)
@@ -424,8 +586,8 @@ def _bottom_up(steps, base, reciprocal, derivative=False):
     level's denominators to its values for the (samples, energies) block
     ``part``; ``derivative`` is as in :func:`_climb`.
     """
-    n, samples = base.size, steps[0].eps.shape[1]
-    widths = [len(step.eps) for step in steps]
+    n, samples = base.size, steps[0].eps.shape[-1]
+    widths = [step.eps.shape[-2] for step in steps]
     split = len(steps)
     while split and widths[split - 1] * samples * n <= _BLOCK:
         split -= 1
@@ -475,6 +637,23 @@ def _one_realization(params: DotParameters, name: str) -> None:
             f"use green_tree_many or DotParameters.sample")
 
 
+#: The one-child slot of a row of a stack onto the row below.
+_SAME = Slot(slice(0, None, 1), None)
+
+
+def _rows(steps) -> list[_Step]:
+    """``steps`` with each stacked step split into its rows, deepest first."""
+    out = []
+    for step in steps:
+        if step.eps.ndim == 2:
+            out.append(step)
+            continue
+        (slot,), (t2,) = step.slots, step.t2s
+        out += [_Step(eps, (slot if r == 0 else _SAME,), (t2[r],), step.mult)
+                for r, eps in enumerate(step.eps)]
+    return out
+
+
 def _inertia_step(counts: np.ndarray):
     """Reciprocal of a level's pivots that adds its positive ones, each
     class as often as its multiplicity, to ``counts``.
@@ -520,7 +699,7 @@ def inertia_count(tree, params: DotParameters, energies) -> tuple[np.ndarray, np
     """
     E = np.asarray(energies, dtype=float)
     _finite(E)
-    steps = _schedule(tree, params, E.size > 1)
+    steps = _rows(_schedule(tree, params, E.size > 1))
     counts = np.zeros((steps[0].eps.shape[1], E.size), dtype=np.int64)
     with np.errstate(divide="ignore", over="ignore"):
         g, _ = _bottom_up(steps, E.reshape(-1),

@@ -240,8 +240,11 @@ class ChainedTree(RootedTree):
 
     :meth:`levels` and :meth:`links` follow from these arrays through
     the dots' preorder (:func:`_preorder`), with no walk over the dots.
-    ``children()`` and ``is_leaf()`` look up one dot, for the dense
-    oracle and per-dot checks.
+    :meth:`levels` gives each run of single-child levels, the inverter
+    chains of one tree level, as one stacked
+    :class:`~nandtree.model.Level`, which :mod:`nandtree.greens`
+    evaluates as Möbius products.  ``children()`` and ``is_leaf()`` look
+    up one dot, for the dense oracle and per-dot checks.
     """
 
     tree: TreeSpec
@@ -298,7 +301,14 @@ class ChainedTree(RootedTree):
         """:meth:`RootedTree.levels` from the dots' preorder: a level lists
         its dots in preorder, which is the breadth-first order, so a
         stable sort by depth gives every level at once, each a slice.
-        Each dot's rows come from :attr:`_ranks`."""
+        Each dot's rows come from :attr:`_ranks`.
+
+        A maximal run of two or more single-child levels, an inverter
+        chain of every branch at once, is one stacked
+        :class:`~nandtree.model.Level`: its depths are consecutive in
+        the sorted order, so its nodes, rows and links are that slice
+        reshaped to (L, w) and turned deepest row first.
+        """
         ids, dots = self._dots
         order = np.argsort(dots.depth, kind="stable")
         nodes, kids = ids[order].astype(np.intp), dots.kids[order]
@@ -306,13 +316,23 @@ class ChainedTree(RootedTree):
         widths = np.bincount(dots.depth)
         ends = np.cumsum(widths)
         starts = ends - widths
-        bounds = zip(starts.tolist(), ends.tolist(), np.minimum.reduceat(kids, starts).tolist(),
-                     np.maximum.reduceat(kids, starts).tolist())
+        least, most = np.minimum.reduceat(kids, starts), np.maximum.reduceat(kids, starts)
+        single = (least == 1) & (most == 1)
+        # A segment is a run of single-child depths, or one other depth.
+        first = np.flatnonzero(np.r_[True, ~(single[1:] & single[:-1])])
+        last = np.r_[first[1:], len(widths)] - 1
         uniform = [_child_slots(kids, most, most) for most in range(3)]
-        out = [Level(nodes[lo:hi], uniform[most] if least == most
-                     else _child_slots(kids[lo:hi], least, most),
-                     rows[lo:hi], up[lo:hi] if lo else None)
-               for lo, hi, least, most in bounds]
+        out = []
+        for top, bottom in zip(first.tolist(), last.tolist()):
+            lo, hi = int(starts[top]), int(ends[bottom])
+            if top == bottom:
+                low, high = int(least[top]), int(most[top])
+                slots = uniform[high] if low == high else _child_slots(kids[lo:hi], low, high)
+                out.append(Level(nodes[lo:hi], slots, rows[lo:hi], up[lo:hi] if lo else None))
+            else:
+                shape = (bottom - top + 1, int(widths[top]))
+                stack, ranks, links = (a[lo:hi].reshape(shape)[::-1] for a in (nodes, rows, up))
+                out.append(Level(stack, uniform[1], ranks, links))
         out.reverse()
         return out
 

@@ -28,6 +28,7 @@ import math
 import operator
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -72,11 +73,20 @@ class Slot(NamedTuple):
 
 
 class Level(NamedTuple):
-    """The reachable nodes at one distance from the root, with their child slots.
+    """The reachable nodes at one distance from the root, with their child
+    slots, or a stack of such levels.
 
     ``rows`` and ``up``, when given, locate the nodes' detunings and the
     couplings of the links into them (``None`` at the root) in the tables
     whose codes are :meth:`RootedTree.table_codes`, as int arrays or slices.
+
+    A stacked level is a run of L >= 2 consecutive levels whose nodes all
+    have exactly one child.  Its ``nodes``, ``rows`` and ``up`` then have
+    shape (L, w), the deepest row first, and its one slot is the uniform
+    one-child slot: each node's child is the node in the same column of
+    the row below, and the bottom row's children are the level below, in
+    order.  At a stacked root the top row has no link, and ``up`` is not
+    read there.
     """
 
     nodes: np.ndarray
@@ -117,7 +127,9 @@ class RootedTree:
         every node's s-th child there; a node whose slot s is masked out
         has fewer than s + 1 children (a leaf, or a one-legged dot).
         Evaluating one level needs only the level below, so a recursion
-        over the schedule keeps a single level of values alive.
+        over the schedule keeps a single level of values alive.  A tree
+        may give a run of single-child levels as one stacked
+        :class:`Level`, whose rows are those levels, deepest first.
         """
         raise NotImplementedError
 
@@ -233,6 +245,14 @@ class TreeSpec(RootedTree):
         kids[1:n] = reach[2::2].astype(np.int64) + reach[3::2]
         return reach, kids
 
+    @cached_property
+    def _structure(self) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`structure`, computed once per tree and read-only."""
+        out = self.structure()
+        for array in out:
+            array.setflags(write=False)
+        return out
+
     def levels(self) -> list[Level]:
         """:meth:`RootedTree.levels` in closed form on the heap indices.
 
@@ -249,9 +269,11 @@ class TreeSpec(RootedTree):
         links into them, as a parent's id grows with its child's
         (:meth:`table_codes`): a level's rows are the slice of its ranks
         in the reach mask, and the rows of the links into it the same
-        slice less one (node id - 1 and id - 2 without markers).
+        slice less one (node id - 1 and id - 2 without markers).  No
+        level is stacked, so a :class:`TreeSpec` evaluates one level at
+        a time.  The reach mask is computed once per tree.
         """
-        reach, kids = self.structure() if self.not_markers else (None, None)
+        reach, kids = self._structure if self.not_markers else (None, None)
         pair = (Slot(slice(0, None, 2), None), Slot(slice(1, None, 2), None))
         out = []
         for k in range(self.depth, -1, -1):
@@ -272,7 +294,7 @@ class TreeSpec(RootedTree):
         in ascending order (all of 1 .. 2N - 1, or those that a NOT
         marker leaves in reach, :meth:`structure`), each node's parent
         being ``id >> 1``."""
-        ids = (np.flatnonzero(self.structure()[0]) if self.not_markers
+        ids = (np.flatnonzero(self._structure[0]) if self.not_markers
                else np.arange(1, 2 * self.n_leaves))
         parents = ids >> 1
         parents[0] = -1
@@ -342,7 +364,8 @@ class ParamTable(Mapping):
             keys, values = keys.take(order, 0), values.take(order, -1)
             if np.any(codes[1:] == codes[:-1]):
                 raise StructureError("parameter keys must be distinct")
-        keys.flags.writeable = values.flags.writeable = codes.flags.writeable = False
+        for array in (keys, values, codes):
+            array.setflags(write=False)
         self.keys_array, self.values_array, self.codes = keys, values, codes
 
     @classmethod
@@ -370,7 +393,7 @@ class ParamTable(Mapping):
 
     def _with(self, values: np.ndarray) -> ParamTable:
         """These keys with ``values``, shaped like ``values_array``, made read-only."""
-        values.flags.writeable = False
+        values.setflags(write=False)
         out = copy.copy(self)
         out.values_array = values
         return out

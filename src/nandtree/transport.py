@@ -200,7 +200,8 @@ def _gauss_legendre():
     adds about 0.9 MB of resident memory that kT = 0 runs never need.
     """
     x, w = leggauss(_ORDER)
-    x.flags.writeable = w.flags.writeable = False
+    x.setflags(write=False)
+    w.setflags(write=False)
     return x, w
 
 

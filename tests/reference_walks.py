@@ -5,8 +5,9 @@ verbatim as functions of the tree: a depth-first walk for the postorder
 and links, and a breadth-first pass for the evaluation schedule.  The
 closed forms of :class:`~nandtree.model.TreeSpec` and
 :class:`~nandtree.layout.ChainedTree` must give the same arrays bit for
-bit: the same levels, and the same dots, parents and signs once both
-are put in ascending id order (:func:`dots`, :func:`by_id`).
+bit: the same levels, once stacked levels are expanded row by row
+(:func:`expanded`), and the same dots, parents and signs once both are
+put in ascending id order (:func:`dots`, :func:`by_id`).
 :class:`WalkedTree` evaluates a test-built tree through them.
 """
 
@@ -91,6 +92,25 @@ def levels(tree) -> list[Level]:
         out.append(Level(np.array(nodes, dtype=np.intp), slots))
         nodes = list(chain.from_iterable(kids))
     out.reverse()
+    return out
+
+
+def expanded(schedule) -> list[Level]:
+    """``schedule`` with each stacked level split into its rows, deepest
+    first: a row above the bottom one takes the uniform one-child slot,
+    and the top row of a stacked root has no ``up``."""
+    same = _child_slots(np.ones(1, np.int64), 1, 1)
+    out: list[Level] = []
+    for level in schedule:
+        if level.nodes.ndim == 1:
+            out.append(level)
+            continue
+        rows = len(level.nodes)
+        for r in range(rows):
+            up = None if level.up is None or (level is schedule[-1] and r == rows - 1) \
+                else level.up[r]
+            out.append(Level(level.nodes[r], level.slots if r == 0 else same,
+                             None if level.rows is None else level.rows[r], up))
     return out
 
 

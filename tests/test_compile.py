@@ -151,8 +151,8 @@ def test_unmerged_one_energy_results_equal_merged(name):
             for a, b in zip(inertia_count(plain, params, E), inertia_count(merged, params, E)):
                 assert_same(a, b)
     ideal = parameter_cases(tree)[0]
-    widths = [len(s.eps) for s in compile_tree(tree, ideal).steps]
-    assert sum(widths) < sum(len(level.nodes) for level in tree.levels())
+    widths = [s.eps.shape[-2] for s in compile_tree(tree, ideal).steps]
+    assert sum(widths) < sum(level.nodes.shape[-1] for level in tree.levels())
 
 
 @pytest.fixture

@@ -5,8 +5,11 @@ evaluated every Green's function before the level schedule existed,
 kept verbatim as the reference.  It runs on the energies as a 1-D
 array, so in numpy's arithmetic, and the engine must reproduce it bit
 for bit for every kind of energy: same values, same signed zeros, same
-output shapes.  Parameters with a sample axis must give, bit for bit,
-what the loop over their samples that the axis replaces gives.
+output shapes.  Chained trees whose schedule stacks single-child levels
+are the exception: their stacks run as Möbius products, which round
+differently, and must agree within ``CHAIN_RTOL``.  Parameters with a
+sample axis must give, bit for bit, what the loop over their samples
+that the axis replaces gives.
 """
 
 from types import SimpleNamespace
@@ -77,6 +80,26 @@ def assert_same(got, want):
     assert np.array_equal(got.reshape(-1).view(np.uint64), want.reshape(-1).view(np.uint64))
 
 
+#: Relative tolerance of results on stacked schedules against the
+#: reference, fixed before the products were written: over 10x the worst
+#: difference a prototype of them showed on chains and H-fractals
+#: (6.5e-11), and far finer than the readout's thresholds on |G(0)|.
+CHAIN_RTOL = 1e-9
+
+
+def assert_close(got, want):
+    """Within ``CHAIN_RTOL`` of ``want``, relative to each value, with the
+    same shape."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype == complex
+    assert np.all(np.abs(got - want) <= CHAIN_RTOL * np.abs(want))
+
+
+def stacked(tree) -> bool:
+    """Whether the schedule of ``tree`` has a stacked level."""
+    return any(level.nodes.ndim == 2 for level in tree.levels())
+
+
 ENERGIES = {
     "float": 0.37,
     "zero": 0.0,
@@ -89,12 +112,15 @@ ENERGIES = {
 
 
 def assert_engine_matches(tree, params):
+    """G and dG/dE against the reference: bit for bit, or within
+    ``CHAIN_RTOL`` on a stacked schedule."""
+    check = assert_close if stacked(tree) else assert_same
     for E in ENERGIES.values():
-        assert_same(_resolve(tree, params, E), reference_on_array(tree, params, E))
+        check(_resolve(tree, params, E), reference_on_array(tree, params, E))
     for E in (-1.2, *ENERGIES.values()):
         got, want = _resolve(tree, params, E, True), reference_on_array(tree, params, E, True)
-        assert_same(got[0], want[0])
-        assert_same(got[1], want[1])
+        check(got[0], want[0])
+        check(got[1], want[1])
 
 
 def random_markers(rng, depth):
@@ -113,14 +139,18 @@ def test_engine_matches_reference_on_trees(depth, marked):
     rng = np.random.default_rng(100 * depth + marked)
     markers = random_markers(rng, depth) if marked else frozenset()
     tree = TreeSpec(depth, tuple(rng.integers(0, 2, 2**depth)), markers)
+    assert not stacked(tree)
     for params in parameter_sets(tree, depth):
         assert_engine_matches(tree, params)
 
 
-@pytest.mark.parametrize("k", [0, 1, 5])
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 5, 40, 300])
 def test_engine_matches_reference_below_chain(k):
+    # One chain dot is a plain level; from two on they stack, of even or
+    # odd length.
     rng = np.random.default_rng(k)
     chained = chain_below(TreeSpec(3, tuple(rng.integers(0, 2, 8)), frozenset({2})), k)
+    assert stacked(chained) == (k > 1)
     for params in parameter_sets(chained, k):
         assert_engine_matches(chained, params)
 
@@ -130,6 +160,7 @@ def test_engine_matches_reference_on_hfractal(depth):
     rng = np.random.default_rng(depth)
     tree = build_tree(depth, rng.integers(0, 2, 2**depth))
     chained = expand_to_tree(build_hfractal(tree), tree)
+    assert stacked(chained)
     for params in parameter_sets(chained, depth):
         assert_engine_matches(chained, params)
 
@@ -142,14 +173,14 @@ def test_engine_matches_reference_across_energy_blocks():
     chained = expand_to_tree(build_hfractal(tree), tree)
     energies = np.linspace(-1.0, 1.0, 401)
     for t in (tree, chained):
-        widths = [len(level.nodes) for level in t.levels()]
+        widths = [level.nodes.shape[-1] for level in t.levels()]
         assert max(widths) * 401 > 2 * _BLOCK and widths[-1] * 401 <= _BLOCK
     for params in parameter_sets(tree, 12):
         assert_same(_resolve(tree, params, energies),
                     reference_resolve(tree, dict_snapshot(params), energies))
     params = ideal_parameters(chained, 10.0, 1e-6)
-    assert_same(_resolve(chained, params, energies),
-                reference_resolve(chained, dict_snapshot(params), energies))
+    assert_close(_resolve(chained, params, energies),
+                 reference_resolve(chained, dict_snapshot(params), energies))
 
 
 def sample_axis_trees():
@@ -268,14 +299,15 @@ def test_scalar_energies_round_as_arrays(tree, monkeypatch):
 def merged_widths(tree, params):
     """Classes and summed multiplicities per level, deepest first."""
     steps = greens.compile_tree(tree, params).steps
-    return [len(s.eps) for s in steps], [len(s.eps) if s.mult is None else int(s.mult.sum()) for s in steps]
+    widths = [s.eps.shape[-2] for s in steps]
+    return widths, [w if s.mult is None else int(s.mult.sum()) for w, s in zip(widths, steps)]
 
 
 def test_ideal_worst_case_tree_merges_to_three_dots_per_level():
     tree = greens.worst_case_tree(16)
     classes, dots = merged_widths(tree, ideal_parameters(tree, 10.0, 1e-6))
     assert max(classes) <= 3 and len(classes) == 17
-    assert dots == [len(level.nodes) for level in tree.levels()]
+    assert dots == [level.nodes.shape[-1] for level in tree.levels()]
 
 
 def test_disordered_tree_keeps_every_width():
@@ -283,7 +315,7 @@ def test_disordered_tree_keeps_every_width():
     for tree in (build_tree(9, rng.integers(0, 2, 512)),
                  chain_below(TreeSpec(4, tuple(rng.integers(0, 2, 16)), frozenset({3})), 6)):
         ideal = ideal_parameters(tree, 10.0, 1e-6)
-        widths = [len(level.nodes) for level in tree.levels()]
+        widths = [level.nodes.shape[-1] for level in tree.levels()]
         noisy = sample_disorder(tree, ideal, DisorderSpec(0.1, 0.1, 4))
         assert merged_widths(tree, noisy) == (widths, widths)
         classes, dots = merged_widths(tree, ideal)
@@ -419,6 +451,6 @@ def test_ragged_trees_match_reference(seed):
     for distinct_bottom in (False, True):
         params = ragged_parameters(tree, rng, distinct_bottom)
         classes, dots = merged_widths(tree, params)
-        assert dots == [len(level.nodes) for level in tree.levels()]
+        assert dots == [level.nodes.shape[-1] for level in tree.levels()]
         assert sum(classes) < sum(dots)
         assert_engine_matches(tree, params)

@@ -163,7 +163,8 @@ def test_count_weights_merged_classes(name, tree):
     # ideal trees have exact eigenvalues and zero pivots.
     params = ideal_parameters(tree, 10.0, 1e-6)
     steps = compile_tree(tree, params).steps
-    assert sum(len(s.eps) for s in steps) < sum(len(s.eps) if s.mult is None else int(s.mult.sum()) for s in steps)
+    widths = [s.eps.shape[-2] for s in steps]
+    assert sum(widths) < sum(w if s.mult is None else int(s.mult.sum()) for w, s in zip(widths, steps))
     spectrum = probe_plus_tree(tree, params)
     rng = np.random.default_rng(len(spectrum))
     assert_counts(tree, params, spectrum, energies_for(spectrum, rng), exact=(0.0,))

@@ -186,6 +186,7 @@ def test_build_matches_reference(tree):
 
 
 def assert_same_levels(got, want):
+    got, want = walks.expanded(got), walks.expanded(want)
     assert len(got) == len(want)
     below = None
     for a, b in zip(got, want):

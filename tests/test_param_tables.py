@@ -345,3 +345,16 @@ def test_quadrature_error_reports_panels_and_tolerance(monkeypatch):
     assert err.panels > 0 and err.achieved > 1e-8
     assert f"{err.panels} graded panels" in str(err) and f"{err.achieved:.2e}" in str(err)
     assert pickle.loads(pickle.dumps(err)).panels == err.panels
+
+
+def test_table_arrays_are_read_only():
+    tree = TreeSpec(3, (1, 0, 1, 1, 0, 0, 1, 0), frozenset({3}))
+    ideal = ideal_parameters(tree, 10.0, 1e-6)
+    many = sample_disorder_many(tree, ideal, [DisorderSpec(0.1, 0.1, s) for s in range(2)])
+    for params in (ideal, sample_disorder(tree, ideal, DisorderSpec(0.1, 0.1, 1)), many,
+                   many.sample(1)):
+        for table in (params.epsilon, params.coupling):
+            for array in (table.keys_array, table.values_array, table.codes):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    array[...] = 0

@@ -737,3 +737,10 @@ def test_transport_passes_no_non_finite_energy():
         with pytest.raises(StructureError, match=r"^thermal window E_f \+- 20 kT overflows "
                                                  r"at kT = 1e\+307$"):
             conductance(tree, params, probe)
+
+
+def test_quadrature_nodes_are_read_only():
+    for array in transport._gauss_legendre():
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
