@@ -263,9 +263,9 @@ def run(config: RunConfig, out=sys.stdout) -> int:
     elif config.command == "layout":
         graph = layout.build_hfractal(_tree(config))
         header = ["id", "x", "y", "role", "tree_node"]
-        # Roles come in the dots' order; a tree dot's id is its tree node.
-        rows = [[dot, x, y, role, "" if role == "inverter" else dot]
-                for (dot, x, y), (_, role) in zip(graph.dots.tolist(), graph.role.items())]
+        # Levels come in the dots' order; a tree dot's id is its tree node.
+        rows = [[dot, x, y, "inverter", ""] if level < 0 else [dot, x, y, f"level-{level}", dot]
+                for (dot, x, y), level in zip(graph.dots.tolist(), graph.level.tolist())]
         shown = [("dots", len(graph.dots)), ("inverters", graph.n_inverters)]
     elif config.command == "evaluate":
         tree = _tree(config)

@@ -6,6 +6,14 @@ tree Hamiltonian and read the (site, site) element of
 [(E + i*gamma) I - H]^-1 from a dense complex linear solve.  It is
 deliberately dense and slow (capped at depth 10, 2047 dots) -- oracle
 clarity over speed.
+
+The Hamiltonian is built from the tree's dots and their parents
+(:meth:`~nandtree.model.RootedTree.links`), while the recursion runs on
+its evaluation schedule (:meth:`~nandtree.model.RootedTree.levels`).
+Each tree computes the two in separate closed forms, and the tests
+check both against node-by-node walks (``test_tree_shapes``,
+``test_layout_reference``); that is what keeps this oracle independent
+of the engine.
 """
 
 from __future__ import annotations
@@ -44,24 +52,31 @@ class HamiltonianMatrix:
 def assemble(tree, params: DotParameters) -> HamiltonianMatrix:
     """H with diagonal eps_i and off-diagonal -t on each (parent, child) link.
 
-    The dots are collected by a walk over ``children()`` from the root,
-    so the oracle shares no traversal code with the recursive engine;
-    nodes dropped by NOT markers are absent.
+    The nodes are the tree's reachable dots in ascending id order, so
+    nodes dropped by NOT markers are absent.  Raises
+    :class:`~nandtree.model.StructureError` for a tree past
+    ``MAX_ORACLE_DEPTH``'s size (before anything is built), for
+    parameters with a sample axis, and for a missing dot or link, which
+    it names.
     """
-    nodes, stack = [], [tree.root]
-    while stack:
-        nodes.append(stack.pop())
-        stack.extend(tree.children(nodes[-1]))
-    nodes = tuple(sorted(nodes))
-    if len(nodes) > 2 ** (MAX_ORACLE_DEPTH + 1) - 1:
+    ids, parents = tree.links()
+    if len(ids) > 2 ** (MAX_ORACLE_DEPTH + 1) - 1:
         raise StructureError(f"dense oracle capped at depth {MAX_ORACLE_DEPTH}")
-    idx = {n: i for i, n in enumerate(nodes)}
-    H = np.zeros((len(nodes), len(nodes)))
-    for n in nodes:
-        H[idx[n], idx[n]] = params.epsilon[n]
-        for c in tree.children(n):
-            H[idx[n], idx[c]] = H[idx[c], idx[n]] = -params.coupling[(n, c)]
-    return HamiltonianMatrix(nodes=nodes, matrix=H)
+    if params.sample_shape:
+        raise StructureError("dense oracle takes one realization; "
+                             "take one out with DotParameters.sample")
+    order = np.argsort(ids)
+    ids, parents = ids[order], parents[order]
+    below = np.flatnonzero(parents >= 0)
+    try:
+        eps = params.epsilon.lookup(ids)
+        t = params.coupling.lookup(np.stack([parents[below], ids[below]], axis=1))
+    except KeyError as exc:
+        raise StructureError(f"parameters missing entry for {exc.args[0]!r}") from exc
+    H = np.diag(eps)
+    up = np.searchsorted(ids, parents[below])
+    H[up, below] = H[below, up] = -t
+    return HamiltonianMatrix(nodes=tuple(ids.tolist()), matrix=H)
 
 
 def green_direct(H: HamiltonianMatrix, E: float, gamma: float, site: int) -> complex:

@@ -30,14 +30,14 @@ place in the package that uses physical units (micro-eV, nm, ns).
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .model import Level, RootedTree, StructureError, TreeSpec, _child_slots, ideal_parameters
+from .model import (Level, RootedTree, StructureError, TreeSpec, _child_slots, _pack,
+                    ideal_parameters)
 
 #: Inverter counts between tree levels, leaf links first.  The published
 #: prefix is hard-coded; past it the count keeps all distances odd while
@@ -65,72 +65,32 @@ def inverter_counts(depth: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
-class DotRoles(Mapping):
-    """Read-only map dot id -> "level-k" or "inverter", over an int array
-    ``ids`` and the aligned ``levels``: a tree dot's level, -1 for an
-    inverter."""
-
-    def __init__(self, ids, levels):
-        self.ids = np.asarray(ids, dtype=np.int64)
-        self.levels = np.asarray(levels, dtype=np.int64)
-
-    @classmethod
-    def of(cls, role: Mapping[int, str]) -> DotRoles:
-        """``role`` as a :class:`DotRoles`."""
-        if isinstance(role, DotRoles):
-            return role
-        try:
-            levels = [-1 if r == "inverter" else int(r.removeprefix("level-"))
-                      for r in role.values()]
-        except (AttributeError, ValueError) as exc:
-            raise StructureError(f"dot roles must be 'level-k' or 'inverter': {exc}") from exc
-        return cls(list(role), levels)
-
-    @cached_property
-    def _dict(self) -> dict[int, str]:
-        return dict(self.items())
-
-    def __getitem__(self, dot) -> str:
-        return self._dict[dot]
-
-    def __iter__(self):
-        return iter(self.ids.tolist())
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def items(self) -> list[tuple[int, str]]:
-        """(dot, role) pairs in array order, without the lookup table."""
-        return list(zip(self.ids.tolist(), map(_role_name, self.levels.tolist())))
-
-
-def _role_name(level: int) -> str:
-    return "inverter" if level < 0 else f"level-{level}"
-
-
 @dataclass(frozen=True, eq=False)
 class LayoutGraph:
     """Planar grid embedding of a tree with its inverter chains.
 
-    ``dots`` holds one (id, x, y) row per dot and ``links`` the
-    tunnel-coupled (parent, child) pairs, all unit length, as int arrays;
-    ``role`` maps dot -> "level-k" or "inverter" (any mapping is stored
-    as :class:`DotRoles`).  A tree dot's id is its tree node, so the
-    role alone tells which dots are the tree's.
+    ``dots`` holds one (id, x, y) row per dot, ``links`` the
+    tunnel-coupled (parent, child) pairs, all unit length, and ``level``
+    each dot's role: its tree level, or -1 for an inverter; all int
+    arrays, ``level`` aligned with ``dots``.  A tree dot's id is its
+    tree node, so the level alone tells which dots are the tree's.
     """
 
     dots: np.ndarray
     links: np.ndarray
-    role: DotRoles
+    level: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "dots", np.asarray(self.dots, dtype=np.int64).reshape(-1, 3))
         object.__setattr__(self, "links", np.asarray(self.links, dtype=np.int64).reshape(-1, 2))
-        object.__setattr__(self, "role", DotRoles.of(self.role))
+        object.__setattr__(self, "level", np.asarray(self.level, dtype=np.int64).reshape(-1))
+        if len(self.level) != len(self.dots):
+            raise StructureError(f"need one level per dot, got {len(self.level)} for "
+                                 f"{len(self.dots)} dots")
 
     @property
     def n_inverters(self) -> int:
-        return int(np.count_nonzero(self.role.levels < 0))
+        return int(np.count_nonzero(self.level < 0))
 
     def bounding_box_area(self) -> int:
         xy = self.dots[:, 1:]
@@ -144,7 +104,6 @@ class _Preorder(NamedTuple):
     above: np.ndarray  # its distance up the chain from that node (0: the node)
     parent: np.ndarray  # its parent's position, -1 for the root
     depth: np.ndarray  # its distance from the root
-    size: np.ndarray  # the dots of its subtree, itself included
     kids: np.ndarray  # its number of children
 
 
@@ -165,7 +124,6 @@ def _preorder(tree: TreeSpec, length: np.ndarray) -> _Preorder:
     for k in range(tree.depth - 1, -1, -1):
         below = block[2 ** (k + 1):2 ** (k + 2)] * reach[2 ** (k + 1):2 ** (k + 2)]
         block[2**k:2 ** (k + 1)] += below[::2] + below[1::2]
-    size = block - length
     pos, depth = length.copy(), length.copy()
     for k in range(tree.depth):
         up, left = slice(2**k, 2 ** (k + 1)), slice(2 ** (k + 1), None, 2)
@@ -182,7 +140,7 @@ def _preorder(tree: TreeSpec, length: np.ndarray) -> _Preorder:
     parent = at - 1
     right = (nodes & 1).astype(bool) & (nodes > 1)  # a right child's chain hangs off its parent
     parent[first[right]] = pos[nodes[right] >> 1]
-    return _Preorder(owner, above, parent, depth[owner] - above, size[owner] + above,
+    return _Preorder(owner, above, parent, depth[owner] - above,
                      np.where(above > 0, 1, kids[owner]))
 
 
@@ -220,7 +178,7 @@ def build_hfractal(tree: TreeSpec) -> LayoutGraph:
     return LayoutGraph(
         dots=np.stack([ids, *coords], axis=1),
         links=np.stack([ids[dots.parent[1:]], ids[1:]], axis=1),
-        role=DotRoles(ids, np.where(inverter, -1, level[owner])),
+        level=np.where(inverter, -1, level[owner]),
     )
 
 
@@ -243,8 +201,9 @@ class ChainedTree(RootedTree):
     :meth:`levels` gives each run of single-child levels, the inverter
     chains of one tree level, as one stacked
     :class:`~nandtree.model.Level`, which :mod:`nandtree.greens`
-    evaluates as Möbius products.  ``children()`` and ``is_leaf()`` look
-    up one dot, for the dense oracle and per-dot checks.
+    evaluates as Möbius products.  The levels' rows and
+    :meth:`table_codes` come from one argsort of the ids and one lexsort
+    of the links.
     """
 
     tree: TreeSpec
@@ -277,25 +236,14 @@ class ChainedTree(RootedTree):
         up[np.lexsort((ids[1:], ids[dots.parent[1:]])) + 1] = np.arange(len(ids) - 1)
         return rows, up
 
-    @cached_property
-    def _position(self) -> dict[int, int]:
-        return dict(zip(self._dots[0].tolist(), range(len(self._dots[0]))))
-
-    def children(self, node: int) -> tuple[int, ...]:
-        (ids, dots), at = self._dots, self._position.get(node)
-        if at is None or not dots.kids[at]:
-            return ()
-        first = at + 1
-        return tuple(ids[[first, first + dots.size[first]][:dots.kids[at]]].tolist())
-
-    def is_leaf(self, node: int) -> bool:
-        return not self.children(node)
-
-    def leaf_bit(self, node: int) -> int:
-        return self.tree.leaf_bit(node)
-
-    def leaf_sign(self, node: int) -> int:
-        return self.tree.leaf_sign(node)
+    def table_codes(self) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`RootedTree.table_codes`, each code put at its row of
+        :attr:`_ranks` instead of sorted again."""
+        (ids, dots), (rows, up) = self._dots, self._ranks
+        codes, links = np.empty_like(ids), np.empty(len(ids) - 1, np.int64)
+        codes[rows] = ids
+        links[up[1:]] = _pack(ids[dots.parent[1:]], ids[1:])
+        return codes, links
 
     def levels(self) -> list[Level]:
         """:meth:`RootedTree.levels` from the dots' preorder: a level lists
@@ -370,7 +318,7 @@ def expand_to_tree(layout: LayoutGraph, tree: TreeSpec) -> ChainedTree:
     nodes = np.flatnonzero(reach)
 
     # Dots by position in ``ids``: links, inverters, tree nodes.
-    inverters = layout.role.ids[layout.role.levels < 0]
+    inverters = layout.dots[layout.level < 0, 0]
     ids, at = np.unique(np.concatenate([layout.links.T.ravel(), inverters, nodes]),
                         return_inverse=True)
     up, down, inv_at, node_at = np.split(at, np.cumsum([len(layout.links)] * 2 + [len(inverters)]))

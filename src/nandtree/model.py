@@ -16,9 +16,8 @@ Conventions used throughout the package:
   computes NOT of its child instead of NAND of two children.  The
   dropped right subtree is absent from the physical structure.
 
-All types are immutable value objects; all operations are pure functions
-and safe to call concurrently.  Randomness enters only through explicit
-seeds.
+All types are immutable; all operations are pure functions and safe to
+call concurrently.  Randomness enters only through explicit seeds.
 """
 
 from __future__ import annotations
@@ -37,8 +36,6 @@ import numpy as np
 #: the resolvent on the real axis; clamping at this level is far below
 #: every tolerance used in the package.
 GAMMA_FLOOR = 1e-12
-
-Link = tuple[int, int]
 
 #: Node ids lie in [0, _ID_LIMIT), so a (parent, child) link packs into
 #: one int64 key for sorting and binary search.
@@ -111,10 +108,8 @@ class RootedTree:
     A tree provides ``root``, and its shape twice over in closed form:
     the evaluation schedule :meth:`levels` and the reachable dots
     :meth:`links`, with :meth:`leaf_values` for their detuning signs;
-    the Green's-function evaluators and :func:`ideal_parameters` need
-    nothing else.  ``children(node)`` lists one node's children, in the
-    order :meth:`levels` uses, for the dense oracle, which collects the
-    dots by its own walk.
+    the Green's-function evaluators, :func:`ideal_parameters` and the
+    dense oracle need nothing else.
     """
 
     def levels(self) -> list[Level]:
@@ -122,8 +117,8 @@ class RootedTree:
         from the root, the deepest first and the root's level last.
 
         A level lists its reachable nodes in breadth-first order (each
-        node's children in ``children()`` order), so the level below is
-        the concatenation of their children.  Slot s of a level locates
+        node's children left to right), so the level below is the
+        concatenation of their children.  Slot s of a level locates
         every node's s-th child there; a node whose slot s is masked out
         has fewer than s + 1 children (a leaf, or a one-legged dot).
         Evaluating one level needs only the level below, so a recursion
@@ -198,36 +193,6 @@ class TreeSpec(RootedTree):
     @property
     def n_leaves(self) -> int:
         return 2**self.depth
-
-    @property
-    def n_nodes(self) -> int:
-        return 2 ** (self.depth + 1) - 1
-
-    def is_leaf(self, node: int) -> bool:
-        return node >= self.n_leaves
-
-    def leaf_index(self, node: int) -> int:
-        """Input-bit index i of leaf node N + i."""
-        if not self.is_leaf(node):
-            raise StructureError(f"node {node} is not a leaf")
-        return node - self.n_leaves
-
-    def leaf_bit(self, node: int) -> int:
-        return self.input_bits[self.leaf_index(node)]
-
-    def leaf_sign(self, node: int) -> int:
-        """Alternating detuning sign s_i = (-1)**i for leaf N + i."""
-        return -1 if self.leaf_index(node) % 2 else 1
-
-    def level(self, node: int) -> int:
-        return int(node).bit_length() - 1
-
-    def children(self, node: int) -> tuple[int, ...]:
-        if self.is_leaf(node):
-            return ()
-        if node in self.not_markers:
-            return (2 * node,)
-        return (2 * node, 2 * node + 1)
 
     def structure(self) -> tuple[np.ndarray, np.ndarray]:
         """Per heap index in [0, 2N): is the node reachable (a NOT marker
@@ -330,8 +295,8 @@ def _ascending(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     return codes[order], order
 
 
-class ParamTable(Mapping):
-    """Read-only mapping over a key array and a float value array.
+class ParamTable:
+    """Parameters as three read-only arrays: keys, values and key codes.
 
     ``keys_array`` holds node ids, shape (n,), or (parent, child) links,
     shape (n, 2); ``values_array`` holds one float per key, shape (n,),
@@ -340,13 +305,9 @@ class ParamTable(Mapping):
     ``parent << 32 | child``, and a node id is its own code.  The table
     keeps its keys in ascending order of their ``codes``, node ids
     ascending and links by (parent, child), whatever order they are
-    given in; the values move with their keys.  Iteration follows that
-    order and yields Python ints or int pairs, so a table iterates,
-    indexes and compares like the dict it stands for; ``values()`` and
-    ``items()`` return lists in that order.  With a sample axis a key's
-    value is the list (``[]``: the array) of its per-sample values.
-    :meth:`find` and :meth:`lookup` find many keys at once by binary
-    search.
+    given in; the values move with their keys.  :meth:`find` and
+    :meth:`lookup` find many keys at once by binary search.  Two tables
+    are equal only if they are the same object.
     """
 
     def __init__(self, keys, values):
@@ -369,8 +330,9 @@ class ParamTable(Mapping):
         self.keys_array, self.values_array, self.codes = keys, values, codes
 
     @classmethod
-    def of(cls, mapping: Mapping, links: bool) -> ParamTable:
-        """``mapping`` as a table of node ids, or of links if ``links``, to floats."""
+    def of(cls, mapping: Mapping | ParamTable, links: bool) -> ParamTable:
+        """``mapping``, a dict or a table, as a table of node ids, or of
+        links if ``links``, to floats."""
         kind = "(parent, child) pairs of node ids" if links else "node ids"
         if isinstance(mapping, ParamTable):
             if mapping.links != links:
@@ -424,37 +386,8 @@ class ParamTable(Mapping):
             raise KeyError(tuple(key) if self.links else key)
         return at
 
-    def __getitem__(self, key) -> float:
-        # One key at a time, without the array set-up of lookup(): dense
-        # assembly and the reference recursions read tables this way.
-        try:
-            ids = tuple(map(operator.index, key)) if self.links else (operator.index(key),)
-        except TypeError:
-            raise KeyError(key) from None
-        if len(ids) != self.keys_array.ndim or not all(0 <= i < _ID_LIMIT for i in ids):
-            raise KeyError(key)
-        code = ids[0] << 32 | ids[1] if self.links else ids[0]
-        at = self.codes.searchsorted(code)
-        if at == len(self) or self.codes[at] != code:
-            raise KeyError(key)
-        value = self.values_array[..., at]
-        return float(value) if value.ndim == 0 else value
-
-    def __iter__(self):
-        keys = self.keys_array.tolist()
-        return map(tuple, keys) if self.links else iter(keys)
-
     def __len__(self) -> int:
         return len(self.keys_array)
-
-    def values(self) -> list:
-        return self.values_array.T.tolist()
-
-    def items(self) -> list[tuple]:
-        return list(zip(self, self.values()))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({dict(self.items())!r})"
 
 
 @dataclass(frozen=True)
@@ -462,22 +395,23 @@ class DotParameters:
     """One realization of per-dot detunings and per-link couplings, or a
     batch of them.
 
-    ``epsilon`` maps node -> detuning, ``coupling`` maps (parent, child)
-    -> tunnel coupling; both in units of t.  Either may be given as any
-    mapping and is stored as a :class:`ParamTable`, its keys in ascending
-    order.  Tables whose values carry a leading sample axis
+    ``epsilon`` holds the detuning of each node, ``coupling`` the tunnel
+    coupling of each (parent, child) link; both in units of t, as
+    :class:`ParamTable` arrays, their keys in ascending order.  Either
+    may be given as a dict, which :meth:`ParamTable.of` turns into a
+    table.  Tables whose values carry a leading sample axis
     (:func:`sample_disorder_many`) hold one realization per sample;
     :meth:`sample` takes one out.  ``delta`` is the oracle coupling
     strength and ``gamma`` the dephasing rate 1/tau_phi, shared by all
     samples.  Couplings must be finite and positive, detunings must not
     be NaN and ``gamma`` must be finite and nonnegative; otherwise
     :class:`StructureError` names the bad entry with the lowest key
-    (whatever order the mapping gave), in the first sample that has it
+    (whatever order a dict gave), in the first sample that has it
     bad.  A ``gamma`` below ``GAMMA_FLOOR`` is raised to it.
     """
 
-    epsilon: Mapping[int, float]
-    coupling: Mapping[Link, float]
+    epsilon: ParamTable
+    coupling: ParamTable
     delta: float
     gamma: float
 

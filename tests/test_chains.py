@@ -20,7 +20,7 @@ from nandtree import (assemble, build_tree, classify, green_tree_many, greens, i
                       sample_disorder, sample_disorder_many)
 from nandtree.greens import _BLOCK, _resolve, inertia_count
 from nandtree.layout import build_hfractal, chain_below, expand_to_tree
-from nandtree.model import DisorderSpec, TreeSpec
+from nandtree.model import DisorderSpec, RootedTree, TreeSpec
 
 import reference_walks as walks
 from test_greens_engine import CHAIN_RTOL, reference_on_array, stacked
@@ -51,13 +51,24 @@ class Walked(walks.WalkedTree):
 
     def __init__(self, tree):
         self.tree, self.root = tree, tree.root
-
-    def children(self, node):
-        return self.tree.children(node)
+        self.children = walks.children_of(tree)
 
 
 def bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("tree", [
+    *(chain_below(TreeSpec(3, (1, 0, 1, 1, 0, 0, 1, 0), frozenset({2})), k) for k in (0, 1, 2, 41)),
+    *(hfractal(depth) for depth in range(2, 9))], ids=lambda t: type(t).__name__)
+def test_table_codes_come_from_the_rank_sorts(tree):
+    # The codes put in place by the ranks are those the ids and links give
+    # when sorted again, on a fresh tree and on one whose ranks are known.
+    want = RootedTree.table_codes(tree)
+    for _ in range(2):
+        got = tree.table_codes()
+        for a, b in zip(got, want, strict=True):
+            assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("name", CHAINED)

@@ -76,13 +76,14 @@ def recursive_randomized(tree: TreeSpec, bits=None, seed: int = 0) -> QueryStats
     tree = _with_bits(tree, bits)
     rng = np.random.default_rng(seed)
     queries = 0
+    children = walks.children_of(tree)
 
     def visit(node: int) -> int:
         nonlocal queries
-        kids = tree.children(node)
+        kids = children(node)
         if not kids:
             queries += 1
-            return tree.leaf_bit(node)
+            return walks.leaf_bit(tree, node)
         if len(kids) == 1:
             return 1 - visit(kids[0])
         first, second = kids if rng.integers(2) == 0 else (kids[1], kids[0])
@@ -204,10 +205,11 @@ def test_oracle_expectation_scales_to_4096_leaves():
 def _reference_nand(tree, leaves):
     """The post-order dict recursion that evaluated the NAND before the level schedule."""
     value = {}
+    children = walks.children_of(tree)
     for node in walks.postorder(tree):
-        kids = tree.children(node)
+        kids = children(node)
         if not kids:
-            value[node] = leaves[tree.leaf_index(node)]
+            value[node] = leaves[walks.leaf_index(tree, node)]
         elif len(kids) == 1:
             value[node] = 1 - value[kids[0]]
         else:

@@ -22,6 +22,8 @@ from nandtree.model import DisorderSpec, TreeSpec
 from nandtree.transport import (ProbeSpec, conductance, readout, sweep, transmission,
                                 transmission_curve)
 
+import reference_walks as walks
+
 
 def trees():
     rng = np.random.default_rng(9)
@@ -68,7 +70,7 @@ def assert_same_steps(got, want):
 
 def with_extra(params, dot, link):
     """``params`` with an entry for a dot and a link the tree lacks."""
-    eps, coupling = dict(params.epsilon.items()), dict(params.coupling.items())
+    eps, coupling = walks.as_dict(params.epsilon), walks.as_dict(params.coupling)
     if dot:
         eps[2**30] = 0.25
     if link:
@@ -125,9 +127,9 @@ def test_missing_entries_name_the_same_key(name):
     tree = TREES[name]
     params = ideal_parameters(tree, 10.0, 1e-3)
     leaf = int(tree.levels()[0].nodes[-1])
-    link = next(k for k in params.coupling if k[1] == leaf)
-    drop_dot = {k: v for k, v in params.epsilon.items() if k != leaf}
-    drop_link = {k: v for k, v in params.coupling.items() if k != link}
+    link = next(k for k in walks.as_dict(params.coupling) if k[1] == leaf)
+    drop_dot = {k: v for k, v in walks.as_dict(params.epsilon).items() if k != leaf}
+    drop_link = {k: v for k, v in walks.as_dict(params.coupling).items() if k != link}
     for eps, coupling, key in ((drop_dot, params.coupling, leaf),
                                (params.epsilon, drop_link, link),
                                (drop_dot, drop_link, leaf)):

@@ -13,7 +13,10 @@ from nandtree import (
     sample_disorder,
 )
 from nandtree.dense import MAX_ORACLE_DEPTH
-from nandtree.model import DisorderSpec
+from nandtree.layout import build_hfractal, chain_below, expand_to_tree
+from nandtree.model import DisorderSpec, DotParameters, RootedTree, sample_disorder_many
+
+import reference_walks as walks
 
 
 def test_assemble_smallest_tree():
@@ -51,6 +54,75 @@ def test_assemble_depth_cap():
     tree = build_tree(depth, [0] * 2**depth)
     with pytest.raises(StructureError):
         assemble(tree, ideal_parameters(tree, 10.0, 1e-6))
+
+
+class LinksOnly(RootedTree):
+    """A tree given by its ``links()`` alone."""
+
+    def __init__(self, tree):
+        self.root, self._links = tree.root, tree.links()
+
+    def links(self):
+        return self._links
+
+
+def test_assemble_checks_the_cap_before_reading_parameters():
+    # The cap follows from the number of dots alone, with no walk over
+    # them; parameters that lack every entry are never read.
+    tree = LinksOnly(build_tree(16, [0] * 2**16))
+    with pytest.raises(StructureError, match=f"capped at depth {MAX_ORACLE_DEPTH}"):
+        assemble(tree, DotParameters({}, {}, 10.0, 1e-6))
+
+
+def test_assemble_names_a_missing_dot_or_link():
+    tree = TreeSpec(3, (1, 0, 1, 1, 0, 0, 1, 0), frozenset({3}))
+    ideal = ideal_parameters(tree, 10.0, 1e-6)
+    eps, coupling = walks.as_dict(ideal.epsilon), walks.as_dict(ideal.coupling)
+    del eps[5]
+    with pytest.raises(StructureError, match="missing entry for 5$"):
+        assemble(tree, DotParameters(eps, coupling, 10.0, 1e-6))
+    eps[5] = 0.0
+    del coupling[(2, 5)]
+    with pytest.raises(StructureError, match=r"missing entry for \(2, 5\)$"):
+        assemble(tree, DotParameters(eps, coupling, 10.0, 1e-6))
+
+
+def test_assemble_rejects_a_sample_axis():
+    tree = build_tree(2, (1, 0, 1, 1))
+    ideal = ideal_parameters(tree, 10.0, 1e-6)
+    many = sample_disorder_many(tree, ideal, [DisorderSpec(0.1, 0.1, s) for s in range(3)])
+    with pytest.raises(StructureError, match="DotParameters.sample"):
+        assemble(tree, many)
+    assert np.array_equal(assemble(tree, many.sample(1)).matrix,
+                          assemble(tree, sample_disorder(tree, ideal, DisorderSpec(0.1, 0.1, 1)))
+                          .matrix)
+
+
+def walked_assembly_trees():
+    rng = np.random.default_rng(41)
+    for depth in range(1, 7):
+        bits = rng.integers(0, 2, 2**depth)
+        yield build_tree(depth, bits)
+        markers = rng.choice(np.arange(1, 2**depth), max(1, 2**depth // 4)).tolist()
+        yield TreeSpec(depth, tuple(bits.tolist()), frozenset(markers))
+    for k in (0, 1, 2, 41):
+        yield chain_below(TreeSpec(3, tuple(rng.integers(0, 2, 8)), frozenset({2})), k)
+    for depth in range(2, 5):
+        tree = build_tree(depth, rng.integers(0, 2, 2**depth))
+        yield expand_to_tree(build_hfractal(tree), tree)
+
+
+@pytest.mark.parametrize("tree", walked_assembly_trees(), ids=lambda t: type(t).__name__)
+def test_assemble_matches_the_walked_assembly(tree):
+    # Bit for bit what the walk over children() from the root assembled,
+    # and from the dots and parents alone.
+    ideal = ideal_parameters(tree, 10.0, 1e-6)
+    for params in (ideal, sample_disorder(tree, ideal, DisorderSpec(0.1, 0.1, 5))):
+        want = walks.assemble(tree, params)
+        for got in (assemble(tree, params), assemble(LinksOnly(tree), params)):
+            assert got.nodes == want.nodes and all(type(n) is int for n in got.nodes)
+            assert got.matrix.dtype == want.matrix.dtype
+            assert np.array_equal(got.matrix.view(np.uint64), want.matrix.view(np.uint64))
 
 
 def test_green_direct_scalar_resolvent():

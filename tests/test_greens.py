@@ -22,14 +22,17 @@ from nandtree.classical import eval_nand
 from nandtree.greens import inertia_count
 from nandtree.model import DisorderSpec
 
+import reference_walks as walks
+
 
 def depth_one_closed_form(params, E):
     """1/(E + i gamma - eps_1 - sum_c t_c^2 G_c) with G_c = 1/(E + i gamma - eps_c),
     and the leaves' G_c."""
     z = E + 1j * params.gamma
-    leaves = [1.0 / (z - params.epsilon[c]) for c in (2, 3)]
-    sigma = sum(params.coupling[(1, c)] ** 2 * g for c, g in zip((2, 3), leaves))
-    return 1.0 / (z - params.epsilon[1] - sigma), leaves
+    eps, coupling = walks.as_dict(params.epsilon), walks.as_dict(params.coupling)
+    leaves = [1.0 / (z - eps[c]) for c in (2, 3)]
+    sigma = sum(coupling[(1, c)] ** 2 * g for c, g in zip((2, 3), leaves))
+    return 1.0 / (z - eps[1] - sigma), leaves
 
 
 def test_green_tree_depth_one_closed_form():
@@ -96,7 +99,7 @@ def test_green_tree_missing_parameters():
     tree = build_tree(1, (0, 0))
     params = ideal_parameters(tree, 10.0, 1e-6)
     broken = DotParameters(
-        epsilon={1: 0.0, 2: 0.0}, coupling=dict(params.coupling), delta=10.0, gamma=1e-6
+        epsilon={1: 0.0, 2: 0.0}, coupling=params.coupling, delta=10.0, gamma=1e-6
     )
     with pytest.raises(StructureError):
         green_tree(tree, broken, 0.0)
@@ -109,7 +112,8 @@ def test_derivative_leaf_form():
     params = sample_disorder(tree, ideal_parameters(tree, 10.0, 1e-3), DisorderSpec(0.1, 0.1, 2))
     for E in (-0.4, 0.0, 0.2):
         g, leaves = depth_one_closed_form(params, E)
-        want = -g * g * (1 + sum(params.coupling[(1, c)] ** 2 * gc * gc
+        coupling = walks.as_dict(params.coupling)
+        want = -g * g * (1 + sum(coupling[(1, c)] ** 2 * gc * gc
                                  for c, gc in zip((2, 3), leaves)))
         assert green_tree_derivative(tree, params, E) == pytest.approx(want, rel=1e-10)
 

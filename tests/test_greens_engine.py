@@ -12,8 +12,6 @@ sample axis must give, bit for bit, what the loop over their samples
 that the axis replaces gives.
 """
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -31,14 +29,16 @@ def reference_resolve(tree, params: DotParameters, E, derivative: bool = False):
     """Post-order evaluation of G (and optionally dG/dE) at the root."""
     gamma = params.gamma
     ig = 1j * gamma
+    epsilon, coupling = walks.as_dict(params.epsilon), walks.as_dict(params.coupling)
+    children = walks.children_of(tree)
     g: dict = {}
     dg: dict = {}
     try:
         for node in walks.postorder(tree):
-            denom = E + ig - params.epsilon[node]
+            denom = E + ig - epsilon[node]
             ddenom = 1.0
-            for c in tree.children(node):
-                t2 = params.coupling[(node, c)] ** 2
+            for c in children(node):
+                t2 = coupling[(node, c)] ** 2
                 denom = denom - t2 * g.pop(c)
                 if derivative:
                     ddenom = ddenom - t2 * dg.pop(c)
@@ -64,13 +64,6 @@ def on_flat_array(resolve):
 
 
 reference_on_array = on_flat_array(reference_resolve)
-
-
-def dict_snapshot(params: DotParameters) -> SimpleNamespace:
-    """``params`` with plain-dict tables (equal to the ``ParamTable``s), for
-    the reference's one-key-at-a-time reads on large trees."""
-    return SimpleNamespace(gamma=params.gamma, epsilon=dict(params.epsilon.items()),
-                           coupling=dict(params.coupling.items()))
 
 
 def assert_same(got, want):
@@ -177,10 +170,10 @@ def test_engine_matches_reference_across_energy_blocks():
         assert max(widths) * 401 > 2 * _BLOCK and widths[-1] * 401 <= _BLOCK
     for params in parameter_sets(tree, 12):
         assert_same(_resolve(tree, params, energies),
-                    reference_resolve(tree, dict_snapshot(params), energies))
+                    reference_resolve(tree, params, energies))
     params = ideal_parameters(chained, 10.0, 1e-6)
     assert_close(_resolve(chained, params, energies),
-                 reference_resolve(chained, dict_snapshot(params), energies))
+                 reference_resolve(chained, params, energies))
 
 
 def sample_axis_trees():
@@ -232,8 +225,8 @@ def test_levels_closed_form_matches_breadth_first():
 
 
 def _without(params, node=None, link=None):
-    eps = {k: v for k, v in params.epsilon.items() if k != node}
-    coup = {k: v for k, v in params.coupling.items() if k != link}
+    eps = {k: v for k, v in walks.as_dict(params.epsilon).items() if k != node}
+    coup = {k: v for k, v in walks.as_dict(params.coupling).items() if k != link}
     return DotParameters(eps, coup, params.delta, params.gamma)
 
 
@@ -243,9 +236,11 @@ def test_missing_entries_raise_for_reachable_dots_only():
     for t in (tree, chained):
         params = ideal_parameters(t, 10.0, 1e-6)
         # The dropped subtree under the NOT marker at node 3 has no entries.
-        assert 7 not in params.epsilon and (3, 7) not in params.coupling
-        inner = next(n for n in walks.postorder(t) if len(t.children(n)) == 1)
-        link = (inner, t.children(inner)[0])
+        assert 7 not in walks.as_dict(params.epsilon)
+        assert (3, 7) not in walks.as_dict(params.coupling)
+        children = walks.children_of(t)
+        inner = next(n for n in walks.postorder(t) if len(children(n)) == 1)
+        link = (inner, children(inner)[0])
         for broken in (_without(params, node=inner), _without(params, link=link)):
             for E in (0.0, np.linspace(-1.0, 1.0, 5)):
                 with pytest.raises(StructureError):
@@ -262,10 +257,11 @@ def test_couplings_matched_by_parent_and_child():
     ideal = ideal_parameters(tree, 10.0, 1e-6)
     params = sample_disorder(tree, ideal, DisorderSpec(0.1, 0.1, 8))
     extra = {(99, 5): 0.5, (98, 9): 2.0, (97, 100): 3.0}
-    noisy = DotParameters(params.epsilon, {**extra, **params.coupling, (96, 4): 0.7},
+    noisy = DotParameters(params.epsilon,
+                          {**extra, **walks.as_dict(params.coupling), (96, 4): 0.7},
                           params.delta, params.gamma)
     assert_engine_matches(tree, noisy)
-    moved = {k: v for k, v in noisy.coupling.items() if k != (2, 5)}
+    moved = {k: v for k, v in walks.as_dict(noisy.coupling).items() if k != (2, 5)}
     with pytest.raises(StructureError, match=r"\(2, 5\)"):
         _resolve(tree, DotParameters(params.epsilon, moved, params.delta, params.gamma), 0.0)
     with pytest.raises(StructureError):
@@ -346,7 +342,7 @@ def test_hash_collisions_fall_back_to_exact_rows(monkeypatch):
 def test_signed_zero_detunings_stay_two_classes():
     tree = build_tree(2, (0, 0, 0, 0))
     ideal = ideal_parameters(tree, 10.0, 1e-6)
-    eps = dict(ideal.epsilon.items())
+    eps = walks.as_dict(ideal.epsilon)
     eps[5] = -0.0
     params = DotParameters(eps, ideal.coupling, ideal.delta, ideal.gamma)
     classes, dots = merged_widths(tree, params)

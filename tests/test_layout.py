@@ -66,10 +66,11 @@ def test_hfractal_depth3_counts_per_level():
     # root link level has 4 inverters per leg, then 2, then 0
     by_level = {}
     pos = {d: (x, y) for d, x, y in graph.dots}
+    children = walks.children_of(tree)
     for node in walks.postorder(tree):
-        for child in tree.children(node):
+        for child in children(node):
             dist = sum(abs(a - b) for a, b in zip(pos[node], pos[child]))
-            by_level.setdefault(tree.level(node), set()).add(dist - 1)
+            by_level.setdefault(node.bit_length() - 1, set()).add(dist - 1)
     assert by_level[0] == {4}
     assert by_level[1] == {2}
     assert by_level[2] == {0}
@@ -87,8 +88,8 @@ def test_hfractal_geometry_invariants():
             assert abs(pos[a][0] - pos[b][0]) + abs(pos[a][1] - pos[b][1]) == 1
             degree[a] = degree.get(a, 0) + 1
             degree[b] = degree.get(b, 0) + 1
-        for dot, role in graph.role.items():
-            if role == "inverter":
+        for dot, level in zip(graph.dots[:, 0].tolist(), graph.level.tolist()):
+            if level < 0:
                 assert degree[dot] == 2
             else:
                 assert degree.get(dot, 0) <= 3
@@ -165,15 +166,20 @@ def test_expand_hfractal_exhaustive_small():
             assert form.bit == eval_nand(tree), bits
 
 
+def test_layout_needs_one_level_per_dot():
+    with pytest.raises(StructureError, match="one level per dot, got 2 for 1 dots"):
+        LayoutGraph(dots=((1, 0, 0),), links=(), level=(0, -1))
+
+
 def test_expand_rejects_odd_unmarked_chain():
     # Minimal hand-built layout: one inverter between root and a leaf.
     graph = LayoutGraph(
         dots=((1, 0, 0), (4, 1, 0), (2, 2, 0), (3, -1, 0)),
         links=((1, 4), (4, 2), (1, 3)),
-        role={1: "level-0", 2: "level-1", 3: "level-1", 4: "inverter"},
+        level=(0, -1, 1, 1),
     )
     tree = build_tree(1, (1, 1))
-    with pytest.raises(StructureError):
+    with pytest.raises(StructureError, match="odd inverter chain"):
         expand_to_tree(graph, tree)
 
 
@@ -195,21 +201,22 @@ def test_ideal_parameters_on_chained_tree(name):
     chained = CHAINED[name]
     delta = 10.0
     params = ideal_parameters(chained, delta, 1e-6)
-    assert list(params.epsilon) == sorted(walks.postorder(chained))
-    assert list(params.coupling) == sorted(walks.links(chained))
-    assert set(params.coupling.values()) == {1.0}
+    assert params.epsilon.keys_array.tolist() == sorted(walks.postorder(chained))
+    assert list(map(tuple, params.coupling.keys_array.tolist())) == sorted(walks.links(chained))
+    assert set(params.coupling.values_array.tolist()) == {1.0}
     n = CHAIN_TREE.n_leaves
-    leaves = [node for node in walks.postorder(chained) if chained.is_leaf(node)]
+    children = walks.children_of(chained)
+    leaves = [node for node in walks.postorder(chained) if not children(node)]
     # Node 3 carries a NOT marker, so node 7 and its leaves 14, 15 are absent.
     assert leaves == list(range(n, 2 * n - 2))
-    for node, eps in params.epsilon.items():
+    for node, eps in walks.as_dict(params.epsilon).items():
         if node in leaves:
             i = node - n
             assert eps == (-1) ** i * CHAIN_TREE.input_bits[i] * delta
         else:
             assert eps == 0.0
     # Inverter ids start past the tree nodes; only chain_below(tree, 0) has none.
-    inverters = [node for node in params.epsilon if node >= 2 * n]
+    inverters = [node for node in params.epsilon.keys_array.tolist() if node >= 2 * n]
     assert bool(inverters) == (name != "chain_below_0")
 
 

@@ -30,6 +30,7 @@ from reference_walks import WalkedTree
 def reference_build_hfractal(tree: TreeSpec):
     """(dots, links, role, binding) of the H-fractal, dot by dot."""
     counts = inverter_counts(tree.depth)
+    children = walks.children_of(tree)
 
     dots: list[tuple[int, int, int]] = []
     links: list[tuple[int, int]] = []
@@ -39,11 +40,11 @@ def reference_build_hfractal(tree: TreeSpec):
 
     def place(node: int, x: int, y: int) -> None:
         nonlocal next_id
-        level = tree.level(node)
+        level = node.bit_length() - 1
         dots.append((node, x, y))
         role[node] = f"level-{level}"
         binding[node] = node
-        kids = tree.children(node)
+        kids = children(node)
         if not kids:
             return
         m = counts[tree.depth - 1 - level]
@@ -75,15 +76,6 @@ class ReferenceChainedTree(WalkedTree):
 
     def children(self, node: int) -> tuple[int, ...]:
         return self.child_map.get(node, ())
-
-    def is_leaf(self, node: int) -> bool:
-        return node not in self.child_map
-
-    def leaf_bit(self, node: int) -> int:
-        return self.tree.leaf_bit(node)
-
-    def leaf_sign(self, node: int) -> int:
-        return self.tree.leaf_sign(node)
 
 
 def reference_expand_to_tree(links, role, binding, tree: TreeSpec) -> ReferenceChainedTree:
@@ -137,8 +129,9 @@ def reference_expand_to_tree(links, role, binding, tree: TreeSpec) -> ReferenceC
 
 
 def reference_chain_below(tree: TreeSpec, n_inverters: int) -> ReferenceChainedTree:
+    children = walks.children_of(tree)
     child_map: dict[int, tuple[int, ...]] = {
-        n: tree.children(n) for n in walks.postorder(tree) if tree.children(n)
+        n: children(n) for n in walks.postorder(tree) if children(n)
     }
     base = 2 * tree.n_leaves
     prev = tree.root
@@ -177,12 +170,20 @@ def test_build_matches_reference(tree):
     graph = build_hfractal(tree)
     assert graph.dots.tolist() == [list(d) for d in dots]
     assert graph.links.tolist() == [list(link) for link in links]
-    assert list(graph.role.items()) == list(role.items())
-    assert dict(graph.role) == role
-    assert {d: d for d, r in graph.role.items() if r != "inverter"} == binding
+    # The reference lists its roles in the dots' order.
+    assert list(role) == [dot for dot, _, _ in dots]
+    assert graph.level.tolist() == role_levels(role)
+    tree_dots = graph.dots[graph.level >= 0, 0].tolist()
+    assert dict(zip(tree_dots, tree_dots)) == binding
     assert graph.n_inverters == sum(r == "inverter" for r in role.values())
     # links[i] is the link into dots[i + 1].
     assert np.array_equal(graph.links[:, 1], graph.dots[1:, 0])
+
+
+def role_levels(role: dict[int, str]) -> list[int]:
+    """The reference's roles as :attr:`LayoutGraph.level`: a tree dot's
+    level, -1 for an inverter."""
+    return [-1 if r == "inverter" else int(r.removeprefix("level-")) for r in role.values()]
 
 
 def assert_same_levels(got, want):
@@ -215,10 +216,6 @@ def assert_same_chained(chained, reference):
     assert_same_levels(chained.levels(), walks.levels(chained))
     assert_same_arrays(walks.by_id(chained.dots()), walks.dots(reference))
     assert_same_arrays(walks.by_id(chained.dots()), walks.dots(chained))
-    for node in walks.postorder(reference):
-        assert chained.children(node) == reference.children(node)
-        assert chained.is_leaf(node) == reference.is_leaf(node)
-    assert chained.children(-1) == () and chained.is_leaf(10**9)
 
 
 @pytest.mark.parametrize("tree", LAYOUT_TREES, ids=TREE_IDS)
@@ -227,7 +224,7 @@ def test_expand_matches_reference(tree):
     reference = reference_expand_to_tree(links, role, binding, tree)
     assert_same_chained(expand_to_tree(build_hfractal(tree), tree), reference)
     # Hand-built layouts take the same path.
-    graph = LayoutGraph(dots=dots, links=links, role=role)
+    graph = LayoutGraph(dots=dots, links=links, level=role_levels(role))
     assert_same_chained(expand_to_tree(graph, tree), reference)
 
 
@@ -256,8 +253,8 @@ BASE_LINKS = ((1, 2), (1, 3), (2, 4), (2, 5), (3, 6), (3, 7))
 def hand_built(links, inverters=()):
     """A layout of the depth-2 tree 1..7; dots 8 and up are extra."""
     dots = sorted({d for link in links for d in link} | set(inverters) | set(range(1, 8)))
-    role = {d: "inverter" if d in inverters else f"level-{d.bit_length() - 1}" for d in dots}
-    return LayoutGraph(dots=[(d, d, 0) for d in dots], links=links, role=role)
+    level = [-1 if d in inverters else d.bit_length() - 1 for d in dots]
+    return LayoutGraph(dots=[(d, d, 0) for d in dots], links=links, level=level)
 
 
 @pytest.mark.parametrize("graph, message", [

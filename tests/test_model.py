@@ -21,23 +21,25 @@ import reference_walks as walks
 
 def test_build_tree_depth3_shape():
     tree = build_tree(3, "10110010")
-    assert tree.n_nodes == 15
+    ids, parents, _ = tree.dots()
+    assert ids.tolist() == list(range(1, 16))
     assert tree.n_leaves == 8
-    assert [n for n in range(1, 16) if tree.is_leaf(n)] == list(range(8, 16))
+    assert sorted(set(ids.tolist()) - set(parents.tolist())) == list(range(8, 16))
     assert tree.input_bits == (1, 0, 1, 1, 0, 0, 1, 0)
 
 
 def test_build_tree_smallest():
     tree = build_tree(1, "00")
-    assert tree.n_nodes == 3
-    assert tree.children(1) == (2, 3)
-    assert tree.children(2) == ()
+    ids, parents, _ = tree.dots()
+    assert ids.tolist() == [1, 2, 3] and parents.tolist() == [-1, 1, 1]
 
 
 def test_build_tree_1011_block():
     tree = build_tree(2, "1011")
-    assert tree.n_nodes == 7
-    assert tuple(tree.leaf_bit(8 - 4 + i) for i in range(4)) == (1, 0, 1, 1)
+    ids, _, signs = tree.dots()
+    assert len(ids) == 7
+    # Leaf N + i carries bit i, with sign (-1)**i.
+    assert signs[3:].tolist() == [1, 0, 1, -1]
 
 
 def test_build_tree_rejects_bad_input():
@@ -53,25 +55,27 @@ def test_build_tree_rejects_bad_input():
 
 def test_index_algebra():
     tree = build_tree(3, "10110010")
-    for node in range(1, 8):
-        assert tree.children(node) == (2 * node, 2 * node + 1)
-        assert tree.level(2 * node) == tree.level(node) + 1
-    for i in range(8):
-        leaf = 8 + i
-        assert tree.leaf_index(leaf) == i
-        assert tree.leaf_sign(leaf) == (-1) ** i
+    # Node i has children 2i and 2i + 1, one level further from the root.
+    ids, parents, _ = tree.dots()
+    assert parents[1:].tolist() == [node >> 1 for node in range(2, 16)]
+    assert [level.nodes.tolist() for level in tree.levels()] == \
+        [list(range(2**k, 2 ** (k + 1))) for k in range(3, -1, -1)]
+    # Leaf N + i carries bit i with sign (-1)**i.
+    assert build_tree(3, "11111111").dots()[2][7:].tolist() == [(-1) ** i for i in range(8)]
     order = walks.postorder(tree)
     assert sorted(order) == list(range(1, 16))
     assert order[-1] == tree.root
     seen = set()
+    children = walks.children_of(tree)
     for node in order:
-        assert all(c in seen for c in tree.children(node))
+        assert all(c in seen for c in children(node))
         seen.add(node)
 
 
 def test_not_marker_drops_right_subtree():
     tree = TreeSpec(depth=2, input_bits=(1, 0, 1, 1), not_markers=frozenset({1}))
-    assert tree.children(1) == (2,)
+    ids, parents, _ = tree.dots()
+    assert ids.tolist() == [1, 2, 4, 5] and parents.tolist() == [-1, 1, 2, 2]
     assert 3 not in walks.postorder(tree)
     assert 6 not in walks.postorder(tree)
 
@@ -79,17 +83,17 @@ def test_not_marker_drops_right_subtree():
 def test_ideal_parameters_detunings():
     tree = build_tree(1, (1, 1))
     p = ideal_parameters(tree, 10.0, 1e-6)
-    assert (p.epsilon[2], p.epsilon[3]) == (10.0, -10.0)
+    assert p.epsilon.lookup([2, 3]).tolist() == [10.0, -10.0]
 
     tree = build_tree(1, (0, 0))
     p = ideal_parameters(tree, 10.0, 1e-6)
-    assert (p.epsilon[2], p.epsilon[3]) == (0.0, 0.0)
+    assert p.epsilon.lookup([2, 3]).tolist() == [0.0, 0.0]
 
     tree = build_tree(2, (1, 0, 1, 1))
     p = ideal_parameters(tree, 10.0, 1e-6)
-    assert [p.epsilon[4 + i] for i in range(4)] == [10.0, 0.0, 10.0, -10.0]
-    assert all(t == 1.0 for t in p.coupling.values())
-    assert all(p.epsilon[n] == 0.0 for n in (1, 2, 3))
+    assert p.epsilon.lookup([4, 5, 6, 7]).tolist() == [10.0, 0.0, 10.0, -10.0]
+    assert np.all(p.coupling.values_array == 1.0)
+    assert p.epsilon.lookup([1, 2, 3]).tolist() == [0.0, 0.0, 0.0]
 
 
 def test_ideal_parameters_validation_and_gamma_floor():
@@ -141,19 +145,19 @@ def test_sample_disorder_zero_width_is_identity():
     tree = build_tree(3, "10110010")
     ideal = ideal_parameters(tree, 10.0, 1e-6)
     sampled = sample_disorder(tree, ideal, DisorderSpec(0.0, 0.0, seed=42))
-    assert sampled.epsilon == dict(ideal.epsilon)
-    assert sampled.coupling == dict(ideal.coupling)
+    assert walks.as_dict(sampled.epsilon) == walks.as_dict(ideal.epsilon)
+    assert walks.as_dict(sampled.coupling) == walks.as_dict(ideal.coupling)
 
 
 def test_sample_disorder_deterministic():
     tree = build_tree(3, "10110010")
     ideal = ideal_parameters(tree, 10.0, 1e-6)
     spec = DisorderSpec(0.03, 0.03, seed=7)
-    a = sample_disorder(tree, ideal, spec)
-    b = sample_disorder(tree, ideal, spec)
-    assert a == b
-    c = sample_disorder(tree, ideal, DisorderSpec(0.03, 0.03, seed=8))
-    assert a != c
+    a, b, c = (sample_disorder(tree, ideal, s)
+               for s in (spec, spec, DisorderSpec(0.03, 0.03, seed=8)))
+    for table in ("epsilon", "coupling"):
+        a_, b_, c_ = (walks.as_dict(getattr(p, table)) for p in (a, b, c))
+        assert a_ == b_ and a_ != c_
 
 
 def test_sample_disorder_coupling_floor():
@@ -162,7 +166,7 @@ def test_sample_disorder_coupling_floor():
     spec = DisorderSpec(0.9, 0.0, seed=5, coupling_floor=0.1)
     for _ in range(20):
         sampled = sample_disorder(tree, ideal, spec)
-        assert all(t >= 0.1 for t in sampled.coupling.values())
+        assert np.all(sampled.coupling.values_array >= 0.1)
         spec = DisorderSpec(0.9, 0.0, seed=spec.seed + 1, coupling_floor=0.1)
 
 
@@ -171,11 +175,11 @@ def test_sample_disorder_detuning_statistics():
     tree = build_tree(5, [0] * 32)
     ideal = ideal_parameters(tree, 10.0, 1e-6)
     sigma = 0.03
-    internal = [n for n in walks.postorder(tree) if not tree.is_leaf(n)]
+    internal = [n for n in walks.postorder(tree) if n < tree.n_leaves]
     values = []
     for seed in range(40):
         sampled = sample_disorder(tree, ideal, DisorderSpec(0.0, sigma, seed=seed))
-        values.extend(sampled.epsilon[n] for n in internal)
+        values.extend(sampled.epsilon.lookup(internal).tolist())
     mean = np.mean(values)
     assert abs(mean) <= 3.0 * sigma / np.sqrt(len(values))
 
@@ -184,12 +188,13 @@ def test_paired_one_detunings_cancel():
     # For adjacent leaves both carrying bit 1 the +-Delta terms cancel,
     # leaving only the sampled disorder.
     tree = build_tree(2, (1, 1, 1, 1))
-    ideal = ideal_parameters(tree, 10.0, 1e-6)
-    assert ideal.epsilon[4] + ideal.epsilon[5] == 0.0
-    assert ideal.epsilon[6] + ideal.epsilon[7] == 0.0
-    sampled = sample_disorder(tree, ideal, DisorderSpec(0.0, 0.05, seed=3))
-    noise = {n: sampled.epsilon[n] - ideal.epsilon[n] for n in sampled.epsilon}
-    assert sampled.epsilon[4] + sampled.epsilon[5] == pytest.approx(noise[4] + noise[5])
+    ideal = walks.as_dict(ideal_parameters(tree, 10.0, 1e-6).epsilon)
+    assert ideal[4] + ideal[5] == 0.0
+    assert ideal[6] + ideal[7] == 0.0
+    sampled = walks.as_dict(sample_disorder(tree, ideal_parameters(tree, 10.0, 1e-6),
+                                            DisorderSpec(0.0, 0.05, seed=3)).epsilon)
+    noise = {n: sampled[n] - ideal[n] for n in sampled}
+    assert sampled[4] + sampled[5] == pytest.approx(noise[4] + noise[5])
 
 
 @settings(max_examples=50, deadline=None)
@@ -197,9 +202,10 @@ def test_paired_one_detunings_cancel():
 def test_leaf_round_trip_property(depth, data):
     bits = data.draw(st.lists(st.integers(0, 1), min_size=2**depth, max_size=2**depth))
     tree = build_tree(depth, bits)
-    for i, b in enumerate(bits):
-        leaf = tree.n_leaves + i
-        assert tree.is_leaf(leaf)
-        assert tree.leaf_bit(leaf) == b
-        assert tree.leaf_index(leaf) == i
-    assert len(walks.links(tree)) == tree.n_nodes - 1
+    ids, parents, signs = tree.dots()
+    n = tree.n_leaves
+    # Leaf N + i, childless, carries bit i with sign (-1)**i.
+    assert ids[n - 1:].tolist() == list(range(n, 2 * n))
+    assert not set(ids[n - 1:].tolist()) & set(parents.tolist())
+    assert signs[n - 1:].tolist() == [(-1) ** i * b for i, b in enumerate(bits)]
+    assert len(walks.links(tree)) == len(ids) - 1 == 2 * n - 2

@@ -79,8 +79,6 @@ def listed_trees():
 def test_postorder_and_links_match_walks(tree):
     # The ideal tables hold the walks' nodes and links, in ascending order.
     params = ideal_parameters(tree, 10.0, 1e-6)
-    assert list(params.epsilon) == sorted(walks.postorder(tree))
-    assert list(params.coupling) == sorted(walks.links(tree))
-    assert all(type(n) is int for n in params.epsilon)
-    assert all(type(p) is int and type(c) is int for p, c in params.coupling)
+    assert params.epsilon.keys_array.tolist() == sorted(walks.postorder(tree))
+    assert list(map(tuple, params.coupling.keys_array.tolist())) == sorted(walks.links(tree))
     assert_same_arrays(walks.by_id(tree.dots()), walks.dots(tree))
