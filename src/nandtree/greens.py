@@ -27,8 +27,9 @@ has length 1 otherwise; every sample sees the same energies, and the
 result has shape (samples,) + the energies' shape, or the energies'
 shape alone for one realization.  Each dot's eps and the t^2 of the
 link into it are gathered into per-level (dots x samples) columns once
-per compilation, t^2 over the whole coupling table at once; a child
-slot's t^2 are those of the level below at the slot's index.  The
+per compilation, t^2 over the whole coupling table at once (pow only
+where t is not 1, :func:`_squares`); a child slot's t^2 are those of
+the level below at the slot's index.  The
 gather goes by position: tables built from the tree's own dots
 (:func:`~nandtree.model.ideal_parameters`,
 :func:`~nandtree.model.sample_disorder`) hold exactly its dots and links
@@ -63,7 +64,7 @@ columns into a schedule of distinct subtrees: level by level from the
 leaves up, it merges every dot whose subtree carries bit for bit the
 same parameters as another's into one class.  Merging pays only where a
 call evaluates more than one energy per sample: classing a level reads
-every dot's key row over all samples and sorts their hashes, at least
+every dot's key row over all samples and sorts their codes, at least
 the work of evaluating each dot once per sample.  So calls at one
 energy (:func:`green_tree`, :func:`green_tree_derivative`,
 :func:`classify`, and :func:`green_tree_many` or :func:`inertia_count`
@@ -75,18 +76,22 @@ class -1 for a missing child), over all samples for parameters with a
 sample axis.  Keys compare as int64 bit patterns, so -0.0 and 0.0 are
 different classes and there is no tolerance.  A stack is classed by
 whole columns: a column's key is the bits of all its eps and t^2 and
-the class of its bottom dot's child.  A level's key rows are
-hashed, the hashes sorted once, and every row is checked against its
-class's representative; on any mismatch (a hash collision) the level is
-grouped again by ``np.unique(axis=0)``.  Once the dots of a level are
-all distinct, their parents are too, as disjoint children of distinct
-classes make distinct keys: above such a level a dot with a child is
-its own class, only childless dots are classed, among themselves, and a
-level that stays all distinct is kept in its own order.  So a
-disordered depth-12 H-fractal classes only its leaves, and the ideal one
-10 of its 24 levels and stacks.  A merged dot applies the same operations to
-the same values as each dot of its class, so the results keep their
-bits.  Each class carries its multiplicity, the number of dots it
+the class of its bottom dot's child.  A level is classed by one sort of
+one exact int64 code per key row: key columns constant over the level,
+as an ideal tree's eps and t^2 mostly are, are dropped; one column left
+is its own code, and more are packed mixed-radix by their value ranges
+when those multiply to less than 2**62.  Wider ranges, as disordered
+bits give, are hashed instead: the hashes are sorted, every row is
+checked against its class's representative, and on any mismatch (a
+hash collision) the level is grouped again by ``np.unique(axis=0)``.
+Once the dots of a level are all distinct, their parents are too, as
+disjoint children of distinct classes make distinct keys: above such a
+level a dot with a child is its own class, only childless dots are
+classed, among themselves, and a level that stays all distinct is kept
+in its own order.  So a disordered depth-12 H-fractal classes only its
+leaves, and the ideal one 10 of its 24 levels and stacks.  A merged dot
+applies the same operations to the same values as each dot of its
+class, so the results keep their bits.  Each class carries its multiplicity, the number of dots it
 stands for, which weights the inertia count.  A :class:`CompiledTree`
 belongs to the parameters it was made from and can stand in for the
 tree, with those parameters, in every evaluator.
@@ -141,6 +146,7 @@ evaluated with it, and the inertia count stays bit for bit.
 
 from __future__ import annotations
 
+import math
 from functools import reduce
 from itertools import accumulate
 from typing import NamedTuple
@@ -263,9 +269,7 @@ def _columns(params: DotParameters, schedule) -> list[_Step]:
     ``rows`` and ``up``; one sample for parameters without a sample
     axis."""
     eps = np.atleast_2d(params.epsilon.values_array).T
-    # Python's t ** 2: np.float_power calls the same libm pow, which can
-    # differ from t * t, and from np.power's square, in the last bit.
-    t2 = np.float_power(np.atleast_2d(params.coupling.values_array).T, 2)
+    t2 = np.atleast_2d(_squares(params.coupling.values_array)).T
     *lower, root = schedule
     # The links into every dot; the top row of a stacked root has none.
     ups = _at(t2, [level.up for level in lower] + [root.up[:-1] if root.nodes.ndim == 2 else None])
@@ -280,6 +284,14 @@ def _columns(params: DotParameters, schedule) -> list[_Step]:
             t2s = (np.concatenate([t2s[0][None], up[:len(e) - 1]]),)
         steps.append(_Step(e, level.slots, t2s, None))
     return steps
+
+
+def _squares(t: np.ndarray) -> np.ndarray:
+    """Python's ``t ** 2`` of every coupling: np.float_power calls the same
+    libm pow, which can differ from t * t, and from np.power's square, in
+    the last bit.  pow(1, 2) is exactly 1, so unit couplings, all of an
+    ideal table, skip the call."""
+    return np.float_power(t, 2, where=t != 1, out=np.ones_like(t))
 
 
 def _at(values: np.ndarray, rows) -> list:
@@ -299,12 +311,31 @@ def _cut(flat: np.ndarray, parts) -> list[np.ndarray]:
             for part, lo, hi in zip(parts, [0] + ends, ends)]
 
 
+def _packed(keys: np.ndarray) -> np.ndarray | None:
+    """Each row of the int64 ``keys`` as one exact int64 code, or ``None``.
+
+    Columns constant over the rows are dropped.  One column left is its
+    own code; more are packed mixed-radix, each offset by its least value
+    and weighted by the product of the later columns' ranges, when those
+    ranges multiply to less than 2**62, so no code overflows.  Otherwise
+    ``None``: the rows have to be hashed.
+    """
+    lo, hi = keys.min(axis=0).tolist(), keys.max(axis=0).tolist()
+    varying = [c for c in range(len(lo)) if lo[c] != hi[c]]
+    if len(varying) == 1:
+        return keys[:, varying[0]]
+    if math.prod(hi[c] - lo[c] + 1 for c in varying) >= 1 << 62:
+        return None
+    code = np.zeros(len(keys), np.int64)
+    for c in varying:
+        code *= hi[c] - lo[c] + 1
+        code += keys[:, c] - lo[c]
+    return code
+
+
 def _row_hash(keys: np.ndarray) -> np.ndarray:
-    """A 64-bit hash of each row of the int64 ``keys``: a one-column row is
-    its own hash; wider rows sum splitmix64's finalizer of each entry,
-    salted by its column."""
-    if keys.shape[1] == 1:
-        return keys[:, 0]
+    """A 64-bit hash of each row of the int64 ``keys``, the sum of
+    splitmix64's finalizer of each entry, salted by its column."""
     x = keys.view(np.uint64) + np.arange(keys.shape[1], dtype=np.uint64) * 0x9E3779B97F4A7C15
     x ^= x >> 30
     x *= 0xBF58476D1CE4E5B9
@@ -318,12 +349,15 @@ def _classes(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The rows of the int64 ``keys`` grouped by bit pattern: one
     representative row per class, and the class of each row.
 
-    One sort of the row hashes; every row is then checked against its
-    class's representative, and a hash collision regroups the rows
-    exactly.  Any row of a class can stand for it, so the sort need not
-    be stable.
+    One sort of the rows' exact codes (:func:`_packed`), or else of their
+    hashes; then every row is checked against its class's representative,
+    and a hash collision regroups the rows exactly.  Any row of a class
+    can stand for it, so the sort need not be stable.
     """
-    h = _row_hash(keys)
+    h = _packed(keys)
+    hashed = h is None
+    if hashed:
+        h = _row_hash(keys)
     order = np.argsort(h)
     h = h[order]
     new = np.empty(len(h), bool)
@@ -333,7 +367,7 @@ def _classes(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Not np.cumsum: on a bool array, numpy 2.4 keeps a small block per call.
     classes[order] = np.add.accumulate(new, dtype=np.intp) - 1
     rep = order[new]
-    if not np.array_equal(keys[rep[classes]], keys):  # a hash collision
+    if hashed and not np.array_equal(keys[rep[classes]], keys):  # a hash collision
         _, rep, classes = np.unique(keys, axis=0, return_index=True, return_inverse=True)
     return rep, classes.reshape(-1)
 
@@ -665,7 +699,10 @@ def _inertia_step(counts: np.ndarray):
     """
     def step(d, mult):
         positive = d > 0
-        counts[...] += positive.sum(axis=0) if mult is None else np.tensordot(mult, positive, 1)
+        if mult is None:
+            counts[...] += positive.sum(axis=0)
+        else:  # an integer matmul, exact, over the classes
+            counts[...] += (mult @ positive.reshape(len(mult), -1)).reshape(counts.shape)
         # -1/(0 - d) is 1/d exactly, and -inf for d = +0 or -0.
         return np.divide(-1.0, np.subtract(0.0, d, out=d), out=d)
     return step

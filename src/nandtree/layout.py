@@ -36,8 +36,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import (Level, RootedTree, StructureError, TreeSpec, _child_slots, _pack,
-                    ideal_parameters)
+from .model import (_ID_LIMIT, Level, RootedTree, StructureError, TreeSpec, _child_slots,
+                    _pack, ideal_parameters)
 
 #: Inverter counts between tree levels, leaf links first.  The published
 #: prefix is hard-coded; past it the count keeps all distances odd while
@@ -300,6 +300,32 @@ def inverter_map(alpha: float, beta: float, d: int) -> tuple[float, float]:
     return (d + alpha, d + beta)
 
 
+def _distinct(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(ids, return_inverse=True)`` for the dot ids of a layout,
+    which must lie in [0, 2**31); the first one outside raises
+    :class:`~nandtree.model.StructureError`.
+
+    Ids as :func:`build_hfractal` numbers them are dense, a third as many
+    distinct ids as entries, so they are addressed directly: a bitmap
+    marks the ids present and a table of ranks maps each to its position,
+    with no sort.  That table holds one intp per id up to the largest, so
+    it is used only when it is no larger than ``ids`` itself; sparser
+    ids are sorted.
+    """
+    out = (ids < 0) | (ids >= _ID_LIMIT)
+    if out.any():
+        raise StructureError(f"layout dot id {ids[np.argmax(out)]} lies outside [0, 2**31)")
+    size = int(ids.max()) + 1
+    if size > len(ids):
+        return np.unique(ids, return_inverse=True)
+    seen = np.zeros(size, bool)
+    seen[ids] = True
+    distinct = np.flatnonzero(seen)
+    rank = np.empty(size, np.intp)
+    rank[distinct] = np.arange(len(distinct))
+    return distinct, rank[ids]
+
+
 def expand_to_tree(layout: LayoutGraph, tree: TreeSpec) -> ChainedTree:
     """Chain-augmented tree realizing ``layout``: inverter dots become
     single-child nodes on the path between tree levels.
@@ -310,8 +336,11 @@ def expand_to_tree(layout: LayoutGraph, tree: TreeSpec) -> ChainedTree:
     node must hang, through a chain of inverter dots, below its tree
     parent, and the root below nothing.  An odd inverter chain below a
     node without a NOT marker would silently invert the logic and is
-    rejected.  Each inverter finds the tree dot below its chain, and its
-    distance to it, by pointer jumping: log2(longest chain) numpy steps.
+    rejected.  Dot ids must lie in [0, 2**31), as parameter tables key
+    them, and dense ids, as :func:`build_hfractal` makes them, are ranked
+    without a sort (:func:`_distinct`).  Each inverter finds the tree dot
+    below its chain, and its distance to it, by pointer jumping:
+    log2(longest chain) numpy steps.
     """
     n = tree.n_leaves
     reach, kids = tree.structure()
@@ -319,8 +348,7 @@ def expand_to_tree(layout: LayoutGraph, tree: TreeSpec) -> ChainedTree:
 
     # Dots by position in ``ids``: links, inverters, tree nodes.
     inverters = layout.dots[layout.level < 0, 0]
-    ids, at = np.unique(np.concatenate([layout.links.T.ravel(), inverters, nodes]),
-                        return_inverse=True)
+    ids, at = _distinct(np.concatenate([layout.links.T.ravel(), inverters, nodes]))
     up, down, inv_at, node_at = np.split(at, np.cumsum([len(layout.links)] * 2 + [len(inverters)]))
     n_up, n_down = np.bincount(down, minlength=len(ids)), np.bincount(up, minlength=len(ids))
     if np.any(n_up > 1):

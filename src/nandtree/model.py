@@ -139,13 +139,6 @@ class RootedTree:
         that is a leaf node, 0 for the others."""
         raise NotImplementedError
 
-    def dots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`links` and each dot's ``leaf_sign * leaf_bit`` (0 for
-        internal dots), three aligned arrays; :func:`ideal_parameters`
-        builds on these."""
-        ids, parents = self.links()
-        return ids, parents, self.leaf_values(ids)
-
     def table_codes(self) -> tuple[np.ndarray, np.ndarray]:
         """The :attr:`ParamTable.codes` of the tables :func:`ideal_parameters`
         builds: of the ids, and of the (parent, child) links below the
@@ -278,6 +271,11 @@ class TreeSpec(RootedTree):
 def _pack(parents: np.ndarray, children: np.ndarray) -> np.ndarray:
     """The int64 code of each (parent, child) link, ``parent << 32 | child``."""
     return parents << 32 | children
+
+
+def _unpack(codes: np.ndarray) -> np.ndarray:
+    """The (parent, child) links of int64 link ``codes``, shape (n, 2)."""
+    return np.stack([codes >> 32, codes & 0xFFFFFFFF], axis=1)
 
 
 def _codes(keys: np.ndarray) -> np.ndarray:
@@ -501,17 +499,17 @@ def ideal_parameters(tree: RootedTree, delta: float, gamma: float) -> DotParamet
 
     Serves :class:`TreeSpec` and the chain-augmented trees of
     :mod:`nandtree.layout` alike; inverter dots are internal, so they get
-    zero detuning.  One detuning per dot of ``tree.dots()`` and one
-    coupling per (parent, dot) link below the root, the keys of each
-    table in ascending order (see :class:`ParamTable`).
+    zero detuning.  One detuning per dot and one coupling per (parent,
+    dot) link below the root, keyed by ``tree.table_codes()``: those
+    come in ascending order, so the tables (see :class:`ParamTable`)
+    take them without sorting, and the tables' codes are the tree's own,
+    which the evaluators read by position.
     """
     if not 0 < delta < math.inf:
         raise StructureError(f"delta must be positive and finite, got {delta}")
-    ids, parents, signs = tree.dots()
-    below = parents >= 0
-    return DotParameters(epsilon=ParamTable(ids, signs * delta),
-                         coupling=ParamTable(np.stack([parents[below], ids[below]], axis=1),
-                                             np.ones(len(ids) - 1)),
+    ids, links = tree.table_codes()
+    return DotParameters(epsilon=ParamTable(ids, tree.leaf_values(ids) * delta),
+                         coupling=ParamTable(_unpack(links), np.ones(len(links))),
                          delta=delta, gamma=gamma)
 
 

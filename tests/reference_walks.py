@@ -7,7 +7,8 @@ closed forms of :class:`~nandtree.model.TreeSpec` and
 :class:`~nandtree.layout.ChainedTree` must give the same arrays bit for
 bit: the same levels, once stacked levels are expanded row by row
 (:func:`expanded`), and the same dots, parents and signs once both are
-put in ascending id order (:func:`dots`, :func:`by_id`).
+put in ascending id order (:func:`dots`, :func:`by_id` of
+:func:`tree_dots`).
 :class:`WalkedTree` evaluates a test-built tree through them.
 
 The walks read a tree one node at a time through :func:`children_of`,
@@ -124,8 +125,15 @@ def postorder_arrays(tree) -> tuple[np.ndarray, np.ndarray]:
     return nodes, np.stack([nodes.repeat(counts), children], axis=1)
 
 
+def tree_dots(tree) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A tree's dots as it lists them: ``links()`` and each dot's
+    ``leaf_values()``, three aligned arrays in the tree's own order."""
+    ids, parents = tree.links()
+    return ids, parents, tree.leaf_values(ids)
+
+
 def by_id(dots) -> tuple[np.ndarray, ...]:
-    """The arrays of a tree's ``dots()``, reordered by ascending id."""
+    """The arrays of :func:`tree_dots`, reordered by ascending id."""
     order = np.argsort(dots[0])
     return tuple(a[order] for a in dots)
 
@@ -142,8 +150,8 @@ def id_links(tree) -> tuple[np.ndarray, np.ndarray]:
 
 
 def dots(tree) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``dots()`` by the depth-first walk: :func:`id_links`, with each
-    dot's ``leaf_sign * leaf_bit`` (0 for a dot with children)."""
+    """:func:`tree_dots` by the depth-first walk: :func:`id_links`, with
+    each dot's ``leaf_sign * leaf_bit`` (0 for a dot with children)."""
     ids, parents = id_links(tree)
     leaves = ~np.isin(ids, parents)
     signs = np.zeros_like(ids)
@@ -189,12 +197,15 @@ def expanded(schedule) -> list[Level]:
 
 class WalkedTree(RootedTree):
     """A tree given by ``root`` and ``children()`` alone, its shape
-    computed by the walks (``dots()`` also needs ``tree``, the logical
-    tree whose leaves it has)."""
+    computed by the walks (``leaf_values()`` also needs ``tree``, the
+    logical tree whose leaves it has)."""
 
-    dots = dots
     levels = levels
     links = id_links
+
+    def leaf_values(self, ids):
+        walked, _, signs = dots(self)
+        return signs[np.searchsorted(walked, ids)]
 
 
 def assemble(tree, params) -> HamiltonianMatrix:

@@ -4,8 +4,11 @@ energy.
 
 Each fast path is checked bit for bit against the slow path it stands
 for: the position gather against the binary search of
-``ParamTable.find`` (``greens._located``), and unmerged one-energy
-results against the merged schedule.
+``ParamTable.find`` (``greens._located``), unmerged one-energy
+results against the merged schedule, classes from exactly packed keys
+against classes from hashed keys, the squares of unit couplings against
+``np.float_power``, and the merged inertia count against the unmerged
+one.
 """
 
 import re
@@ -200,3 +203,92 @@ def test_many_energy_calls_merge_once(classings):
         classings.clear()
         call()
         assert len(classings) == once
+
+
+def same_partition(classes, want) -> bool:
+    """Whether two labellings of the same rows group them alike."""
+    pairs = set(zip(np.ravel(classes).tolist(), np.ravel(want).tolist()))
+    return len(pairs) == len(set(np.ravel(classes).tolist())) == len(set(np.ravel(want).tolist()))
+
+
+def key_cases():
+    """Key matrices as a level's classing meets them, and whether their
+    rows pack into exact codes."""
+    rng = np.random.default_rng(11)
+    keys = rng.integers(0, 3, (600, 6))
+    keys[:, 2] = -7  # a constant column
+    yield "small ranges", keys, True
+    yield "all constant", np.full((300, 5), -3), True
+    # One column left is its own code, whatever its range.
+    bits = rng.choice(np.array([0.0, -0.5, 1.0]).view(np.int64), 400)
+    yield "one varying column", np.column_stack([np.full(400, 9), bits]), True
+    # Ranges of 2**31 and 2**31 - 1 multiply to just below 2**62; two
+    # of 2**31 reach it and go to the hash.
+    ends = rng.integers(0, 2, (500, 2))
+    yield "just below 2**62", ends * [2**31 - 1, 2**31 - 2], True
+    yield "at 2**62", ends * (2**31 - 1), False
+    wide = rng.integers(0, 3, (500, 3)) << 40
+    yield "beyond 2**62", wide, False
+    yield "float bits", rng.choice(np.array([0.25, -0.25, 1.0]), (500, 4)).view(np.int64), False
+
+
+KEYS = {name: (keys, packs) for name, keys, packs in key_cases()}
+
+
+@pytest.mark.parametrize("name", KEYS)
+def test_packed_classes_match_hashed_classes(name):
+    keys, packs = KEYS[name]
+    codes = greens._packed(keys)
+    assert (codes is not None) == packs
+    exact = np.unique(keys, axis=0, return_inverse=True)[1]
+    if packs:
+        assert same_partition(codes, exact)
+    rep, classes = greens._classes(keys)
+    assert np.array_equal(keys[rep[classes]], keys)
+    assert same_partition(classes, exact)
+    assert same_partition(classes, np.unique(greens._row_hash(keys), return_inverse=True)[1])
+
+
+@pytest.mark.parametrize("name", TREES)
+def test_packed_merge_matches_hashed_merge(name, monkeypatch):
+    # The same classes level by level, and the same bits, whether the keys
+    # pack or are all hashed.
+    tree = TREES[name]
+    E = np.linspace(-1.0, 1.0, 7)
+    for params in parameter_cases(tree):
+        packed = compile_tree(tree, params)
+        with monkeypatch.context() as m:
+            m.setattr(greens, "_packed", lambda keys: None)
+            hashed = compile_tree(tree, params)
+            assert_same(green_tree_many(hashed, params, E), green_tree_many(tree, params, E))
+        assert [s.eps.shape for s in packed.steps] == [s.eps.shape for s in hashed.steps]
+        for a, b in zip(packed.steps, hashed.steps):
+            assert (a.mult is None) == (b.mult is None)
+            if a.mult is not None:
+                assert sorted(a.mult.tolist()) == sorted(b.mult.tolist())
+        assert_same(green_tree_many(packed, params, E), green_tree_many(tree, params, E))
+
+
+@pytest.mark.parametrize("shape", [(5000,), (3, 5000)])
+def test_unit_couplings_skip_pow_bit_for_bit(shape):
+    rng = np.random.default_rng(12)
+    t = np.abs(rng.normal(1.0, 0.3, shape)) + 1e-3
+    t[rng.random(shape) < 0.4] = 1.0
+    t.flat[:5] = [1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0), 0.1, 1.0]
+    got = greens._squares(t)
+    assert_same(got, np.float_power(t, 2))
+    assert_same(got.ravel()[:50], np.array([x ** 2 for x in t.ravel()[:50].tolist()]))
+
+
+@pytest.mark.parametrize("name", TREES)
+def test_merged_inertia_count_equals_unmerged(name):
+    # Many energies merge and weight each class by its multiplicity; one
+    # energy at a time runs unmerged.  E = 0 is an eigenvalue of the ideal
+    # trees, where zero pivots pair.
+    tree = TREES[name]
+    E = np.concatenate([[0.0], np.random.default_rng(13).uniform(-3.0, 3.0, 47)])
+    for params in parameter_cases(tree):
+        counts, g = inertia_count(tree, params, E)
+        alone = [inertia_count(tree, params, E[i:i + 1]) for i in range(len(E))]
+        assert_same(counts, np.concatenate([c for c, _ in alone], axis=-1))
+        assert_same(g, np.concatenate([r for _, r in alone], axis=-1))

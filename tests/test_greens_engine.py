@@ -319,7 +319,9 @@ def test_disordered_tree_keeps_every_width():
 
 
 def test_hash_collisions_fall_back_to_exact_rows(monkeypatch):
-    # Every row hashes alike: each level is grouped by its full key rows.
+    # Every level is hashed, not packed, and every row hashes alike: each
+    # level is grouped by its full key rows.
+    monkeypatch.setattr(greens, "_packed", lambda keys: None)
     monkeypatch.setattr(greens, "_row_hash", lambda keys: np.zeros(len(keys), np.uint64))
     rng = np.random.default_rng(6)
     tree = TreeSpec(6, tuple(rng.integers(0, 2, 64)), random_markers(rng, 6))

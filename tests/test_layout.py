@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from nandtree import (
     worst_case_2d,
 )
 from nandtree.classical import eval_nand
+from nandtree.layout import _distinct
 
 import reference_walks as walks
 
@@ -181,6 +183,59 @@ def test_expand_rejects_odd_unmarked_chain():
     tree = build_tree(1, (1, 1))
     with pytest.raises(StructureError, match="odd inverter chain"):
         expand_to_tree(graph, tree)
+
+
+def two_inverter_layout(inverter):
+    """Root 1 with leaf 3 below it and leaf 2 below a chain of two
+    inverters, 4 and ``inverter``."""
+    return LayoutGraph(
+        dots=((1, 0, 0), (4, 1, 0), (inverter, 2, 0), (2, 3, 0), (3, -1, 0)),
+        links=((1, 4), (4, inverter), (inverter, 2), (1, 3)),
+        level=(0, -1, -1, 1, 1),
+    )
+
+
+@pytest.mark.parametrize("bad", [-5, -1, 2**31, 2**40])
+def test_expand_names_a_dot_id_outside_the_key_range(bad):
+    tree = build_tree(1, (1, 1))
+    chained = expand_to_tree(two_inverter_layout(5), tree)
+    assert classify(chained, ideal_parameters(chained, 10.0, 1e-6)).bit == 0
+    with pytest.raises(StructureError, match=re.escape(f"layout dot id {bad} lies outside")):
+        expand_to_tree(two_inverter_layout(bad), tree)
+
+
+def renumbered(graph, scale):
+    """``graph`` with each inverter id i renumbered to scale * i + 1."""
+    ids = graph.dots[:, 0]
+    new = np.where(graph.level < 0, ids * scale + 1, ids)
+    order = np.argsort(ids)
+    links = new[order][np.searchsorted(ids[order], graph.links)]
+    return LayoutGraph(np.column_stack([new, graph.dots[:, 1:]]), links, graph.level)
+
+
+@pytest.mark.parametrize("depth", [2, 5, 8])
+@pytest.mark.parametrize("scale", [1, 1000])
+def test_direct_ids_match_the_sort(depth, scale, monkeypatch):
+    # The H-fractal's dense ids are addressed directly; renumbered sparsely
+    # they take np.unique.  Both give np.unique's ids and inverse, and the
+    # same chained tree up to the renumbering.
+    tree = build_tree(depth, [int(i % 3 == 0) for i in range(2**depth)])
+    graph = renumbered(build_hfractal(tree), scale)
+    ids = np.concatenate([graph.links.T.ravel(), graph.dots[graph.level < 0, 0],
+                          np.flatnonzero(tree.structure()[0])])
+    want = np.unique(ids, return_inverse=True)
+    sorts, unique = [], np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **k: sorts.append(a) or unique(*a, **k))
+    got = _distinct(ids)
+    assert len(sorts) == (scale > 1)
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    chained = expand_to_tree(graph, tree)
+    plain = expand_to_tree(build_hfractal(tree), tree)
+    assert np.array_equal(chained.length, plain.length)
+    assert np.array_equal(chained.chains, plain.chains * scale + 1)
+    assert classify(chained, ideal_parameters(chained, 10.0, 1e-6)) == \
+        classify(plain, ideal_parameters(plain, 10.0, 1e-6))
 
 
 CHAIN_TREE = TreeSpec(

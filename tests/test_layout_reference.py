@@ -6,7 +6,8 @@ from the dot-by-dot implementation, with their results as plain tuples
 and dicts, and ``ReferenceChainedTree`` is the ``child_map`` tree they
 produced.  The array versions must give the same dots, links and roles
 in the same order, and chained trees whose evaluation schedule
-(``levels()``) and dots (``dots()``, in ascending id order) are those of
+(``levels()``) and dots (``links()`` with ``leaf_values()``, in ascending
+id order) are those of
 the reference breadth-first and depth-first walks over ``children()``, so
 the Green's-function engine and the parameter tables see the same arrays.
 """
@@ -214,8 +215,8 @@ def assert_same_chained(chained, reference):
     assert chained.root == reference.root
     assert_same_levels(chained.levels(), walks.levels(reference))
     assert_same_levels(chained.levels(), walks.levels(chained))
-    assert_same_arrays(walks.by_id(chained.dots()), walks.dots(reference))
-    assert_same_arrays(walks.by_id(chained.dots()), walks.dots(chained))
+    assert_same_arrays(walks.by_id(walks.tree_dots(chained)), walks.dots(reference))
+    assert_same_arrays(walks.by_id(walks.tree_dots(chained)), walks.dots(chained))
 
 
 @pytest.mark.parametrize("tree", LAYOUT_TREES, ids=TREE_IDS)

@@ -21,7 +21,7 @@ import reference_walks as walks
 
 def test_build_tree_depth3_shape():
     tree = build_tree(3, "10110010")
-    ids, parents, _ = tree.dots()
+    ids, parents, _ = walks.tree_dots(tree)
     assert ids.tolist() == list(range(1, 16))
     assert tree.n_leaves == 8
     assert sorted(set(ids.tolist()) - set(parents.tolist())) == list(range(8, 16))
@@ -30,13 +30,13 @@ def test_build_tree_depth3_shape():
 
 def test_build_tree_smallest():
     tree = build_tree(1, "00")
-    ids, parents, _ = tree.dots()
+    ids, parents, _ = walks.tree_dots(tree)
     assert ids.tolist() == [1, 2, 3] and parents.tolist() == [-1, 1, 1]
 
 
 def test_build_tree_1011_block():
     tree = build_tree(2, "1011")
-    ids, _, signs = tree.dots()
+    ids, _, signs = walks.tree_dots(tree)
     assert len(ids) == 7
     # Leaf N + i carries bit i, with sign (-1)**i.
     assert signs[3:].tolist() == [1, 0, 1, -1]
@@ -56,12 +56,13 @@ def test_build_tree_rejects_bad_input():
 def test_index_algebra():
     tree = build_tree(3, "10110010")
     # Node i has children 2i and 2i + 1, one level further from the root.
-    ids, parents, _ = tree.dots()
+    ids, parents, _ = walks.tree_dots(tree)
     assert parents[1:].tolist() == [node >> 1 for node in range(2, 16)]
     assert [level.nodes.tolist() for level in tree.levels()] == \
         [list(range(2**k, 2 ** (k + 1))) for k in range(3, -1, -1)]
     # Leaf N + i carries bit i with sign (-1)**i.
-    assert build_tree(3, "11111111").dots()[2][7:].tolist() == [(-1) ** i for i in range(8)]
+    signs = walks.tree_dots(build_tree(3, "11111111"))[2]
+    assert signs[7:].tolist() == [(-1) ** i for i in range(8)]
     order = walks.postorder(tree)
     assert sorted(order) == list(range(1, 16))
     assert order[-1] == tree.root
@@ -74,7 +75,7 @@ def test_index_algebra():
 
 def test_not_marker_drops_right_subtree():
     tree = TreeSpec(depth=2, input_bits=(1, 0, 1, 1), not_markers=frozenset({1}))
-    ids, parents, _ = tree.dots()
+    ids, parents, _ = walks.tree_dots(tree)
     assert ids.tolist() == [1, 2, 4, 5] and parents.tolist() == [-1, 1, 2, 2]
     assert 3 not in walks.postorder(tree)
     assert 6 not in walks.postorder(tree)
@@ -202,7 +203,7 @@ def test_paired_one_detunings_cancel():
 def test_leaf_round_trip_property(depth, data):
     bits = data.draw(st.lists(st.integers(0, 1), min_size=2**depth, max_size=2**depth))
     tree = build_tree(depth, bits)
-    ids, parents, signs = tree.dots()
+    ids, parents, signs = walks.tree_dots(tree)
     n = tree.n_leaves
     # Leaf N + i, childless, carries bit i with sign (-1)**i.
     assert ids[n - 1:].tolist() == list(range(n, 2 * n))

@@ -23,7 +23,7 @@ from nandtree import (ProbeSpec, QuadratureError, StructureError, build_tree, cl
                       conductance, ideal_parameters, sample_disorder, sample_disorder_many,
                       transport)
 from nandtree.layout import build_hfractal, chain_below, expand_to_tree
-from nandtree.model import DisorderSpec, DotParameters, ParamTable, TreeSpec
+from nandtree.model import DisorderSpec, DotParameters, ParamTable, TreeSpec, _ascending
 
 import reference_walks as walks
 from test_layout_reference import assert_same_arrays
@@ -93,13 +93,31 @@ def test_ideal_parameters_match_dict_builder(tree):
     eps, coup = reference_ideal_parameters(tree, 10.0, 1e-6)
     assert_table(params.epsilon, eps)
     assert_table(params.coupling, coup)
-    assert_same_arrays(walks.by_id(tree.dots()), walks.dots(tree))
+    assert_same_arrays(walks.by_id(walks.tree_dots(tree)), walks.dots(tree))
+
+
+@pytest.mark.parametrize("tree", TREES, ids=lambda t: type(t).__name__)
+def test_tables_from_table_codes_match_tables_from_dots(tree):
+    # ideal_parameters keys its tables by table_codes(), which come
+    # ascending, so no sort is needed; the tables equal those built from
+    # the dots in the tree's own order, sorted by ParamTable.
+    codes = tree.table_codes()
+    assert all(_ascending(c)[1] is None for c in codes)
+    ids, parents, signs = walks.tree_dots(tree)
+    below = parents >= 0
+    want = (ParamTable(ids, signs * 10.0),
+            ParamTable(np.stack([parents[below], ids[below]], axis=1), np.ones(len(ids) - 1)))
+    params = ideal_parameters(tree, 10.0, 1e-6)
+    for got, ref, code in zip((params.epsilon, params.coupling), want, codes, strict=True):
+        assert_same_arrays((got.keys_array, got.values_array.view(np.uint64), got.codes),
+                           (ref.keys_array, ref.values_array.view(np.uint64), ref.codes))
+        assert np.array_equal(got.codes, code)
 
 
 def test_closed_form_dots_match_traversal():
     for depth in range(1, 12):
         tree = build_tree(depth, [1, 0] * 2 ** (depth - 1))
-        ids, parents, signs = tree.dots()
+        ids, parents, signs = walks.tree_dots(tree)
         assert ids.tolist() == list(range(1, 2 ** (depth + 1)))
         assert_same_arrays((ids, parents, signs), walks.dots(tree))
 

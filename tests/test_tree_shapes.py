@@ -1,7 +1,8 @@
 """Closed-form tree shapes against the node-by-node walks they replaced.
 
-``TreeSpec.levels()`` and ``TreeSpec.dots()`` compute the shape of a
-tree with NOT markers by filtering the unmarked closed forms by reach;
+``TreeSpec.levels()`` and ``TreeSpec.links()`` with ``leaf_values()``
+(:func:`reference_walks.tree_dots`) compute the shape of a tree with NOT
+markers by filtering the unmarked closed forms by reach;
 they must equal the breadth-first and depth-first walks of
 :mod:`reference_walks` bit for bit: the same nodes, slot positions,
 masks, dtypes and values, the dots in ascending id order.
@@ -52,14 +53,14 @@ def test_marked_levels_match_breadth_first_walk(tree):
 
 @pytest.mark.parametrize("tree", SHAPES.values(), ids=SHAPES.keys())
 def test_marked_postorder_arrays_match_depth_first_walk(tree):
-    # The walk's postorder arrays, put in ascending id order, are dots().
-    assert_same_arrays(tree.dots(), walks.dots(tree))
+    # The walk's postorder arrays, put in ascending id order, are tree_dots().
+    assert_same_arrays(walks.tree_dots(tree), walks.dots(tree))
 
 
 def test_all_marked_tree_is_a_chain():
     tree = SHAPES["chain-d7"]
     assert [level.nodes.tolist() for level in tree.levels()] == [[2**k] for k in range(7, -1, -1)]
-    ids, parents, _ = tree.dots()
+    ids, parents, _ = walks.tree_dots(tree)
     assert ids.tolist() == [2**k for k in range(8)]
     assert parents.tolist() == [-1] + [2**k for k in range(7)]
 
@@ -81,4 +82,4 @@ def test_postorder_and_links_match_walks(tree):
     params = ideal_parameters(tree, 10.0, 1e-6)
     assert params.epsilon.keys_array.tolist() == sorted(walks.postorder(tree))
     assert list(map(tuple, params.coupling.keys_array.tolist())) == sorted(walks.links(tree))
-    assert_same_arrays(walks.by_id(tree.dots()), walks.dots(tree))
+    assert_same_arrays(walks.by_id(walks.tree_dots(tree)), walks.dots(tree))
