@@ -37,10 +37,13 @@ in ascending order (:class:`~nandtree.model.ParamTable`), and
 :meth:`~nandtree.model.RootedTree.levels` gives each level's rows there:
 slices for a :class:`~nandtree.model.TreeSpec`, whose unmarked slots
 then cut stride-2 views without a copy, and one gather for a chained
-tree.  One comparison of the tables' codes with
-:meth:`~nandtree.model.RootedTree.table_codes` decides; other tables, and
-trees that do not give rows, fall back to the binary search of
-:meth:`~nandtree.model.ParamTable.lookup`.  Entries for dots and links
+tree.  :meth:`~nandtree.model.RootedTree.has_codes` decides whether the
+tables' codes are the tree's own: a :class:`~nandtree.model.TreeSpec`
+checks them against the closed form of its codes in one vectorised pass
+over each table, without building them, and a chained tree compares
+them with its :meth:`~nandtree.model.RootedTree.table_codes`.  Other
+tables, and trees that do not give rows, fall back to the binary search
+of :meth:`~nandtree.model.ParamTable.lookup`.  Entries for dots and links
 out of reach are never read, and a missing entry for a reachable one
 raises :class:`~nandtree.model.StructureError`.
 
@@ -54,17 +57,21 @@ matrix M = [[0, 1], [-t^2, z - eps]] acting on G, so a column's L maps
 compose to one product, formed by pairwise products that halve L at
 each step, over every column, sample and energy at once, with the
 dual part dM/dz = [[0, 0], [0, 1]] carried along when the derivative is
-asked for.  The product then maps the values of the level below,
-G -> (a G + b) / (c G + d), with its derivative.  So the depth-12
-H-fractal's 4976 inverter levels run as 11 stacks in log2(L) steps
-each, not one step per level.
+asked for.  The products do not depend on the values below, so the
+stacks of a call that fit a block whole are composed together, in one
+pass of pairwise steps, when the first of them is reached (see "Energy
+blocks" below), each stack keeping its own pairing.  A product then maps
+the values of the level below, G -> (a G + b) / (c G + d), with its
+derivative.  So the depth-12 H-fractal's 4976 inverter levels run, at
+one energy, as 11 stacks composed in the log2(2494) steps of the
+longest, not one step per level.
 
 **Merged subtrees.**  :func:`compile_tree` turns the schedule and its
 columns into a schedule of distinct subtrees: level by level from the
 leaves up, it merges every dot whose subtree carries bit for bit the
 same parameters as another's into one class.  Merging pays only where a
 call evaluates more than one energy per sample: classing a level reads
-every dot's key row over all samples and sorts their codes, at least
+every dot's key row over all samples and groups their codes, at least
 the work of evaluating each dot once per sample.  So calls at one
 energy (:func:`green_tree`, :func:`green_tree_derivative`,
 :func:`classify`, and :func:`green_tree_many` or :func:`inertia_count`
@@ -76,14 +83,17 @@ class -1 for a missing child), over all samples for parameters with a
 sample axis.  Keys compare as int64 bit patterns, so -0.0 and 0.0 are
 different classes and there is no tolerance.  A stack is classed by
 whole columns: a column's key is the bits of all its eps and t^2 and
-the class of its bottom dot's child.  A level is classed by one sort of
-one exact int64 code per key row: key columns constant over the level,
-as an ideal tree's eps and t^2 mostly are, are dropped; one column left
-is its own code, and more are packed mixed-radix by their value ranges
-when those multiply to less than 2**62.  Wider ranges, as disordered
-bits give, are hashed instead: the hashes are sorted, every row is
-checked against its class's representative, and on any mismatch (a
-hash collision) the level is grouped again by ``np.unique(axis=0)``.
+the class of its bottom dot's child.  A level is classed by one exact
+int64 code per key row: key columns constant over the level, as an ideal
+tree's eps and t^2 mostly are, are dropped; one column left is its own
+code, and more are packed mixed-radix by their value ranges when those
+multiply to less than 2**62.  Codes whose range is no larger than the
+level, as the child classes of an ideal tree give, address a table of
+classes directly, with no sort; wider codes are sorted.  Keys too wide
+to pack, as disordered bits give, are hashed instead: the hashes are
+sorted, every row is checked against its class's representative, and on
+any mismatch (a hash collision) the level is grouped again by
+``np.unique(axis=0)``.
 Once the dots of a level are all distinct, their parents are too, as
 disjoint children of distinct classes make distinct keys: above such a
 level a dot with a child is its own class, only childless dots are
@@ -111,12 +121,17 @@ in which each matrix entry, an (L x columns x energies) plane over the
 columns of every sample, holds at most ``_BLOCK`` complex values: as
 many energies as fit, then as many columns, and at least one of each.
 So 401 energies on the depth-12 H-fractal, whose longest stack has 2494
-rows, run its products 26 energies at a time.  ``_BLOCK`` is sized for
-cache: one block is 1 MiB against a 2 MiB L2 per core on the x86 server
-this was measured on.  There, four times
-larger blocks made 401 energies on a depth-16 tree about 1.5x slower,
-and 16 times smaller ones made the depth-12 H-fractal about 5x slower
-through per-level overhead (before its chains ran as products).
+rows, run its products 26 energies at a time.  Stacks that fit a block
+whole are grouped instead, in the order the recursion reaches them, as
+many as fit one block together, and each group is composed in one pass
+(:func:`_compose`), which saves the per-step overhead of many small
+stacks: at one energy the depth-12 H-fractal's 11 stacks, 52 996 dots,
+form one group.  ``_BLOCK`` is sized for cache: one block is 1 MiB
+against a 2 MiB L2 per core on the x86 server this was measured on.
+There, four times larger blocks made 401 energies on a depth-16 tree
+about 1.5x slower, and 16 times smaller ones made the depth-12
+H-fractal about 5x slower through per-level overhead (before its chains
+ran as products).
 
 **Inertia count.**  :func:`inertia_count` runs the same schedule and
 energy blocks in real arithmetic at gamma = 0 and counts the
@@ -140,8 +155,9 @@ and the tests hold them to 1e-9, far finer than the readout's
 thresholds on |G(0)|.  Each product of more than two dots is rescaled
 by a power of two from its own largest entry, exactly and never by a
 value shared across the block, so on every schedule a sample's values
-do not depend on the block shape or on the other samples and energies
-evaluated with it, and the inertia count stays bit for bit.
+do not depend on the block shape, on the other samples and energies
+evaluated with it, or on the stacks composed with its own, and the
+inertia count stays bit for bit.
 """
 
 from __future__ import annotations
@@ -213,11 +229,10 @@ def _reciprocal(d, mult=None):
 def _gather(tree, params: DotParameters) -> list[_Step]:
     """The unmerged columns of ``tree`` with ``params`` (see "Level
     schedule" above): by position when the tables' keys are the tree's
-    own (:meth:`~nandtree.model.RootedTree.table_codes`), else by lookup."""
+    own (:meth:`~nandtree.model.RootedTree.has_codes`), else by lookup."""
     schedule = tree.levels()
-    own = schedule[0].rows is not None and all(
-        np.array_equal(table.codes, codes)
-        for table, codes in zip((params.epsilon, params.coupling), tree.table_codes()))
+    own = schedule[0].rows is not None and tree.has_codes(params.epsilon.codes,
+                                                          params.coupling.codes)
     return _columns(params, schedule if own else _located(params, schedule))
 
 
@@ -349,12 +364,21 @@ def _classes(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The rows of the int64 ``keys`` grouped by bit pattern: one
     representative row per class, and the class of each row.
 
-    One sort of the rows' exact codes (:func:`_packed`), or else of their
-    hashes; then every row is checked against its class's representative,
-    and a hash collision regroups the rows exactly.  Any row of a class
-    can stand for it, so the sort need not be stable.
+    Exact codes (:func:`_packed`) whose range is no larger than the
+    number of rows, as an ideal tree's are, address a table of classes
+    directly, with no sort.  Wider codes are sorted, and unpackable rows
+    are hashed and their hashes sorted; then every row is checked against
+    its class's representative, and a hash collision regroups the rows
+    exactly.  Either way the classes are numbered in the order of the
+    codes, and any row of a class can stand for it, so the sort need not
+    be stable.
     """
     h = _packed(keys)
+    if h is not None:
+        lo = int(h.min())
+        span = int(h.max()) - lo + 1
+        if span <= len(h):
+            return _addressed(h - lo, span)
     hashed = h is None
     if hashed:
         h = _row_hash(keys)
@@ -372,6 +396,18 @@ def _classes(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rep, classes.reshape(-1)
 
 
+def _addressed(codes: np.ndarray, span: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_classes` of rows with int ``codes`` in [0, ``span``): a table
+    over the codes marks the last row of each, and ranks the codes
+    present."""
+    last = np.full(span, -1, np.intp)
+    last[codes] = np.arange(len(codes))
+    present = np.flatnonzero(last >= 0)
+    rank = np.empty(span, np.intp)
+    rank[present] = np.arange(len(present))
+    return last[present], rank[codes]
+
+
 def _per_dot(values: np.ndarray) -> np.ndarray:
     """The int64 bits of a level's ``values``, one row per dot (per
     column of a stack)."""
@@ -380,7 +416,9 @@ def _per_dot(values: np.ndarray) -> np.ndarray:
 
 def _key(eps, slots, t2s, below) -> np.ndarray:
     """Each dot's key row (see "Merged subtrees" above), as int64; ``below``
-    holds the class of each dot of the level below."""
+    holds the class of each dot of the level below.  The keys are laid out
+    column by column (Fortran order), so that a column's range, the
+    packing's first step (:func:`_packed`), reads contiguous memory."""
     cols = [_per_dot(eps)]
     width = eps.shape[-2]
     for (index, mask), t2 in zip(slots, t2s):
@@ -389,7 +427,7 @@ def _key(eps, slots, t2s, below) -> np.ndarray:
         present = slice(None) if mask is None else mask
         bits[present], child[present, 0] = t2, below[index]
         cols += [bits, child]
-    return np.concatenate(cols, axis=1)
+    return np.concatenate([c.T for c in cols]).T
 
 
 def _group(level: _Step, below):
@@ -521,65 +559,181 @@ def _rescaled(planes) -> list:
     return planes
 
 
-def _compose(c, d, derivative) -> list:
-    """The product M_{L-1} ... M_0 of the dot matrices M_j = [[0, 1],
-    [c_j, d_j]], stacked on the first axis, as planes [a, b, c, d] and,
-    if ``derivative``, their z-derivatives, M_j' being [[0, 0], [0, 1]].
+def _compose(pieces, z, derivative) -> list:
+    """The products M_{L-1} ... M_0 of the dot matrices M_j = [[0, 1],
+    [c_j, d_j]] of each of ``pieces`` at the energies ``z``, as planes
+    [a, b, c, d] and, if ``derivative``, their z-derivatives, M_j' being
+    [[0, 0], [0, 1]].
 
-    Pairwise products halve the stack at each step; the top of a stack
-    of odd length waits aside and multiplies in from the left at the end.
-    Every product of more than two dots is rescaled (:func:`_rescaled`),
-    so however far the products grow or shrink nothing overflows.
+    A piece is a pair (t^2, eps) of arrays shaped (L, m): m stacks of L
+    dots each, whose c = -t^2 and d = z - eps.  Its products' planes are
+    shaped (m, energies).  Pairwise products halve each stack at each
+    step; the top of a stack of odd length waits aside and multiplies in
+    from the left at the end, the last set aside first.  Every product of
+    more than two dots is rescaled (:func:`_rescaled`), so however far the
+    products grow or shrink nothing overflows.
+
+    One pass of steps serves every piece, each step pairing the matrices
+    of all of them at once.  A piece alone keeps its shape, one row of
+    planes per dot, and pairs by strided views.  Several pieces become
+    one run of rows per stack, the dots of each stack in order, sorted
+    longest first, so that the pieces left are a prefix and those done a
+    suffix.  Each step sets the odd tops aside, one gather keeps the
+    other rows, and every run is then even, so consecutive rows pair.
+    The tops multiply in step by step, the latest first, for every piece
+    that set one aside at that step.  Elementwise arithmetic is the same
+    whatever else shares the arrays, so each product keeps its bits.
     """
-    n = len(d) - len(d) % 2
+    order = sorted(range(len(pieces)), key=lambda i: -len(pieces[i][1]))
+    shapes = [pieces[i][1].shape for i in order]
+    width, planes = _laid_out(pieces, order, z)
+    length, runs = [n for n, _ in shapes], width
     seed = [0.0, 0.0, 0.0, 1.0] if derivative else []
-    tops = [[0.0, 1.0, c[n:], d[n:]] + seed] if n < len(d) else []
-    c0, d0, c1, d1 = c[0:n:2], d[0:n:2], c[1:n:2], d[1:n:2]
-    planes = [c0, d0, d1 * c0, c1 + d1 * d0]
+    tops, done, dots = [], [], True
+    while length:
+        start = list(accumulate((n * r for n, r in zip(length, runs)), initial=0))
+        left = sum(n > 1 for n in length)
+        if left < len(length):  # copied, so that no step's planes outlive it
+            done.append([p[start[left]:].copy() for p in planes])
+        odd = [k for k in range(left) if length[k] % 2]
+        keep = slice(0, start[left])
+        if odd:
+            at = _spaced([start[k] + length[k] - 1 for k in odd], [runs[k] for k in odd],
+                         [length[k] for k in odd])
+            top = [p.take(at, axis=0) for p in planes]
+            tops.append((odd, [0.0, 1.0, *top] + seed if dots else top))
+            if runs[0] == 1 and left == 1:  # the one top is the last row
+                keep = slice(0, start[1] - 1)
+            else:
+                kept = np.ones(start[left], bool)
+                kept[at] = False
+                keep = np.flatnonzero(kept)
+        length, runs = [n // 2 for n in length[:left]], runs[:left]
+        if left:
+            if not isinstance(keep, slice):  # plane by plane, each freed as it goes
+                for k, p in enumerate(planes):
+                    planes[k] = p.take(keep, axis=0)
+                keep = slice(None)
+            planes = _halved([p[keep] for p in planes], dots, derivative)
+            dots = False
+    planes = [np.concatenate([np.broadcast_to(b, b.shape[:-1] + z.shape) for b in blocks],
+                             dtype=complex) for blocks in zip(*reversed(done))]
+    first = list(accumulate(width, initial=0))
+    for odd, top in reversed(tops):
+        at = _spaced([first[k] for k in odd], [width[k] for k in odd], [1] * len(odd))
+        product = _rescaled(_product(top, [p.take(at, axis=0) for p in planes]))
+        if len(odd) == len(width):
+            planes = product
+        else:
+            for p, q in zip(planes, product):
+                p[at] = q
+    out = [None] * len(pieces)
+    for i, (_, m), lo, w in zip(order, shapes, first, width):
+        out[i] = [p[lo:lo + w].reshape(m, p.shape[-1]) for p in planes]
+    return out
+
+
+def _laid_out(pieces, order, z) -> tuple[list, list]:
+    """The runs of rows of :func:`_compose`'s ``pieces`` taken in ``order``,
+    and their first planes [c, d]: a piece alone as it is, one row of m
+    entries per dot; several as m runs each, one entry per row."""
+    if len(pieces) == 1:
+        t2, eps = (a[..., None] for a in pieces[0])
+        return [1], [-t2, z - eps]
+    t2, eps = (np.concatenate([pieces[i][k].T.ravel() for i in order])[:, None] for k in (0, 1))
+    return [pieces[i][1].shape[1] for i in order], [-t2, z - eps]
+
+
+def _halved(planes, dots: bool, derivative) -> list:
+    """The product of each pair of consecutive rows of ``planes``, the
+    upper times the lower; ``dots``: the planes are the [c, d] of dot
+    matrices, whose products are not rescaled."""
+    pairs = [p.reshape(len(p) // 2, 2, *p.shape[1:]) for p in planes]
+    upper, lower = [p[:, 1] for p in pairs], [p[:, 0] for p in pairs]
+    if not dots:
+        return _rescaled(_product(upper, lower))
+    (c1, d1), (c0, d0) = upper, lower
+    out = [c0, d0, d1 * c0, c1 + d1 * d0]
     if derivative:
-        planes += [np.zeros_like(c0), np.ones_like(c0), c0, d0 + d1]
-    while len(planes[0]) > 1:
-        n = len(planes[0]) - len(planes[0]) % 2
-        if n < len(planes[0]):
-            tops.append([p[n:] for p in planes])
-        planes = _rescaled(_product([p[1:n:2] for p in planes], [p[0:n:2] for p in planes]))
-    for top in reversed(tops):
-        planes = _rescaled(_product(top, planes))
-    return [p[0] for p in planes]
+        out += [np.zeros_like(c0), np.ones_like(c0), c0, d0 + d1]
+    return out
 
 
-def _chain(step, base, g, dg, derivative):
+def _spaced(starts: list, counts: list, strides: list) -> np.ndarray:
+    """The rows ``starts[i] + strides[i] * j`` for j < ``counts[i]``, for
+    each i in turn, as one index array."""
+    counts = np.array(counts)
+    j = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    return np.repeat(starts, counts) + np.repeat(strides, counts) * j
+
+
+def _fits(step: _Step, energies: int) -> bool:
+    """Whether a stacked ``step`` composes whole in one block."""
+    return step.eps.size * energies <= _BLOCK
+
+
+def _grouped(steps, i: int, base, derivative) -> dict:
+    """The products of the stack ``steps[i]``, which fits a block whole,
+    and of the next stacks that fit with it, one block in all, composed
+    in one pass (:func:`_compose`), by their index in ``steps``."""
+    group, size = [], 0
+    for j in range(i, len(steps)):
+        if steps[j].eps.ndim == 3 and _fits(steps[j], base.size):
+            size += steps[j].eps.size * base.size
+            if size > _BLOCK:
+                break
+            group.append(j)
+    return dict(zip(group, _compose([_dots(steps[j]) for j in group], base, derivative)))
+
+
+def _dots(step: _Step) -> tuple:
+    """The t^2 and eps of a stacked ``step``'s dots, shaped (L, columns
+    of every sample)."""
+    return tuple(a.reshape(len(a), -1) for a in (step.t2s[0], step.eps))
+
+
+def _chunks(step: _Step, base, derivative):
+    """A stack too large for one block composed in chunks whose planes
+    hold at most ``_BLOCK`` values (see "Energy blocks" above): each
+    chunk's (columns, energies) slices and its products."""
+    t2, eps = _dots(step)
+    length, columns = eps.shape
+    room = max(1, _BLOCK // length)
+    energies = max(1, min(base.size, room))
+    width = max(1, room // energies)
+    for i in range(0, columns, width):
+        for e in range(0, base.size, energies):
+            at = (slice(i, i + width), slice(e, e + energies))
+            yield at, _compose([(t2[:, at[0]], eps[:, at[0]])], base[at[1]], derivative)[0]
+
+
+def _chain(step, base, g, dg, derivative, planes=None):
     """The values of a stacked ``step``'s top row, from the values ``g``
     (and ``dg``) of the level below: each column is one Möbius map, the
     product of its dots' matrices, applied as (a G + b) / (c G + d).
 
-    The columns of all samples, and the energies, run in chunks whose
-    planes hold at most ``_BLOCK`` complex values (see "Energy blocks"
-    above).
+    ``planes`` holds the products of all columns and energies, composed
+    with other stacks (:func:`_grouped`); without them the stack is
+    composed in chunks (:func:`_chunks`).
     """
-    ((index, _),), (t2,) = step.slots, step.t2s
+    ((index, _),) = step.slots
     length, width, samples = step.eps.shape
     # One axis for the columns of every sample, as in the values.
-    eps, t2 = (a.reshape(length, -1, 1) for a in (step.eps, t2))
-    g = g[index].reshape(width * samples, -1)
+    g = g[index].reshape(width * samples, base.size)
     dg = dg[index].reshape(g.shape) if derivative else None
-    room = max(1, _BLOCK // length)
-    energies = max(1, min(base.size, room))
-    columns = max(1, room // energies)
     out = np.empty(g.shape, complex)
     dout = np.empty_like(out) if derivative else None
-    for i in range(0, len(g), columns):
-        for e in range(0, base.size, energies):
-            at = (slice(i, i + columns), slice(e, e + energies))
-            a, b, c, d, *dual = _compose(-t2[:, at[0]], base[at[1]] - eps[:, at[0]], derivative)
-            below = g[at]
-            den = c * below + d
-            out[at] = value = (a * below + b) / den
-            if derivative:
-                da, db, dc, dd = dual
-                dbelow = dg[at]
-                dout[at] = (da * below + a * dbelow + db
-                            - value * (dc * below + c * dbelow + dd)) / den
+    chunks = _chunks(step, base, derivative) if planes is None else \
+        [((slice(None), slice(None)), planes)]
+    for at, (a, b, c, d, *dual) in chunks:
+        below = g[at]
+        den = c * below + d
+        out[at] = value = (a * below + b) / den
+        if derivative:
+            da, db, dc, dd = dual
+            dbelow = dg[at]
+            dout[at] = (da * below + a * dbelow + db
+                        - value * (dc * below + c * dbelow + dd)) / den
     shape = (width, samples, base.size)
     return out.reshape(shape), dout.reshape(shape) if derivative else None
 
@@ -590,12 +744,17 @@ def _climb(steps, base, g, dg, reciprocal, derivative):
     ``g``/``dg`` hold the values of the level below the first one given
     (``None`` when it starts at the leaves); returns the last level's.
     ``reciprocal(denom, mult)`` maps a level's denominators to its
-    values; stacked levels run as products (:func:`_chain`).  The
-    derivative is carried along only if ``derivative`` is set.
+    values; stacked levels run as products (:func:`_chain`), those that
+    fit a block composed in groups (:func:`_grouped`) when the first of
+    a group is reached.  The derivative is carried along only if
+    ``derivative`` is set.
     """
-    for step in steps:
+    products = {}
+    for i, step in enumerate(steps):
         if step.eps.ndim == 3:
-            g, dg = _chain(step, base, g, dg, derivative)
+            if i not in products and _fits(step, base.size):
+                products.update(_grouped(steps, i, base, derivative))
+            g, dg = _chain(step, base, g, dg, derivative, products.pop(i, None))
             continue
         denom = base - step.eps[..., None]
         if derivative:

@@ -118,7 +118,7 @@ def _preorder(tree: TreeSpec, length: np.ndarray) -> _Preorder:
     just before c's, so the other dots follow by broadcasting.  The
     dots' preorder is the breadth-first order of each level.
     """
-    reach, kids = tree.structure()
+    reach, kids = tree._structure
     length = np.where(reach, length, 0)
     block = length + 1  # a node with its chain and, once set, its subtree
     for k in range(tree.depth - 1, -1, -1):
@@ -202,8 +202,10 @@ class ChainedTree(RootedTree):
     chains of one tree level, as one stacked
     :class:`~nandtree.model.Level`, which :mod:`nandtree.greens`
     evaluates as Möbius products.  The levels' rows and
-    :meth:`table_codes` come from one argsort of the ids and one lexsort
-    of the links.
+    :meth:`table_codes` come from the dots' ranks (:attr:`_ranks`): dense
+    ids, as :func:`build_hfractal` and :func:`chain_below` make them, are
+    ranked without a sort (:func:`_distinct`), and the links follow from
+    their parents' ranks.
     """
 
     tree: TreeSpec
@@ -229,11 +231,28 @@ class ChainedTree(RootedTree):
     def _ranks(self) -> tuple[np.ndarray, np.ndarray]:
         """Per dot, in preorder: its row among the ids ascending, and the
         row of the link into it among the (parent, child) links ascending
-        (0 at the root); the rows of :meth:`RootedTree.table_codes`."""
+        (0 at the root); the rows of :meth:`RootedTree.table_codes`.
+
+        The ids' ranks come from :func:`_distinct`, direct for dense ids.
+        Links ascend by their parent's rank, so the links out of the dot of
+        row r start after those of the dots ranked below it, and a dot has
+        at most two children, ordered by id.  In preorder a dot's first
+        child follows it, so a dot whose parent is not the dot before it is
+        a second child, and its sibling is the dot after their parent.
+        """
         ids, dots = self._dots
-        rows, up = np.empty(len(ids), np.intp), np.zeros(len(ids), np.intp)
-        rows[np.argsort(ids)] = np.arange(len(ids))
-        up[np.lexsort((ids[1:], ids[dots.parent[1:]])) + 1] = np.arange(len(ids) - 1)
+        rows = _distinct(ids)[1]
+        at = np.arange(1, len(ids))
+        second = at[dots.parent[1:] != at - 1]
+        first = dots.parent[second] + 1
+        swap = ids[second] < ids[first]
+        after = np.zeros(len(ids), np.intp)  # 1 for the second of two siblings by id
+        after[second[~swap]], after[first[swap]] = 1, 1
+        kids = np.zeros(len(ids), np.intp)
+        kids[rows] = dots.kids
+        start = np.cumsum(kids) - kids  # the first link out of the dot of each row
+        up = np.zeros(len(ids), np.intp)
+        up[1:] = start[rows[dots.parent[1:]]] + after[1:]
         return rows, up
 
     def table_codes(self) -> tuple[np.ndarray, np.ndarray]:
@@ -305,18 +324,18 @@ def _distinct(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     which must lie in [0, 2**31); the first one outside raises
     :class:`~nandtree.model.StructureError`.
 
-    Ids as :func:`build_hfractal` numbers them are dense, a third as many
-    distinct ids as entries, so they are addressed directly: a bitmap
-    marks the ids present and a table of ranks maps each to its position,
-    with no sort.  That table holds one intp per id up to the largest, so
-    it is used only when it is no larger than ``ids`` itself; sparser
-    ids are sorted.
+    Ids as :func:`build_hfractal` numbers them are dense (1 up to the
+    number of dots), so they are addressed directly: a bitmap marks the
+    ids present and a table of ranks maps each to its position, with no
+    sort.  That table holds one intp per id up to the largest, so it is
+    used only when it is at most twice as large as ``ids`` itself;
+    sparser ids are sorted.
     """
     out = (ids < 0) | (ids >= _ID_LIMIT)
     if out.any():
         raise StructureError(f"layout dot id {ids[np.argmax(out)]} lies outside [0, 2**31)")
     size = int(ids.max()) + 1
-    if size > len(ids):
+    if size > 2 * len(ids):
         return np.unique(ids, return_inverse=True)
     seen = np.zeros(size, bool)
     seen[ids] = True
@@ -339,11 +358,15 @@ def expand_to_tree(layout: LayoutGraph, tree: TreeSpec) -> ChainedTree:
     rejected.  Dot ids must lie in [0, 2**31), as parameter tables key
     them, and dense ids, as :func:`build_hfractal` makes them, are ranked
     without a sort (:func:`_distinct`).  Each inverter finds the tree dot
-    below its chain, and its distance to it, by pointer jumping:
-    log2(longest chain) numpy steps.
+    below its chain, and its distance to it, by pointer jumping: each
+    round doubles the hop of every inverter whose hop still ends on an
+    inverter, and the rounds stop when none is left, after
+    log2(longest chain) of them.  A closed loop of inverters never
+    leaves; the rounds end at log2(number of dots) and the loop is
+    reported as on no chain.
     """
     n = tree.n_leaves
-    reach, kids = tree.structure()
+    reach, kids = tree._structure
     nodes = np.flatnonzero(reach)
 
     # Dots by position in ``ids``: links, inverters, tree nodes.
@@ -375,6 +398,8 @@ def expand_to_tree(layout: LayoutGraph, tree: TreeSpec) -> ChainedTree:
     hop = np.flatnonzero(inv)
     for _ in range(len(ids).bit_length()):
         hop = hop[inv[low[hop]]]
+        if not hop.size:
+            break
         dist[hop] += dist[low[hop]]
         low[hop] = low[low[hop]]
     is_node = np.zeros(len(ids), bool)

@@ -147,6 +147,11 @@ class RootedTree:
         below = parents >= 0
         return _ascending(ids)[0], _ascending(_pack(parents[below], ids[below]))[0]
 
+    def has_codes(self, ids: np.ndarray, links: np.ndarray) -> bool:
+        """Whether ``ids`` and ``links``, the strictly ascending codes of
+        two :class:`ParamTable` s, are :meth:`table_codes`."""
+        return all(map(np.array_equal, (ids, links), self.table_codes()))
+
 
 @dataclass(frozen=True)
 class TreeSpec(RootedTree):
@@ -247,25 +252,61 @@ class TreeSpec(RootedTree):
             out.append(Level(nodes, slots, slice(first, last), up))
         return out
 
+    def _ids(self) -> np.ndarray:
+        """The reachable ids ascending: all of 1 .. 2N - 1, or those that a
+        NOT marker leaves in reach (:meth:`structure`)."""
+        return (np.flatnonzero(self._structure[0]) if self.not_markers
+                else np.arange(1, 2 * self.n_leaves))
+
     def links(self) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`RootedTree.links` on the heap indices: the reachable ids
-        in ascending order (all of 1 .. 2N - 1, or those that a NOT
-        marker leaves in reach, :meth:`structure`), each node's parent
-        being ``id >> 1``."""
-        ids = (np.flatnonzero(self._structure[0]) if self.not_markers
-               else np.arange(1, 2 * self.n_leaves))
+        in ascending order, each node's parent being ``id >> 1``."""
+        ids = self._ids()
         parents = ids >> 1
         parents[0] = -1
         return ids, parents
 
+    def table_codes(self) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`RootedTree.table_codes` in closed form, with no sort and
+        no check: the reachable ids ascending, and the links below the root
+        packed as ``(id >> 1, id)``, ascending as the ids are, since a
+        parent's id grows with its child's."""
+        ids = self._ids()
+        below = ids[1:]
+        return ids, _pack(below >> 1, below)
+
+    def has_codes(self, ids: np.ndarray, links: np.ndarray) -> bool:
+        """:meth:`RootedTree.has_codes` against the closed form of
+        :meth:`table_codes`, without building it.
+
+        Strictly ascending codes are the tree's own when there are as many
+        as the tree has dots (links), each lies in range and is reachable,
+        and each link's parent is its child's id >> 1: codes distinct and
+        all in the set, as many as the set, are the set.  A link's code
+        grows with its child's id, so the children ascend with the codes,
+        and the ends bound them all.
+        """
+        reach = self._structure[0] if self.not_markers else None
+        count = 2 * self.n_leaves - 1 if reach is None else int(np.count_nonzero(reach))
+        if len(ids) != count or len(links) != count - 1:
+            return False
+        children = links & 0xFFFFFFFF
+        if not (1 <= ids[0] and ids[-1] < 2 * self.n_leaves
+                and 2 <= children[0] and children[-1] < 2 * self.n_leaves):
+            return False
+        return bool(np.array_equal(links >> 32, children >> 1)
+                    and (reach is None or reach[ids].all() and reach[children].all()))
+
     def leaf_values(self, ids: np.ndarray) -> np.ndarray:
         """``leaf_sign * leaf_bit`` of each id in the int array ``ids``
-        that is a leaf node, 0 for the others."""
-        i = ids - self.n_leaves
-        leaf = (i >= 0) & (i < self.n_leaves)
-        out = np.zeros_like(ids)
-        out[leaf] = (1 - 2 * (i[leaf] & 1)) * np.array(self.input_bits)[i[leaf]]
-        return out
+        that is a leaf node, 0 for the others: read from a table over the
+        heap indices 0 .. 2N, an id outside them clipped to -1 or 2N, both
+        of which read its last entry, a zero."""
+        n = self.n_leaves
+        table = np.zeros(2 * n + 1, np.int64)
+        table[n:2 * n] = np.frombuffer(bytes(self.input_bits), np.uint8)
+        table[n + 1:2 * n:2] *= -1
+        return table[np.clip(ids, -1, 2 * n)]
 
 
 def _pack(parents: np.ndarray, children: np.ndarray) -> np.ndarray:
@@ -281,6 +322,11 @@ def _unpack(codes: np.ndarray) -> np.ndarray:
 def _codes(keys: np.ndarray) -> np.ndarray:
     """The int64 code of each key: a node id itself, a link packed."""
     return _pack(keys[:, 0], keys[:, 1]) if keys.ndim == 2 else keys
+
+
+def _check_ids(keys: np.ndarray) -> None:
+    if keys.size and not (0 <= keys.min() and keys.max() < _ID_LIMIT):
+        raise StructureError("node ids must lie in [0, 2**31)")
 
 
 def _ascending(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
@@ -316,13 +362,28 @@ class ParamTable:
             raise StructureError(
                 f"need n keys or n (parent, child) links and n values per sample, "
                 f"got shapes {keys.shape} and {values.shape}")
-        if keys.size and not (0 <= keys.min() and keys.max() < _ID_LIMIT):
-            raise StructureError("node ids must lie in [0, 2**31)")
+        _check_ids(keys)
         codes, order = _ascending(_codes(keys))
         if order is not None:
             keys, values = keys.take(order, 0), values.take(order, -1)
             if np.any(codes[1:] == codes[:-1]):
                 raise StructureError("parameter keys must be distinct")
+        self._keep(keys, values, codes)
+
+    @classmethod
+    def _of_codes(cls, keys: np.ndarray, values: np.ndarray, codes: np.ndarray) -> ParamTable:
+        """A table over fresh arrays made for it, taken as they are, with no
+        copy and no packing: int64 ``keys`` and float ``values`` shaped as
+        for the constructor, and the keys' ``codes``, which must come
+        strictly ascending (one pass checks)."""
+        _check_ids(keys)
+        if _ascending(codes)[1] is not None:
+            raise StructureError("table codes must be strictly ascending")
+        table = cls.__new__(cls)
+        table._keep(keys, values, codes)
+        return table
+
+    def _keep(self, keys: np.ndarray, values: np.ndarray, codes: np.ndarray) -> None:
         for array in (keys, values, codes):
             array.setflags(write=False)
         self.keys_array, self.values_array, self.codes = keys, values, codes
@@ -502,15 +563,17 @@ def ideal_parameters(tree: RootedTree, delta: float, gamma: float) -> DotParamet
     zero detuning.  One detuning per dot and one coupling per (parent,
     dot) link below the root, keyed by ``tree.table_codes()``: those
     come in ascending order, so the tables (see :class:`ParamTable`)
-    take them without sorting, and the tables' codes are the tree's own,
-    which the evaluators read by position.
+    take them, and the fresh value arrays, with no sort and no copy,
+    after one pass checks the order; the tables' codes are the tree's
+    own, which the evaluators read by position.
     """
     if not 0 < delta < math.inf:
         raise StructureError(f"delta must be positive and finite, got {delta}")
     ids, links = tree.table_codes()
-    return DotParameters(epsilon=ParamTable(ids, tree.leaf_values(ids) * delta),
-                         coupling=ParamTable(_unpack(links), np.ones(len(links))),
-                         delta=delta, gamma=gamma)
+    return DotParameters(
+        epsilon=ParamTable._of_codes(ids, tree.leaf_values(ids) * delta, ids),
+        coupling=ParamTable._of_codes(_unpack(links), np.ones(len(links)), links),
+        delta=delta, gamma=gamma)
 
 
 def sample_disorder(tree: RootedTree, ideal: DotParameters, spec: DisorderSpec) -> DotParameters:

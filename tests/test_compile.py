@@ -6,9 +6,10 @@ Each fast path is checked bit for bit against the slow path it stands
 for: the position gather against the binary search of
 ``ParamTable.find`` (``greens._located``), unmerged one-energy
 results against the merged schedule, classes from exactly packed keys
-against classes from hashed keys, the squares of unit couplings against
-``np.float_power``, and the merged inertia count against the unmerged
-one.
+against classes from hashed keys, directly addressed classes against
+sorted ones, the squares of unit couplings against ``np.float_power``,
+and the merged inertia count against the unmerged one.  Tables that
+only look like a tree's own (``RootedTree.has_codes``) take the lookup.
 """
 
 import re
@@ -20,7 +21,7 @@ from nandtree import (DotParameters, StructureError, build_tree, classify, green
                       green_tree_derivative, green_tree_many, greens, ideal_parameters,
                       sample_disorder, sample_disorder_many)
 from nandtree.greens import CompiledTree, _resolve, compile_tree, inertia_count
-from nandtree.layout import build_hfractal, chain_below, expand_to_tree
+from nandtree.layout import ChainedTree, build_hfractal, chain_below, expand_to_tree
 from nandtree.model import DisorderSpec, TreeSpec
 from nandtree.transport import (ProbeSpec, conductance, readout, sweep, transmission,
                                 transmission_curve)
@@ -121,6 +122,69 @@ def test_tables_with_extra_keys_take_the_lookup(name, dot, link, monkeypatch):
         located.clear()
         green_tree(tree, params, 0.1)
         assert not located
+
+
+def located_calls(monkeypatch) -> list:
+    """One entry per lookup of the parameter rows (``greens._located``)."""
+    located, find = [], greens._located
+    monkeypatch.setattr(greens, "_located",
+                        lambda params, schedule: located.append(1) or find(params, schedule))
+    return located
+
+
+def test_treespec_compile_builds_no_table_codes(monkeypatch):
+    # Whether the tables are the tree's own is decided in closed form
+    # (TreeSpec.has_codes), without building the tree's table codes.
+    calls, table_codes = [], TreeSpec.table_codes
+    monkeypatch.setattr(TreeSpec, "table_codes", lambda self: calls.append(1) or table_codes(self))
+    located = located_calls(monkeypatch)
+    for tree in (TREES["unmarked"], TREES["marked"]):
+        for params in parameter_cases(tree):
+            calls.clear()
+            compile_tree(tree, params)
+            classify(tree, params.sample(0) if params.sample_shape else params)
+            green_tree_many(tree, params, np.linspace(-1.0, 1.0, 5))
+            inertia_count(tree, params, [0.1, 0.2])
+            assert not calls and not located
+
+
+def foreign_tables():
+    """Tables that are not a tree's own but look alike: with its ids and
+    link count but one wrong (parent, child) link, and from another tree of
+    the same number of dots (NOT markers on different nodes, inverters
+    numbered otherwise)."""
+    rng = np.random.default_rng(21)
+    bits = tuple(rng.integers(0, 2, 32))
+    tree = build_tree(5, bits)
+    ideal = ideal_parameters(tree, 10.0, 1e-3)
+    coupling = walks.as_dict(ideal.coupling)
+    del coupling[(2, 4)]
+    coupling[(3, 4)] = 1.0
+    yield "one wrong link", tree, DotParameters(ideal.epsilon, coupling, 10.0, 1e-3), (2, 4)
+    marked, other = TreeSpec(5, bits, frozenset({4})), TreeSpec(5, bits, frozenset({5}))
+    assert len(marked.links()[0]) == len(other.links()[0])
+    yield "other markers", marked, ideal_parameters(other, 10.0, 1e-3), 44
+    hf = expand_to_tree(build_hfractal(tree), tree)
+    renumbered = ChainedTree(tree, hf.length, hf.chains[::-1].copy())
+    yield "other inverter ids", hf, ideal_parameters(renumbered, 10.0, 1e-3), (99, 16)
+
+
+FOREIGN = {name: case for name, *case in foreign_tables()}
+
+
+@pytest.mark.parametrize("name", FOREIGN)
+def test_foreign_tables_take_the_lookup(name, monkeypatch):
+    # Tables that only look like the tree's own are read by binary search,
+    # as any table that is not its own, which names the first entry
+    # missing (the same ids all there, a link).
+    tree, params, missing = FOREIGN[name]
+    assert not tree.has_codes(params.epsilon.codes, params.coupling.codes)
+    located = located_calls(monkeypatch)
+    message = f"parameters missing entry for {missing!r}"
+    for E in (0.0, np.linspace(-1.0, 1.0, 3)):
+        with pytest.raises(StructureError, match=f"^{re.escape(message)}$"):
+            green_tree_many(tree, params, E)
+    assert len(located) == 2
 
 
 @pytest.mark.parametrize("name", TREES)
@@ -247,6 +311,32 @@ def test_packed_classes_match_hashed_classes(name):
     assert np.array_equal(keys[rep[classes]], keys)
     assert same_partition(classes, exact)
     assert same_partition(classes, np.unique(greens._row_hash(keys), return_inverse=True)[1])
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("columns", [1, 2])
+def test_addressed_classes_match_sorted_classes(offset, columns, monkeypatch):
+    # Codes whose range is at most the number of rows (offset 0 and -1)
+    # address a table of classes directly; a range one wider is sorted.
+    # Both number the classes in the order of the codes, as the argsort
+    # did, and every row matches its representative.
+    rng = np.random.default_rng(30 + offset)
+    n, radix = 600, 12
+    span = n + offset
+    codes = rng.integers(0, span, n)
+    codes[:3] = 0, span - 1, radix - 1  # the whole range, and every digit
+    # One column is its own code; two pack mixed-radix to the same codes.
+    keys = np.column_stack([np.full(n, -3), codes] if columns == 1 else
+                           [codes // radix, np.full(n, 8), codes % radix])
+    assert np.array_equal(greens._packed(keys), codes)
+    sorts, argsort = [], np.argsort
+    monkeypatch.setattr(np, "argsort", lambda *a, **k: sorts.append(1) or argsort(*a, **k))
+    rep, classes = greens._classes(keys)
+    monkeypatch.undo()
+    assert len(sorts) == (span > n)
+    assert np.array_equal(classes, np.unique(codes, return_inverse=True)[1])
+    assert np.array_equal(keys[rep[classes]], keys)
+    assert len(rep) == len(np.unique(codes))
 
 
 @pytest.mark.parametrize("name", TREES)

@@ -23,7 +23,9 @@ from nandtree import (ProbeSpec, QuadratureError, StructureError, build_tree, cl
                       conductance, ideal_parameters, sample_disorder, sample_disorder_many,
                       transport)
 from nandtree.layout import build_hfractal, chain_below, expand_to_tree
-from nandtree.model import DisorderSpec, DotParameters, ParamTable, TreeSpec, _ascending
+from nandtree import model
+from nandtree.model import (DisorderSpec, DotParameters, ParamTable, RootedTree, TreeSpec,
+                            _ascending)
 
 import reference_walks as walks
 from test_layout_reference import assert_same_arrays
@@ -112,6 +114,90 @@ def test_tables_from_table_codes_match_tables_from_dots(tree):
         assert_same_arrays((got.keys_array, got.values_array.view(np.uint64), got.codes),
                            (ref.keys_array, ref.values_array.view(np.uint64), ref.codes))
         assert np.array_equal(got.codes, code)
+
+
+@pytest.mark.parametrize("tree", TREES, ids=lambda t: type(t).__name__)
+def test_table_codes_match_the_sorted_dots(tree):
+    # A TreeSpec gives its codes in closed form, with no sort and no check,
+    # and a chained tree from its ranks: both equal the codes that the
+    # protocol's rule sorts from the dots.
+    for got, want in zip(tree.table_codes(), RootedTree.table_codes(tree), strict=True):
+        assert got.dtype == want.dtype == np.int64 and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("tree", TREES, ids=lambda t: type(t).__name__)
+def test_ideal_tables_take_the_codes_as_they_are(tree, monkeypatch):
+    # No copy and no repack: the tables' codes are the arrays table_codes()
+    # made, and no key is packed into a code.
+    made, table_codes = [], type(tree).table_codes
+    monkeypatch.setattr(type(tree), "table_codes",
+                        lambda self: made.append(table_codes(self)) or made[-1])
+    packed, codes = [], model._codes
+    monkeypatch.setattr(model, "_codes", lambda keys: packed.append(1) or codes(keys))
+    params = ideal_parameters(tree, 10.0, 1e-6)
+    (ids, links), = made
+    assert params.epsilon.codes is ids and params.coupling.codes is links
+    assert params.epsilon.keys_array is ids and not packed
+    assert not any(a.flags.writeable for t in (params.epsilon, params.coupling)
+                   for a in (t.keys_array, t.values_array, t.codes))
+
+
+@pytest.mark.parametrize("codes, message", [
+    ([1, 3, 2], "strictly ascending"), ([1, 2, 2], "strictly ascending"),
+    ([-1, 2], r"node ids must lie in \[0, 2\*\*31\)"),
+    ([2, 2**31], r"node ids must lie in \[0, 2\*\*31\)")])
+def test_tables_from_codes_check_them(codes, message):
+    codes = np.array(codes)
+    with pytest.raises(StructureError, match=message):
+        ParamTable._of_codes(codes, np.zeros(len(codes)), codes)
+
+
+@pytest.mark.parametrize("tree", [t for t in TREES if isinstance(t, TreeSpec)][::3],
+                         ids=lambda t: f"depth{t.depth}-{len(t.not_markers)}")
+def test_leaf_values_of_any_id(tree):
+    # Ids outside the heap indices, negative or past 2N, read 0 as
+    # internal dots and inverters do.
+    n = tree.n_leaves
+    ids = np.array([-2**40, -1, 0, 1, n - 1, n, n + 1, 2 * n - 1, 2 * n, 2 * n + 7, 2**40])
+    want = [walks.leaf_sign(tree, i) * walks.leaf_bit(tree, i) if n <= i < 2 * n else 0
+            for i in ids.tolist()]
+    got = tree.leaf_values(ids)
+    assert got.dtype == np.int64 and got.tolist() == want
+    every = np.arange(2 * n)
+    assert tree.leaf_values(every).tolist() == \
+        [walks.leaf_sign(tree, i) * walks.leaf_bit(tree, i) if i >= n else 0 for i in range(2 * n)]
+
+
+def near_codes(tree: TreeSpec):
+    """Strictly ascending codes close to ``tree``'s own: its own, with one
+    link moved to another parent, with a dot or a link dropped or added,
+    and those of trees of the same depth and other NOT markers."""
+    ids, links = tree.table_codes()
+    n = 2 * tree.n_leaves
+    yield ids, links
+    moved = links.copy()
+    moved[-1] += 1 << 32  # the last child under the next parent
+    yield ids, moved
+    yield ids[:-1], links
+    yield ids, links[:-1]
+    yield np.union1d(ids, [n]), links
+    yield np.union1d(ids, [0]), np.union1d(links, [1 << 32])
+    for markers in (frozenset(), frozenset({1}), frozenset({n // 2 - 1}), tree.not_markers | {2}):
+        if all(m < n // 2 for m in markers):
+            yield TreeSpec(tree.depth, tree.input_bits, markers).table_codes()
+
+
+@pytest.mark.parametrize("tree", [t for t in TREES if isinstance(t, TreeSpec)],
+                         ids=lambda t: f"depth{t.depth}-{len(t.not_markers)}")
+def test_closed_form_ownership_matches_the_comparison(tree):
+    # TreeSpec.has_codes decides without building table_codes(); it agrees
+    # with the comparison against them that it replaces.
+    cases = list(near_codes(tree))
+    for ids, links in cases:
+        assert tree.has_codes(ids, links) == RootedTree.has_codes(tree, ids, links)
+    assert tree.has_codes(*cases[0])
+    assert sum(tree.has_codes(*c) for c in cases) == sum(
+        np.array_equal(a, cases[0][0]) and np.array_equal(b, cases[0][1]) for a, b in cases)
 
 
 def test_closed_form_dots_match_traversal():
