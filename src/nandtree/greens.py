@@ -27,111 +27,74 @@ has length 1 otherwise; every sample sees the same energies, and the
 result has shape (samples,) + the energies' shape, or the energies'
 shape alone for one realization.  Each dot's eps and the t^2 of the
 link into it are gathered into per-level (dots x samples) columns once
-per compilation, t^2 over the whole coupling table at once (pow only
-where t is not 1, :func:`_squares`); a child slot's t^2 are those of
-the level below at the slot's index.  The
-gather goes by position: tables built from the tree's own dots
-(:func:`~nandtree.model.ideal_parameters`,
-:func:`~nandtree.model.sample_disorder`) hold exactly its dots and links
-in ascending order (:class:`~nandtree.model.ParamTable`), and
-:meth:`~nandtree.model.RootedTree.levels` gives each level's rows there:
-slices for a :class:`~nandtree.model.TreeSpec`, whose unmarked slots
-then cut stride-2 views without a copy, and one gather for a chained
-tree.  :meth:`~nandtree.model.RootedTree.has_codes` decides whether the
-tables' codes are the tree's own: a :class:`~nandtree.model.TreeSpec`
-checks them against the closed form of its codes in one vectorised pass
-over each table, without building them, and a chained tree compares
-them with its :meth:`~nandtree.model.RootedTree.table_codes`.  Other
-tables, and trees that do not give rows, fall back to the binary search
-of :meth:`~nandtree.model.ParamTable.lookup`.  Entries for dots and links
+per compilation, by position: every level gives the ``rows`` of its
+dots and the ``up`` of the links into them in the tables whose codes
+are the tree's :meth:`~nandtree.model.RootedTree.table_codes`, slices
+for a :class:`~nandtree.model.TreeSpec` (so an unmarked one's columns
+are views of the tables).  The tables of
+:func:`~nandtree.model.ideal_parameters` and
+:func:`~nandtree.model.sample_disorder` are on those codes
+(:meth:`~nandtree.model.RootedTree.has_codes` checks).  Any other
+tables, hand-built ones with extra keys or another tree's, are first
+read onto them, one binary search per table
+(:meth:`~nandtree.model.ParamTable.find`): entries for dots and links
 out of reach are never read, and a missing entry for a reachable one
-raises :class:`~nandtree.model.StructureError`.
+raises :class:`~nandtree.model.StructureError` naming the lowest missing
+dot id, or else the lowest missing (parent, child) link.
 
 A chained tree gives each maximal run of two or more single-child
 levels, its inverter chains, as one stacked level (L rows of w dots,
-see :class:`~nandtree.model.Level`), gathered in one take: eps as
-(L x w x samples), and the t^2 of each dot's link to its child, which
-are those into the level below and then into rows 0 .. L-2.  A stack
-runs as Möbius products: the dot map G -> 1 / (z - eps - t^2 G) is the
-matrix M = [[0, 1], [-t^2, z - eps]] acting on G, so a column's L maps
-compose to one product, formed by pairwise products that halve L at
-each step, over every column, sample and energy at once, with the
-dual part dM/dz = [[0, 0], [0, 1]] carried along when the derivative is
-asked for.  The products do not depend on the values below, so the
-stacks of a call that fit a block whole are composed together, in one
-pass of pairwise steps, when the first of them is reached (see "Energy
-blocks" below), each stack keeping its own pairing.  A product then maps
+see :class:`~nandtree.model.Level`).  A stack runs as Möbius products:
+the dot map G -> 1 / (z - eps - t^2 G) is the matrix M = [[0, 1], [-t^2,
+z - eps]] acting on G, so a column's L maps compose to one product, in
+log2(L) steps of pairwise products (:func:`_compose`), which then maps
 the values of the level below, G -> (a G + b) / (c G + d), with its
-derivative.  So the depth-12 H-fractal's 4976 inverter levels run, at
-one energy, as 11 stacks composed in the log2(2494) steps of the
-longest, not one step per level.
+derivative.  The products do not depend on the values below, so they
+are composed before them (see "Energy blocks" below).  So the depth-12
+H-fractal's 4976 inverter levels run, at one energy, as 11 stacks
+composed in the log2(2494) steps of the longest, not one step per level.
 
 **Merged subtrees.**  :func:`compile_tree` turns the schedule and its
 columns into a schedule of distinct subtrees: level by level from the
 leaves up, it merges every dot whose subtree carries bit for bit the
-same parameters as another's into one class.  Merging pays only where a
-call evaluates more than one energy per sample: classing a level reads
-every dot's key row over all samples and groups their codes, at least
-the work of evaluating each dot once per sample.  So calls at one
-energy (:func:`green_tree`, :func:`green_tree_derivative`,
-:func:`classify`, and :func:`green_tree_many` or :func:`inertia_count`
-at one energy) run the unmerged columns, and calls at more energies
-merge first; the rule counts energies, with no tuned threshold.
-A dot's key is the bit pattern of its eps and,
-for each child slot, of its t^2 and its child's class (t^2 bits 0 and
-class -1 for a missing child), over all samples for parameters with a
-sample axis.  Keys compare as int64 bit patterns, so -0.0 and 0.0 are
-different classes and there is no tolerance.  A stack is classed by
-whole columns: a column's key is the bits of all its eps and t^2 and
-the class of its bottom dot's child.  A level is classed by one exact
-int64 code per key row: key columns constant over the level, as an ideal
-tree's eps and t^2 mostly are, are dropped; one column left is its own
-code, and more are packed mixed-radix by their value ranges when those
-multiply to less than 2**62.  Codes whose range is no larger than the
-level, as the child classes of an ideal tree give, address a table of
-classes directly, with no sort; wider codes are sorted.  Keys too wide
-to pack, as disordered bits give, are hashed instead: the hashes are
-sorted, every row is checked against its class's representative, and on
-any mismatch (a hash collision) the level is grouped again by
-``np.unique(axis=0)``.
-Once the dots of a level are all distinct, their parents are too, as
-disjoint children of distinct classes make distinct keys: above such a
-level a dot with a child is its own class, only childless dots are
-classed, among themselves, and a level that stays all distinct is kept
-in its own order.  So a disordered depth-12 H-fractal classes only its
-leaves, and the ideal one 10 of its 24 levels and stacks.  A merged dot
-applies the same operations to the same values as each dot of its
-class, so the results keep their bits.  Each class carries its multiplicity, the number of dots it
-stands for, which weights the inertia count.  A :class:`CompiledTree`
-belongs to the parameters it was made from and can stand in for the
-tree, with those parameters, in every evaluator.
-:mod:`nandtree.transport` gathers once per public call.  Nothing is
-kept across calls.
+same parameters as another's into one class.  A dot's key is the bit
+pattern of its eps and, for each child slot, of its t^2 and its child's
+class (t^2 bits 0 and class -1 for a missing child), over all samples
+for parameters with a sample axis; a stack is classed by whole columns.
+Keys compare as int64 bit patterns (:func:`_classes`), so -0.0 and 0.0
+are different classes and there is no tolerance.  Once the dots of a
+level are all distinct, their parents are too, so above such a level
+only childless dots are classed.  Merging pays only where a call
+evaluates more than one energy per sample, as classing a level costs at
+least evaluating each dot once: so calls at one energy
+(:func:`green_tree`, :func:`green_tree_derivative`, :func:`classify`,
+and :func:`green_tree_many` or :func:`inertia_count` at one energy) run
+the unmerged columns, and calls at more energies merge first, with no
+tuned threshold.  A merged dot applies the same operations to the same
+values as each dot of its class, so the results keep their bits.  Each
+class carries its multiplicity, the number of dots it stands for, which
+weights the inertia count.  A :class:`CompiledTree` belongs to the
+parameters it was made from and can stand in for the tree, with those
+parameters, in every evaluator.  Nothing is kept across calls.
 
 **Energy blocks.**  A level's width is its number of classes, or of
 dots when unmerged (of columns for a stack).  Levels whose (width x
 samples x energies) block exceeds ``_BLOCK`` complex values form the
-wide bottom band.  It runs in blocks of ``_BLOCK // width`` values,
-width being its widest level: groups of whole samples with all their
-energies when one sample's energies fit, else one sample at a time in
-energy chunks.  So a level step touches a few MiB however many samples
-and energies are asked for.  The narrow upper levels then run once
-over all of them.  A stack of L rows composes its products in chunks
-in which each matrix entry, an (L x columns x energies) plane over the
-columns of every sample, holds at most ``_BLOCK`` complex values: as
-many energies as fit, then as many columns, and at least one of each.
-So 401 energies on the depth-12 H-fractal, whose longest stack has 2494
-rows, run its products 26 energies at a time.  Stacks that fit a block
-whole are grouped instead, in the order the recursion reaches them, as
-many as fit one block together, and each group is composed in one pass
-(:func:`_compose`), which saves the per-step overhead of many small
-stacks: at one energy the depth-12 H-fractal's 11 stacks, 52 996 dots,
-form one group.  ``_BLOCK`` is sized for cache: one block is 1 MiB
-against a 2 MiB L2 per core on the x86 server this was measured on.
-There, four times larger blocks made 401 energies on a depth-16 tree
-about 1.5x slower, and 16 times smaller ones made the depth-12
-H-fractal about 5x slower through per-level overhead (before its chains
-ran as products).
+wide bottom band, which runs in blocks of ``_BLOCK // width`` values
+(:func:`_bottom_up`), so a level step touches a few MiB however many
+samples and energies are asked for; the narrow upper levels then run
+once over all of them.  One composer (:func:`_products`) composes the
+stacks, in the order the recursion reaches them: stacks whose products
+fit a block whole are composed together, as many as fill one block, in
+one pass, which saves the per-step overhead of many small stacks (at
+one energy the depth-12 H-fractal's 11 stacks form one group); a larger
+stack is composed alone, in chunks whose planes hold at most ``_BLOCK``
+values (401 energies on the depth-12 H-fractal run 26 at a time).
+``_BLOCK`` is sized for cache: one block is 1 MiB against a 2 MiB L2 per
+core on the x86 server this was measured on.  There, four times larger
+blocks made 401 energies on a depth-16 tree about 1.5x slower, and 16
+times smaller ones made the depth-12 H-fractal about 5x slower through
+per-level overhead (before its chains ran as products).
 
 **Inertia count.**  :func:`inertia_count` runs the same schedule and
 energy blocks in real arithmetic at gamma = 0 and counts the
@@ -163,14 +126,15 @@ inertia count stays bit for bit.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from functools import reduce
 from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
 
-from .model import DotParameters, Level, LogicalForm, Slot, StructureError, TreeSpec, \
-    build_tree, ideal_parameters
+from .model import DotParameters, Level, LogicalForm, ParamTable, Slot, StructureError, \
+    TreeSpec, _unpack, build_tree, ideal_parameters
 
 #: |G(0)| decision threshold between "1"-like (small) and "0"-like (pole).
 CLASSIFY_THRESHOLD = 1.0
@@ -228,12 +192,12 @@ def _reciprocal(d, mult=None):
 
 def _gather(tree, params: DotParameters) -> list[_Step]:
     """The unmerged columns of ``tree`` with ``params`` (see "Level
-    schedule" above): by position when the tables' keys are the tree's
-    own (:meth:`~nandtree.model.RootedTree.has_codes`), else by lookup."""
-    schedule = tree.levels()
-    own = schedule[0].rows is not None and tree.has_codes(params.epsilon.codes,
-                                                          params.coupling.codes)
-    return _columns(params, schedule if own else _located(params, schedule))
+    schedule" above), gathered by position, from tables read onto the
+    tree's own codes first (:func:`_own`) unless they are its own
+    (:meth:`~nandtree.model.RootedTree.has_codes`)."""
+    if not tree.has_codes(params.epsilon.codes, params.coupling.codes):
+        params = _own(tree, params)
+    return _columns(params, tree.levels())
 
 
 def _top(values: np.ndarray, level: Level) -> np.ndarray:
@@ -242,39 +206,21 @@ def _top(values: np.ndarray, level: Level) -> np.ndarray:
     return values[-1] if level.nodes.ndim == 2 else values
 
 
-def _located(params: DotParameters, schedule) -> list[Level]:
-    """``schedule`` with the rows of its dots and of the links into them
-    found in the tables by binary search; the first missing dot, or else
-    the first missing link level by level, slot by slot and then within
-    a stack, raises :class:`~nandtree.model.StructureError`."""
-    nodes = [level.nodes for level in schedule]
-    parents, children = [], []
-    for below, level in zip([None] + schedule, schedule):
-        bottom = level.nodes if level.nodes.ndim == 1 else level.nodes[0]
-        for index, mask in level.slots:
-            parents.append(bottom if mask is None else bottom[mask])
-            children.append(_top(below.nodes, below)[index])
-        if level.nodes.ndim == 2:
-            parents.append(level.nodes[1:].ravel())
-            children.append(level.nodes[:-1].ravel())
-    every = np.concatenate([n.ravel() for n in nodes])
-    try:
-        found_dots = params.epsilon.find(every)
-        found = params.coupling.find(np.stack([np.concatenate([every[:0], *parts])
-                                               for parts in (parents, children)], axis=1))
-    except KeyError as exc:
-        raise StructureError(f"parameters missing entry for {exc.args[0]!r}") from exc
-    # Every dot but the root has its parent in its own stack or the level above.
-    ups = [np.zeros(n.shape, np.intp) for n in nodes]
-    found = iter(_cut(found, children))
-    for below, up_below, level, up in zip([None] + schedule, [None] + ups, schedule, ups):
-        for index, _ in level.slots:
-            _top(up_below, below)[index] = next(found)
-        if level.nodes.ndim == 2:
-            up[:-1] = next(found).reshape(-1, up.shape[1])
-    ups[-1] = ups[-1] if nodes[-1].ndim == 2 else None
-    return [Level(level.nodes, level.slots, rows, up)
-            for level, rows, up in zip(schedule, _cut(found_dots, nodes), ups)]
+def _own(tree, params: DotParameters) -> DotParameters:
+    """``params`` with each table read onto the tree's own
+    :meth:`~nandtree.model.RootedTree.table_codes`, by one
+    :meth:`~nandtree.model.ParamTable.find`; the lowest missing dot id,
+    or else the lowest missing link, raises
+    :class:`~nandtree.model.StructureError`."""
+    tables = []
+    for table, codes in zip((params.epsilon, params.coupling), tree.table_codes()):
+        keys = _unpack(codes) if table.links else codes
+        try:
+            at = table.find(keys)
+        except KeyError as exc:
+            raise StructureError(f"parameters missing entry for {exc.args[0]!r}") from exc
+        tables.append(ParamTable._of_codes(keys, table.values_array[..., at], codes))
+    return replace(params, epsilon=tables[0], coupling=tables[1])
 
 
 def _columns(params: DotParameters, schedule) -> list[_Step]:
@@ -667,23 +613,38 @@ def _spaced(starts: list, counts: list, strides: list) -> np.ndarray:
     return np.repeat(starts, counts) + np.repeat(strides, counts) * j
 
 
-def _fits(step: _Step, energies: int) -> bool:
-    """Whether a stacked ``step`` composes whole in one block."""
-    return step.eps.size * energies <= _BLOCK
+def _products(steps, i: int, base, derivative) -> dict:
+    """The products of the stack ``steps[i]``, and of the stacks composed
+    with it, by their index in ``steps``: each an iterable of (columns,
+    energies) slices and the planes of the products there.
 
-
-def _grouped(steps, i: int, base, derivative) -> dict:
-    """The products of the stack ``steps[i]``, which fits a block whole,
-    and of the next stacks that fit with it, one block in all, composed
-    in one pass (:func:`_compose`), by their index in ``steps``."""
+    A stack too large for one block is composed alone, lazily, in chunks
+    whose planes hold at most ``_BLOCK`` values: as many energies as fit,
+    then as many columns, and at least one of each.  A stack that fits is
+    composed whole in one pass (:func:`_compose`) with the next stacks
+    that fit, as many as fill one block together.
+    """
+    n = base.size
+    if steps[i].eps.size * n > _BLOCK:
+        t2, eps = _dots(steps[i])
+        length, columns = eps.shape
+        room = max(1, _BLOCK // length)
+        energies = max(1, min(n, room))
+        width = max(1, room // energies)
+        cuts = [(slice(c, c + width), slice(e, e + energies))
+                for c in range(0, columns, width) for e in range(0, n, energies)]
+        return {i: ((at, _compose([(t2[:, at[0]], eps[:, at[0]])], base[at[1]], derivative)[0])
+                    for at in cuts)}
     group, size = [], 0
     for j in range(i, len(steps)):
-        if steps[j].eps.ndim == 3 and _fits(steps[j], base.size):
-            size += steps[j].eps.size * base.size
+        if steps[j].eps.ndim == 3 and steps[j].eps.size * n <= _BLOCK:
+            size += steps[j].eps.size * n
             if size > _BLOCK:
                 break
             group.append(j)
-    return dict(zip(group, _compose([_dots(steps[j]) for j in group], base, derivative)))
+    every = (slice(None), slice(None))
+    planes = _compose([_dots(steps[j]) for j in group], base, derivative)
+    return {j: [(every, p)] for j, p in zip(group, planes)}
 
 
 def _dots(step: _Step) -> tuple:
@@ -692,29 +653,11 @@ def _dots(step: _Step) -> tuple:
     return tuple(a.reshape(len(a), -1) for a in (step.t2s[0], step.eps))
 
 
-def _chunks(step: _Step, base, derivative):
-    """A stack too large for one block composed in chunks whose planes
-    hold at most ``_BLOCK`` values (see "Energy blocks" above): each
-    chunk's (columns, energies) slices and its products."""
-    t2, eps = _dots(step)
-    length, columns = eps.shape
-    room = max(1, _BLOCK // length)
-    energies = max(1, min(base.size, room))
-    width = max(1, room // energies)
-    for i in range(0, columns, width):
-        for e in range(0, base.size, energies):
-            at = (slice(i, i + width), slice(e, e + energies))
-            yield at, _compose([(t2[:, at[0]], eps[:, at[0]])], base[at[1]], derivative)[0]
-
-
-def _chain(step, base, g, dg, derivative, planes=None):
+def _chain(step, base, g, dg, derivative, products):
     """The values of a stacked ``step``'s top row, from the values ``g``
     (and ``dg``) of the level below: each column is one Möbius map, the
-    product of its dots' matrices, applied as (a G + b) / (c G + d).
-
-    ``planes`` holds the products of all columns and energies, composed
-    with other stacks (:func:`_grouped`); without them the stack is
-    composed in chunks (:func:`_chunks`).
+    product of its dots' matrices, applied as (a G + b) / (c G + d), at
+    the slices of each of its ``products`` (:func:`_products`).
     """
     ((index, _),) = step.slots
     length, width, samples = step.eps.shape
@@ -723,9 +666,7 @@ def _chain(step, base, g, dg, derivative, planes=None):
     dg = dg[index].reshape(g.shape) if derivative else None
     out = np.empty(g.shape, complex)
     dout = np.empty_like(out) if derivative else None
-    chunks = _chunks(step, base, derivative) if planes is None else \
-        [((slice(None), slice(None)), planes)]
-    for at, (a, b, c, d, *dual) in chunks:
+    for at, (a, b, c, d, *dual) in products:
         below = g[at]
         den = c * below + d
         out[at] = value = (a * below + b) / den
@@ -744,17 +685,16 @@ def _climb(steps, base, g, dg, reciprocal, derivative):
     ``g``/``dg`` hold the values of the level below the first one given
     (``None`` when it starts at the leaves); returns the last level's.
     ``reciprocal(denom, mult)`` maps a level's denominators to its
-    values; stacked levels run as products (:func:`_chain`), those that
-    fit a block composed in groups (:func:`_grouped`) when the first of
-    a group is reached.  The derivative is carried along only if
-    ``derivative`` is set.
+    values; stacked levels run as products (:func:`_chain`), composed
+    (:func:`_products`) when the first stack of a group is reached.  The
+    derivative is carried along only if ``derivative`` is set.
     """
     products = {}
     for i, step in enumerate(steps):
         if step.eps.ndim == 3:
-            if i not in products and _fits(step, base.size):
-                products.update(_grouped(steps, i, base, derivative))
-            g, dg = _chain(step, base, g, dg, derivative, products.pop(i, None))
+            if i not in products:
+                products.update(_products(steps, i, base, derivative))
+            g, dg = _chain(step, base, g, dg, derivative, products.pop(i))
             continue
         denom = base - step.eps[..., None]
         if derivative:

@@ -73,9 +73,10 @@ class Level(NamedTuple):
     """The reachable nodes at one distance from the root, with their child
     slots, or a stack of such levels.
 
-    ``rows`` and ``up``, when given, locate the nodes' detunings and the
-    couplings of the links into them (``None`` at the root) in the tables
-    whose codes are :meth:`RootedTree.table_codes`, as int arrays or slices.
+    ``rows`` and ``up`` locate the nodes' detunings and the couplings of
+    the links into them in the tables whose codes are
+    :meth:`RootedTree.table_codes`, as int arrays or slices.  Every tree
+    an evaluator reads gives both; ``up`` is ``None`` only at the root.
 
     A stacked level is a run of L >= 2 consecutive levels whose nodes all
     have exactly one child.  Its ``nodes``, ``rows`` and ``up`` then have
@@ -350,8 +351,8 @@ class ParamTable:
     keeps its keys in ascending order of their ``codes``, node ids
     ascending and links by (parent, child), whatever order they are
     given in; the values move with their keys.  :meth:`find` and
-    :meth:`lookup` find many keys at once by binary search.  Two tables
-    are equal only if they are the same object.
+    :meth:`lookup` find many keys at once, none included, by binary
+    search.  Two tables are equal only if they are the same object.
     """
 
     def __init__(self, keys, values):
@@ -439,7 +440,8 @@ class ParamTable:
         at = np.minimum(np.searchsorted(self.codes, query), len(self) - 1)
         found = self.codes[at] == query if len(self) else np.zeros(len(keys), dtype=bool)
         # Ids outside [0, 2**31) can pack into the code of another link.
-        found &= ((keys >= 0) & (keys < _ID_LIMIT)).reshape(len(keys), -1).all(axis=1)
+        in_range = (keys >= 0) & (keys < _ID_LIMIT)
+        found &= in_range if keys.ndim == 1 else in_range.all(axis=1)
         if not found.all():
             key = keys[np.argmin(found)].tolist()
             raise KeyError(tuple(key) if self.links else key)

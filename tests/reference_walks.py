@@ -9,7 +9,10 @@ bit: the same levels, once stacked levels are expanded row by row
 (:func:`expanded`), and the same dots, parents and signs once both are
 put in ascending id order (:func:`dots`, :func:`by_id` of
 :func:`tree_dots`).
-:class:`WalkedTree` evaluates a test-built tree through them.
+:class:`WalkedTree` evaluates a test-built tree through them, its levels
+located in its own table codes, and :func:`located` finds a schedule's
+dots and links in parameter tables by ``ParamTable.find``, the reference
+for the rows a closed form gives.
 
 The walks read a tree one node at a time through :func:`children_of`,
 :func:`leaf_bit` and :func:`leaf_sign`: the heap rule of a
@@ -27,7 +30,7 @@ import numpy as np
 
 from nandtree.dense import MAX_ORACLE_DEPTH, HamiltonianMatrix
 from nandtree.layout import ChainedTree
-from nandtree.model import Level, RootedTree, StructureError, TreeSpec, _child_slots
+from nandtree.model import Level, RootedTree, StructureError, TreeSpec, _child_slots, _pack
 
 Link = tuple[int, int]
 
@@ -176,6 +179,19 @@ def levels(tree) -> list[Level]:
     return out
 
 
+def located(tree, params, schedule) -> list[tuple[np.ndarray, np.ndarray | None]]:
+    """Per row of :func:`expanded` ``schedule``: where ``ParamTable.find``
+    finds its dots in ``params.epsilon`` and the links into them in
+    ``params.coupling`` (``None`` for the root's row)."""
+    ids, parents = tree.links()
+    parent = np.zeros(ids.max() + 1, np.int64)
+    parent[ids] = parents
+    rows = expanded(schedule)
+    return [(params.epsilon.find(row.nodes), None if row is rows[-1] else
+             params.coupling.find(np.stack([parent[row.nodes], row.nodes], axis=1)))
+            for row in rows]
+
+
 def expanded(schedule) -> list[Level]:
     """``schedule`` with each stacked level split into its rows, deepest
     first: a row above the bottom one takes the uniform one-child slot,
@@ -200,8 +216,22 @@ class WalkedTree(RootedTree):
     computed by the walks (``leaf_values()`` also needs ``tree``, the
     logical tree whose leaves it has)."""
 
-    levels = levels
     links = id_links
+
+    def levels(self) -> list[Level]:
+        """:func:`levels`, each level located in the tables whose codes are
+        ``RootedTree.table_codes``: the ``rows`` of its dots and, below the
+        root, the ``up`` of the links into them."""
+        ids, parents = self.links()
+        codes = RootedTree.table_codes(self)[1]
+        schedule = levels(self)
+        out = []
+        for level in schedule:
+            rows = np.searchsorted(ids, level.nodes)
+            up = None if level is schedule[-1] else \
+                np.searchsorted(codes, _pack(parents[rows], level.nodes))
+            out.append(level._replace(rows=rows, up=up))
+        return out
 
     def leaf_values(self, ids):
         walked, _, signs = dots(self)

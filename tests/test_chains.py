@@ -148,12 +148,12 @@ def test_stacked_levels_expand_to_the_walked_levels(name):
     assert [len(level.nodes) if level.nodes.ndim == 2 else 1 for level in schedule] == runs
     # The rows of a stack point where the binary search finds its dots and links.
     params = ideal_parameters(tree, 10.0, 1e-6)
-    found = greens._located(params, walked)
-    for got, want in zip(walks.expanded(schedule), found, strict=True):
-        assert np.array_equal(got.rows, want.rows)
-        assert (got.up is None) == (want.up is None)
+    found = walks.located(tree, params, schedule)
+    for got, (rows, up) in zip(walks.expanded(schedule), found, strict=True):
+        assert np.array_equal(got.rows, rows)
+        assert (got.up is None) == (up is None)
         if got.up is not None:
-            assert np.array_equal(got.up, want.up)
+            assert np.array_equal(got.up, up)
 
 
 def parameter_sets(tree):
@@ -199,13 +199,14 @@ def test_chained_values_do_not_depend_on_the_block(block, monkeypatch):
 @pytest.mark.parametrize("block", [_BLOCK, 1, 7, 300])
 def test_stacks_composed_together_match_each_alone(block, monkeypatch):
     # The stacks that fit a block are composed in one pass; each product
-    # is bit for bit what composing its stack alone, in today's chunks,
-    # gives (greens._grouped turned off), with and without the derivative,
-    # ideal and for a batch, at one energy and at several.
+    # is bit for bit what composing its stack alone gives (greens._compose
+    # given one piece at a time), with and without the derivative, ideal
+    # and for a batch, at one energy and at several.
     monkeypatch.setattr(greens, "_BLOCK", block)
     groups = []
-    grouped = greens._grouped
-    monkeypatch.setattr(greens, "_grouped", lambda *a: groups.append(grouped(*a)) or groups[-1])
+    compose = greens._compose
+    monkeypatch.setattr(greens, "_compose",
+                        lambda pieces, *a: groups.append(len(pieces)) or compose(pieces, *a))
     # Tiny blocks compose in many tiny chunks: the depth-8 H-fractal only
     # at the larger blocks, to keep the test fast.
     for name in ("below-41", "hfractal-3", "hfractal-5") + (("hfractal-8",) if block > 7 else ()):
@@ -217,14 +218,15 @@ def test_stacks_composed_together_match_each_alone(block, monkeypatch):
                 for derivative in (False, True):
                     together = _resolve(tree, params, E, derivative)
                     with monkeypatch.context() as m:
-                        m.setattr(greens, "_grouped", lambda *a: {})
+                        m.setattr(greens, "_compose", lambda pieces, *a:
+                                  [compose([piece], *a)[0] for piece in pieces])
                         alone = _resolve(tree, params, E, derivative)
                     if not derivative:
                         together, alone = (together,), (alone,)
                     for a, b in zip(together, alone, strict=True):
                         assert a.shape == b.shape and np.array_equal(bits(a), bits(b))
     if block > 7:
-        assert any(len(g) > 1 for g in groups)
+        assert any(n > 1 for n in groups)
 
 
 @pytest.mark.parametrize("name", ["below-41", "hfractal-3"])

@@ -3,13 +3,15 @@ and identical subtrees merged only where a call evaluates more than one
 energy.
 
 Each fast path is checked bit for bit against the slow path it stands
-for: the position gather against the binary search of
-``ParamTable.find`` (``greens._located``), unmerged one-energy
-results against the merged schedule, classes from exactly packed keys
-against classes from hashed keys, directly addressed classes against
-sorted ones, the squares of unit couplings against ``np.float_power``,
-and the merged inertia count against the unmerged one.  Tables that
-only look like a tree's own (``RootedTree.has_codes``) take the lookup.
+for: the rows of the position gather against the binary search of
+``ParamTable.find``, unmerged one-energy results against the merged
+schedule, classes from exactly packed keys against classes from hashed
+keys, directly addressed classes against sorted ones, the squares of
+unit couplings against ``np.float_power``, and the merged inertia count
+against the unmerged one.  Tables that are not a tree's own, with extra
+keys or only looking like its own (``RootedTree.has_codes``), are read
+onto its own codes by ``ParamTable.find`` (``greens._own``) and then
+gathered by position too.
 """
 
 import re
@@ -90,10 +92,17 @@ def test_position_gather_matches_lookup(name):
     for params in parameter_cases(tree):
         for table, codes in zip((params.epsilon, params.coupling), tree.table_codes()):
             assert np.array_equal(table.codes, codes)
-        assert_same_steps(greens._columns(params, schedule),
-                          greens._columns(params, greens._located(params, schedule)))
-        assert_same_steps(greens._gather(tree, params),
-                          greens._columns(params, greens._located(params, schedule)))
+        # Each level's rows are where the binary search finds its dots and links.
+        dots, links = (np.arange(len(table)) for table in (params.epsilon, params.coupling))
+        found = walks.located(tree, params, schedule)
+        for level, (rows, up) in zip(walks.expanded(schedule), found, strict=True):
+            assert np.array_equal(dots[level.rows], rows)
+            assert (level.up is None) == (up is None)
+            if up is not None:
+                assert np.array_equal(links[level.up], up)
+        own = greens._own(tree, params)
+        assert_same_steps(greens._columns(params, schedule), greens._columns(own, schedule))
+        assert_same_steps(greens._gather(tree, params), greens._columns(own, schedule))
 
 
 def test_unmarked_tree_columns_are_views_of_the_tables():
@@ -108,13 +117,18 @@ def test_unmarked_tree_columns_are_views_of_the_tables():
 @pytest.mark.parametrize("name", TREES)
 @pytest.mark.parametrize("dot, link", [(True, False), (False, True), (True, True)])
 def test_tables_with_extra_keys_take_the_lookup(name, dot, link, monkeypatch):
+    # Tables with keys the tree lacks are read onto its own codes, to the
+    # same tables bit for bit, and then give the same results.
     tree = TREES[name]
-    located, find = [], greens._located
-    monkeypatch.setattr(greens, "_located",
-                        lambda params, schedule: located.append(1) or find(params, schedule))
+    located = own_calls(monkeypatch)
     E = np.linspace(-1.0, 1.0, 7)
     for params in parameter_cases(tree)[:2]:
         extended = with_extra(params, dot, link)
+        own = greens._own(tree, extended)
+        for got, want in zip((own.epsilon, own.coupling), (params.epsilon, params.coupling)):
+            assert_same(got.keys_array, want.keys_array)
+            assert_same(got.values_array, want.values_array)
+            assert_same(got.codes, want.codes)
         located.clear()
         assert_same(green_tree_many(tree, extended, E), green_tree_many(tree, params, E))
         assert_same(green_tree(tree, extended, 0.1), green_tree(tree, params, 0.1))
@@ -124,11 +138,11 @@ def test_tables_with_extra_keys_take_the_lookup(name, dot, link, monkeypatch):
         assert not located
 
 
-def located_calls(monkeypatch) -> list:
-    """One entry per lookup of the parameter rows (``greens._located``)."""
-    located, find = [], greens._located
-    monkeypatch.setattr(greens, "_located",
-                        lambda params, schedule: located.append(1) or find(params, schedule))
+def own_calls(monkeypatch) -> list:
+    """One entry per reading of the tables onto a tree's codes (``greens._own``)."""
+    located, own = [], greens._own
+    monkeypatch.setattr(greens, "_own",
+                        lambda tree, params: located.append(1) or own(tree, params))
     return located
 
 
@@ -137,7 +151,7 @@ def test_treespec_compile_builds_no_table_codes(monkeypatch):
     # (TreeSpec.has_codes), without building the tree's table codes.
     calls, table_codes = [], TreeSpec.table_codes
     monkeypatch.setattr(TreeSpec, "table_codes", lambda self: calls.append(1) or table_codes(self))
-    located = located_calls(monkeypatch)
+    located = own_calls(monkeypatch)
     for tree in (TREES["unmarked"], TREES["marked"]):
         for params in parameter_cases(tree):
             calls.clear()
@@ -163,10 +177,10 @@ def foreign_tables():
     yield "one wrong link", tree, DotParameters(ideal.epsilon, coupling, 10.0, 1e-3), (2, 4)
     marked, other = TreeSpec(5, bits, frozenset({4})), TreeSpec(5, bits, frozenset({5}))
     assert len(marked.links()[0]) == len(other.links()[0])
-    yield "other markers", marked, ideal_parameters(other, 10.0, 1e-3), 44
+    yield "other markers", marked, ideal_parameters(other, 10.0, 1e-3), 11
     hf = expand_to_tree(build_hfractal(tree), tree)
     renumbered = ChainedTree(tree, hf.length, hf.chains[::-1].copy())
-    yield "other inverter ids", hf, ideal_parameters(renumbered, 10.0, 1e-3), (99, 16)
+    yield "other inverter ids", hf, ideal_parameters(renumbered, 10.0, 1e-3), (1, 64)
 
 
 FOREIGN = {name: case for name, *case in foreign_tables()}
@@ -174,12 +188,12 @@ FOREIGN = {name: case for name, *case in foreign_tables()}
 
 @pytest.mark.parametrize("name", FOREIGN)
 def test_foreign_tables_take_the_lookup(name, monkeypatch):
-    # Tables that only look like the tree's own are read by binary search,
-    # as any table that is not its own, which names the first entry
-    # missing (the same ids all there, a link).
+    # Tables that only look like the tree's own are read onto its codes by
+    # binary search, as any table that is not its own, which names the
+    # lowest dot id missing, or else (the same ids all there) the lowest link.
     tree, params, missing = FOREIGN[name]
     assert not tree.has_codes(params.epsilon.codes, params.coupling.codes)
-    located = located_calls(monkeypatch)
+    located = own_calls(monkeypatch)
     message = f"parameters missing entry for {missing!r}"
     for E in (0.0, np.linspace(-1.0, 1.0, 3)):
         with pytest.raises(StructureError, match=f"^{re.escape(message)}$"):
@@ -189,8 +203,8 @@ def test_foreign_tables_take_the_lookup(name, monkeypatch):
 
 @pytest.mark.parametrize("name", TREES)
 def test_missing_entries_name_the_same_key(name):
-    # The lookup reads the dots deepest level first, then the links level
-    # by level and slot by slot; the first missing key is named.
+    # The lookup names the lowest missing dot id, or else the lowest
+    # missing link.
     tree = TREES[name]
     params = ideal_parameters(tree, 10.0, 1e-3)
     leaf = int(tree.levels()[0].nodes[-1])

@@ -328,6 +328,20 @@ def test_table_lookups():
     assert params.coupling.lookup([[1, 3], [1, 2]]).tolist() == [1.0, 1.0]
 
 
+def test_lookups_of_no_keys_are_empty():
+    # No keys find nothing, shaped like the values with 0 on the key axis:
+    # on node and link tables, with and without a sample axis, and empty.
+    tree = TreeSpec(2, (1, 0, 1, 1), frozenset({3}))
+    ideal = ideal_parameters(tree, 10.0, 1e-6)
+    many = sample_disorder_many(tree, ideal, [DisorderSpec(0.1, 0.1, s) for s in range(3)])
+    empty = DotParameters({}, {}, 10.0, 1e-6)
+    for params, shape in ((ideal, (0,)), (many, (3, 0)), (empty, (0,))):
+        for table, keys in ((params.epsilon, []), (params.epsilon, np.zeros(0, np.int64)),
+                            (params.coupling, []), (params.coupling, np.zeros((0, 2), np.int64))):
+            assert table.find(keys).shape == (0,)
+            assert table.lookup(keys).shape == shape
+
+
 def assert_same_table(got: ParamTable, want: ParamTable):
     """Same key and value arrays bit for bit, same lookups and iteration."""
     assert got.keys_array.dtype == want.keys_array.dtype
