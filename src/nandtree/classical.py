@@ -6,7 +6,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import StructureError, TreeSpec, _as_bits
+from .model import StructureError, TreeSpec
 
 #: Critical i.i.d. probability of a leaf being 1, the golden-ratio fixed
 #: point of p -> 1 - p^2 where short-circuiting is rarest (equivalently,
@@ -26,9 +26,10 @@ class QueryStats:
 
 
 def _with_bits(tree: TreeSpec, bits) -> TreeSpec:
+    """``tree``, or a copy carrying ``bits``, checked as the tree checks them."""
     if bits is None:
         return tree
-    return replace(tree, input_bits=_as_bits(bits))
+    return replace(tree, input_bits=bits)
 
 
 def _nand(tree: TreeSpec, leaves):
@@ -57,8 +58,7 @@ def _nand(tree: TreeSpec, leaves):
 
 def eval_nand(tree: TreeSpec, bits=None) -> int:
     """Recursive NAND of the tree; NOT markers invert their single child."""
-    leaves = np.asarray(_with_bits(tree, bits).input_bits, dtype=np.uint8)
-    return int(_nand(tree, leaves))
+    return int(_nand(tree, _with_bits(tree, bits).packed_bits))
 
 
 def eval_randomized(tree: TreeSpec, bits=None, seed: int = 0) -> QueryStats:

@@ -46,15 +46,55 @@ class StructureError(ValueError):
     """Raised for inputs that do not describe a valid dot structure."""
 
 
-def _as_bits(bits) -> tuple[int, ...]:
+#: Maps the characters "0" and "1" to the bytes 0 and 1.
+_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+#: The bit each value stands for: any value equal to 0 or 1 (a float,
+#: a numpy bool) finds its entry by hash and equality.
+_BIT_VALUES = {0: 0, 1: 1, "0": 0, "1": 1}
+
+
+def _as_bits(bits) -> bytes:
+    """``bits`` checked and packed, one 0 or 1 per byte.
+
+    Takes a string of the characters 0 and 1, or an iterable of values
+    equal to 0 or 1 (ints, bools, numpy integers and bools, 0.0 and 1.0)
+    or of those characters.  Anything else raises
+    :class:`StructureError`; no value is truncated.
+
+    A list or tuple of ints is packed and checked in one C-level pass, a
+    1-D integer or bool array in one vectorised pass, and other values
+    one at a time.  ``bytes()`` is given only lists and tuples: of an
+    array it would copy the raw memory, eight bytes per int64 bit.
+    """
     if isinstance(bits, str):
-        if set(bits) - {"0", "1"}:
+        if bits.count("0") + bits.count("1") != len(bits):
             raise StructureError(f"input bits must be 0/1 characters, got {bits!r}")
-        bits = [int(c) for c in bits]
-    out = tuple(int(b) for b in bits)
-    if any(b not in (0, 1) for b in out):
-        raise StructureError(f"input bits must be 0/1, got {out!r}")
-    return out
+        return bits.encode("ascii").translate(_DIGITS)
+    if isinstance(bits, np.ndarray) and bits.ndim == 1 and bits.dtype.kind in "biu":
+        if not ((bits == 0) | (bits == 1)).all():
+            raise StructureError(f"input bits must be 0/1, got {tuple(bits.tolist())!r}")
+        return bits.astype(np.uint8).tobytes()
+    try:
+        values = bits if isinstance(bits, (list, tuple)) else list(bits)
+    except TypeError as exc:
+        raise StructureError(f"input bits must be 0/1, got {bits!r}") from exc
+    try:
+        packed = bytes(values)
+    except (TypeError, ValueError):  # not all ints, or ints beyond a byte
+        packed = bytes(map(_bit, values))
+    if packed.count(0) + packed.count(1) != len(packed):
+        raise StructureError(f"input bits must be 0/1, got {tuple(values)!r}")
+    return packed
+
+
+def _bit(value) -> int:
+    """The bit a value equal to 0 or 1, or the character of one, stands
+    for; 2 for any other value."""
+    try:
+        return _BIT_VALUES.get(value, 2)
+    except TypeError:  # unhashable, as an array is
+        return 2
 
 
 class Slot(NamedTuple):
@@ -161,6 +201,12 @@ class TreeSpec(RootedTree):
     ``depth`` is the number of NAND levels (n >= 1), ``input_bits`` the
     N = 2**n leaf bits, and ``not_markers`` the set of internal nodes
     carrying an inline NOT.
+
+    The bits may be given as anything :func:`_as_bits` takes, and are
+    checked here and nowhere else, once per tree; ``input_bits`` is then
+    a tuple of the Python ints 0 and 1.  ``packed_bits`` holds the same
+    bits as a read-only uint8 array, for the vectorised readers; it is
+    not a field, so equality and hashing see ``input_bits`` alone.
     """
 
     depth: int
@@ -170,18 +216,23 @@ class TreeSpec(RootedTree):
     def __post_init__(self):
         if self.depth < 1:
             raise StructureError(f"depth must be >= 1, got {self.depth}")
-        object.__setattr__(self, "input_bits", _as_bits(self.input_bits))
+        packed = _as_bits(self.input_bits)
         n = 2**self.depth
-        if len(self.input_bits) != n:
-            raise StructureError(
-                f"need 2**{self.depth} = {n} input bits, got {len(self.input_bits)}"
-            )
+        if len(packed) != n:
+            raise StructureError(f"need 2**{self.depth} = {n} input bits, got {len(packed)}")
+        object.__setattr__(self, "input_bits", tuple(packed))
+        object.__setattr__(self, "packed_bits", np.frombuffer(packed, np.uint8))
         markers = frozenset(int(m) for m in self.not_markers)
         if not all(1 <= m < n for m in markers):
             raise StructureError(
                 f"not_markers must be internal nodes in 1..{n - 1}, got {sorted(markers)}"
             )
         object.__setattr__(self, "not_markers", markers)
+
+    def __reduce__(self):
+        # Copies and pickles are rebuilt from the fields, so that their
+        # packed bits are made, read-only, by __post_init__ as well.
+        return type(self), (self.depth, self.input_bits, self.not_markers)
 
     # -- index algebra ------------------------------------------------
 
@@ -305,7 +356,7 @@ class TreeSpec(RootedTree):
         of which read its last entry, a zero."""
         n = self.n_leaves
         table = np.zeros(2 * n + 1, np.int64)
-        table[n:2 * n] = np.frombuffer(bytes(self.input_bits), np.uint8)
+        table[n:2 * n] = self.packed_bits
         table[n + 1:2 * n:2] *= -1
         return table[np.clip(ids, -1, 2 * n)]
 
@@ -428,14 +479,26 @@ class ParamTable:
         """The values of ``keys``, shaped like ``values_array`` with ``keys``
         for its key axis.
 
-        Raises KeyError naming the first key that is missing.
+        Raises KeyError naming the first key that is missing, and
+        StructureError for keys shaped as :meth:`find` does not take.
         """
         return self.values_array[..., self.find(keys)]
 
     def find(self, keys) -> np.ndarray:
         """The position of each of ``keys`` in ``keys_array``; raises
-        KeyError naming the first key that is missing."""
+        KeyError naming the first key that is missing.
+
+        ``keys`` has shape (n,) on a table of node ids and (n, 2) on a
+        table of links, where no keys may also be given as ``[]``; a
+        single key is passed as a list of one.  Other shapes raise
+        StructureError naming the shape wanted and the shape given.
+        """
         keys = np.asarray(keys, dtype=np.int64)
+        if self.links and keys.shape == (0,):
+            keys = keys.reshape(0, 2)
+        if keys.shape[1:] != self.keys_array.shape[1:] or not keys.ndim:
+            want = "(n, 2) for a table of links" if self.links else "(n,) for a table of node ids"
+            raise StructureError(f"keys must have shape {want}, got shape {keys.shape}")
         query = _codes(keys)
         at = np.minimum(np.searchsorted(self.codes, query), len(self) - 1)
         found = self.codes[at] == query if len(self) else np.zeros(len(keys), dtype=bool)
@@ -554,7 +617,7 @@ class LogicalForm:
 
 def build_tree(depth: int, bits) -> TreeSpec:
     """Canonically indexed tree for the given depth and leaf bits."""
-    return TreeSpec(depth=depth, input_bits=_as_bits(bits))
+    return TreeSpec(depth=depth, input_bits=bits)
 
 
 def ideal_parameters(tree: RootedTree, delta: float, gamma: float) -> DotParameters:

@@ -71,7 +71,6 @@ from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .greens import _one_realization, compile_tree, green_tree_many, inertia_count
 from .model import DotParameters, StructureError
@@ -196,9 +195,13 @@ _SECTIONS = 8
 def _gauss_legendre():
     """Read-only nodes and weights of one panel on [-1, 1], made on first use.
 
-    Not at import: ``leggauss`` goes through LAPACK, whose first call
-    adds about 0.9 MB of resident memory that kT = 0 runs never need.
+    Not at import, and neither is ``numpy.polynomial``, which the first
+    call imports (about 3 ms and 0.7 MB of resident memory); ``leggauss``
+    goes through LAPACK, whose first call adds about 1 MB more.  kT = 0
+    runs need none of it.
     """
+    from numpy.polynomial.legendre import leggauss
+
     x, w = leggauss(_ORDER)
     x.setflags(write=False)
     w.setflags(write=False)

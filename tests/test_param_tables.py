@@ -342,6 +342,32 @@ def test_lookups_of_no_keys_are_empty():
             assert table.lookup(keys).shape == shape
 
 
+def test_lookups_name_a_wrong_key_shape():
+    # A flat pair on a link table used to be read as two node ids (then a
+    # TypeError while naming the key), a scalar node id gave numpy's
+    # AxisError: both, and every other wrong shape, raise StructureError.
+    tree = TreeSpec(2, (1, 0, 1, 1))
+    ideal = ideal_parameters(tree, 10.0, 1e-6)
+    many = sample_disorder_many(tree, ideal, [DisorderSpec(0.1, 0.1, s) for s in range(2)])
+    node = r"\(n,\) for a table of node ids"
+    link = r"\(n, 2\) for a table of links"
+    for params in (ideal, many):
+        eps, coup = params.epsilon, params.coupling
+        for table, keys, want, got in [
+                (coup, (1, 2), link, r"\(2,\)"), (coup, [1, 2, 3], link, r"\(3,\)"),
+                (coup, 5, link, r"\(\)"), (coup, [[[1, 2]]], link, r"\(1, 1, 2\)"),
+                (coup, [[1, 2, 3]], link, r"\(1, 3\)"),
+                (eps, 5, node, r"\(\)"), (eps, [[1, 2]], node, r"\(1, 2\)"),
+                (eps, np.zeros((0, 2), np.int64), node, r"\(0, 2\)")]:
+            for read in (table.find, table.lookup):
+                with pytest.raises(StructureError, match=f"keys must have shape {want}, "
+                                                         f"got shape {got}$"):
+                    read(keys)
+        # The shapes taken still find their keys.
+        assert coup.find([(1, 2)]).tolist() == [0] and eps.find([5]).tolist() == [4]
+        assert coup.lookup([(1, 2)]).shape == params.sample_shape + (1,)
+
+
 def assert_same_table(got: ParamTable, want: ParamTable):
     """Same key and value arrays bit for bit, same lookups and iteration."""
     assert got.keys_array.dtype == want.keys_array.dtype
