@@ -58,7 +58,8 @@ def _nand(tree: TreeSpec, leaves):
 
 def eval_nand(tree: TreeSpec, bits=None) -> int:
     """Recursive NAND of the tree; NOT markers invert their single child."""
-    return int(_nand(tree, _with_bits(tree, bits).packed_bits))
+    leaves = np.frombuffer(bytes(_with_bits(tree, bits).input_bits), np.uint8)
+    return int(_nand(tree, leaves))
 
 
 def eval_randomized(tree: TreeSpec, bits=None, seed: int = 0) -> QueryStats:

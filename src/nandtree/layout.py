@@ -277,13 +277,10 @@ class ChainedTree(RootedTree):
         reshaped to (L, w) and turned deepest row first.
         """
         ids, dots = self._dots
-        widths = np.bincount(dots.depth)
-        # numpy's stable sort is a radix sort for 16-bit integers, and a
-        # stable sort's order does not depend on the dtype.
-        depth = dots.depth.astype(np.int16) if len(widths) <= 1 << 15 else dots.depth
-        order = np.argsort(depth, kind="stable")
+        order = np.argsort(dots.depth, kind="stable")
         nodes, kids = ids[order].astype(np.intp), dots.kids[order]
         rows, up = (rank[order] for rank in self._ranks)
+        widths = np.bincount(dots.depth)
         ends = np.cumsum(widths)
         starts = ends - widths
         least, most = np.minimum.reduceat(kids, starts), np.maximum.reduceat(kids, starts)

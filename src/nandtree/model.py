@@ -62,21 +62,20 @@ def _as_bits(bits) -> bytes:
     or of those characters.  Anything else raises
     :class:`StructureError`; no value is truncated.
 
-    A list or tuple of ints is packed and checked in one C-level pass, a
-    1-D integer or bool array in one vectorised pass, and other values
-    one at a time.  ``bytes()`` is given only lists and tuples: of an
-    array it would copy the raw memory, eight bytes per int64 bit.
+    A list or tuple of ints is packed and checked in one C-level pass,
+    and other values one at a time.  An array is read as the list of its
+    Python values: ``bytes()`` of the array itself would copy its raw
+    memory, eight bytes per int64 bit.
     """
     if isinstance(bits, str):
         if bits.count("0") + bits.count("1") != len(bits):
             raise StructureError(f"input bits must be 0/1 characters, got {bits!r}")
         return bits.encode("ascii").translate(_DIGITS)
-    if isinstance(bits, np.ndarray) and bits.ndim == 1 and bits.dtype.kind in "biu":
-        if not ((bits == 0) | (bits == 1)).all():
-            raise StructureError(f"input bits must be 0/1, got {tuple(bits.tolist())!r}")
-        return bits.astype(np.uint8).tobytes()
     try:
-        values = bits if isinstance(bits, (list, tuple)) else list(bits)
+        if isinstance(bits, np.ndarray):
+            values = list(bits.tolist())
+        else:
+            values = bits if isinstance(bits, (list, tuple)) else list(bits)
     except TypeError as exc:
         raise StructureError(f"input bits must be 0/1, got {bits!r}") from exc
     try:
@@ -84,7 +83,7 @@ def _as_bits(bits) -> bytes:
     except (TypeError, ValueError):  # not all ints, or ints beyond a byte
         packed = bytes(map(_bit, values))
     if packed.count(0) + packed.count(1) != len(packed):
-        raise StructureError(f"input bits must be 0/1, got {tuple(values)!r}")
+        raise StructureError(f"input bits must be 0/1, got {_shown(values)!r}")
     return packed
 
 
@@ -95,6 +94,17 @@ def _bit(value) -> int:
         return _BIT_VALUES.get(value, 2)
     except TypeError:  # unhashable, as an array is
         return 2
+
+
+def _shown(values) -> tuple:
+    """Rejected bits as their error names them: as ints where ``int()``
+    reads every value and one is neither 0 nor 1, as the check before
+    this one named them, and otherwise as given."""
+    try:
+        ints = tuple(int(v) for v in values)
+    except (TypeError, ValueError, OverflowError):
+        return tuple(values)
+    return ints if any(b not in (0, 1) for b in ints) else tuple(values)
 
 
 class Slot(NamedTuple):
@@ -204,9 +214,7 @@ class TreeSpec(RootedTree):
 
     The bits may be given as anything :func:`_as_bits` takes, and are
     checked here and nowhere else, once per tree; ``input_bits`` is then
-    a tuple of the Python ints 0 and 1.  ``packed_bits`` holds the same
-    bits as a read-only uint8 array, for the vectorised readers; it is
-    not a field, so equality and hashing see ``input_bits`` alone.
+    a tuple of the Python ints 0 and 1.
     """
 
     depth: int
@@ -221,18 +229,12 @@ class TreeSpec(RootedTree):
         if len(packed) != n:
             raise StructureError(f"need 2**{self.depth} = {n} input bits, got {len(packed)}")
         object.__setattr__(self, "input_bits", tuple(packed))
-        object.__setattr__(self, "packed_bits", np.frombuffer(packed, np.uint8))
         markers = frozenset(int(m) for m in self.not_markers)
         if not all(1 <= m < n for m in markers):
             raise StructureError(
                 f"not_markers must be internal nodes in 1..{n - 1}, got {sorted(markers)}"
             )
         object.__setattr__(self, "not_markers", markers)
-
-    def __reduce__(self):
-        # Copies and pickles are rebuilt from the fields, so that their
-        # packed bits are made, read-only, by __post_init__ as well.
-        return type(self), (self.depth, self.input_bits, self.not_markers)
 
     # -- index algebra ------------------------------------------------
 
@@ -356,7 +358,7 @@ class TreeSpec(RootedTree):
         of which read its last entry, a zero."""
         n = self.n_leaves
         table = np.zeros(2 * n + 1, np.int64)
-        table[n:2 * n] = self.packed_bits
+        table[n:2 * n] = np.frombuffer(bytes(self.input_bits), np.uint8)
         table[n + 1:2 * n:2] *= -1
         return table[np.clip(ids, -1, 2 * n)]
 

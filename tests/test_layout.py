@@ -168,34 +168,6 @@ def test_expand_hfractal_exhaustive_small():
             assert form.bit == eval_nand(tree), bits
 
 
-def _chained_trees():
-    rng = np.random.default_rng(12)
-    for depth in range(2, 13):
-        tree = build_tree(depth, rng.integers(0, 2, 2**depth))
-        yield pytest.param(expand_to_tree(build_hfractal(tree), tree), id=f"hfractal{depth}")
-    for n in (0, 1, 2, 7, 300):
-        yield pytest.param(chain_below(build_tree(3, "10110010"), n), id=f"chain{n}")
-        yield pytest.param(chain_below(TreeSpec(2, (1, 0, 1, 1), frozenset({1})), n),
-                           id=f"marked-chain{n}")
-    # Depths beyond int16 sort as int64.
-    yield pytest.param(chain_below(build_tree(1, "01"), 1 << 15), id="chain32768")
-
-
-@pytest.mark.parametrize("chained", list(_chained_trees()))
-def test_levels_keep_the_order_of_the_int64_depth_sort(chained):
-    # levels() sorts the depths as int16 when they fit: a stable sort gives
-    # the same order as the int64 argsort it replaced.
-    ids, dots = chained._dots
-    assert dots.depth.dtype == np.int64
-    order = np.argsort(dots.depth, kind="stable")
-    rows, up = chained._ranks
-    flat = [(level.nodes, level.rows, level.up) for level in reversed(chained.levels())]
-    for k, want in enumerate((ids[order], rows[order], up[order])):
-        parts = [a[k] if a[k].ndim == 1 else a[k][::-1].ravel() for a in flat if a[k] is not None]
-        got = np.concatenate(parts)
-        assert np.array_equal(got, want[len(want) - len(got):])
-
-
 def test_layout_needs_one_level_per_dot():
     with pytest.raises(StructureError, match="one level per dot, got 2 for 1 dots"):
         LayoutGraph(dots=((1, 0, 0),), links=(), level=(0, -1))

@@ -1,19 +1,17 @@
 """Tree construction in linear time, checked against the code it replaced.
 
-``TreeSpec`` checks its bits once, in one C-level or vectorised pass, and
-keeps them packed; ``greens._worst_bits`` builds the worst-case bits by
+``TreeSpec`` checks its bits once, a list or tuple of ints in one C-level
+pass; ``greens._worst_bits`` builds the worst-case bits by
 doubling; ``transport`` imports the quadrature rule only when kT > 0
 first needs it.  Each test below keeps the replaced code verbatim (the
 ``*_before`` functions) and checks the new code against it.
 """
 
-import copy
 import json
 import os
-import pickle
+import re
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -74,7 +72,7 @@ def _accepted_inputs():
     yield "list of numpy bools", list(base.astype(bool))
     yield "mixed ints", [ints[0], bool(ints[1]), np.int8(ints[2])] + ints[3:]
     # Arrays: bytes() of these would read their raw memory, 8 bytes per
-    # int64 bit, so they must not take the list path.
+    # int64 bit, so they are read as the list of their Python values.
     yield "int64 array", base
     yield "int32 array", base.astype(np.int32)
     yield "uint8 array", base.astype(np.uint8)
@@ -109,6 +107,9 @@ def test_bits_match_the_replaced_check(name, bits):
     "0120", "01 1", "1\n", [0, 2], (0, 1, 3), [-1, 0], [256, 0], [0, 1 << 40],
     np.array([0, 2]), np.array([-1, 1], np.int8), np.array([0, 300], np.int64),
     np.array([7, 1], np.uint8), bytes([0, 2]), b"01",
+    # int() read these as ints, and the message named them so.
+    [True, 2], [np.int64(2), 0], (np.uint8(7), np.True_), [2.0, 1], ["2", "0"],
+    np.array([1.0, 3.0]),
 ])
 def test_rejections_match_the_replaced_check(bits):
     # Inputs the old check rejected are rejected with the same message.
@@ -149,33 +150,21 @@ def test_values_other_than_0_and_1_are_not_truncated(bits):
         eval_nand(build_tree(1, "00"), bits=bits)
 
 
+def test_values_int_read_as_bits_are_named_as_given():
+    # The message names the values themselves where int() would have read
+    # them all as 0 or 1: (0, 1) would not say what was wrong.
+    for bits, shown in (([0.9, 1.7], "(0.9, 1.7)"), (["00", "1"], "('00', '1')"),
+                        ([np.float64(0.99), True], "(np.float64(0.99), True)")):
+        with pytest.raises(StructureError, match=f"input bits must be 0/1, got {re.escape(shown)}$"):
+            build_tree(1, bits)
+
+
 def test_values_equal_to_0_or_1_are_accepted():
     for one, zero in ((1.0, 0.0), (np.float32(1), np.float64(-0.0)), (np.True_, np.False_),
                       (Fraction(1), Fraction(0)), (1 + 0j, 0j), ("1", "0")):
         tree = build_tree(1, [one, zero])
         assert tree.input_bits == (1, 0) and all(type(b) is int for b in tree.input_bits)
         assert eval_nand(build_tree(1, "11"), bits=[one, zero]) == 1
-
-
-def test_packed_bits_are_a_read_only_copy_outside_the_fields():
-    for bits in ("10110010", np.array([1, 0, 1, 1, 0, 0, 1, 0]), [1, 0, 1, 1, 0, 0, 1, 0]):
-        tree = build_tree(3, bits)
-        assert tree.packed_bits.dtype == np.uint8
-        assert tree.packed_bits.tolist() == list(tree.input_bits)
-        assert not tree.packed_bits.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            tree.packed_bits[0] = 0
-    tree = build_tree(3, "10110010")
-    assert "packed_bits" not in repr(tree)
-    assert replace(tree, input_bits="00000000").packed_bits.tolist() == [0] * 8
-    assert tree.packed_bits.tolist() == [1, 0, 1, 1, 0, 0, 1, 0]
-    marked = replace(tree, not_markers=frozenset({3}))
-    assert marked.packed_bits.tolist() == tree.packed_bits.tolist()
-    # Copies and pickles keep them read-only and equal to the tuple.
-    for other in (copy.copy(marked), copy.deepcopy(marked), pickle.loads(pickle.dumps(marked))):
-        assert other == marked and other.not_markers == frozenset({3})
-        assert other.packed_bits.tolist() == list(other.input_bits)
-        assert not other.packed_bits.flags.writeable
 
 
 @pytest.mark.parametrize("value", [0, 1])
