@@ -17,7 +17,9 @@ Conventions used throughout the package:
   dropped right subtree is absent from the physical structure.
 
 All types are immutable; all operations are pure functions and safe to
-call concurrently.  Randomness enters only through explicit seeds.
+call concurrently.  (:class:`DotParameters` keep what the kT > 0 calls
+of :mod:`nandtree.transport` compute from them, which changes no
+result.)  Randomness enters only through explicit seeds.
 """
 
 from __future__ import annotations
@@ -573,6 +575,14 @@ class DotParameters:
     def sample(self, i: int) -> DotParameters:
         """Realization ``i`` of a batch."""
         return replace(self, epsilon=self.epsilon.row(i), coupling=self.coupling.row(i))
+
+    @cached_property
+    def _kept(self) -> dict:
+        """What :mod:`nandtree.transport` keeps for these parameters (see
+        "Kept results" there), made on first use.  Not a field: equality,
+        ``repr`` and :func:`dataclasses.replace` ignore it, and it lives
+        exactly as long as the parameters."""
+        return {}
 
 
 @dataclass(frozen=True)

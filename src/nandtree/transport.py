@@ -49,18 +49,36 @@ in :mod:`nandtree.greens` and in T's square, so this is
 :func:`transmission` at each point bit for bit, for each sample of a
 batch.
 
-**One compilation per call.**  Each public call (:func:`transmission_curve`,
+**Kept results.**  Each public call (:func:`transmission_curve`,
 :func:`conductance`, :func:`sweep`, :func:`readout`) gathers the
-parameter columns of the tree once.  At kT > 0 it compiles the tree
-(:func:`~nandtree.greens.compile_tree`: one gather, identical subtrees
-merged), and the resonance search, mesh sums and a sweep's
-transmission column all run on that one compiled tree.  At kT = 0 it
-makes one engine call over the distinct E_f, which merges only when
-there is more than one: a kT = 0 :func:`readout` or
-:func:`conductance`, or an eps0 sweep, evaluates one energy and runs
-unmerged (see "Merged subtrees" in :mod:`nandtree.greens`).  The
-kT > 0 quadrature of a batch runs each sample on the batch's
-compilation, cut to that sample.
+parameter columns of the tree at most once.  At kT = 0 it makes one
+engine call over the distinct E_f, which merges only when there is
+more than one: a kT = 0 :func:`readout` or :func:`conductance`, or an
+eps0 sweep, evaluates one energy and runs unmerged (see "Merged
+subtrees" in :mod:`nandtree.greens`), and keeps nothing.  At kT > 0 the
+:class:`~nandtree.model.DotParameters` keep two things, under the tree
+object (its identity, not its value):
+
+- the compiled schedule (:func:`~nandtree.greens.compile_tree`: one
+  gather, identical subtrees merged), on which the resonance search,
+  the mesh sums and a sweep's transmission column all run; a batch's
+  samples run on the batch's schedule, cut to each;
+- each resonance search's eigenvalue estimates, per sample, under
+  exactly what the search reads: the bits of the detunings searched,
+  t1^2, the window ends and the first-panel width.
+
+A later kT > 0 call with the same tree and parameters compiles nothing,
+and one whose search reads the same inputs makes no
+:func:`~nandtree.greens.inertia_count` step.  The entries live exactly
+as long as the parameters and keep the tree alive that long (they hold
+no reference back to the parameters, so no cycle delays freeing); a
+:func:`dataclasses.replace` copy starts with none.  Concurrent calls
+may both compute an entry, and either serves: a result is bit for bit
+what it is without them.  Memory
+grows by one compiled schedule per tree, and by at most one float per
+eigenvalue in the window, for each detuning of each distinct search.
+A tree already compiled by the caller is taken as it is and keeps
+nothing.
 """
 
 from __future__ import annotations
@@ -68,11 +86,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .greens import _one_realization, compile_tree, green_tree_many, inertia_count
+from .greens import (CompiledTree, _one_realization, compile_tree, green_tree_many,
+                     inertia_count)
 from .model import DotParameters, StructureError
 
 #: Default probe-to-tree coupling (units of t).  The source material does
@@ -177,8 +196,13 @@ def transmission_curve(tree, params: DotParameters, probe: ProbeSpec, energies) 
 
 
 def thermal_kernel(E, e_f: float, kt: float):
-    """Normalized -f'(E - E_f): sech^2((E - E_f)/2kT)/(4kT)."""
-    return 1.0 / (4.0 * kt * np.cosh((np.asarray(E) - e_f) / (2.0 * kt)) ** 2)
+    """Normalized -f'(E - E_f): sech^2((E - E_f)/2kT)/(4kT).
+
+    Beyond about 710 kT from E_f the cosh, or its square, overflows to
+    inf, and the kernel is its limit 0.0 with no warning.
+    """
+    with np.errstate(over="ignore"):
+        return 1.0 / (4.0 * kt * np.cosh((np.asarray(E) - e_f) / (2.0 * kt)) ** 2)
 
 
 #: Gauss-Legendre points per quadrature panel.
@@ -217,6 +241,26 @@ def _finest(params: DotParameters, probe: ProbeSpec) -> float:
     """
     lead = 0.5 * (probe.gamma_l + probe.gamma_r)
     return 0.25 * min(params.gamma, lead, math.pi * probe.temperature)
+
+
+class _Kept(NamedTuple):
+    """What a :class:`~nandtree.model.DotParameters` keeps for one tree."""
+
+    tree: object  # held, so that no other object takes its id
+    steps: tuple  # compile_tree's schedule; not a CompiledTree, which holds the parameters
+    searches: dict  # per sample (0 for one realization): {search inputs: resonances}
+
+
+def _kept(tree, params: DotParameters) -> _Kept:
+    """The compiled schedule and resonance searches kept on ``params`` for
+    ``tree``, compiled on the first call; see "Kept results" above.  A
+    tree the caller compiled is taken as it is and keeps nothing."""
+    if isinstance(tree, CompiledTree):
+        return _Kept(tree, compile_tree(tree, params).steps, {})
+    kept = params._kept.get(id(tree))
+    if kept is None:
+        kept = params._kept[id(tree)] = _Kept(tree, compile_tree(tree, params).steps, {})
+    return kept
 
 
 def _resonances(tree, params: DotParameters, eps0: np.ndarray, t2: float, lo: float,
@@ -317,14 +361,16 @@ def _mesh_sums(tree, params: DotParameters, probe: ProbeSpec, edges, panels, fer
     return sums
 
 
-def _thermal(tree, params: DotParameters, probe: ProbeSpec, e_f, eps0):
+def _thermal(tree, params: DotParameters, probe: ProbeSpec, e_f, eps0, searches=None):
     """Quadrature at kT > 0 of the points (``e_f[i]``, ``eps0[i]``), with
     ``probe``'s kT, lead widths and t1.
 
     One graded mesh over all their windows, and its halving, serve them
-    all; see "Thermal quadrature" above.  Returns three arrays over the
-    points: the halved mesh's sum, its relative change from the whole
-    mesh's, and the number of panels in the point's window.
+    all; see "Thermal quadrature" above.  The resonance search is looked
+    up in, or else kept in, the dict ``searches`` under its inputs (see
+    "Kept results" above); ``None`` keeps it nowhere.  Returns three
+    arrays over the points: the halved mesh's sum, its relative change
+    from the whole mesh's, and the number of panels in the point's window.
     """
     kt, width = probe.temperature, _finest(params, probe)
     # E_f = -0.0 and 0.0 are one Fermi level.
@@ -333,8 +379,18 @@ def _thermal(tree, params: DotParameters, probe: ProbeSpec, e_f, eps0):
     windows = fermi[:, None] + [-20.0 * kt, 20.0 * kt]
     if not np.isfinite(windows).all():
         raise StructureError(f"thermal window E_f +- 20 kT overflows at kT = {kt!r}")
-    resonances = _resonances(tree, params, np.unique(eps0), probe.t1**2, windows[0, 0],
-                             windows[-1, 1], width)
+    lost = np.flatnonzero((windows == fermi[:, None]).any(axis=1))
+    if len(lost):
+        raise StructureError(f"thermal window E_f +- 20 kT rounds to E_f = "
+                             f"{float(fermi[lost[0]])!r} at kT = {kt!r}")
+    detunings, t2, lo, hi = np.unique(eps0), probe.t1**2, windows[0, 0], windows[-1, 1]
+    # Keyed by the bits of every input, so that -0.0 and 0.0 are two keys.
+    key = (detunings.tobytes(), np.array([t2, lo, hi, width]).tobytes())
+    searches = {} if searches is None else searches
+    if key not in searches:
+        searches[key] = _resonances(tree, params, detunings, t2, lo, hi, width)
+        searches[key].setflags(write=False)
+    resonances = searches[key]
     breaks = np.unique(np.concatenate([windows.ravel(), fermi, resonances]))
     # A window edge a rounding error away from another point's E_f would
     # only add a sliver panel: breakpoints that close are one, the first.
@@ -364,11 +420,14 @@ def _conductances(tree, params: DotParameters, probe: ProbeSpec, e_f, eps0) -> n
         fermi, at = np.unique(e_f, return_inverse=True)
         g1 = green_tree_many(tree, params, fermi)[..., at]
         return _transmission_from_g1(g1, probe, e_f, eps0)
-    tree = compile_tree(tree, params)
-    rows = map(tree.sample, range(params.sample_shape[0])) if params.sample_shape else [tree]
+    kept = _kept(tree, params)
+    compiled = CompiledTree(params, kept.steps)
+    rows = map(compiled.sample, range(params.sample_shape[0])) if params.sample_shape \
+        else [compiled]
     out = []
-    for row in rows:
-        total, achieved, panels = _thermal(row, row.params, probe, e_f, eps0)
+    for i, row in enumerate(rows):
+        searches = kept.searches.setdefault(i, {})
+        total, achieved, panels = _thermal(row, row.params, probe, e_f, eps0, searches)
         failed = np.flatnonzero(~(achieved <= _TOLERANCE))  # NaN fails too
         if len(failed):
             raise QuadratureError(int(panels[failed[0]]), float(achieved[failed[0]]))
@@ -417,8 +476,9 @@ def sweep(tree, params: DotParameters, probe: ProbeSpec, axis: str, grid) -> Con
     points = np.array(grid)
     fixed = np.full_like(points, probe.eps0 if axis == "E" else probe.e_f)
     e_f, eps0 = (points, fixed) if axis == "E" else (fixed, points)
-    tree = compile_tree(tree, params) if probe.temperature > 0.0 else tree
-    trans = _conductances(tree, params, replace(probe, temperature=0.0), e_f, eps0)
+    # At kT > 0 the transmission column runs on the quadrature's kept compilation.
+    column = CompiledTree(params, _kept(tree, params).steps) if probe.temperature > 0.0 else tree
+    trans = _conductances(column, params, replace(probe, temperature=0.0), e_f, eps0)
     cond = trans if probe.temperature == 0.0 else _conductances(tree, params, probe, e_f, eps0)
     meta = {
         "axis": axis,

@@ -15,6 +15,7 @@ gathered by position too.
 """
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -271,16 +272,21 @@ def test_many_energy_calls_merge_once(classings):
     once = len(classings)
     assert once
     warm, cold = ProbeSpec(temperature=0.01), ProbeSpec()
-    for call in (lambda: green_tree_many(tree, ideal, np.linspace(-1.0, 1.0, 5)),
-                 lambda: inertia_count(tree, ideal, [0.1, 0.2]),
-                 lambda: transmission_curve(tree, ideal, cold, np.linspace(-1.0, 1.0, 5)),
-                 lambda: conductance(tree, ideal, warm), lambda: readout(tree, ideal, warm),
-                 lambda: sweep(tree, ideal, cold, "E", [-0.2, 0.0, 0.2]),
-                 lambda: sweep(tree, ideal, warm, "E", [-0.2, 0.0, 0.2]),
-                 lambda: sweep(tree, ideal, warm, "eps0", [-0.2, 0.0, 0.2])):
-        classings.clear()
-        call()
-        assert len(classings) == once
+    # Each call on fresh parameters (a copy keeps no kT > 0 results); a
+    # kT > 0 call repeated on the same parameters merges nothing more.
+    for call, kept in (
+            (lambda p: green_tree_many(tree, p, np.linspace(-1.0, 1.0, 5)), False),
+            (lambda p: inertia_count(tree, p, [0.1, 0.2]), False),
+            (lambda p: transmission_curve(tree, p, cold, np.linspace(-1.0, 1.0, 5)), False),
+            (lambda p: conductance(tree, p, warm), True), (lambda p: readout(tree, p, warm), True),
+            (lambda p: sweep(tree, p, cold, "E", [-0.2, 0.0, 0.2]), False),
+            (lambda p: sweep(tree, p, warm, "E", [-0.2, 0.0, 0.2]), True),
+            (lambda p: sweep(tree, p, warm, "eps0", [-0.2, 0.0, 0.2]), True)):
+        params = replace(ideal)
+        for want in (once, 0 if kept else once):
+            classings.clear()
+            call(params)
+            assert len(classings) == want
 
 
 def same_partition(classes, want) -> bool:

@@ -1,6 +1,10 @@
+import gc
 import math
+import re
 import tracemalloc
-from dataclasses import replace
+import warnings
+import weakref
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -542,8 +546,13 @@ def test_zero_temperature_skips_the_resonance_search(monkeypatch):
 #: A depth-1 point with peaks far narrower than kT.  With the resonance
 #: search blinded, its graded mesh misses them and cannot converge.
 FAILING_TREE = build_tree(1, (0, 1))
-FAILING_PARAMS = ideal_parameters(FAILING_TREE, 10.0, 1e-5)
 FAILING_PROBE = ProbeSpec(1e-5, 1e-5, temperature=0.1)
+
+
+def failing_params():
+    """Fresh parameters of ``FAILING_TREE``: parameters keep the resonance
+    searches of their kT > 0 calls, which a blinded search must not find."""
+    return ideal_parameters(FAILING_TREE, 10.0, 1e-5)
 
 
 def blind_resonances(monkeypatch):
@@ -559,11 +568,12 @@ def failing_points(axis, grid):
 
 def test_failing_probe_converges_with_its_resonances(monkeypatch):
     probe = FAILING_PROBE
-    want = dense_reference(FAILING_TREE, FAILING_PARAMS, probe)
-    assert relative(conductance(FAILING_TREE, FAILING_PARAMS, probe), want) <= 1e-8
+    params = failing_params()
+    want = dense_reference(FAILING_TREE, params, probe)
+    assert relative(conductance(FAILING_TREE, params, probe), want) <= 1e-8
     blind_resonances(monkeypatch)
     with pytest.raises(QuadratureError) as info:
-        conductance(FAILING_TREE, FAILING_PARAMS, probe)
+        conductance(FAILING_TREE, failing_params(), probe)
     err = info.value
     assert err.panels > 0 and err.achieved > 1e-8
     assert f"{err.panels} graded panels" in str(err) and f"{err.achieved:.2e}" in str(err)
@@ -576,14 +586,15 @@ def test_failing_probe_converges_with_its_resonances(monkeypatch):
 def test_sweep_raises_lowest_index_quadrature_error(axis, grid, monkeypatch):
     blind_resonances(monkeypatch)
     points = failing_points(axis, grid)
-    _, achieved, panels = transport._thermal(FAILING_TREE, FAILING_PARAMS, FAILING_PROBE, *points)
+    _, achieved, panels = transport._thermal(FAILING_TREE, failing_params(), FAILING_PROBE,
+                                             *points)
     (failed,) = np.nonzero(achieved > 1e-8)
     assert len(failed) >= 2 and len(set(achieved[failed])) == len(failed)
     assert failed[0] > 0 or axis == "eps0"
     want = (int(panels[failed[0]]), float(achieved[failed[0]]).hex())
-    for run in (lambda: transport._conductances(FAILING_TREE, FAILING_PARAMS, FAILING_PROBE,
+    for run in (lambda: transport._conductances(FAILING_TREE, failing_params(), FAILING_PROBE,
                                                 *points),
-                lambda: sweep(FAILING_TREE, FAILING_PARAMS, FAILING_PROBE, axis, grid)):
+                lambda: sweep(FAILING_TREE, failing_params(), FAILING_PROBE, axis, grid)):
         with pytest.raises(QuadratureError) as info:
             run()
         assert (info.value.panels, info.value.achieved.hex()) == want
@@ -595,7 +606,7 @@ def test_failing_points_split_the_finest_levels(monkeypatch):
     # none above the cap, and each point fails as it does in one call.
     blind_resonances(monkeypatch)
     grid = [-0.3, -0.1, 0.1, 0.3]
-    points = (FAILING_TREE, FAILING_PARAMS, FAILING_PROBE) + failing_points("E", grid)
+    points = (FAILING_TREE, failing_params(), FAILING_PROBE) + failing_points("E", grid)
     _, whole, whole_panels = transport._thermal(*points)
     sizes = spy_green_tree_many(monkeypatch)
     monkeypatch.setattr(transport, "_MAX_ENERGIES", 1024)
@@ -605,7 +616,7 @@ def test_failing_points_split_the_finest_levels(monkeypatch):
     assert split_panels.tolist() == whole_panels.tolist()
     assert relative(split, whole) <= 1e-6
     with pytest.raises(QuadratureError) as info:
-        sweep(FAILING_TREE, FAILING_PARAMS, FAILING_PROBE, "E", grid)
+        sweep(FAILING_TREE, failing_params(), FAILING_PROBE, "E", grid)
     assert info.value.panels == split_panels[0]
 
 
@@ -622,8 +633,8 @@ def test_failing_sweep_memory_stays_near_one_point(monkeypatch):
             run()
         return tracemalloc.get_traced_memory()[1]
 
-    one = lambda: conductance(FAILING_TREE, FAILING_PARAMS, FAILING_PROBE)  # noqa: E731
-    four = lambda: sweep(FAILING_TREE, FAILING_PARAMS, FAILING_PROBE, "E",  # noqa: E731
+    one = lambda: conductance(FAILING_TREE, failing_params(), FAILING_PROBE)  # noqa: E731
+    four = lambda: sweep(FAILING_TREE, failing_params(), FAILING_PROBE, "E",  # noqa: E731
                          [-0.3, -0.1, 0.1, 0.3])
     peak(one)  # lazy imports and caches fill outside the traced window
     tracemalloc.start()
@@ -694,7 +705,8 @@ def test_sweep_rejects_non_finite_grid(grid):
 
 def test_one_column_gather_per_public_call(monkeypatch):
     # Each public call compiles the tree once; the resonance search, the
-    # mesh sums and a sweep's transmission column share it.
+    # mesh sums and a sweep's transmission column share it.  A kT > 0
+    # call keeps it on the parameters, so a repeat gathers nothing.
     gathers, columns = [], greens._columns
 
     def spy(params, schedule):
@@ -706,21 +718,23 @@ def test_one_column_gather_per_public_call(monkeypatch):
     ideal = ideal_parameters(tree, 10.0, 0.01)
     many = sample_disorder_many(tree, ideal, [DisorderSpec(0.03, 0.03, s) for s in range(3)])
     warm, cold = ProbeSpec(temperature=0.01), ProbeSpec()
-    calls = [
-        lambda: transmission_curve(tree, params, warm, np.linspace(-1.0, 1.0, 11)),
-        lambda: conductance(tree, params, warm),
-        lambda: conductance(tree, params, cold),
-        lambda: conductance(tree, many, warm),
-        lambda: readout(tree, ideal, warm),
-        lambda: readout(tree, many, cold),
-        lambda: sweep(tree, params, warm, "E", [-0.2, 0.0, 0.2]),
-        lambda: sweep(tree, params, warm, "eps0", [-0.2, 0.0, 0.2]),
-        lambda: sweep(tree, params, cold, "E", [-0.2, 0.0, 0.2]),
+    calls = [  # each call, its parameters and whether it keeps its compilation
+        (lambda p: transmission_curve(tree, p, warm, np.linspace(-1.0, 1.0, 11)), params, False),
+        (lambda p: conductance(tree, p, warm), params, True),
+        (lambda p: conductance(tree, p, cold), params, False),
+        (lambda p: conductance(tree, p, warm), many, True),
+        (lambda p: readout(tree, p, warm), ideal, True),
+        (lambda p: readout(tree, p, cold), many, False),
+        (lambda p: sweep(tree, p, warm, "E", [-0.2, 0.0, 0.2]), params, True),
+        (lambda p: sweep(tree, p, warm, "eps0", [-0.2, 0.0, 0.2]), params, True),
+        (lambda p: sweep(tree, p, cold, "E", [-0.2, 0.0, 0.2]), params, False),
     ]
-    for call in calls:
-        gathers.clear()
-        call()
-        assert gathers == [4]
+    for call, shared, kept in calls:
+        fresh = replace(shared)  # equal parameters that keep nothing yet
+        for want in ([4], [] if kept else [4]):
+            gathers.clear()
+            call(fresh)
+            assert gathers == want
 
 
 def test_transport_passes_no_non_finite_energy():
@@ -739,8 +753,131 @@ def test_transport_passes_no_non_finite_energy():
             conductance(tree, params, probe)
 
 
+def test_window_that_rounds_to_the_fermi_level_raises():
+    # E_f +- 20 kT rounding to E_f would sum no panel, pass the halving
+    # check and give 0; at E_f = 0 the same kT still gives T(0).
+    tree = build_tree(2, [1, 0, 1, 1])
+    params = ideal_parameters(tree, 10.0, 1e-3)
+    for probe in (ProbeSpec(temperature=1e-18, e_f=0.5), ProbeSpec(temperature=0.01, e_f=1e300)):
+        message = re.escape(f"thermal window E_f +- 20 kT rounds to E_f = {probe.e_f!r} "
+                            f"at kT = {probe.temperature!r}")
+        with pytest.raises(StructureError, match=f"^{message}$"):
+            conductance(tree, params, probe)
+    with pytest.raises(StructureError, match="rounds to E_f = 0.5 at"):
+        sweep(tree, params, ProbeSpec(temperature=1e-18), "E", [0.0, 0.5])
+    probe = ProbeSpec(temperature=1e-18)
+    assert conductance(tree, params, probe) == pytest.approx(
+        transmission(tree, params, probe, 0.0), rel=1e-8)
+
+
+def test_thermal_kernel_far_tail_is_zero_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert thermal_kernel(np.array([0.0, 10.0, 100.0]), 0.0, 0.01).tolist() == [25.0, 0.0, 0.0]
+        assert thermal_kernel(10.0, 0.0, 0.01) == 0.0
+        assert thermal_kernel(np.float64(-100.0), 0.0, 0.01) == 0.0
+
+
 def test_quadrature_nodes_are_read_only():
     for array in transport._gauss_legendre():
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
+
+
+# Kept results: what a DotParameters keeps from its kT > 0 calls (see
+# "Kept results" in nandtree.transport).  A warm call is a repeat on the
+# same parameters, a cold one runs on an equal copy that keeps nothing.
+
+def test_warm_calls_equal_cold_calls_bit_for_bit():
+    tree, params = disordered(3, (1, 0, 1, 1, 0, 0, 1, 0))
+    ideal = ideal_parameters(tree, 10.0, 0.01)
+    many = sample_disorder_many(tree, ideal, [DisorderSpec(0.03, 0.03, s) for s in range(3)])
+    probe = ProbeSpec(0.002, 0.002, temperature=0.01)
+    grid = np.linspace(-0.5, 0.5, 21)
+
+    def bits(result):
+        if isinstance(result, ConductanceTrace):
+            return hexes(result.transmission + result.conductance)
+        if isinstance(result, transport.ReadoutResult):
+            return [np.ravel(result.bit).tolist(), np.ravel(result.ambiguous).tolist(),
+                    hexes(np.ravel(result.conductance))]
+        return hexes(np.ravel(result))
+
+    for call, shared in [(lambda p: conductance(tree, p, probe), params),
+                         (lambda p: conductance(tree, p, probe), many),
+                         (lambda p: readout(tree, p, probe), ideal),
+                         (lambda p: readout(tree, p, probe), many),
+                         (lambda p: sweep(tree, p, probe, "E", grid), params),
+                         (lambda p: sweep(tree, p, probe, "eps0", grid), params)]:
+        cold = bits(call(replace(shared)))
+        assert call(shared) is not None  # keeps its results on ``shared``
+        assert shared._kept
+        assert bits(call(shared)) == cold
+
+
+def test_thermal_grid_searches_once_per_window_and_width(monkeypatch):
+    # The Gamma x kT grid of conductances on ideal depth-5 trees: at each
+    # kT the three lead widths share the gamma-limited first-panel width,
+    # so each tree searches once per kT, in either order, with the same
+    # results and the same inertia count steps.
+    counted = {"inertia_count": 0, "_resonances": 0}
+    for name in counted:
+        def spy(*args, name=name, real=getattr(transport, name)):
+            counted[name] += 1
+            return real(*args)
+        monkeypatch.setattr(transport, name, spy)
+    trees = [build_tree(5, [b] * 32) for b in (0, 1)]
+    probes = [ProbeSpec(gamma_l=g, gamma_r=g, temperature=kt)
+              for g in (1e-3, 1e-4, 1e-5) for kt in (0.02, 0.1)]
+
+    def run(order):
+        counted.update(dict.fromkeys(counted, 0))
+        got = {}
+        for tree in trees:
+            params = ideal_parameters(tree, 10.0, 1e-6)
+            for probe in order(probes):
+                got[id(tree), probe] = conductance(tree, params, probe).hex()
+        return got, dict(counted)
+
+    (forward, steps), (backward, steps_back) = run(list), run(reversed)
+    assert forward == backward and steps == steps_back
+    assert steps["_resonances"] == 2 * len(trees) and steps["inertia_count"] > 0
+    alone = {(id(tree), probe): conductance(tree, ideal_parameters(tree, 10.0, 1e-6), probe).hex()
+             for tree in trees for probe in probes}
+    assert forward == alone
+
+
+def test_kept_results_die_with_their_parameters():
+    tree = build_tree(3, (1, 0, 1, 1, 0, 0, 1, 0))
+    params = ideal_parameters(tree, 10.0, 0.01)
+    conductance(tree, params, ProbeSpec(temperature=0.01))
+    assert params._kept
+    ref = weakref.ref(params)
+    gc.disable()
+    try:
+        del params
+        assert ref() is None  # freed by its reference count: no cycle
+    finally:
+        gc.enable()
+
+
+def test_kept_results_leave_the_dataclass_alone():
+    tree = build_tree(3, (1, 0, 1, 1, 0, 0, 1, 0))
+    params = ideal_parameters(tree, 10.0, 0.01)
+    before, copied = repr(params), replace(params)
+    conductance(tree, params, ProbeSpec(temperature=0.01))
+    assert params._kept and "_kept" not in vars(copied)
+    assert repr(params) == before == repr(copied) and params == copied
+    assert [f.name for f in fields(params)] == ["epsilon", "coupling", "delta", "gamma"]
+    assert "_kept" not in vars(replace(params))
+    assert replace(params, gamma=0.02) != params
+
+
+def test_a_tree_compiled_by_the_caller_keeps_nothing():
+    tree = build_tree(3, (1, 0, 1, 1, 0, 0, 1, 0))
+    params = ideal_parameters(tree, 10.0, 0.01)
+    probe = ProbeSpec(temperature=0.01)
+    got = conductance(greens.compile_tree(tree, params), params, probe)
+    assert vars(params).get("_kept", {}) == {}
+    assert got == conductance(tree, params, probe)
