@@ -74,11 +74,10 @@ as long as the parameters and keep the tree alive that long (they hold
 no reference back to the parameters, so no cycle delays freeing); a
 :func:`dataclasses.replace` copy starts with none.  Concurrent calls
 may both compute an entry, and either serves: a result is bit for bit
-what it is without them.  Memory
-grows by one compiled schedule per tree, and by at most one float per
-eigenvalue in the window, for each detuning of each distinct search.
-A tree already compiled by the caller is taken as it is and keeps
-nothing.
+what it is without them.  Memory grows by one compiled schedule per
+tree, and by at most one float per eigenvalue in the window for each
+detuning of each distinct search.  A tree already compiled by the
+caller is taken as it is and keeps nothing.
 """
 
 from __future__ import annotations
@@ -198,8 +197,9 @@ def transmission_curve(tree, params: DotParameters, probe: ProbeSpec, energies) 
 def thermal_kernel(E, e_f: float, kt: float):
     """Normalized -f'(E - E_f): sech^2((E - E_f)/2kT)/(4kT).
 
-    Beyond about 710 kT from E_f the cosh, or its square, overflows to
-    inf, and the kernel is its limit 0.0 with no warning.
+    Beyond about 710 kT from E_f the square of the cosh overflows to
+    inf (the cosh itself beyond about 1420 kT), and the kernel is its
+    limit 0.0, with no warning.
     """
     with np.errstate(over="ignore"):
         return 1.0 / (4.0 * kt * np.cosh((np.asarray(E) - e_f) / (2.0 * kt)) ** 2)
@@ -410,9 +410,10 @@ def _conductances(tree, params: DotParameters, probe: ProbeSpec, e_f, eps0) -> n
     At kT = 0 one G_1 evaluation over the distinct E_f gives
     :func:`transmission` at each point bit for bit, per sample.
     Otherwise :func:`_thermal` runs sample by sample, each on the
-    batch's compilation cut to it, and the first sample with a failing
-    point raises the :class:`QuadratureError` of its lowest-index one.
-    ``tree`` is gathered once, and merged only for the quadrature or for
+    batch's compilation cut to it (both kept on ``params``; see "Kept
+    results" above), and the first sample with a failing point raises
+    the :class:`QuadratureError` of its lowest-index one.  ``tree`` is
+    gathered at most once, and merged only for the quadrature or for
     more than one distinct E_f.
     """
     if probe.temperature == 0.0:
@@ -421,9 +422,8 @@ def _conductances(tree, params: DotParameters, probe: ProbeSpec, e_f, eps0) -> n
         g1 = green_tree_many(tree, params, fermi)[..., at]
         return _transmission_from_g1(g1, probe, e_f, eps0)
     kept = _kept(tree, params)
-    compiled = CompiledTree(params, kept.steps)
-    rows = map(compiled.sample, range(params.sample_shape[0])) if params.sample_shape \
-        else [compiled]
+    tree = CompiledTree(params, kept.steps)
+    rows = map(tree.sample, range(params.sample_shape[0])) if params.sample_shape else [tree]
     out = []
     for i, row in enumerate(rows):
         searches = kept.searches.setdefault(i, {})
