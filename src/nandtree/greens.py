@@ -27,11 +27,12 @@ has length 1 otherwise; every sample sees the same energies, and the
 result has shape (samples,) + the energies' shape, or the energies'
 shape alone for one realization.  Each dot's eps and the t^2 of the
 link into it are gathered into per-level (dots x samples) columns once
-per compilation, by position: every level gives the ``rows`` of its
-dots and the ``up`` of the links into them in the tables whose codes
-are the tree's :meth:`~nandtree.model.RootedTree.table_codes`, slices
-for a :class:`~nandtree.model.TreeSpec` (so an unmarked one's columns
-are views of the tables).  The tables of
+per compilation, by position, one gather per level and table: every
+level gives the ``rows`` of its dots and the ``up`` of the links into
+them in the tables whose codes are the tree's
+:meth:`~nandtree.model.RootedTree.table_codes`, slices for a
+:class:`~nandtree.model.TreeSpec` (so an unmarked one's columns are
+views of the tables).  The tables of
 :func:`~nandtree.model.ideal_parameters` and
 :func:`~nandtree.model.sample_disorder` are on those codes
 (:meth:`~nandtree.model.RootedTree.has_codes` checks).  Any other
@@ -62,9 +63,11 @@ pattern of its eps and, for each child slot, of its t^2 and its child's
 class (t^2 bits 0 and class -1 for a missing child), over all samples
 for parameters with a sample axis; a stack is classed by whole columns.
 Keys compare as int64 bit patterns (:func:`_classes`), so -0.0 and 0.0
-are different classes and there is no tolerance.  Once the dots of a
-level are all distinct, their parents are too, so above such a level
-only childless dots are classed.  Merging pays only where a call
+are different classes and there is no tolerance.  Every level is keyed
+alike, the leaves by their eps alone, but for one shortcut: once the
+dots of a level are all distinct, a level above whose dots all have a
+child is distinct too and is not keyed; a level with childless dots is
+keyed, each dot below its own class.  Merging pays only where a call
 evaluates more than one energy per sample, as classing a level costs at
 least evaluating each dot once: so calls at one energy
 (:func:`green_tree`, :func:`green_tree_derivative`, :func:`classify`,
@@ -90,6 +93,8 @@ one pass, which saves the per-step overhead of many small stacks (at
 one energy the depth-12 H-fractal's 11 stacks form one group); a larger
 stack is composed alone, in chunks whose planes hold at most ``_BLOCK``
 values (401 energies on the depth-12 H-fractal run 26 at a time).
+Either way :func:`_compose` lays every column of a stack out as one run
+of rows.
 ``_BLOCK`` is sized for cache: one block is 1 MiB against a 2 MiB L2 per
 core on the x86 server this was measured on.  There, four times larger
 blocks made 401 energies on a depth-16 tree about 1.5x slower, and 16
@@ -98,9 +103,11 @@ per-level overhead (before its chains ran as products).
 
 **Inertia count.**  :func:`inertia_count` runs the same schedule and
 energy blocks in real arithmetic at gamma = 0 and counts the
-positive denominators, each class as many times as its multiplicity;
-they number the eigenvalues below E.  A product keeps no pivot signs,
-so it walks a stack row by row in the level recursion's arithmetic.
+positive denominators, each class as many times as its multiplicity,
+into a (samples x energies) array, each block into its part of it
+(:func:`_pivots`); they number the eigenvalues below E.  A product
+keeps no pivot signs, so it walks a stack row by row in the level
+recursion's arithmetic.
 :mod:`nandtree.transport` locates resonances with it.
 
 **Rounding.**  Results are reproducible bit for bit.  On every
@@ -185,11 +192,6 @@ class CompiledTree(NamedTuple):
         return CompiledTree(self.params.sample(i), tuple(s.samples(cut) for s in self.steps))
 
 
-def _reciprocal(d, mult=None):
-    """1 / d, in place; the multiplicities are not needed."""
-    return np.divide(1.0, d, out=d)
-
-
 def _gather(tree, params: DotParameters) -> list[_Step]:
     """The unmerged columns of ``tree`` with ``params`` (see "Level
     schedule" above), gathered by position, from tables read onto the
@@ -226,18 +228,18 @@ def _own(tree, params: DotParameters) -> DotParameters:
 def _columns(params: DotParameters, schedule) -> list[_Step]:
     """Each level as a :class:`_Step` of one dot per class: eps of its
     dots, and t^2 of the links in each child slot, as (dots, samples)
-    columns, (L, dots, samples) for a stack, taken at the levels'
-    ``rows`` and ``up``; one sample for parameters without a sample
-    axis."""
+    columns, (L, dots, samples) for a stack, taken at the level's
+    ``rows`` and ``up``, a view for a slice; one sample for parameters
+    without a sample axis."""
     eps = np.atleast_2d(params.epsilon.values_array).T
     t2 = np.atleast_2d(_squares(params.coupling.values_array)).T
     *lower, root = schedule
     # The links into every dot; the top row of a stacked root has none.
-    ups = _at(t2, [level.up for level in lower] + [root.up[:-1] if root.nodes.ndim == 2 else None])
+    ups = [t2[level.up] for level in lower] + [t2[root.up[:-1]] if root.nodes.ndim == 2 else None]
     tops = [None] + [up if up is None else _top(up, level) for level, up in zip(schedule, ups)]
     steps = []
-    for level, e, top, up in zip(schedule, _at(eps, [level.rows for level in schedule]),
-                                 tops, ups):
+    for level, top, up in zip(schedule, tops, ups):
+        e = eps[level.rows]
         # A slot's t^2 are those of the links into the level below's top
         # row, at its index.
         t2s = tuple(top[index] for index, _ in level.slots)
@@ -253,23 +255,6 @@ def _squares(t: np.ndarray) -> np.ndarray:
     the last bit.  pow(1, 2) is exactly 1, so unit couplings, all of an
     ideal table, skip the call."""
     return np.float_power(t, 2, where=t != 1, out=np.ones_like(t))
-
-
-def _at(values: np.ndarray, rows) -> list:
-    """``values`` at each of ``rows``: a view for a slice, ``None`` for
-    ``None``, and for int arrays one gather over all of them, cut."""
-    arrays = [r for r in rows if isinstance(r, np.ndarray)]
-    taken = iter(_cut(values[np.concatenate([a.ravel() for a in arrays])], arrays)
-                 if arrays else ())
-    return [r if r is None else values[r] if isinstance(r, slice) else next(taken) for r in rows]
-
-
-def _cut(flat: np.ndarray, parts) -> list[np.ndarray]:
-    """``flat`` cut into consecutive pieces, each shaped like its array of
-    ``parts`` (and then ``flat``'s trailing axes)."""
-    ends = list(accumulate(part.size for part in parts))
-    return [flat[lo:hi].reshape(part.shape + flat.shape[1:])
-            for part, lo, hi in zip(parts, [0] + ends, ends)]
 
 
 def _packed(keys: np.ndarray) -> np.ndarray | None:
@@ -376,26 +361,19 @@ def _key(eps, slots, t2s, below) -> np.ndarray:
     return np.concatenate([c.T for c in cols]).T
 
 
-def _group(level: _Step, below):
+def _group(level: _Step, below, width_below: int):
     """The classes of the dots of ``level`` (see "Merged subtrees" above),
     as from :func:`_classes`; ``below`` holds the classes of the level
-    below, ``None`` when each of its dots is its own.  Returns ``None``
-    when every dot is its own class and ``below`` is ``None``."""
+    below, ``None`` when each of its ``width_below`` dots is its own.
+    Returns ``None`` when every dot is its own class and ``below`` is
+    ``None``: without keys when every dot has a child, as its parent
+    then is as distinct as it is."""
     eps, slots, t2s, _ = level
     width = eps.shape[-2]
-    if below is not None:
-        rep, classes = _classes(_key(eps, slots, t2s, below))
-    elif not slots:
-        rep, classes = _classes(eps.view(np.int64))
-    elif slots[0].mask is None:
-        return None  # every dot has a child, and the children are distinct
-    else:
-        # Only the childless dots can be alike, among themselves.
-        kids, lone = np.flatnonzero(slots[0].mask), np.flatnonzero(~slots[0].mask)
-        rep, lone_classes = _classes(eps[lone].view(np.int64))
-        rep = np.concatenate([kids, lone[rep]])
-        classes = np.empty(width, np.intp)
-        classes[kids], classes[lone] = np.arange(len(kids)), len(kids) + lone_classes
+    if below is None and slots and slots[0].mask is None:
+        return None
+    children = np.arange(width_below) if below is None else below
+    rep, classes = _classes(_key(eps, slots, t2s, children))
     if len(rep) < width:
         return rep, classes
     # All distinct: the level keeps its own order.
@@ -430,7 +408,7 @@ def _merged(steps) -> tuple[_Step, ...]:
     merged = []
     below, width_below = None, 0
     for level in steps:
-        grouped = _group(level, below)
+        grouped = _group(level, below, width_below)
         if grouped is None:
             merged.append(level)
         else:
@@ -520,20 +498,20 @@ def _compose(pieces, z, derivative) -> list:
     products grow or shrink nothing overflows.
 
     One pass of steps serves every piece, each step pairing the matrices
-    of all of them at once.  A piece alone keeps its shape, one row of
-    planes per dot, and pairs by strided views.  Several pieces become
-    one run of rows per stack, the dots of each stack in order, sorted
-    longest first, so that the pieces left are a prefix and those done a
-    suffix.  Each step sets the odd tops aside, one gather keeps the
-    other rows, and every run is then even, so consecutive rows pair.
-    The tops multiply in step by step, the latest first, for every piece
-    that set one aside at that step.  Elementwise arithmetic is the same
-    whatever else shares the arrays, so each product keeps its bits.
+    of all of them at once.  Each stack is one run of rows, its dots in
+    order, and the pieces are sorted longest first, so that the pieces
+    left are a prefix and those done a suffix.  Each step sets the odd
+    tops aside, one gather keeps the other rows, and every run is then
+    even, so consecutive rows pair.  The tops multiply in step by step,
+    the latest first, for every piece that set one aside at that step.
+    Elementwise arithmetic is the same whatever else shares the arrays,
+    so each product keeps its bits.
     """
     order = sorted(range(len(pieces)), key=lambda i: -len(pieces[i][1]))
-    shapes = [pieces[i][1].shape for i in order]
-    width, planes = _laid_out(pieces, order, z)
-    length, runs = [n for n, _ in shapes], width
+    length = [len(pieces[i][1]) for i in order]
+    width = runs = [pieces[i][1].shape[1] for i in order]
+    t2, eps = (np.concatenate([pieces[i][k].T.ravel() for i in order])[:, None] for k in (0, 1))
+    planes = [-t2, z - eps]
     seed = [0.0, 0.0, 0.0, 1.0] if derivative else []
     tops, done, dots = [], [], True
     while length:
@@ -542,25 +520,21 @@ def _compose(pieces, z, derivative) -> list:
         if left < len(length):  # copied, so that no step's planes outlive it
             done.append([p[start[left]:].copy() for p in planes])
         odd = [k for k in range(left) if length[k] % 2]
-        keep = slice(0, start[left])
         if odd:
             at = _spaced([start[k] + length[k] - 1 for k in odd], [runs[k] for k in odd],
                          [length[k] for k in odd])
             top = [p.take(at, axis=0) for p in planes]
             tops.append((odd, [0.0, 1.0, *top] + seed if dots else top))
-            if runs[0] == 1 and left == 1:  # the one top is the last row
-                keep = slice(0, start[1] - 1)
-            else:
-                kept = np.ones(start[left], bool)
-                kept[at] = False
-                keep = np.flatnonzero(kept)
+            kept = np.ones(start[left], bool)
+            kept[at] = False
+            keep = np.flatnonzero(kept)
+            for k, p in enumerate(planes):  # plane by plane, each freed as it goes
+                planes[k] = p.take(keep, axis=0)
+        else:
+            planes = [p[:start[left]] for p in planes]
         length, runs = [n // 2 for n in length[:left]], runs[:left]
         if left:
-            if not isinstance(keep, slice):  # plane by plane, each freed as it goes
-                for k, p in enumerate(planes):
-                    planes[k] = p.take(keep, axis=0)
-                keep = slice(None)
-            planes = _halved([p[keep] for p in planes], dots, derivative)
+            planes = _halved(planes, dots, derivative)
             dots = False
     planes = [np.concatenate([np.broadcast_to(b, b.shape[:-1] + z.shape) for b in blocks],
                              dtype=complex) for blocks in zip(*reversed(done))]
@@ -568,26 +542,12 @@ def _compose(pieces, z, derivative) -> list:
     for odd, top in reversed(tops):
         at = _spaced([first[k] for k in odd], [width[k] for k in odd], [1] * len(odd))
         product = _rescaled(_product(top, [p.take(at, axis=0) for p in planes]))
-        if len(odd) == len(width):
-            planes = product
-        else:
-            for p, q in zip(planes, product):
-                p[at] = q
+        for p, q in zip(planes, product):
+            p[at] = q
     out = [None] * len(pieces)
-    for i, (_, m), lo, w in zip(order, shapes, first, width):
-        out[i] = [p[lo:lo + w].reshape(m, p.shape[-1]) for p in planes]
+    for i, lo, w in zip(order, first, width):
+        out[i] = [p[lo:lo + w] for p in planes]
     return out
-
-
-def _laid_out(pieces, order, z) -> tuple[list, list]:
-    """The runs of rows of :func:`_compose`'s ``pieces`` taken in ``order``,
-    and their first planes [c, d]: a piece alone as it is, one row of m
-    entries per dot; several as m runs each, one entry per row."""
-    if len(pieces) == 1:
-        t2, eps = (a[..., None] for a in pieces[0])
-        return [1], [-t2, z - eps]
-    t2, eps = (np.concatenate([pieces[i][k].T.ravel() for i in order])[:, None] for k in (0, 1))
-    return [pieces[i][1].shape[1] for i in order], [-t2, z - eps]
 
 
 def _halved(planes, dots: bool, derivative) -> list:
@@ -679,15 +639,17 @@ def _chain(step, base, g, dg, derivative, products):
     return out.reshape(shape), dout.reshape(shape) if derivative else None
 
 
-def _climb(steps, base, g, dg, reciprocal, derivative):
+def _climb(steps, base, g, dg, counts, derivative):
     """Evaluate ``steps`` bottom-up over ``base``: E + i*gamma, or the real E.
 
     ``g``/``dg`` hold the values of the level below the first one given
     (``None`` when it starts at the leaves); returns the last level's.
-    ``reciprocal(denom, mult)`` maps a level's denominators to its
-    values; stacked levels run as products (:func:`_chain`), composed
-    (:func:`_products`) when the first stack of a group is reached.  The
-    derivative is carried along only if ``derivative`` is set.
+    A level's values are the reciprocals of its denominators, or, when
+    ``counts`` is given, its pivots' reciprocals as :func:`_pivots` gives
+    them, counted into ``counts``; stacked levels run as products
+    (:func:`_chain`), composed (:func:`_products`) when the first stack
+    of a group is reached.  The derivative is carried along only if
+    ``derivative`` is set.
     """
     products = {}
     for i, step in enumerate(steps):
@@ -704,20 +666,21 @@ def _climb(steps, base, g, dg, reciprocal, derivative):
             _subtract(denom, t2, g, index, mask)
             if derivative:
                 _subtract(ddenom, t2, dg, index, mask)
-        g = reciprocal(denom, step.mult)
+        g = (np.divide(1.0, denom, out=denom) if counts is None
+             else _pivots(denom, step.mult, counts))
         if derivative:
             dg = -g * g * ddenom
     return g, dg
 
 
-def _bottom_up(steps, base, reciprocal, derivative=False):
+def _bottom_up(steps, base, counts=None, derivative=False):
     """Run the compiled ``steps`` over the energies ``base`` for every
     sample; returns the root level's (1, samples, energies) values.
 
     The wide bottom band runs in blocks of samples and energies (see
-    "Energy blocks" above).  ``reciprocal(part)`` gives the map from a
-    level's denominators to its values for the (samples, energies) block
-    ``part``; ``derivative`` is as in :func:`_climb`.
+    "Energy blocks" above).  ``counts``, (samples, energies) or ``None``,
+    is cut to each block and given to :func:`_climb` with it, as is
+    ``derivative``.
     """
     n, samples = base.size, steps[0].eps.shape[-1]
     widths = [step.eps.shape[-2] for step in steps]
@@ -735,12 +698,11 @@ def _bottom_up(steps, base, reciprocal, derivative=False):
             band = [step.samples(cut) for step in steps[:split]]
             for at in range(0, n, energies):
                 span = slice(at, at + energies)
-                g[:, cut, span], d = _climb(band, base[span], None, None,
-                                            reciprocal((cut, span)), derivative)
+                part = None if counts is None else counts[cut, span]
+                g[:, cut, span], d = _climb(band, base[span], None, None, part, derivative)
                 if dg is not None:
                     dg[:, cut, span] = d
-    every = (slice(None), slice(None))
-    return _climb(steps[split:], base, g, dg, reciprocal(every), derivative)
+    return _climb(steps[split:], base, g, dg, counts, derivative)
 
 
 def _finite(E) -> None:
@@ -758,7 +720,7 @@ def _resolve(tree, params: DotParameters, E, derivative: bool = False):
     _finite(E)
     steps = _schedule(tree, params, np.size(E) > 1)
     base = np.asarray(E + 1j * params.gamma, dtype=complex).reshape(-1)
-    g, dg = _bottom_up(steps, base, lambda part: _reciprocal, derivative)
+    g, dg = _bottom_up(steps, base, None, derivative)
     shape = params.sample_shape + np.shape(E)
     return (g[0].reshape(shape), dg[0].reshape(shape)) if derivative else g[0].reshape(shape)
 
@@ -787,24 +749,23 @@ def _rows(steps) -> list[_Step]:
     return out
 
 
-def _inertia_step(counts: np.ndarray):
-    """Reciprocal of a level's pivots that adds its positive ones, each
-    class as often as its multiplicity, to ``counts``.
+def _pivots(d, mult, counts: np.ndarray):
+    """The reciprocals of a level's pivots ``d``, in place, having added
+    the positive ones, each class as often as its multiplicity ``mult``
+    (``None``: once), to ``counts``.
 
     A zero pivot counts nothing and passes -inf up, which makes its
     parent's pivot +inf: that child and the parent form a 2x2 block with
     one positive and one negative eigenvalue, so the parent counts once,
     and passes 1/inf = 0 up, its link to its own parent dropping out.
     """
-    def step(d, mult):
-        positive = d > 0
-        if mult is None:
-            counts[...] += positive.sum(axis=0)
-        else:  # an integer matmul, exact, over the classes
-            counts[...] += (mult @ positive.reshape(len(mult), -1)).reshape(counts.shape)
-        # -1/(0 - d) is 1/d exactly, and -inf for d = +0 or -0.
-        return np.divide(-1.0, np.subtract(0.0, d, out=d), out=d)
-    return step
+    positive = d > 0
+    if mult is None:
+        counts += positive.sum(axis=0)
+    else:  # an integer matmul, exact, over the classes
+        counts += (mult @ positive.reshape(len(mult), -1)).reshape(counts.shape)
+    # -1/(0 - d) is 1/d exactly, and -inf for d = +0 or -0.
+    return np.divide(-1.0, np.subtract(0.0, d, out=d), out=d)
 
 
 def inertia_count(tree, params: DotParameters, energies) -> tuple[np.ndarray, np.ndarray]:
@@ -838,8 +799,7 @@ def inertia_count(tree, params: DotParameters, energies) -> tuple[np.ndarray, np
     steps = _rows(_schedule(tree, params, E.size > 1))
     counts = np.zeros((steps[0].eps.shape[1], E.size), dtype=np.int64)
     with np.errstate(divide="ignore", over="ignore"):
-        g, _ = _bottom_up(steps, E.reshape(-1),
-                          lambda part: _inertia_step(counts[part]))
+        g, _ = _bottom_up(steps, E.reshape(-1), counts)
     shape = params.sample_shape + E.shape
     return counts.reshape(shape), g[0].reshape(shape)
 

@@ -288,18 +288,16 @@ class ChainedTree(RootedTree):
         # A segment is a run of single-child depths, or one other depth.
         first = np.flatnonzero(np.r_[True, ~(single[1:] & single[:-1])])
         last = np.r_[first[1:], len(widths)] - 1
-        uniform = [_child_slots(kids, most, most) for most in range(3)]
         out = []
         for top, bottom in zip(first.tolist(), last.tolist()):
             lo, hi = int(starts[top]), int(ends[bottom])
             if top == bottom:
-                low, high = int(least[top]), int(most[top])
-                slots = uniform[high] if low == high else _child_slots(kids[lo:hi], low, high)
+                slots = _child_slots(kids[lo:hi], int(least[top]), int(most[top]))
                 out.append(Level(nodes[lo:hi], slots, rows[lo:hi], up[lo:hi] if lo else None))
             else:
                 shape = (bottom - top + 1, int(widths[top]))
                 stack, ranks, links = (a[lo:hi].reshape(shape)[::-1] for a in (nodes, rows, up))
-                out.append(Level(stack, uniform[1], ranks, links))
+                out.append(Level(stack, _child_slots(kids[lo:hi], 1, 1), ranks, links))
         out.reverse()
         return out
 

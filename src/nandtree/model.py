@@ -584,6 +584,12 @@ class DotParameters:
         exactly as long as the parameters."""
         return {}
 
+    def __getstate__(self) -> dict:
+        """The fields alone, for :mod:`copy` and :mod:`pickle`: the kept
+        results are keyed by the identity of trees a copy does not hold,
+        so a copy starts with none."""
+        return {k: v for k, v in vars(self).items() if k != "_kept"}
+
 
 @dataclass(frozen=True)
 class DisorderSpec:

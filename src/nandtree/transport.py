@@ -141,6 +141,13 @@ class ProbeSpec:
             raise StructureError("lead broadenings Gamma_l, Gamma_r must be positive")
         if self.t1 <= 0:
             raise StructureError(f"probe coupling t1 must be positive, got {self.t1}")
+        try:
+            math.pow(self.t1, 2)
+        except OverflowError:
+            raise StructureError(f"t1 squared must be finite, got t1 = {self.t1!r}") from None
+        if not math.isfinite(self.gamma_l * self.gamma_r):
+            raise StructureError(f"gamma_l * gamma_r must be finite, got "
+                                 f"{self.gamma_l!r} * {self.gamma_r!r}")
         if self.temperature < 0:
             raise StructureError("temperature must be nonnegative")
 
@@ -175,15 +182,16 @@ def probe_green(g1: complex, probe: ProbeSpec, E: float) -> complex:
 
 def _transmission_from_g1(g1, probe: ProbeSpec, E, eps0):
     # np.square, not ** 2: a numpy scalar's ** 2 is libm's pow, an array's
-    # a multiply, and they can differ in the last bit.
+    # a multiply, and they can differ in the last bit.  Past |d| of about
+    # 1.3e154 the square overflows to inf, and T to its limit 0.
     d = _probe_denominator(g1, probe, E, eps0)
-    return probe.gamma_l * probe.gamma_r / np.square(np.abs(d))
+    with np.errstate(over="ignore"):
+        return probe.gamma_l * probe.gamma_r / np.square(np.abs(d))
 
 
 def transmission(tree, params: DotParameters, probe: ProbeSpec, E: float) -> float:
     """Two-lead transmission in [0, 1] at energy E."""
-    g1 = green_tree_many(tree, params, E)
-    return float(_transmission_from_g1(g1, probe, E, probe.eps0))
+    return float(transmission_curve(tree, params, probe, E))
 
 
 def transmission_curve(tree, params: DotParameters, probe: ProbeSpec, energies) -> np.ndarray:
@@ -355,7 +363,8 @@ def _mesh_sums(tree, params: DotParameters, probe: ProbeSpec, edges, panels, fer
                 for i in range(0, len(members[j]), step):
                     rows = members[j][i:i + step]
                     d = np.subtract(A[s:t], eps0[rows, None])
-                    d *= d
+                    with np.errstate(over="ignore"):  # inf far out: the term is 0
+                        d *= d
                     d += B2[s:t]
                     sums[k, rows] += np.divide(kc, d, out=d).sum(axis=1)
     return sums

@@ -284,6 +284,14 @@ def test_main_reports_config_errors(tmp_path, capsys):
     assert "config error:" in capsys.readouterr().err
 
 
+def test_main_reports_a_probe_coupling_whose_square_overflows(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text(EVALUATE_CONFIG + "physics.t1 = 1e200\n")
+    assert main([str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "t1 squared must be finite" in err
+
+
 def test_main_missing_file(tmp_path, capsys):
     assert main([str(tmp_path / "absent.cfg")]) == 1
     assert "error:" in capsys.readouterr().err

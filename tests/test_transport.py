@@ -1,5 +1,7 @@
+import copy
 import gc
 import math
+import pickle
 import re
 import tracemalloc
 import warnings
@@ -48,6 +50,29 @@ def test_probe_spec_validation():
     for t1 in (0.0, -0.15):
         with pytest.raises(StructureError, match="t1 must be positive"):
             ProbeSpec(t1=t1)
+
+
+def test_probe_spec_rejects_products_that_overflow():
+    # t1**2 and Gamma_l * Gamma_r must be finite floats, or conductance
+    # raises OverflowError or T is inf / inf = NaN.
+    with pytest.raises(StructureError, match="^t1 squared must be finite, got t1 = 1e"):
+        ProbeSpec(t1=1e200)
+    with pytest.raises(StructureError, match=r"^gamma_l \* gamma_r must be finite"):
+        ProbeSpec(gamma_l=1e200, gamma_r=1e200)
+    assert ProbeSpec(t1=1e154, gamma_l=1e154, gamma_r=1e154).t1 == 1e154
+
+
+def test_far_energies_transmit_nothing():
+    # Past |E - eps0| of about 1.3e154 the squares in T and in the mesh
+    # sums overflow to inf: T is its limit 0, with no warning.
+    tree = build_tree(5, [0] * 32)
+    params = ideal_parameters(tree, 10.0, 1e-6)
+    probe = ProbeSpec()
+    assert transmission(tree, params, probe, 1e200) == 0.0
+    assert transmission_curve(tree, params, probe, [0.0, 1e155])[1] == 0.0
+    assert sweep(tree, params, probe, "E", [1e150, 1e160]).conductance[1] == 0.0
+    for kt in (0.0, 1e190):
+        assert conductance(tree, params, ProbeSpec(e_f=1e200, temperature=kt)) == 0.0
 
 
 def test_probe_green_values():
@@ -872,6 +897,22 @@ def test_kept_results_leave_the_dataclass_alone():
     assert [f.name for f in fields(params)] == ["epsilon", "coupling", "delta", "gamma"]
     assert "_kept" not in vars(replace(params))
     assert replace(params, gamma=0.02) != params
+
+
+def test_copies_keep_no_results():
+    # Kept results are keyed by the identity of the trees they hold; a
+    # copy holds copies of those trees, whose ids a new tree may reuse,
+    # so copy, deepcopy and pickle all start with none.
+    tree = TreeSpec(3, "01101110", frozenset({2}))
+    params = ideal_parameters(tree, 10.0, 1e-6)
+    probe = ProbeSpec(temperature=0.05)
+    size = len(pickle.dumps(params))
+    got = conductance(tree, params, probe)
+    assert params._kept
+    assert len(pickle.dumps(params)) == size
+    for other in (copy.copy(params), copy.deepcopy(params), pickle.loads(pickle.dumps(params))):
+        assert "_kept" not in vars(other)
+        assert conductance(tree, other, probe) == got
 
 
 def test_a_tree_compiled_by_the_caller_keeps_nothing():
