@@ -19,10 +19,11 @@ SHIFT_GRID_HALFWIDTH = 4.0
 
 #: Deepest :func:`shift_scaling`, set by time: each trial evaluates the
 #: 401 grid energies on every dot, unmerged, as each leaf's detuning
-#: differs.  A trial took 40-60 ms at depth 12, 0.3 s at depth 14 and
-#: 0.7 s at depth 16, while the tracemalloc peak of a 4-trial run stayed
-#: at 5 MB at depth 12 and 26 MB at depth 16 (measured on a 2-core
-#: x86-64 Linux VM, Python 3.11, numpy 2.4).
+#: differs.  A trial took 21-43 ms at depth 12, 0.11-0.13 s at depth 14
+#: and 0.27-0.31 s at depth 16 on two CPUs (32-51 ms, 0.17-0.20 s and
+#: 0.46-0.64 s on one, under ``taskset -c 0``), while the tracemalloc
+#: peak of a 4-trial run stayed at 5.5 MB at depth 12 and 26 MB at depth
+#: 16 (measured on a 2-core x86-64 Linux VM, Python 3.11, numpy 2.4).
 MAX_SHIFT_DEPTH = 12
 
 

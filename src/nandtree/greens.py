@@ -84,7 +84,7 @@ parameters, in every evaluator.  Nothing is kept across calls.
 dots when unmerged (of columns for a stack).  Levels whose (width x
 samples x energies) block exceeds ``_BLOCK`` complex values form the
 wide bottom band, which runs in blocks of ``_BLOCK // width`` values
-(:func:`_bottom_up`), so a level step touches a few MiB however many
+(:func:`_blocks`), so a level step touches a few MiB however many
 samples and energies are asked for; the narrow upper levels then run
 once over all of them.  One composer (:func:`_products`) composes the
 stacks, in the order the recursion reaches them: stacks whose products
@@ -100,6 +100,26 @@ core on the x86 server this was measured on.  There, four times larger
 blocks made 401 energies on a depth-16 tree about 1.5x slower, and 16
 times smaller ones made the depth-12 H-fractal about 5x slower through
 per-level overhead (before its chains ran as products).
+
+**Parts at once.**  A call whose widest level needs more than one block
+cuts its (samples x energies) plane into P contiguous parts, along the
+energies, or along the samples at one energy, and runs them at once:
+the caller's thread runs the first and a thread pool the rest, while
+numpy's arithmetic releases the GIL.  P is the least of the CPUs the
+process may run on (``taskset`` limits them), the blocks the widest
+level needs and the length of the axis cut (:func:`_bottom_up`), so a
+call that fits one block, and every call at one energy for one
+realization, runs on the caller's thread alone.  Each part runs the
+serial blocks above with a block of ``_BLOCK // P`` values, so the parts
+together keep about one block in flight.  A part's values are bit for
+bit those of the whole call, as a sample's values do not depend on what
+is evaluated with it (see "Rounding" below).  Each part runs in a copy of the caller's context,
+so numpy's error state, a context variable, holds in every part; the
+call returns when every part has ended, and the first failing part, by
+index, raises its error.  The pool is started by the first such call,
+not by the import, and belongs to the process that started it: a
+forked child, in which the parent's pool threads do not exist, starts
+its own.
 
 **Inertia count.**  :func:`inertia_count` runs the same schedule and
 energy blocks in real arithmetic at gamma = 0 and counts the
@@ -127,12 +147,19 @@ by a power of two from its own largest entry, exactly and never by a
 value shared across the block, so on every schedule a sample's values
 do not depend on the block shape, on the other samples and energies
 evaluated with it, or on the stacks composed with its own, and the
-inertia count stays bit for bit.
+inertia count stays bit for bit.  That also needs every complex product
+to keep its operand order: numpy's complex multiply fuses its
+multiply-adds, so x * y and y * x can differ in the last bit, and numpy
+computes ``x * (temporary)`` of 256 KiB or more in place in the
+temporary, operands swapped; so no complex temporary is a right
+operand of ``*``.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
 from dataclasses import replace
 from functools import reduce
 from itertools import accumulate
@@ -153,7 +180,8 @@ AMBIGUITY_BAND = (0.5, 2.0)
 MAX_PROFILE_DEPTH = 20
 
 #: Complex values per energy block of the wide bottom levels (1 MiB),
-#: and at most per plane of a stack's products; see "Energy blocks" above.
+#: and at most per plane of a stack's products, shared by the parts of a
+#: call run at once; see "Energy blocks" and "Parts at once" above.
 _BLOCK = 1 << 16
 
 
@@ -573,22 +601,22 @@ def _spaced(starts: list, counts: list, strides: list) -> np.ndarray:
     return np.repeat(starts, counts) + np.repeat(strides, counts) * j
 
 
-def _products(steps, i: int, base, derivative) -> dict:
+def _products(steps, i: int, base, derivative, block: int) -> dict:
     """The products of the stack ``steps[i]``, and of the stacks composed
     with it, by their index in ``steps``: each an iterable of (columns,
     energies) slices and the planes of the products there.
 
-    A stack too large for one block is composed alone, lazily, in chunks
-    whose planes hold at most ``_BLOCK`` values: as many energies as fit,
-    then as many columns, and at least one of each.  A stack that fits is
-    composed whole in one pass (:func:`_compose`) with the next stacks
-    that fit, as many as fill one block together.
+    A stack too large for one ``block`` is composed alone, lazily, in
+    chunks whose planes hold at most ``block`` values: as many energies as
+    fit, then as many columns, and at least one of each.  A stack that
+    fits is composed whole in one pass (:func:`_compose`) with the next
+    stacks that fit, as many as fill one block together.
     """
     n = base.size
-    if steps[i].eps.size * n > _BLOCK:
+    if steps[i].eps.size * n > block:
         t2, eps = _dots(steps[i])
         length, columns = eps.shape
-        room = max(1, _BLOCK // length)
+        room = max(1, block // length)
         energies = max(1, min(n, room))
         width = max(1, room // energies)
         cuts = [(slice(c, c + width), slice(e, e + energies))
@@ -597,9 +625,9 @@ def _products(steps, i: int, base, derivative) -> dict:
                     for at in cuts)}
     group, size = [], 0
     for j in range(i, len(steps)):
-        if steps[j].eps.ndim == 3 and steps[j].eps.size * n <= _BLOCK:
+        if steps[j].eps.ndim == 3 and steps[j].eps.size * n <= block:
             size += steps[j].eps.size * n
-            if size > _BLOCK:
+            if size > block:
                 break
             group.append(j)
     every = (slice(None), slice(None))
@@ -633,13 +661,14 @@ def _chain(step, base, g, dg, derivative, products):
         if derivative:
             da, db, dc, dd = dual
             dbelow = dg[at]
+            # np.multiply, not value * (...): see "Rounding" above.
             dout[at] = (da * below + a * dbelow + db
-                        - value * (dc * below + c * dbelow + dd)) / den
+                        - np.multiply(value, dc * below + c * dbelow + dd)) / den
     shape = (width, samples, base.size)
     return out.reshape(shape), dout.reshape(shape) if derivative else None
 
 
-def _climb(steps, base, g, dg, counts, derivative):
+def _climb(steps, base, g, dg, counts, derivative, block):
     """Evaluate ``steps`` bottom-up over ``base``: E + i*gamma, or the real E.
 
     ``g``/``dg`` hold the values of the level below the first one given
@@ -648,14 +677,14 @@ def _climb(steps, base, g, dg, counts, derivative):
     ``counts`` is given, its pivots' reciprocals as :func:`_pivots` gives
     them, counted into ``counts``; stacked levels run as products
     (:func:`_chain`), composed (:func:`_products`) when the first stack
-    of a group is reached.  The derivative is carried along only if
-    ``derivative`` is set.
+    of a group is reached, in planes of at most ``block`` values.  The
+    derivative is carried along only if ``derivative`` is set.
     """
     products = {}
     for i, step in enumerate(steps):
         if step.eps.ndim == 3:
             if i not in products:
-                products.update(_products(steps, i, base, derivative))
+                products.update(_products(steps, i, base, derivative, block))
             g, dg = _chain(step, base, g, dg, derivative, products.pop(i))
             continue
         denom = base - step.eps[..., None]
@@ -675,21 +704,51 @@ def _climb(steps, base, g, dg, counts, derivative):
 
 def _bottom_up(steps, base, counts=None, derivative=False):
     """Run the compiled ``steps`` over the energies ``base`` for every
-    sample; returns the root level's (1, samples, energies) values.
+    sample; returns the root level's (1, samples, energies) values, and
+    their derivatives if ``derivative`` (else ``None``).
 
-    The wide bottom band runs in blocks of samples and energies (see
-    "Energy blocks" above).  ``counts``, (samples, energies) or ``None``,
-    is cut to each block and given to :func:`_climb` with it, as is
-    ``derivative``.
+    The call's (samples x energies) plane runs in parts at once, each in
+    blocks (see "Energy blocks" above).  ``counts``, (samples, energies)
+    or ``None``, is cut to each part and block and given to :func:`_climb`
+    with it, as is ``derivative``.
     """
+    n, samples = base.size, steps[0].eps.shape[-1]
+    along = n if n > 1 else samples  # the axis cut into parts
+    widest = max(step.eps.shape[-2] for step in steps) * samples * n
+    parts = min(-(-widest // _BLOCK), along)
+    if parts > 1:
+        parts = min(parts, _cpus())
+    if parts <= 1:
+        return _blocks(steps, base, counts, derivative, _BLOCK)
+    block = max(1, _BLOCK // parts)
+    jobs = []
+    for k in range(parts):
+        cut = slice(k * along // parts, (k + 1) * along // parts)
+        if n > 1:
+            part = None if counts is None else counts[:, cut]
+            jobs.append((steps, base[cut], part, derivative, block))
+        else:
+            part = None if counts is None else counts[cut]
+            jobs.append(([step.samples(cut) for step in steps], base, part, derivative, block))
+    values = _at_once(jobs)
+    axis = 2 if n > 1 else 1
+    g = np.concatenate([v[0] for v in values], axis=axis)
+    return g, np.concatenate([v[1] for v in values], axis=axis) if derivative else None
+
+
+def _blocks(steps, base, counts, derivative, block: int):
+    """:func:`_bottom_up` on one thread: the wide bottom band, the levels
+    whose (width x samples x energies) values exceed ``block``, runs in
+    blocks of ``block // width`` values, and the narrow upper levels then
+    once over all of them."""
     n, samples = base.size, steps[0].eps.shape[-1]
     widths = [step.eps.shape[-2] for step in steps]
     split = len(steps)
-    while split and widths[split - 1] * samples * n <= _BLOCK:
+    while split and widths[split - 1] * samples * n <= block:
         split -= 1
     g = dg = None
     if split:
-        chunk = max(1, _BLOCK // max(widths[:split]))
+        chunk = max(1, block // max(widths[:split]))
         rows, energies = max(1, chunk // n), min(n, chunk)
         g = np.empty((widths[split - 1], samples, n), dtype=base.dtype)
         dg = np.empty_like(g) if derivative else None
@@ -699,10 +758,44 @@ def _bottom_up(steps, base, counts=None, derivative=False):
             for at in range(0, n, energies):
                 span = slice(at, at + energies)
                 part = None if counts is None else counts[cut, span]
-                g[:, cut, span], d = _climb(band, base[span], None, None, part, derivative)
+                g[:, cut, span], d = _climb(band, base[span], None, None, part, derivative, block)
                 if dg is not None:
                     dg[:, cut, span] = d
-    return _climb(steps[split:], base, g, dg, counts, derivative)
+    return _climb(steps[split:], base, g, dg, counts, derivative, block)
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+#: (process id, thread pool) of the parts after the first; a forked child
+#: makes its own, as the parent's threads do not exist in it.  Two threads
+#: that start it at once make one each, and the one dropped ends its
+#: threads once its parts are done.
+_POOL = None
+
+
+def _at_once(jobs) -> list:
+    """:func:`_blocks` of each of ``jobs`` (argument tuples) at once: the
+    first on this thread, the rest on the pool, each in a copy of this
+    thread's context (numpy's error state is a context variable).  Returns
+    their values in order once all have ended; the first to fail, by
+    index, raises its own exception."""
+    global _POOL
+    if _POOL is None or _POOL[0] != os.getpid():
+        from concurrent.futures import ThreadPoolExecutor
+        _POOL = (os.getpid(), ThreadPoolExecutor(max(1, _cpus() - 1)))
+    later = [_POOL[1].submit(contextvars.copy_context().run, _blocks, *job) for job in jobs[1:]]
+    try:
+        first = _blocks(*jobs[0])
+    finally:
+        for future in later:
+            future.exception()  # waits: no part outlives the call
+    return [first] + [future.result() for future in later]
 
 
 def _finite(E) -> None:

@@ -183,9 +183,10 @@ def probe_green(g1: complex, probe: ProbeSpec, E: float) -> complex:
 def _transmission_from_g1(g1, probe: ProbeSpec, E, eps0):
     # np.square, not ** 2: a numpy scalar's ** 2 is libm's pow, an array's
     # a multiply, and they can differ in the last bit.  Past |d| of about
-    # 1.3e154 the square overflows to inf, and T to its limit 0.
-    d = _probe_denominator(g1, probe, E, eps0)
+    # 1.3e154 the square overflows to inf, and T to its limit 0; so does
+    # E - eps0 past the largest float.
     with np.errstate(over="ignore"):
+        d = _probe_denominator(g1, probe, E, eps0)
         return probe.gamma_l * probe.gamma_r / np.square(np.abs(d))
 
 
@@ -351,9 +352,11 @@ def _mesh_sums(tree, params: DotParameters, probe: ProbeSpec, edges, panels, fer
         c = np.concatenate([(h[:, None] * wx).ravel() for h in half])
         c *= probe.gamma_l * probe.gamma_r
         g1 = green_tree_many(tree, params, E)
-        # The probe denominator at eps0 = 0: real part and squared imaginary part.
-        A = E - t2 * g1.real
-        B2 = (0.5 * (probe.gamma_l + probe.gamma_r) - t2 * g1.imag) ** 2
+        # The probe denominator at eps0 = 0: real part and squared imaginary
+        # part, inf far out, where the terms are 0.
+        with np.errstate(over="ignore"):
+            A = E - t2 * g1.real
+            B2 = (0.5 * (probe.gamma_l + probe.gamma_r) - t2 * g1.imag) ** 2
         for j in np.flatnonzero((panels[:, 0] < lo + n) & (panels[:, 1] > lo)):
             first, last = np.clip(panels[j], lo, lo + n) - lo
             for k, (s, t) in enumerate(((first, last), (n + 2 * first, n + 2 * last))):

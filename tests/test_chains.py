@@ -27,7 +27,8 @@ from nandtree.layout import LayoutGraph, build_hfractal, chain_below, expand_to_
 from nandtree.model import DisorderSpec, RootedTree, TreeSpec
 
 import reference_walks as walks
-from test_greens_engine import CHAIN_RTOL, reference_on_array, stacked
+from test_greens_engine import (CHAIN_RTOL, assert_parts_match_one_worker, reference_on_array,
+                                 stacked)
 from test_layout_reference import assert_same_levels
 
 
@@ -194,6 +195,14 @@ def test_chained_values_do_not_depend_on_the_block(block, monkeypatch):
                 for k in range(2):
                     assert np.array_equal(bits(got[k][s, i]), bits(alone[k]))
             assert np.array_equal(bits(green_tree_many(tree, row, E)), bits(got[0][s]))
+
+
+@pytest.mark.parametrize("block", [_BLOCK, 7, 300])
+@pytest.mark.parametrize("name", ["below-41", "hfractal-4"])
+def test_parts_match_one_worker(name, block, monkeypatch):
+    # Each part composes its own products, in planes of its own block.
+    monkeypatch.setattr(greens, "_BLOCK", block)
+    assert_parts_match_one_worker(CHAINED[name], monkeypatch)
 
 
 @pytest.mark.parametrize("block", [_BLOCK, 1, 7, 300])

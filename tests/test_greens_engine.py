@@ -12,10 +12,17 @@ sample axis must give, bit for bit, what the loop over their samples
 that the axis replaces gives.
 """
 
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+import warnings
+
 import numpy as np
 import pytest
 
-from nandtree import (DotParameters, StructureError, build_tree, classify, green_tree,
+from nandtree import (DotParameters, StructureError, build_tree, classify, ensemble, green_tree,
                       green_tree_derivative, green_tree_many, greens, ideal_parameters,
                       sample_disorder, sample_disorder_many)
 from nandtree.greens import _BLOCK, _resolve, inertia_count
@@ -23,6 +30,7 @@ from nandtree.layout import build_hfractal, chain_below, expand_to_tree
 from nandtree.model import DisorderSpec, ParamTable, TreeSpec
 
 import reference_walks as walks
+from test_tree_bits import _env
 
 
 def reference_resolve(tree, params: DotParameters, E, derivative: bool = False):
@@ -452,3 +460,166 @@ def test_ragged_trees_match_reference(seed):
         assert dots == [level.nodes.shape[-1] for level in tree.levels()]
         assert sum(classes) < sum(dots)
         assert_engine_matches(tree, params)
+
+
+# Parts at once: a call whose widest level needs more than one block runs
+# its (samples x energies) plane in parts, on as many threads, each part
+# bit for bit what one thread gives.
+
+def assert_identical(got, want):
+    """Equal bit for bit, with the same dtypes and shapes, over tuples too."""
+    if isinstance(want, tuple):
+        assert isinstance(got, tuple) and len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_identical(g, w)
+        return
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def assert_parts_match_one_worker(tree, monkeypatch):
+    """G, G with dG/dE, and the inertia count of ``tree``, ideal and for a
+    batch over many energies (cut along energies) and for a batch at one
+    energy (cut along samples), with 2 and 3 workers as with 1.  The sizes
+    are picked so that the widest level of every batch call needs more
+    than two ``_BLOCK``s, and so runs in as many parts as workers."""
+    block = greens._BLOCK
+    widest = max(level.nodes.shape[-1] for level in tree.levels())
+    energies = np.linspace(-1.5, 1.5, max(7, 2 * block // (5 * widest) + 1))
+    ideal = ideal_parameters(tree, 10.0, 1e-3)
+    specs = [DisorderSpec(0.1, 0.1, seed) for seed in range(max(5, 2 * block // widest + 1))]
+    many = sample_disorder_many(tree, ideal, specs)
+    few = sample_disorder_many(tree, ideal, specs[:5])
+    cases = [(ideal, energies, False), (few, energies, True), (many, np.float64(0.3), True)]
+    parts, at_once = [], greens._at_once
+    monkeypatch.setattr(greens, "_at_once", lambda jobs: parts.append(len(jobs)) or at_once(jobs))
+    results = {}
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(greens, "_cpus", lambda: workers)
+        results[workers] = []
+        for params, E, split in cases:
+            for call in (lambda: green_tree_many(tree, params, E),
+                         lambda: _resolve(tree, params, E, True),
+                         lambda: inertia_count(tree, params, E)):
+                parts.clear()
+                results[workers].append(call())
+                if split:
+                    assert parts == ([workers] if workers > 1 else [])
+    for workers in (2, 3):
+        for got, want in zip(results[workers], results[1]):
+            assert_identical(got, want)
+
+
+def split_trees():
+    rng = np.random.default_rng(25)
+    bits_in = tuple(rng.integers(0, 2, 64))
+    yield build_tree(6, bits_in)
+    yield TreeSpec(6, bits_in, random_markers(rng, 6))
+    yield greens.worst_case_tree(6)
+
+
+@pytest.mark.parametrize("block", [_BLOCK, 7, 300])
+@pytest.mark.parametrize("tree", split_trees(), ids=["plain", "marked", "worst-case"])
+def test_parts_match_one_worker(tree, block, monkeypatch):
+    monkeypatch.setattr(greens, "_BLOCK", block)
+    assert_parts_match_one_worker(tree, monkeypatch)
+
+
+def test_parts_keep_the_callers_error_state(monkeypatch):
+    # The zero energy is in the last part, on a pool thread: its zero
+    # pivot divides by zero under inertia_count's errstate there too.
+    monkeypatch.setattr(greens, "_cpus", lambda: 2)
+    tree = build_tree(10, [0] * 1024)
+    counts, g = inertia_count(tree, ideal_parameters(tree, 10.0, 1e-6),
+                              np.r_[np.linspace(-3.0, 3.0, 200_000), 0.0])
+    assert counts[-1] == 682 and g[-1] == -np.inf
+
+
+def test_a_failing_part_raises_its_own_error(monkeypatch):
+    # Of three parts, the last two fail: every part ends before the call
+    # returns, and the second part's error is raised.
+    monkeypatch.setattr(greens, "_cpus", lambda: 3)
+    blocks, ended = greens._blocks, []
+
+    def failing(steps, base, *args):
+        try:
+            if base[0] > -1.0:
+                raise ValueError(f"part from {base[0]:.1f}")
+            return blocks(steps, base, *args)
+        finally:
+            ended.append(base[0])
+
+    monkeypatch.setattr(greens, "_blocks", failing)
+    tree = build_tree(8, [0] * 256)
+    with pytest.raises(ValueError, match=r"^part from -0\.7$"):
+        inertia_count(tree, ideal_parameters(tree, 10.0, 1e-6), np.linspace(-2.0, 2.0, 300_000))
+    assert len(ended) == 3
+
+
+def test_concurrent_callers_share_the_pool(monkeypatch):
+    # Four callers, each cut into three parts, on a pool of one worker
+    # per CPU, with thread switches every few microseconds: each caller's
+    # parts fill only its own result.
+    monkeypatch.setattr(greens, "_BLOCK", 300)
+    tree = build_tree(6, np.random.default_rng(4).integers(0, 2, 64))
+    ideal = ideal_parameters(tree, 10.0, 1e-3)
+    many = sample_disorder_many(tree, ideal, [DisorderSpec(0.1, 0.1, seed) for seed in range(4)])
+    calls = [lambda k=k: inertia_count(tree, many.sample(k), np.linspace(-2.0, 2.0, 101 + k))
+             for k in range(4)]
+    want = [call() for call in calls]
+    monkeypatch.setattr(greens, "_cpus", lambda: 3)
+    got = [None] * len(calls)
+
+    def run(k):
+        for _ in range(20):
+            got[k] = calls[k]()
+            assert_identical(got[k], want[k])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(len(calls))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for g, w in zip(got, want):
+        assert_identical(g, w)
+
+
+def _shift_scaling_in_child(pipe):
+    pipe.send((ensemble.shift_scaling((8,), 0.01, 20, 7), greens._POOL[0] == os.getpid()))
+
+
+def test_a_forked_child_makes_its_own_pool(monkeypatch):
+    # The parent's pool threads do not exist in a forked child: a split
+    # call there runs on a pool of its own, instead of waiting forever.
+    monkeypatch.setattr(greens, "_cpus", lambda: 2)
+    want = ensemble.shift_scaling((8,), 0.01, 20, 7)
+    assert greens._POOL[0] == os.getpid()
+    fork = multiprocessing.get_context("fork")
+    receive, send = fork.Pipe(duplex=False)
+    child = fork.Process(target=_shift_scaling_in_child, args=(send,))
+    with warnings.catch_warnings():  # newer Pythons warn of forking with threads
+        warnings.simplefilter("ignore", DeprecationWarning)
+        child.start()
+    try:
+        assert receive.poll(60), "the child gave no result"
+        assert receive.recv() == (want, True)
+        child.join(60)
+        assert child.exitcode == 0
+    finally:
+        if child.is_alive():
+            child.kill()
+            child.join()
+    assert not multiprocessing.active_children()
+
+
+def test_import_starts_no_pool():
+    code = "import sys, nandtree; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=_env())
+    assert out.stdout.split() == ["False"]

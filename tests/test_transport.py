@@ -75,6 +75,24 @@ def test_far_energies_transmit_nothing():
         assert conductance(tree, params, ProbeSpec(e_f=1e200, temperature=kt)) == 0.0
 
 
+def test_probe_denominator_overflow_transmits_nothing():
+    # E - eps0 past the largest float is inf, and T its limit 0.
+    tree = build_tree(3, [0] * 8)
+    params = ideal_parameters(tree, 10.0, 1e-6)
+    probe = ProbeSpec(e_f=1.7e308, eps0=-1.7e308)
+    assert conductance(tree, params, probe) == 0.0
+
+
+def test_huge_probe_coupling_gives_a_finite_thermal_conductance():
+    # t1^2 G_1 in the mesh sums' denominator overflows to inf; those terms
+    # are 0, with no warning.
+    tree = build_tree(3, [0] * 8)
+    params = ideal_parameters(tree, 10.0, 1e-6)
+    g = conductance(tree, params, ProbeSpec(t1=1e150, temperature=0.01))
+    assert math.isfinite(g) and 0.0 <= g <= 1.0
+    assert g == 0.0
+
+
 def test_probe_green_values():
     probe = ProbeSpec(gamma_l=0.05, gamma_r=0.05)  # Gamma = 0.1
     assert probe_green(0.0, probe, 0.0) == pytest.approx(-20j)
