@@ -102,24 +102,22 @@ times smaller ones made the depth-12 H-fractal about 5x slower through
 per-level overhead (before its chains ran as products).
 
 **Parts at once.**  A call whose widest level needs more than one block
-cuts its (samples x energies) plane into P contiguous parts, along the
-energies, or along the samples at one energy, and runs them at once:
-the caller's thread runs the first and a thread pool the rest, while
+cuts its energies into P contiguous parts and runs them at once: the
+caller's thread runs the first and threads of the call the rest, while
 numpy's arithmetic releases the GIL.  P is the least of the CPUs the
-process may run on (``taskset`` limits them), the blocks the widest
-level needs and the length of the axis cut (:func:`_bottom_up`), so a
-call that fits one block, and every call at one energy for one
-realization, runs on the caller's thread alone.  Each part runs the
-serial blocks above with a block of ``_BLOCK // P`` values, so the parts
-together keep about one block in flight.  A part's values are bit for
-bit those of the whole call, as a sample's values do not depend on what
-is evaluated with it (see "Rounding" below).  Each part runs in a copy of the caller's context,
-so numpy's error state, a context variable, holds in every part; the
-call returns when every part has ended, and the first failing part, by
-index, raises its error.  The pool is started by the first such call,
-not by the import, and belongs to the process that started it: a
-forked child, in which the parent's pool threads do not exist, starts
-its own.
+process may run on (``taskset`` limits them; CPU quotas are not read),
+``_PARTS``, the blocks the widest level needs and the number of
+energies (:func:`_bottom_up`), so a call that fits one block, and every
+call at one energy, runs on the caller's thread alone.  Each part runs
+the serial blocks above with a block of ``_BLOCK // P`` values, so the
+parts together keep about one block in flight.  A part's values are
+bit for bit those of the whole call, as an energy's values do not
+depend on what is evaluated with it (see "Rounding" below).  Each part
+runs in a copy of the caller's context and under the caller's numpy
+error state, which numpy before 2.0 keeps per thread.  The call returns
+when every part has ended, and the first failing part, by index,
+raises its error.  Its threads end with it, so none is left running
+when the process forks later.
 
 **Inertia count.**  :func:`inertia_count` runs the same schedule and
 energy blocks in real arithmetic at gamma = 0 and counts the
@@ -183,6 +181,14 @@ MAX_PROFILE_DEPTH = 20
 #: and at most per plane of a stack's products, shared by the parts of a
 #: call run at once; see "Energy blocks" and "Parts at once" above.
 _BLOCK = 1 << 16
+
+#: Most parts of a call run at once.  Each part runs as many blocks as
+#: the whole call would, each with the same per-level Python overhead,
+#: which holds the GIL; blocks of ``_BLOCK // 4`` keep it small.  A pass
+#: of the benchmark's ``monte_carlo`` workload took 1.01, 1.13 and 1.28
+#: times as long with its calls cut into 4, 8 and 16 parts run one after
+#: another (2-core x86-64 Linux VM, Python 3.11, numpy 2.4).
+_PARTS = 4
 
 
 class _Step(NamedTuple):
@@ -707,33 +713,24 @@ def _bottom_up(steps, base, counts=None, derivative=False):
     sample; returns the root level's (1, samples, energies) values, and
     their derivatives if ``derivative`` (else ``None``).
 
-    The call's (samples x energies) plane runs in parts at once, each in
-    blocks (see "Energy blocks" above).  ``counts``, (samples, energies)
-    or ``None``, is cut to each part and block and given to :func:`_climb`
-    with it, as is ``derivative``.
+    The call's energies run in parts at once, each in blocks (see
+    "Energy blocks" and "Parts at once" above).  ``counts``, (samples,
+    energies) or ``None``, is cut to each part and block and given to
+    :func:`_climb` with it, as is ``derivative``.
     """
     n, samples = base.size, steps[0].eps.shape[-1]
-    along = n if n > 1 else samples  # the axis cut into parts
     widest = max(step.eps.shape[-2] for step in steps) * samples * n
-    parts = min(-(-widest // _BLOCK), along)
+    parts = min(-(-widest // _BLOCK), n, _PARTS)
     if parts > 1:
         parts = min(parts, _cpus())
     if parts <= 1:
         return _blocks(steps, base, counts, derivative, _BLOCK)
     block = max(1, _BLOCK // parts)
-    jobs = []
-    for k in range(parts):
-        cut = slice(k * along // parts, (k + 1) * along // parts)
-        if n > 1:
-            part = None if counts is None else counts[:, cut]
-            jobs.append((steps, base[cut], part, derivative, block))
-        else:
-            part = None if counts is None else counts[cut]
-            jobs.append(([step.samples(cut) for step in steps], base, part, derivative, block))
-    values = _at_once(jobs)
-    axis = 2 if n > 1 else 1
-    g = np.concatenate([v[0] for v in values], axis=axis)
-    return g, np.concatenate([v[1] for v in values], axis=axis) if derivative else None
+    cuts = [slice(k * n // parts, (k + 1) * n // parts) for k in range(parts)]
+    values = _at_once([(steps, base[cut], None if counts is None else counts[:, cut],
+                        derivative, block) for cut in cuts])
+    g = np.concatenate([v[0] for v in values], axis=2)
+    return g, np.concatenate([v[1] for v in values], axis=2) if derivative else None
 
 
 def _blocks(steps, base, counts, derivative, block: int):
@@ -772,29 +769,22 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-#: (process id, thread pool) of the parts after the first; a forked child
-#: makes its own, as the parent's threads do not exist in it.  Two threads
-#: that start it at once make one each, and the one dropped ends its
-#: threads once its parts are done.
-_POOL = None
-
-
 def _at_once(jobs) -> list:
     """:func:`_blocks` of each of ``jobs`` (argument tuples) at once: the
-    first on this thread, the rest on the pool, each in a copy of this
-    thread's context (numpy's error state is a context variable).  Returns
-    their values in order once all have ended; the first to fail, by
-    index, raises its own exception."""
-    global _POOL
-    if _POOL is None or _POOL[0] != os.getpid():
-        from concurrent.futures import ThreadPoolExecutor
-        _POOL = (os.getpid(), ThreadPoolExecutor(max(1, _cpus() - 1)))
-    later = [_POOL[1].submit(contextvars.copy_context().run, _blocks, *job) for job in jobs[1:]]
-    try:
+    first on this thread, the rest on threads that end with the call, each
+    in a copy of this thread's context and under its numpy error state.
+    Returns their values in order once all have ended; the first to fail,
+    by index, raises its own exception."""
+    from concurrent.futures import ThreadPoolExecutor
+    state, call = np.geterr(), np.geterrcall()
+
+    def part(job):
+        with np.errstate(call=call, **state):
+            return _blocks(*job)
+
+    with ThreadPoolExecutor(len(jobs) - 1) as pool:  # waits for every part
+        later = [pool.submit(contextvars.copy_context().run, part, job) for job in jobs[1:]]
         first = _blocks(*jobs[0])
-    finally:
-        for future in later:
-            future.exception()  # waits: no part outlives the call
     return [first] + [future.result() for future in later]
 
 

@@ -13,11 +13,9 @@ that the axis replaces gives.
 """
 
 import multiprocessing
-import os
 import subprocess
 import sys
 import threading
-import warnings
 
 import numpy as np
 import pytest
@@ -463,8 +461,8 @@ def test_ragged_trees_match_reference(seed):
 
 
 # Parts at once: a call whose widest level needs more than one block runs
-# its (samples x energies) plane in parts, on as many threads, each part
-# bit for bit what one thread gives.
+# its energies in parts, on as many threads, each part bit for bit what
+# one thread gives.
 
 def assert_identical(got, want):
     """Equal bit for bit, with the same dtypes and shapes, over tuples too."""
@@ -479,33 +477,35 @@ def assert_identical(got, want):
 
 def assert_parts_match_one_worker(tree, monkeypatch):
     """G, G with dG/dE, and the inertia count of ``tree``, ideal and for a
-    batch over many energies (cut along energies) and for a batch at one
-    energy (cut along samples), with 2 and 3 workers as with 1.  The sizes
-    are picked so that the widest level of every batch call needs more
-    than two ``_BLOCK``s, and so runs in as many parts as workers."""
+    batch over many energies, and for a batch at one energy, with 2, 3
+    and 5 workers as with 1.  The sizes are picked so that the widest
+    level of the batch over many energies needs more than ``_PARTS``
+    blocks, and so runs in as many parts as workers, at most ``_PARTS``;
+    the batch at one energy needs more than two blocks, and runs whole."""
     block = greens._BLOCK
     widest = max(level.nodes.shape[-1] for level in tree.levels())
-    energies = np.linspace(-1.5, 1.5, max(7, 2 * block // (5 * widest) + 1))
+    energies = np.linspace(-1.5, 1.5, max(7, block // widest + 1))
     ideal = ideal_parameters(tree, 10.0, 1e-3)
     specs = [DisorderSpec(0.1, 0.1, seed) for seed in range(max(5, 2 * block // widest + 1))]
     many = sample_disorder_many(tree, ideal, specs)
     few = sample_disorder_many(tree, ideal, specs[:5])
-    cases = [(ideal, energies, False), (few, energies, True), (many, np.float64(0.3), True)]
+    # (parameters, energies, most parts or None if not checked)
+    cases = [(ideal, energies, None), (few, energies, greens._PARTS), (many, np.float64(0.3), 1)]
     parts, at_once = [], greens._at_once
     monkeypatch.setattr(greens, "_at_once", lambda jobs: parts.append(len(jobs)) or at_once(jobs))
     results = {}
-    for workers in (1, 2, 3):
+    for workers in (1, 2, 3, 5):
         monkeypatch.setattr(greens, "_cpus", lambda: workers)
         results[workers] = []
-        for params, E, split in cases:
+        for params, E, most in cases:
             for call in (lambda: green_tree_many(tree, params, E),
                          lambda: _resolve(tree, params, E, True),
                          lambda: inertia_count(tree, params, E)):
                 parts.clear()
                 results[workers].append(call())
-                if split:
-                    assert parts == ([workers] if workers > 1 else [])
-    for workers in (2, 3):
+                if most is not None:
+                    assert parts == ([min(workers, most)] if min(workers, most) > 1 else [])
+    for workers in (2, 3, 5):
         for got, want in zip(results[workers], results[1]):
             assert_identical(got, want)
 
@@ -525,9 +525,14 @@ def test_parts_match_one_worker(tree, block, monkeypatch):
     assert_parts_match_one_worker(tree, monkeypatch)
 
 
-def test_parts_keep_the_callers_error_state(monkeypatch):
-    # The zero energy is in the last part, on a pool thread: its zero
-    # pivot divides by zero under inertia_count's errstate there too.
+@pytest.mark.parametrize("context", ["copied", "empty"])
+def test_parts_keep_the_callers_error_state(context, monkeypatch):
+    # The zero energy is in the last part, on a thread of the call: its
+    # zero pivot divides by zero under inertia_count's errstate there too,
+    # also where the thread does not see the caller's context, as numpy
+    # before 2.0 keeps the error state per thread.
+    if context == "empty":
+        monkeypatch.setattr(greens.contextvars, "copy_context", greens.contextvars.Context)
     monkeypatch.setattr(greens, "_cpus", lambda: 2)
     tree = build_tree(10, [0] * 1024)
     counts, g = inertia_count(tree, ideal_parameters(tree, 10.0, 1e-6),
@@ -556,10 +561,9 @@ def test_a_failing_part_raises_its_own_error(monkeypatch):
     assert len(ended) == 3
 
 
-def test_concurrent_callers_share_the_pool(monkeypatch):
-    # Four callers, each cut into three parts, on a pool of one worker
-    # per CPU, with thread switches every few microseconds: each caller's
-    # parts fill only its own result.
+def test_concurrent_callers_get_their_own_parts(monkeypatch):
+    # Four callers, each cut into three parts, with thread switches every
+    # few microseconds: each caller's parts fill only its own result.
     monkeypatch.setattr(greens, "_BLOCK", 300)
     tree = build_tree(6, np.random.default_rng(4).integers(0, 2, 64))
     ideal = ideal_parameters(tree, 10.0, 1e-3)
@@ -590,25 +594,28 @@ def test_concurrent_callers_share_the_pool(monkeypatch):
         assert_identical(g, w)
 
 
-def _shift_scaling_in_child(pipe):
-    pipe.send((ensemble.shift_scaling((8,), 0.01, 20, 7), greens._POOL[0] == os.getpid()))
+def _shift_scaling_in_child(pipe, parts):
+    parts.clear()
+    pipe.send((ensemble.shift_scaling((8,), 0.01, 20, 7), len(parts)))
 
 
-def test_a_forked_child_makes_its_own_pool(monkeypatch):
-    # The parent's pool threads do not exist in a forked child: a split
-    # call there runs on a pool of its own, instead of waiting forever.
+def test_parts_leave_no_threads_behind_for_a_fork(monkeypatch):
+    # A split call's threads end with it, so a process may fork after it
+    # (newer Pythons warn, an error here, of forking with threads alive),
+    # and the forked child splits its own calls.
     monkeypatch.setattr(greens, "_cpus", lambda: 2)
+    parts, at_once = [], greens._at_once
+    monkeypatch.setattr(greens, "_at_once", lambda jobs: parts.append(len(jobs)) or at_once(jobs))
+    threads = threading.active_count()
     want = ensemble.shift_scaling((8,), 0.01, 20, 7)
-    assert greens._POOL[0] == os.getpid()
+    assert parts and threading.active_count() == threads
     fork = multiprocessing.get_context("fork")
     receive, send = fork.Pipe(duplex=False)
-    child = fork.Process(target=_shift_scaling_in_child, args=(send,))
-    with warnings.catch_warnings():  # newer Pythons warn of forking with threads
-        warnings.simplefilter("ignore", DeprecationWarning)
-        child.start()
+    child = fork.Process(target=_shift_scaling_in_child, args=(send, parts))
+    child.start()
     try:
         assert receive.poll(60), "the child gave no result"
-        assert receive.recv() == (want, True)
+        assert receive.recv() == (want, len(parts))
         child.join(60)
         assert child.exitcode == 0
     finally:
