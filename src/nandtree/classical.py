@@ -58,8 +58,7 @@ def _nand(tree: TreeSpec, leaves):
 
 def eval_nand(tree: TreeSpec, bits=None) -> int:
     """Recursive NAND of the tree; NOT markers invert their single child."""
-    leaves = np.frombuffer(bytes(_with_bits(tree, bits).input_bits), np.uint8)
-    return int(_nand(tree, leaves))
+    return int(_nand(tree, _with_bits(tree, bits).leaf_bits))
 
 
 def eval_randomized(tree: TreeSpec, bits=None, seed: int = 0) -> QueryStats:
@@ -76,7 +75,7 @@ def eval_randomized(tree: TreeSpec, bits=None, seed: int = 0) -> QueryStats:
     leaves, n, markers = tree.input_bits, tree.n_leaves, tree.not_markers
     # Fewer than N NAND nodes are visited; the k-th one visited takes the
     # k-th draw, the stream that one integers(2) call per node gives.
-    flips = iter(np.random.default_rng(seed).integers(2, size=n).tolist())
+    flips = iter(np.random.default_rng(seed).integers(2, size=n).astype(np.uint8).tobytes())
     queries = 0
 
     def visit(node: int) -> int:

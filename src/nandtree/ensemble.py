@@ -9,7 +9,8 @@ import numpy as np
 
 from .classical import eval_nand
 from .greens import worst_case_tree
-from .model import DisorderSpec, StructureError, TreeSpec, ideal_parameters, sample_disorder_many
+from .model import (DisorderSpec, StructureError, TreeSpec, _seed_states, ideal_parameters,
+                    sample_disorder_many)
 from .transport import ProbeSpec, readout, transmission_curve
 
 #: Fixed energy grid used for resonance-shift measurements: 401 points
@@ -38,13 +39,32 @@ class EnsembleResult:
     ambiguous_rate: float
 
 
-def trial_seed(base_seed: int, index: int) -> int:
-    """Derived per-trial seed; mixing keeps trial sets extensible.  Both
-    arguments must be nonnegative, else :class:`~nandtree.model.StructureError`."""
+def _check_seed(base_seed: int, index: int) -> None:
     if min(base_seed, index) < 0:
         raise StructureError(f"trial seeds need a nonnegative base_seed and index, "
                              f"got {base_seed} and {index}")
+
+
+def trial_seed(base_seed: int, index: int) -> int:
+    """Derived per-trial seed, ``SeedSequence([base_seed, index])``'s first
+    32-bit word; mixing keeps trial sets extensible.  Both arguments must
+    be nonnegative, else :class:`~nandtree.model.StructureError`.
+
+    The scalar reference: the ensembles compute their trials' seeds
+    together (:func:`_trial_seeds`), and the tests compare the two."""
+    _check_seed(base_seed, index)
     return int(np.random.SeedSequence([int(base_seed), int(index)]).generate_state(1)[0])
+
+
+def _trial_seeds(base_seed: int, indices: range) -> list[int]:
+    """:func:`trial_seed` of ``base_seed`` and each of ``indices``, a
+    nonempty ascending range, bit for bit: numpy's ``SeedSequence``
+    hashing, reproduced in numpy arithmetic over all of them at once
+    (:func:`~nandtree.model._seed_states`).  numpy's RNG policy (NEP 19)
+    keeps that hash stable, and the tests compare the two."""
+    _check_seed(base_seed, indices[0])
+    base = int(base_seed)
+    return _seed_states([(base, index) for index in indices], 1)[:, 0].tolist()
 
 
 def run_ensemble(
@@ -61,7 +81,9 @@ def run_ensemble(
 
     Trial i draws its disorder realization with ``disorder.seed``
     replaced by ``trial_seed(base_seed, i)``, so ``disorder.seed`` itself
-    is never used; all of them are drawn by one
+    is never used.  The trials' seeds are computed together, in numpy
+    arithmetic that reproduces ``SeedSequence`` (:func:`_trial_seeds`);
+    the realizations are drawn by one
     :func:`~nandtree.model.sample_disorder_many` call and read out by
     one batched :func:`~nandtree.transport.readout`, and each readout
     bit is compared against the classical NAND result.  Ambiguous
@@ -75,7 +97,7 @@ def run_ensemble(
         raise StructureError(f"trials must be >= 1, got {trials}")
     truth = eval_nand(tree)
     ideal = ideal_parameters(tree, delta, gamma)
-    specs = [replace(disorder, seed=trial_seed(base_seed, i)) for i in range(trials)]
+    specs = [replace(disorder, seed=seed) for seed in _trial_seeds(base_seed, range(trials))]
     result = readout(tree, sample_disorder_many(tree, ideal, specs), probe)
     n_ambiguous = int(result.ambiguous.sum())
     n_success = int((~result.ambiguous & (result.bit == truth)).sum())
@@ -117,9 +139,11 @@ def shift_scaling(
     tree of the given depth and the transmission peak is located by
     argmax over the fixed 401-point grid spanning +-4 t/sqrt(N), so
     the resolution is t/(50 sqrt(N)).  The rms of the peak positions
-    is reported per N; it grows linearly in sigma_eps.  Each depth
-    draws its trials with one :func:`~nandtree.model.sample_disorder_many`
-    call and evaluates them with one batched
+    is reported per N; it grows linearly in sigma_eps.  Trial i at
+    depth d takes the seed ``trial_seed(base_seed, d * 100003 + i)``; a
+    depth's seeds are computed together (:func:`_trial_seeds`), its
+    trials drawn with one :func:`~nandtree.model.sample_disorder_many`
+    call and evaluated with one batched
     :func:`~nandtree.transport.transmission_curve`.
     """
     if trials < 1:
@@ -139,9 +163,9 @@ def shift_scaling(
         ideal = ideal_parameters(tree, delta, gamma)
         grid = np.linspace(-SHIFT_GRID_HALFWIDTH / np.sqrt(n),
                            SHIFT_GRID_HALFWIDTH / np.sqrt(n), SHIFT_GRID_POINTS)
-        specs = [DisorderSpec(sigma_t=0.0, sigma_eps=sigma_eps,
-                              seed=trial_seed(base_seed, depth * 100003 + i))
-                 for i in range(trials)]
+        first = depth * 100003
+        specs = [DisorderSpec(sigma_t=0.0, sigma_eps=sigma_eps, seed=seed)
+                 for seed in _trial_seeds(base_seed, range(first, first + trials))]
         curves = transmission_curve(tree, sample_disorder_many(tree, ideal, specs), probe, grid)
         shifts = grid[np.argmax(curves, axis=1)]
         out.append((n, float(np.sqrt(np.mean(shifts**2)))))

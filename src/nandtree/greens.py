@@ -113,8 +113,8 @@ the serial blocks above with a block of ``_BLOCK // P`` values, so the
 parts together keep about one block in flight.  A part's values are
 bit for bit those of the whole call, as an energy's values do not
 depend on what is evaluated with it (see "Rounding" below).  Each part
-runs in a copy of the caller's context and under the caller's numpy
-error state, which numpy before 2.0 keeps per thread.  The call returns
+runs in a copy of the caller's context, which carries numpy's error
+state (a context variable from numpy 2.0 on).  The call returns
 when every part has ended, and the first failing part, by index,
 raises its error.  Its threads end with it, so none is left running
 when the process forks later.
@@ -158,6 +158,7 @@ from __future__ import annotations
 import contextvars
 import math
 import os
+from contextlib import nullcontext
 from dataclasses import replace
 from functools import reduce
 from itertools import accumulate
@@ -737,28 +738,34 @@ def _blocks(steps, base, counts, derivative, block: int):
     """:func:`_bottom_up` on one thread: the wide bottom band, the levels
     whose (width x samples x energies) values exceed ``block``, runs in
     blocks of ``block // width`` values, and the narrow upper levels then
-    once over all of them."""
+    once over all of them.
+
+    A count (``counts`` given) runs with division by zero and overflow
+    ignored, set here on whichever thread runs the part: a zero pivot's
+    reciprocal is -inf and a tiny one's may overflow (:func:`_pivots`)."""
     n, samples = base.size, steps[0].eps.shape[-1]
     widths = [step.eps.shape[-2] for step in steps]
     split = len(steps)
     while split and widths[split - 1] * samples * n <= block:
         split -= 1
     g = dg = None
-    if split:
-        chunk = max(1, block // max(widths[:split]))
-        rows, energies = max(1, chunk // n), min(n, chunk)
-        g = np.empty((widths[split - 1], samples, n), dtype=base.dtype)
-        dg = np.empty_like(g) if derivative else None
-        for lo in range(0, samples, rows):
-            cut = slice(lo, lo + rows)
-            band = [step.samples(cut) for step in steps[:split]]
-            for at in range(0, n, energies):
-                span = slice(at, at + energies)
-                part = None if counts is None else counts[cut, span]
-                g[:, cut, span], d = _climb(band, base[span], None, None, part, derivative, block)
-                if dg is not None:
-                    dg[:, cut, span] = d
-    return _climb(steps[split:], base, g, dg, counts, derivative, block)
+    with nullcontext() if counts is None else np.errstate(divide="ignore", over="ignore"):
+        if split:
+            chunk = max(1, block // max(widths[:split]))
+            rows, energies = max(1, chunk // n), min(n, chunk)
+            g = np.empty((widths[split - 1], samples, n), dtype=base.dtype)
+            dg = np.empty_like(g) if derivative else None
+            for lo in range(0, samples, rows):
+                cut = slice(lo, lo + rows)
+                band = [step.samples(cut) for step in steps[:split]]
+                for at in range(0, n, energies):
+                    span = slice(at, at + energies)
+                    part = None if counts is None else counts[cut, span]
+                    g[:, cut, span], d = _climb(band, base[span], None, None, part,
+                                                derivative, block)
+                    if dg is not None:
+                        dg[:, cut, span] = d
+        return _climb(steps[split:], base, g, dg, counts, derivative, block)
 
 
 def _cpus() -> int:
@@ -772,18 +779,13 @@ def _cpus() -> int:
 def _at_once(jobs) -> list:
     """:func:`_blocks` of each of ``jobs`` (argument tuples) at once: the
     first on this thread, the rest on threads that end with the call, each
-    in a copy of this thread's context and under its numpy error state.
+    in a copy of this thread's context, which carries numpy's error state.
     Returns their values in order once all have ended; the first to fail,
     by index, raises its own exception."""
     from concurrent.futures import ThreadPoolExecutor
-    state, call = np.geterr(), np.geterrcall()
-
-    def part(job):
-        with np.errstate(call=call, **state):
-            return _blocks(*job)
 
     with ThreadPoolExecutor(len(jobs) - 1) as pool:  # waits for every part
-        later = [pool.submit(contextvars.copy_context().run, part, job) for job in jobs[1:]]
+        later = [pool.submit(contextvars.copy_context().run, _blocks, *job) for job in jobs[1:]]
         first = _blocks(*jobs[0])
     return [first] + [future.result() for future in later]
 
@@ -881,8 +883,7 @@ def inertia_count(tree, params: DotParameters, energies) -> tuple[np.ndarray, np
     _finite(E)
     steps = _rows(_schedule(tree, params, E.size > 1))
     counts = np.zeros((steps[0].eps.shape[1], E.size), dtype=np.int64)
-    with np.errstate(divide="ignore", over="ignore"):
-        g, _ = _bottom_up(steps, E.reshape(-1), counts)
+    g, _ = _bottom_up(steps, E.reshape(-1), counts)
     shape = params.sample_shape + E.shape
     return counts.reshape(shape), g[0].reshape(shape)
 

@@ -29,7 +29,7 @@ import math
 import operator
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -216,7 +216,8 @@ class TreeSpec(RootedTree):
 
     The bits may be given as anything :func:`_as_bits` takes, and are
     checked here and nowhere else, once per tree; ``input_bits`` is then
-    a tuple of the Python ints 0 and 1.
+    a tuple of the Python ints 0 and 1, and ``leaf_bits`` the same bits
+    as a read-only uint8 array over the packed bytes.
     """
 
     depth: int
@@ -231,6 +232,7 @@ class TreeSpec(RootedTree):
         if len(packed) != n:
             raise StructureError(f"need 2**{self.depth} = {n} input bits, got {len(packed)}")
         object.__setattr__(self, "input_bits", tuple(packed))
+        object.__setattr__(self, "leaf_bits", np.frombuffer(packed, np.uint8))
         markers = frozenset(int(m) for m in self.not_markers)
         if not all(1 <= m < n for m in markers):
             raise StructureError(
@@ -360,7 +362,7 @@ class TreeSpec(RootedTree):
         of which read its last entry, a zero."""
         n = self.n_leaves
         table = np.zeros(2 * n + 1, np.int64)
-        table[n:2 * n] = np.frombuffer(bytes(self.input_bits), np.uint8)
+        table[n:2 * n] = self.leaf_bits
         table[n + 1:2 * n:2] *= -1
         return table[np.clip(ids, -1, 2 * n)]
 
@@ -659,6 +661,113 @@ def ideal_parameters(tree: RootedTree, delta: float, gamma: float) -> DotParamet
         delta=delta, gamma=gamma)
 
 
+#: numpy's ``SeedSequence`` constants (pool of four 32-bit words):
+#: the entropy hash, the output hash, and the mix of two pool words.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+#: PCG64's 128-bit LCG multiplier.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _words(entropy) -> list[int]:
+    """The 32-bit words of the nonnegative ints of ``entropy``, each
+    little-endian and 0 as one word, as ``SeedSequence`` reads them."""
+    out = []
+    for value in entropy:
+        out.append(value & _MASK32)
+        value >>= 32
+        while value:
+            out.append(value & _MASK32)
+            value >>= 32
+    return out
+
+
+@cache
+def _powers(init: int, mult: int, count: int) -> np.ndarray:
+    """``init * mult**i`` mod 2**32 for i = 0 .. ``count``, a uint32 column:
+    the hash constants of ``count`` successive hashes."""
+    out = [init]
+    for _ in range(count):
+        out.append(out[-1] * mult & _MASK32)
+    return np.array(out, np.uint32)[:, None]
+
+
+def _mixed(entropy: np.ndarray, n_words: int) -> np.ndarray:
+    """``generate_state(n_words)`` of the ``SeedSequence`` of each column
+    of ``entropy`` (k words x m entropies, uint32), as (n_words x m)
+    uint32 words: numpy's pool-4 hashmix and mix, in uint32 arrays, whose
+    products wrap mod 2**32 as numpy's C code does.
+
+    Each hashmix call takes the next of a fixed sequence of hash
+    constants, so calls whose inputs do not depend on one another run
+    as one array step: the four pool words, the three words one pool
+    word mixes into, and the output words.
+    """
+    k, m = entropy.shape
+    const, taken = _powers(_INIT_A, _MULT_A, 16 + 4 * max(0, k - 4)), 0
+
+    def hashmix(value, count):
+        nonlocal taken
+        value = (value ^ const[taken:taken + count]) * const[taken + 1:taken + count + 1]
+        taken += count
+        return value ^ value >> 16
+
+    def mix(x, y):
+        out = x * _MIX_L - y * _MIX_R
+        return out ^ out >> 16
+
+    pool = np.zeros((4, m), np.uint32)
+    pool[:k] = entropy[:4]
+    pool = hashmix(pool, 4)
+    for src in range(4):
+        dst = [i for i in range(4) if i != src]
+        pool[dst] = mix(pool[dst], hashmix(pool[src], 3))
+    for word in entropy[4:]:
+        pool = mix(pool, hashmix(word, 4))
+    const = _powers(_INIT_B, _MULT_B, n_words)
+    out = (pool[np.arange(n_words) % 4] ^ const[:-1]) * const[1:]
+    return out ^ out >> 16
+
+
+def _seed_states(entropies, n_words: int) -> np.ndarray:
+    """``SeedSequence(entropy).generate_state(n_words)`` of each of
+    ``entropies`` (sequences of nonnegative ints), as the rows of a uint32
+    array, bit for bit: the hash runs in numpy over all the entropies of
+    one word count at once (:func:`_mixed`).  This is numpy's seeding
+    algorithm, which its RNG policy (NEP 19) keeps stable; the tests
+    compare it with numpy."""
+    words = [_words(entropy) for entropy in entropies]
+    out = np.empty((len(words), n_words), np.uint32)
+    by_count: dict[int, list[int]] = {}
+    for row, entropy in enumerate(words):
+        by_count.setdefault(len(entropy), []).append(row)
+    for rows in by_count.values():
+        entropy = np.array([words[row] for row in rows], np.uint32).T
+        out[rows] = _mixed(entropy, n_words).T
+    return out
+
+
+def _pcg64_states(seeds) -> list[dict]:
+    """``default_rng(seed).bit_generator.state`` for each nonnegative int of
+    ``seeds``.  The seed's ``generate_state(4, uint64)`` is eight 32-bit
+    words (:func:`_seed_states`), two per uint64, low word first; the
+    first two uint64 make initstate and the last two initseq, high first.
+    PCG64's seeding step then runs in Python ints: state 0,
+    inc = initseq << 1 | 1, one step, add initstate, one step."""
+    out = []
+    for w in _seed_states([(operator.index(seed),) for seed in seeds], 8).tolist():
+        initstate = w[1] << 96 | w[0] << 64 | w[3] << 32 | w[2]
+        inc = (w[5] << 96 | w[4] << 64 | w[7] << 32 | w[6]) << 1 & _MASK128 | 1
+        state = (inc + initstate) & _MASK128
+        out.append({"bit_generator": "PCG64",
+                    "state": {"state": (state * _PCG_MULT + inc) & _MASK128, "inc": inc},
+                    "has_uint32": 0, "uinteger": 0})
+    return out
+
+
 def sample_disorder(tree: RootedTree, ideal: DotParameters, spec: DisorderSpec) -> DotParameters:
     """One disorder sample: couplings ~ N(mean_t, sigma_t) clamped below
     at ``coupling_floor``, additive N(0, sigma_eps) detuning noise on
@@ -681,14 +790,25 @@ def sample_disorder_many(tree: RootedTree, ideal: DotParameters, specs) -> DotPa
     one per node in ascending id order.  Those are the orders the ideal
     tables keep, so the draws fill their value arrays as they come, and
     every row shares the ideal key arrays.
+
+    The generators' start states are computed in bulk: numpy's
+    ``SeedSequence`` hash over all the seeds at once, then PCG64's
+    seeding step (:func:`_pcg64_states`); each is set on one reused
+    ``Generator``, bit for bit the state ``default_rng(seed)`` starts
+    from.  This reproduces numpy's ``SeedSequence`` and ``PCG64`` seeding,
+    whose streams numpy's RNG policy (NEP 19) keeps stable, and the tests
+    compare it with ``default_rng`` over many seeds.
     """
     coup, eps = ideal.coupling, ideal.epsilon
-    tvals = np.empty((len(specs), len(coup)))
-    evals = np.empty((len(specs), len(eps)))
-    for spec, t, e in zip(specs, tvals, evals):
-        rng = np.random.default_rng(spec.seed)
-        t[:] = rng.normal(spec.mean_t, spec.sigma_t, size=len(coup))
-        e[:] = rng.normal(0.0, spec.sigma_eps, size=len(eps))
+    links, dots = len(coup), len(eps)
+    tvals = np.empty((len(specs), links))
+    evals = np.empty((len(specs), dots))
+    bits = np.random.PCG64(0)  # each row sets its own state
+    rng = np.random.Generator(bits)
+    for spec, state, t, e in zip(specs, _pcg64_states([s.seed for s in specs]), tvals, evals):
+        bits.state = state
+        t[:] = rng.normal(spec.mean_t, spec.sigma_t, size=links)
+        e[:] = rng.normal(0.0, spec.sigma_eps, size=dots)
     floor = np.array([spec.coupling_floor for spec in specs]).reshape(-1, 1)
     tvals = np.where(tvals < floor, floor, tvals)
     evals += eps.values_array

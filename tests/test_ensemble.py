@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nandtree import (EnsembleResult, ProbeSpec, QuadratureError, build_tree, ensemble,
+from nandtree import (EnsembleResult, ProbeSpec, QuadratureError, build_tree, ensemble, model,
                       run_ensemble, shift_scaling, transport)
 from nandtree.classical import eval_nand
 from nandtree.ensemble import SHIFT_GRID_HALFWIDTH, SHIFT_GRID_POINTS, trial_seed
@@ -27,6 +27,31 @@ def test_trial_seed_mixing():
     assert len(seeds) == 100
     assert trial_seed(5, 3) == trial_seed(5, 3)
     assert trial_seed(5, 3) != trial_seed(6, 3)
+
+
+#: Base seeds of one and two 32-bit words, 0 included, which is one word.
+BASE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 + 5]
+
+
+@pytest.mark.parametrize("base_seed", BASE_SEEDS)
+def test_bulk_trial_seeds_match_trial_seed(base_seed):
+    assert ensemble._trial_seeds(base_seed, range(3000)) == [
+        trial_seed(base_seed, i) for i in range(3000)]
+    first = 12 * 100003
+    assert ensemble._trial_seeds(base_seed, range(first, first + 50)) == [
+        trial_seed(base_seed, first + i) for i in range(50)]
+
+
+def test_bulk_seed_states_match_seed_sequence_across_word_counts():
+    # One batch whose entropies coerce to 2 to 10 words, in mixed order:
+    # each word count runs as its own group, and past four words the
+    # extra words are mixed into the pool one at a time.
+    entropies = [(base, index) for index in (0, 1, 2**32 - 1, 2**32, 2**96 + 7, 2**160 + 9)
+                 for base in BASE_SEEDS + [2**100 + 3]]
+    entropies += [(2**64 + i,) for i in range(5)]
+    want = [np.random.SeedSequence(list(e)).generate_state(8) for e in entropies]
+    assert np.array_equal(model._seed_states(entropies, 8), np.array(want))
+    assert {len(model._words(e)) for e in entropies} == {2, 3, 4, 5, 6, 7, 8, 10}
 
 
 def test_run_ensemble_disorder_free():

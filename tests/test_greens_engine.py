@@ -540,6 +540,26 @@ def test_parts_keep_the_callers_error_state(context, monkeypatch):
     assert counts[-1] == 682 and g[-1] == -np.inf
 
 
+def test_parts_see_the_callers_error_state_through_its_context(monkeypatch):
+    # Every part, on the caller's thread or one of the call, runs under
+    # the error state and error call that the caller set: from numpy 2.0
+    # both are context variables, which the copied context carries.
+    monkeypatch.setattr(greens, "_cpus", lambda: 2)
+    blocks, seen = greens._blocks, []
+
+    def spy(*args):
+        seen.append((np.geterr(), np.geterrcall()))
+        return blocks(*args)
+
+    monkeypatch.setattr(greens, "_blocks", spy)
+    tree = build_tree(10, [0] * 1024)
+    params = sample_disorder(tree, ideal_parameters(tree, 10.0, 1e-6), DisorderSpec(0.1, 0.1, 3))
+    state = {"divide": "ignore", "over": "call", "under": "warn", "invalid": "ignore"}
+    with np.errstate(call=print, **state):
+        green_tree_many(tree, params, np.linspace(-1.0, 1.0, 200))
+    assert len(seen) == 2 and all(part == (state, print) for part in seen)
+
+
 def test_a_failing_part_raises_its_own_error(monkeypatch):
     # Of three parts, the last two fail: every part ends before the call
     # returns, and the second part's error is raised.

@@ -259,8 +259,13 @@ def assert_same_sample(got: DotParameters, want: DotParameters):
         assert np.array_equal(a.values_array.view(np.uint64), b.values_array.view(np.uint64))
 
 
+#: Seeds that coerce to one to five 32-bit words: ``DisorderSpec`` takes
+#: any nonnegative int.
+WIDE_SEEDS = list(range(200)) + [2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**64, 2**130 + 7]
+
 SPECS = [DisorderSpec(0.05, 0.02, 0), DisorderSpec(0.9, 0.3, 7, coupling_floor=0.4),
          DisorderSpec(0.2, 0.1, 2**40 + 3, mean_t=1.5), DisorderSpec(0.0, 0.0, 5)]
+SPECS += [DisorderSpec(0.2, 0.1, seed) for seed in WIDE_SEEDS[-6:]]
 
 
 @pytest.mark.parametrize("tree", TREES, ids=lambda t: type(t).__name__)
@@ -273,6 +278,20 @@ def test_sample_disorder_many_rows_match_single_sampler(tree):
         want = single_sample_disorder(tree, ideal, spec)
         assert_same_sample(many.sample(i), want)
         assert_same_sample(sample_disorder(tree, ideal, spec), want)
+
+
+def test_bulk_generator_states_match_default_rng():
+    assert model._pcg64_states(WIDE_SEEDS) == [
+        np.random.default_rng(seed).bit_generator.state for seed in WIDE_SEEDS]
+
+
+def test_bulk_generator_rows_match_default_rng_draws():
+    tree = build_tree(3, [0, 1] * 4)
+    ideal = ideal_parameters(tree, 10.0, 1e-6)
+    specs = [DisorderSpec(0.3, 0.2, seed) for seed in WIDE_SEEDS]
+    many = sample_disorder_many(tree, ideal, specs)
+    for i, spec in enumerate(specs):
+        assert_same_sample(many.sample(i), single_sample_disorder(tree, ideal, spec))
 
 
 def test_sample_disorder_many_clamps_each_row_at_its_floor():

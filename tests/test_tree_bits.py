@@ -1,9 +1,9 @@
 """Tree construction in linear time, checked against the code it replaced.
 
 ``TreeSpec`` checks its bits once, a list or tuple of ints in one C-level
-pass; ``greens._worst_bits`` builds the worst-case bits by
-doubling; ``transport`` imports the quadrature rule only when kT > 0
-first needs it.  Each test below keeps the replaced code verbatim (the
+pass, and keeps them packed as ``leaf_bits``; ``greens._worst_bits``
+builds the worst-case bits by doubling; ``transport`` imports the
+quadrature rule only when kT > 0 first needs it.  Each test below keeps the replaced code verbatim (the
 ``*_before`` functions) and checks the new code against it.
 """
 
@@ -200,6 +200,16 @@ def test_eval_nand_and_leaf_values_match_the_old_reads(tree):
     ids = np.concatenate([np.arange(-3, 2 * n + 3), rng.integers(-10, 4 * n, 50)])
     got, want = tree.leaf_values(ids), leaf_values_before(tree, ids)
     assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("tree", list(_trees()), ids=lambda t: f"depth{t.depth}")
+def test_leaf_bits_are_the_input_bits_packed_and_read_only(tree):
+    bits = tree.leaf_bits
+    assert bits.dtype == np.uint8 and not bits.flags.writeable
+    assert bits.tolist() == list(tree.input_bits)
+    flipped = [1 - b for b in tree.input_bits]
+    assert _with_bits(tree, flipped).leaf_bits.tolist() == flipped
+    assert tree.leaf_bits.tolist() == list(tree.input_bits)
 
 
 def test_quadrature_rule_is_imported_on_first_use():
