@@ -32,13 +32,13 @@ level gives the ``rows`` of its dots and the ``up`` of the links into
 them in the tables whose codes are the tree's
 :meth:`~nandtree.model.RootedTree.table_codes`, slices for a
 :class:`~nandtree.model.TreeSpec` (so an unmarked one's columns are
-views of the tables).  The tables of
-:func:`~nandtree.model.ideal_parameters` and
-:func:`~nandtree.model.sample_disorder` are on those codes
-(:meth:`~nandtree.model.RootedTree.has_codes` checks).  Any other
-tables, hand-built ones with extra keys or another tree's, are first
-read onto them, one binary search per table
-(:meth:`~nandtree.model.ParamTable.find`): entries for dots and links
+views of the tables).  A tree builds those codes once, and the tables
+of :func:`~nandtree.model.ideal_parameters`, and all drawn or taken
+from them, hold the very arrays, which
+:meth:`~nandtree.model.RootedTree.has_codes` knows by identity.  Any
+other tables, hand-built ones with extra keys or another tree's, are
+first read onto the codes, one binary search per table
+(:meth:`~nandtree.model.ParamTable.find_codes`): entries for dots and links
 out of reach are never read, and a missing entry for a reachable one
 raises :class:`~nandtree.model.StructureError` naming the lowest missing
 dot id, or else the lowest missing (parent, child) link.
@@ -167,7 +167,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import DotParameters, Level, LogicalForm, ParamTable, Slot, StructureError, \
-    TreeSpec, _unpack, build_tree, ideal_parameters
+    TreeSpec, build_tree, ideal_parameters
 
 #: |G(0)| decision threshold between "1"-like (small) and "0"-like (pole).
 CLASSIFY_THRESHOLD = 1.0
@@ -246,17 +246,16 @@ def _top(values: np.ndarray, level: Level) -> np.ndarray:
 def _own(tree, params: DotParameters) -> DotParameters:
     """``params`` with each table read onto the tree's own
     :meth:`~nandtree.model.RootedTree.table_codes`, by one
-    :meth:`~nandtree.model.ParamTable.find`; the lowest missing dot id,
+    :meth:`~nandtree.model.ParamTable.find_codes`; the lowest missing dot id,
     or else the lowest missing link, raises
     :class:`~nandtree.model.StructureError`."""
     tables = []
     for table, codes in zip((params.epsilon, params.coupling), tree.table_codes()):
-        keys = _unpack(codes) if table.links else codes
         try:
-            at = table.find(keys)
+            at = table.find_codes(codes)
         except KeyError as exc:
             raise StructureError(f"parameters missing entry for {exc.args[0]!r}") from exc
-        tables.append(ParamTable._of_codes(keys, table.values_array[..., at], codes))
+        tables.append(ParamTable._of_codes(codes, table.values_array[..., at], table.links))
     return replace(params, epsilon=tables[0], coupling=tables[1])
 
 
@@ -956,8 +955,8 @@ def worst_case_profile(depth: int, delta: float, gamma: float):
     definition; alpha_{k+2}/alpha_k approaches 2 as k grows.  The cap,
     ``MAX_PROFILE_DEPTH`` = 20, is set by memory: the depth-20 tree has
     2 097 151 dots, and its parameters and gathered columns peak at
-    about 235 MB resident, four times more every two levels; the whole
-    profile to depth 20 takes about 0.4 s, most of it in the depth-20
+    about 195 MB resident, four times more every two levels; the whole
+    profile to depth 20 takes about 0.5 s, most of it in the depth-20
     ``ideal_parameters`` and ``classify`` (measured on a 2-core x86-64
     Linux VM, Python 3.11, numpy 2.4).
     """

@@ -202,7 +202,7 @@ class ChainedTree(RootedTree):
     chains of one tree level, as one stacked
     :class:`~nandtree.model.Level`, which :mod:`nandtree.greens`
     evaluates as Möbius products.  The levels' rows and
-    :meth:`table_codes` come from the dots' ranks (:attr:`_ranks`): dense
+    :meth:`sorted_codes` come from the dots' ranks (:attr:`_ranks`): dense
     ids, as :func:`build_hfractal` and :func:`chain_below` make them, are
     ranked without a sort (:func:`_distinct`), and the links follow from
     their parents' ranks.
@@ -255,9 +255,9 @@ class ChainedTree(RootedTree):
         up[1:] = start[rows[dots.parent[1:]]] + after[1:]
         return rows, up
 
-    def table_codes(self) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`RootedTree.table_codes`, each code put at its row of
-        :attr:`_ranks` instead of sorted again."""
+    def sorted_codes(self) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`RootedTree.sorted_codes`, each code put at its row of
+        :attr:`_ranks` instead of sorted."""
         (ids, dots), (rows, up) = self._dots, self._ranks
         codes, links = np.empty_like(ids), np.empty(len(ids) - 1, np.int64)
         codes[rows] = ids

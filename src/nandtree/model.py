@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import copy
 import math
-import operator
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
@@ -195,15 +194,27 @@ class RootedTree:
     def table_codes(self) -> tuple[np.ndarray, np.ndarray]:
         """The :attr:`ParamTable.codes` of the tables :func:`ideal_parameters`
         builds: of the ids, and of the (parent, child) links below the
-        root.  A level's ``rows`` and ``up`` point into these."""
+        root.  A level's ``rows`` and ``up`` point into these.  Built once
+        per tree object (:meth:`sorted_codes`) and read-only, so the tables
+        on them, and all taken from those, hold these arrays."""
+        return self._table_codes
+
+    @cached_property
+    def _table_codes(self) -> tuple[np.ndarray, np.ndarray]:
+        return _read_only(*self.sorted_codes())
+
+    def sorted_codes(self) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`table_codes` built anew, by sorting the ids and the packed
+        links of :meth:`links`; a tree may give them in closed form."""
         ids, parents = self.links()
         below = parents >= 0
         return _ascending(ids)[0], _ascending(_pack(parents[below], ids[below]))[0]
 
     def has_codes(self, ids: np.ndarray, links: np.ndarray) -> bool:
-        """Whether ``ids`` and ``links``, the strictly ascending codes of
-        two :class:`ParamTable` s, are :meth:`table_codes`."""
-        return all(map(np.array_equal, (ids, links), self.table_codes()))
+        """Whether ``ids`` and ``links`` are :meth:`table_codes`: the same
+        arrays, known in O(1), or equal ones."""
+        own = self.table_codes()
+        return all(a is b or np.array_equal(a, b) for a, b in zip((ids, links), own))
 
 
 @dataclass(frozen=True)
@@ -269,10 +280,7 @@ class TreeSpec(RootedTree):
     @cached_property
     def _structure(self) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`structure`, computed once per tree and read-only."""
-        out = self.structure()
-        for array in out:
-            array.setflags(write=False)
-        return out
+        return _read_only(*self.structure())
 
     def levels(self) -> list[Level]:
         """:meth:`RootedTree.levels` in closed form on the heap indices.
@@ -324,36 +332,14 @@ class TreeSpec(RootedTree):
         parents[0] = -1
         return ids, parents
 
-    def table_codes(self) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`RootedTree.table_codes` in closed form, with no sort and
+    def sorted_codes(self) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`RootedTree.sorted_codes` in closed form, with no sort and
         no check: the reachable ids ascending, and the links below the root
         packed as ``(id >> 1, id)``, ascending as the ids are, since a
         parent's id grows with its child's."""
         ids = self._ids()
         below = ids[1:]
         return ids, _pack(below >> 1, below)
-
-    def has_codes(self, ids: np.ndarray, links: np.ndarray) -> bool:
-        """:meth:`RootedTree.has_codes` against the closed form of
-        :meth:`table_codes`, without building it.
-
-        Strictly ascending codes are the tree's own when there are as many
-        as the tree has dots (links), each lies in range and is reachable,
-        and each link's parent is its child's id >> 1: codes distinct and
-        all in the set, as many as the set, are the set.  A link's code
-        grows with its child's id, so the children ascend with the codes,
-        and the ends bound them all.
-        """
-        reach = self._structure[0] if self.not_markers else None
-        count = 2 * self.n_leaves - 1 if reach is None else int(np.count_nonzero(reach))
-        if len(ids) != count or len(links) != count - 1:
-            return False
-        children = links & 0xFFFFFFFF
-        if not (1 <= ids[0] and ids[-1] < 2 * self.n_leaves
-                and 2 <= children[0] and children[-1] < 2 * self.n_leaves):
-            return False
-        return bool(np.array_equal(links >> 32, children >> 1)
-                    and (reach is None or reach[ids].all() and reach[children].all()))
 
     def leaf_values(self, ids: np.ndarray) -> np.ndarray:
         """``leaf_sign * leaf_bit`` of each id in the int array ``ids``
@@ -372,6 +358,13 @@ def _pack(parents: np.ndarray, children: np.ndarray) -> np.ndarray:
     return parents << 32 | children
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``arrays``, each made read-only in place."""
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
+
+
 def _unpack(codes: np.ndarray) -> np.ndarray:
     """The (parent, child) links of int64 link ``codes``, shape (n, 2)."""
     return np.stack([codes >> 32, codes & 0xFFFFFFFF], axis=1)
@@ -382,9 +375,16 @@ def _codes(keys: np.ndarray) -> np.ndarray:
     return _pack(keys[:, 0], keys[:, 1]) if keys.ndim == 2 else keys
 
 
-def _check_ids(keys: np.ndarray) -> None:
-    if keys.size and not (0 <= keys.min() and keys.max() < _ID_LIMIT):
-        raise StructureError("node ids must lie in [0, 2**31)")
+def _int_keys(keys) -> np.ndarray:
+    """``keys`` as a new int64 array if all are ints (bools and numpy ints
+    too); floats, strings and the like raise :class:`StructureError`."""
+    try:
+        out = np.array(keys)
+    except ValueError as exc:  # ragged
+        raise StructureError(f"parameter keys must be ints: {exc}") from exc
+    if out.size and out.dtype.kind not in "biu":
+        raise StructureError(f"parameter keys must be ints, got {out.dtype} keys")
+    return out.astype(np.int64, copy=False)
 
 
 def _ascending(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
@@ -398,87 +398,82 @@ def _ascending(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
 
 
 class ParamTable:
-    """Parameters as three read-only arrays: keys, values and key codes.
+    """Parameters as two read-only arrays, key codes and values.
 
-    ``keys_array`` holds node ids, shape (n,), or (parent, child) links,
-    shape (n, 2); ``values_array`` holds one float per key, shape (n,),
-    or one per sample and key, shape (samples, n).  Keys are distinct
-    and node ids lie in [0, 2**31), so a link packs into one int64 code,
-    ``parent << 32 | child``, and a node id is its own code.  The table
-    keeps its keys in ascending order of their ``codes``, node ids
-    ascending and links by (parent, child), whatever order they are
-    given in; the values move with their keys.  :meth:`find` and
+    A table's keys are ints (:func:`_int_keys`): node ids, or (parent,
+    child) links if ``links``.  Keys are distinct and node ids lie in
+    [0, 2**31), so a link packs into one int64 code, ``parent << 32 |
+    child``, and a node id is its own code.  ``codes`` holds them strictly
+    ascending, whatever order the keys come in, and ``values_array`` one
+    float per key, shape (n,), or per sample and key, shape (samples,
+    n); :attr:`keys_array` gives the keys.  :meth:`find` and
     :meth:`lookup` find many keys at once, none included, by binary
     search.  Two tables are equal only if they are the same object.
     """
 
     def __init__(self, keys, values):
-        keys = np.array(keys, dtype=np.int64)
-        values = np.array(values, dtype=float)
+        keys = _int_keys(keys)
+        try:
+            values = np.array(values, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise StructureError(f"parameter values must be floats: {exc}") from exc
         if keys.shape[1:] not in ((), (2,)) or values.ndim > 2 \
                 or values.shape[-1:] != keys.shape[:1]:
             raise StructureError(
                 f"need n keys or n (parent, child) links and n values per sample, "
                 f"got shapes {keys.shape} and {values.shape}")
-        _check_ids(keys)
+        if keys.size and not (0 <= keys.min() and keys.max() < _ID_LIMIT):
+            raise StructureError("node ids must lie in [0, 2**31)")
         codes, order = _ascending(_codes(keys))
         if order is not None:
-            keys, values = keys.take(order, 0), values.take(order, -1)
+            values = values.take(order, -1)
             if np.any(codes[1:] == codes[:-1]):
                 raise StructureError("parameter keys must be distinct")
-        self._keep(keys, values, codes)
+        self.codes, self.values_array = _read_only(codes, values)
+        self.links = keys.ndim == 2
 
     @classmethod
-    def _of_codes(cls, keys: np.ndarray, values: np.ndarray, codes: np.ndarray) -> ParamTable:
-        """A table over fresh arrays made for it, taken as they are, with no
-        copy and no packing: int64 ``keys`` and float ``values`` shaped as
-        for the constructor, and the keys' ``codes``, which must come
-        strictly ascending (one pass checks)."""
-        _check_ids(keys)
-        if _ascending(codes)[1] is not None:
+    def _of_codes(cls, codes: np.ndarray, values: np.ndarray, links: bool) -> ParamTable:
+        """A table on int64 ``codes`` of node ids, or of links if ``links``,
+        and fresh float ``values``, both taken as they are: the codes must
+        come strictly ascending, with ids in [0, 2**31) (a pass checks each)."""
+        if np.any(codes[1:] <= codes[:-1]):
             raise StructureError("table codes must be strictly ascending")
+        # The ends bound ascending codes; a link's child is its low 32 bits.
+        if len(codes) and (codes[0] < 0 or (np.any(codes & _ID_LIMIT) if links
+                                            else codes[-1] >= _ID_LIMIT)):
+            raise StructureError("node ids must lie in [0, 2**31)")
         table = cls.__new__(cls)
-        table._keep(keys, values, codes)
+        table.codes, table.values_array = _read_only(codes, values)
+        table.links = links
         return table
-
-    def _keep(self, keys: np.ndarray, values: np.ndarray, codes: np.ndarray) -> None:
-        for array in (keys, values, codes):
-            array.setflags(write=False)
-        self.keys_array, self.values_array, self.codes = keys, values, codes
 
     @classmethod
     def of(cls, mapping: Mapping | ParamTable, links: bool) -> ParamTable:
         """``mapping``, a dict or a table, as a table of node ids, or of
         links if ``links``, to floats."""
-        kind = "(parent, child) pairs of node ids" if links else "node ids"
-        if isinstance(mapping, ParamTable):
-            if mapping.links != links:
-                raise StructureError(f"parameter keys must be {kind}")
-            return mapping
-        try:
-            if links:
-                keys = [(operator.index(p), operator.index(c)) for p, c in mapping]
-            else:
-                keys = list(map(operator.index, mapping))
-            keys = np.array(keys, dtype=np.int64).reshape((-1, 2) if links else -1)
-            values = np.array(list(mapping.values()), dtype=float)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise StructureError(f"parameters must map {kind} to floats: {exc}") from exc
-        return cls(keys, values)
+        if not isinstance(mapping, ParamTable):
+            empty = np.zeros((0, 2) if links else 0, np.int64)
+            mapping = cls(list(mapping) or empty, list(mapping.values()))
+        if mapping.links != links:
+            kind = "(parent, child) pairs of node ids" if links else "node ids"
+            raise StructureError(f"parameter keys must be {kind}")
+        return mapping
 
     @property
-    def links(self) -> bool:
-        return self.keys_array.ndim == 2
+    def keys_array(self) -> np.ndarray:
+        """The keys, read-only: ``codes`` itself for node ids, and for
+        links the (parent, child) pairs, shape (n, 2), unpacked anew."""
+        return _read_only(_unpack(self.codes) if self.links else self.codes)[0]
 
     def _with(self, values: np.ndarray) -> ParamTable:
-        """These keys with ``values``, shaped like ``values_array``, made read-only."""
-        values.setflags(write=False)
+        """These codes with ``values``, shaped like ``values_array``, made read-only."""
         out = copy.copy(self)
-        out.values_array = values
+        out.values_array = _read_only(values)[0]
         return out
 
     def row(self, i: int) -> ParamTable:
-        """Sample ``i`` of a table with a sample axis, sharing its keys."""
+        """Sample ``i`` of a table with a sample axis, sharing its codes."""
         return self._with(self.values_array[i])
 
     def lookup(self, keys) -> np.ndarray:
@@ -486,38 +481,43 @@ class ParamTable:
         for its key axis.
 
         Raises KeyError naming the first key that is missing, and
-        StructureError for keys shaped as :meth:`find` does not take.
+        StructureError for keys :meth:`find` does not take.
         """
         return self.values_array[..., self.find(keys)]
 
     def find(self, keys) -> np.ndarray:
-        """The position of each of ``keys`` in ``keys_array``; raises
-        KeyError naming the first key that is missing.
+        """The position of each of ``keys`` in ``codes``; raises KeyError
+        naming the first key that is missing.
 
-        ``keys`` has shape (n,) on a table of node ids and (n, 2) on a
-        table of links, where no keys may also be given as ``[]``; a
-        single key is passed as a list of one.  Other shapes raise
-        StructureError naming the shape wanted and the shape given.
+        ``keys`` are ints, shape (n,) on a table of node ids and (n, 2) on a
+        table of links (where ``[]`` is no keys too); one key is a list of
+        one.  Other values and shapes raise :class:`StructureError`, naming
+        the shape wanted and the shape given.
         """
-        keys = np.asarray(keys, dtype=np.int64)
+        keys = _int_keys(keys)
         if self.links and keys.shape == (0,):
             keys = keys.reshape(0, 2)
-        if keys.shape[1:] != self.keys_array.shape[1:] or not keys.ndim:
+        if keys.shape[1:] != ((2,) if self.links else ()) or not keys.ndim:
             want = "(n, 2) for a table of links" if self.links else "(n,) for a table of node ids"
             raise StructureError(f"keys must have shape {want}, got shape {keys.shape}")
-        query = _codes(keys)
-        at = np.minimum(np.searchsorted(self.codes, query), len(self) - 1)
-        found = self.codes[at] == query if len(self) else np.zeros(len(keys), dtype=bool)
-        # Ids outside [0, 2**31) can pack into the code of another link.
+        # Ids outside [0, 2**31) could pack into another link's code: -1 is none's.
         in_range = (keys >= 0) & (keys < _ID_LIMIT)
-        found &= in_range if keys.ndim == 1 else in_range.all(axis=1)
+        in_range = in_range if keys.ndim == 1 else in_range.all(axis=1)
+        return self.find_codes(np.where(in_range, _codes(keys), -1), keys)
+
+    def find_codes(self, codes: np.ndarray, keys: np.ndarray | None = None) -> np.ndarray:
+        """:meth:`find` of the keys whose int64 ``codes`` are given, naming a
+        missing one by its entry in ``keys`` (by default, its code unpacked)."""
+        at = np.minimum(np.searchsorted(self.codes, codes), len(self) - 1)
+        found = self.codes[at] == codes if len(self) else np.zeros(len(codes), dtype=bool)
         if not found.all():
+            keys = (_unpack(codes) if self.links else codes) if keys is None else keys
             key = keys[np.argmin(found)].tolist()
             raise KeyError(tuple(key) if self.links else key)
         return at
 
     def __len__(self) -> int:
-        return len(self.keys_array)
+        return len(self.codes)
 
 
 @dataclass(frozen=True)
@@ -646,18 +646,17 @@ def ideal_parameters(tree: RootedTree, delta: float, gamma: float) -> DotParamet
     Serves :class:`TreeSpec` and the chain-augmented trees of
     :mod:`nandtree.layout` alike; inverter dots are internal, so they get
     zero detuning.  One detuning per dot and one coupling per (parent,
-    dot) link below the root, keyed by ``tree.table_codes()``: those
-    come in ascending order, so the tables (see :class:`ParamTable`)
-    take them, and the fresh value arrays, with no sort and no copy,
-    after one pass checks the order; the tables' codes are the tree's
-    own, which the evaluators read by position.
+    dot) link below the root, on the arrays ``tree.table_codes()`` keeps:
+    the tables (see :class:`ParamTable`) take them, and the fresh value
+    arrays, with no sort, copy or unpacking, after one pass checks their
+    order and ids, and the evaluators know them as the tree's own.
     """
     if not 0 < delta < math.inf:
         raise StructureError(f"delta must be positive and finite, got {delta}")
     ids, links = tree.table_codes()
     return DotParameters(
-        epsilon=ParamTable._of_codes(ids, tree.leaf_values(ids) * delta, ids),
-        coupling=ParamTable._of_codes(_unpack(links), np.ones(len(links)), links),
+        epsilon=ParamTable._of_codes(ids, tree.leaf_values(ids) * delta, False),
+        coupling=ParamTable._of_codes(links, np.ones(len(links)), True),
         delta=delta, gamma=gamma)
 
 
@@ -674,9 +673,13 @@ _MASK128 = (1 << 128) - 1
 
 def _words(entropy) -> list[int]:
     """The 32-bit words of the nonnegative ints of ``entropy``, each
-    little-endian and 0 as one word, as ``SeedSequence`` reads them."""
+    little-endian and 0 as one word, as ``SeedSequence`` reads them.  Any
+    other value raises :class:`StructureError`."""
     out = []
     for value in entropy:
+        if not isinstance(value, (int, np.integer)) or value < 0:
+            raise StructureError(f"seeds must be nonnegative ints, got {value!r}")
+        value = int(value)
         out.append(value & _MASK32)
         value >>= 32
         while value:
@@ -758,7 +761,7 @@ def _pcg64_states(seeds) -> list[dict]:
     PCG64's seeding step then runs in Python ints: state 0,
     inc = initseq << 1 | 1, one step, add initstate, one step."""
     out = []
-    for w in _seed_states([(operator.index(seed),) for seed in seeds], 8).tolist():
+    for w in _seed_states([(seed,) for seed in seeds], 8).tolist():
         initstate = w[1] << 96 | w[0] << 64 | w[3] << 32 | w[2]
         inc = (w[5] << 96 | w[4] << 64 | w[7] << 32 | w[6]) << 1 & _MASK128 | 1
         state = (inc + initstate) & _MASK128
@@ -773,43 +776,44 @@ def sample_disorder(tree: RootedTree, ideal: DotParameters, spec: DisorderSpec) 
     at ``coupling_floor``, additive N(0, sigma_eps) detuning noise on
     every dot (leaves included).  Pure function of (tree, ideal, spec).
 
-    The one-sample case of :func:`sample_disorder_many`: the couplings
-    are drawn first, one per link in ascending (parent, child) order,
-    then the detuning noise, one per node in ascending id order, which
-    are the tables' own orders.
+    The one-sample case of :func:`sample_disorder_many`, with the seed
+    ``spec.seed``, which gives the order of the draws.
     """
-    return sample_disorder_many(tree, ideal, [spec]).sample(0)
+    return sample_disorder_many(tree, ideal, spec, [spec.seed]).sample(0)
 
 
-def sample_disorder_many(tree: RootedTree, ideal: DotParameters, specs) -> DotParameters:
-    """One disorder sample per spec, as parameters with a sample axis.
+def sample_disorder_many(tree: RootedTree, ideal: DotParameters, spec: DisorderSpec,
+                         seeds) -> DotParameters:
+    """One disorder sample of ``spec``'s widths per seed, as parameters
+    with a sample axis; ``spec.seed`` is not read.
 
-    Row i is what :func:`sample_disorder` draws for ``specs[i]``, from
-    its own ``default_rng(specs[i].seed)``: the couplings first, one per
-    link in ascending (parent, child) order, then the detuning noise,
-    one per node in ascending id order.  Those are the orders the ideal
-    tables keep, so the draws fill their value arrays as they come, and
-    every row shares the ideal key arrays.
+    Row i is what :func:`sample_disorder` draws for ``spec`` with the
+    seed ``seeds[i]``, from its own ``default_rng(seeds[i])``: the
+    couplings first, one per link in ascending (parent, child) order,
+    then the detuning noise, one per node in ascending id order.  Those
+    are the orders the ideal tables keep, so the draws fill their value
+    arrays as they come, and every row shares their codes.  Seeds must
+    be nonnegative ints, else :class:`StructureError`.
 
-    The generators' start states are computed in bulk: numpy's
-    ``SeedSequence`` hash over all the seeds at once, then PCG64's
-    seeding step (:func:`_pcg64_states`); each is set on one reused
-    ``Generator``, bit for bit the state ``default_rng(seed)`` starts
-    from.  This reproduces numpy's ``SeedSequence`` and ``PCG64`` seeding,
-    whose streams numpy's RNG policy (NEP 19) keeps stable, and the tests
-    compare it with ``default_rng`` over many seeds.
+    The generators' start states, bit for bit those of
+    ``default_rng(seed)``, are computed in bulk: numpy's ``SeedSequence``
+    hash over all the seeds at once, then PCG64's seeding step
+    (:func:`_pcg64_states`), each set on one reused ``Generator``.
+    numpy's RNG policy (NEP 19) keeps those streams stable, and the tests
+    compare them with ``default_rng`` over many seeds.
     """
     coup, eps = ideal.coupling, ideal.epsilon
     links, dots = len(coup), len(eps)
-    tvals = np.empty((len(specs), links))
-    evals = np.empty((len(specs), dots))
+    states = _pcg64_states(seeds)
+    tvals = np.empty((len(states), links))
+    evals = np.empty((len(states), dots))
     bits = np.random.PCG64(0)  # each row sets its own state
     rng = np.random.Generator(bits)
-    for spec, state, t, e in zip(specs, _pcg64_states([s.seed for s in specs]), tvals, evals):
+    for state, t, e in zip(states, tvals, evals):
         bits.state = state
         t[:] = rng.normal(spec.mean_t, spec.sigma_t, size=links)
         e[:] = rng.normal(0.0, spec.sigma_eps, size=dots)
-    floor = np.array([spec.coupling_floor for spec in specs]).reshape(-1, 1)
+    floor = spec.coupling_floor
     tvals = np.where(tvals < floor, floor, tvals)
     evals += eps.values_array
     return replace(ideal, epsilon=eps._with(evals), coupling=coup._with(tvals))

@@ -91,7 +91,7 @@ import numpy as np
 
 from .greens import (CompiledTree, _one_realization, compile_tree, green_tree_many,
                      inertia_count)
-from .model import DotParameters, StructureError
+from .model import DotParameters, StructureError, _read_only
 
 #: Default probe-to-tree coupling (units of t).  The source material does
 #: not pin t1; this value keeps the probe weakly invasive (t1^2 Im G_1
@@ -235,10 +235,7 @@ def _gauss_legendre():
     """
     from numpy.polynomial.legendre import leggauss
 
-    x, w = leggauss(_ORDER)
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
+    return _read_only(*leggauss(_ORDER))
 
 
 def _finest(params: DotParameters, probe: ProbeSpec) -> float:
@@ -400,8 +397,7 @@ def _thermal(tree, params: DotParameters, probe: ProbeSpec, e_f, eps0, searches=
     key = (detunings.tobytes(), np.array([t2, lo, hi, width]).tobytes())
     searches = {} if searches is None else searches
     if key not in searches:
-        searches[key] = _resonances(tree, params, detunings, t2, lo, hi, width)
-        searches[key].setflags(write=False)
+        searches[key] = _read_only(_resonances(tree, params, detunings, t2, lo, hi, width))[0]
     resonances = searches[key]
     breaks = np.unique(np.concatenate([windows.ravel(), fermi, resonances]))
     # A window edge a rounding error away from another point's E_f would

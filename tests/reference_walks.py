@@ -220,10 +220,10 @@ class WalkedTree(RootedTree):
 
     def levels(self) -> list[Level]:
         """:func:`levels`, each level located in the tables whose codes are
-        ``RootedTree.table_codes``: the ``rows`` of its dots and, below the
+        ``RootedTree.sorted_codes``: the ``rows`` of its dots and, below the
         root, the ``up`` of the links into them."""
         ids, parents = self.links()
-        codes = RootedTree.table_codes(self)[1]
+        codes = RootedTree.sorted_codes(self)[1]
         schedule = levels(self)
         out = []
         for level in schedule:

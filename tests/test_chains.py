@@ -15,6 +15,7 @@ stacks at once, and the sorts that ranked a chained tree's dots
 """
 
 import tracemalloc
+from dataclasses import replace
 from itertools import groupby
 
 import numpy as np
@@ -68,8 +69,8 @@ def bits(a):
     *(hfractal(depth) for depth in range(2, 9))], ids=lambda t: type(t).__name__)
 def test_table_codes_come_from_the_rank_sorts(tree):
     # The codes put in place by the ranks are those the ids and links give
-    # when sorted again, on a fresh tree and on one whose ranks are known.
-    want = RootedTree.table_codes(tree)
+    # when sorted, as built and as kept.
+    want = RootedTree.sorted_codes(tree)
     for _ in range(2):
         got = tree.table_codes()
         for a, b in zip(got, want, strict=True):
@@ -184,8 +185,12 @@ def test_chained_values_do_not_depend_on_the_block(block, monkeypatch):
     E = np.array([-1.2, 0.0, 0.37, 40.0, -25.0])
     for tree in (chain_below(build_tree(2, (1, 0, 1, 1)), 300), hfractal(4)):
         ideal = ideal_parameters(tree, 10.0, 1e-3)
-        many = sample_disorder_many(tree, ideal, [DisorderSpec(s / 10, s / 10, s)
-                                                  for s in range(4)])
+        # Widths 0 to 0.3, so an exactly ideal row shares blocks with
+        # disordered ones; a batch has one spec, so the rows are stacked.
+        rows = [sample_disorder(tree, ideal, DisorderSpec(s / 10, s / 10, s)) for s in range(4)]
+        many = replace(
+            ideal, epsilon=ideal.epsilon._with(np.stack([r.epsilon.values_array for r in rows])),
+            coupling=ideal.coupling._with(np.stack([r.coupling.values_array for r in rows])))
         got = _resolve(tree, many, E, True)
         assert all(np.all(np.isfinite(part)) for part in got)
         for s in range(4):
@@ -221,7 +226,7 @@ def test_stacks_composed_together_match_each_alone(block, monkeypatch):
     for name in ("below-41", "hfractal-3", "hfractal-5") + (("hfractal-8",) if block > 7 else ()):
         tree = CHAINED[name]
         ideal = ideal_parameters(tree, 10.0, 1e-3)
-        many = sample_disorder_many(tree, ideal, [DisorderSpec(0.1, 0.1, s) for s in range(3)])
+        many = sample_disorder_many(tree, ideal, DisorderSpec(0.1, 0.1, 0), range(3))
         for params in (ideal, many):
             for E in (np.array(0.0), np.array([-1.2, 0.0, 0.37, 40.0]), np.array([])):
                 for derivative in (False, True):
@@ -242,7 +247,7 @@ def test_stacks_composed_together_match_each_alone(block, monkeypatch):
 def test_empty_batches_give_empty_results(name):
     # A batch of no samples, or no energies, runs through the stacks too.
     tree = CHAINED[name]
-    none = sample_disorder_many(tree, ideal_parameters(tree, 10.0, 1e-3), [])
+    none = sample_disorder_many(tree, ideal_parameters(tree, 10.0, 1e-3), DisorderSpec(0, 0, 0), [])
     for E in (np.array([0.0, 0.1]), np.array(0.0), np.array([])):
         for got in (*_resolve(tree, none, E, True), *inertia_count(tree, none, E)):
             assert got.shape == (0,) + E.shape

@@ -10,8 +10,8 @@ keys, directly addressed classes against sorted ones, the squares of
 unit couplings against ``np.float_power``, and the merged inertia count
 against the unmerged one.  Tables that are not a tree's own, with extra
 keys or only looking like its own (``RootedTree.has_codes``), are read
-onto its own codes by ``ParamTable.find`` (``greens._own``) and then
-gathered by position too.
+onto its own codes by ``ParamTable.find_codes`` (``greens._own``) and
+then gathered by position too.
 """
 
 import re
@@ -48,9 +48,9 @@ def parameter_cases(tree):
     """Ideal parameters (which merge), one disordered realization and a
     batch of three (which do not)."""
     ideal = ideal_parameters(tree, 10.0, 1e-3)
-    specs = [DisorderSpec(0.1, 0.1, seed) for seed in range(3)]
-    return [ideal, sample_disorder(tree, ideal, specs[0]),
-            sample_disorder_many(tree, ideal, specs)]
+    spec = DisorderSpec(0.1, 0.1, 0)
+    return [ideal, sample_disorder(tree, ideal, spec),
+            sample_disorder_many(tree, ideal, spec, range(3))]
 
 
 def bits(a):
@@ -147,20 +147,33 @@ def own_calls(monkeypatch) -> list:
     return located
 
 
-def test_treespec_compile_builds_no_table_codes(monkeypatch):
-    # Whether the tables are the tree's own is decided in closed form
-    # (TreeSpec.has_codes), without building the tree's table codes.
-    calls, table_codes = [], TreeSpec.table_codes
-    monkeypatch.setattr(TreeSpec, "table_codes", lambda self: calls.append(1) or table_codes(self))
+@pytest.mark.parametrize("kind", [TreeSpec, ChainedTree], ids=lambda k: k.__name__)
+def test_a_tree_builds_its_codes_once(kind, monkeypatch):
+    # A fresh tree builds its table codes once and keeps them read-only;
+    # its ideal tables, and every table drawn or taken from them, hold those
+    # arrays, so no engine call reads the tables onto them (greens._own).
+    built, sorted_codes = [], kind.sorted_codes
+    monkeypatch.setattr(kind, "sorted_codes", lambda self: built.append(1) or sorted_codes(self))
     located = own_calls(monkeypatch)
-    for tree in (TREES["unmarked"], TREES["marked"]):
-        for params in parameter_cases(tree):
-            calls.clear()
-            compile_tree(tree, params)
-            classify(tree, params.sample(0) if params.sample_shape else params)
-            green_tree_many(tree, params, np.linspace(-1.0, 1.0, 5))
-            inertia_count(tree, params, [0.1, 0.2])
-            assert not calls and not located
+    tree = TreeSpec(3, (1, 0, 1, 1, 0, 0, 1, 0), frozenset({3}))
+    if kind is ChainedTree:
+        tree = chain_below(tree, 3)
+    ideal = ideal_parameters(tree, 10.0, 1e-3)
+    spec = DisorderSpec(0.1, 0.1, 0)
+    many = sample_disorder_many(tree, ideal, spec, range(3))
+    cases = (ideal, sample_disorder(tree, ideal, spec), many, many.sample(1))
+    E = np.linspace(-1.0, 1.0, 5)
+    for params in cases:
+        compile_tree(tree, params)
+        green_tree_many(tree, params, E)
+        inertia_count(tree, params, E)
+        if not params.sample_shape:
+            classify(tree, params)
+            conductance(tree, params, ProbeSpec(temperature=0.01))
+    assert len(built) == 1 and not located
+    ids, links = tree.table_codes()
+    assert not ids.flags.writeable and not links.flags.writeable
+    assert all(p.epsilon.codes is ids and p.coupling.codes is links for p in cases)
 
 
 def foreign_tables():
@@ -250,7 +263,7 @@ def classings(monkeypatch):
 def test_one_energy_calls_never_class(classings):
     tree = build_tree(3, (1, 0, 1, 1, 0, 0, 1, 0))
     ideal = ideal_parameters(tree, 10.0, 0.01)
-    many = sample_disorder_many(tree, ideal, [DisorderSpec(0.03, 0.03, s) for s in range(3)])
+    many = sample_disorder_many(tree, ideal, DisorderSpec(0.03, 0.03, 0), range(3))
     cold = ProbeSpec()
     for call in (lambda: classify(tree, ideal), lambda: green_tree(tree, ideal, 0.2),
                  lambda: green_tree_derivative(tree, ideal, 0.2),

@@ -90,7 +90,7 @@ def test_assemble_names_a_missing_dot_or_link():
 def test_assemble_rejects_a_sample_axis():
     tree = build_tree(2, (1, 0, 1, 1))
     ideal = ideal_parameters(tree, 10.0, 1e-6)
-    many = sample_disorder_many(tree, ideal, [DisorderSpec(0.1, 0.1, s) for s in range(3)])
+    many = sample_disorder_many(tree, ideal, DisorderSpec(0.1, 0.1, 0), range(3))
     with pytest.raises(StructureError, match="DotParameters.sample"):
         assemble(tree, many)
     assert np.array_equal(assemble(tree, many.sample(1)).matrix,

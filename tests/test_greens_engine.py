@@ -198,7 +198,7 @@ def test_sample_axis_matches_per_sample_loop(block, monkeypatch):
     specs = [DisorderSpec(0.1, 0.1, seed) for seed in range(7)]
     for tree in sample_axis_trees():
         ideal = ideal_parameters(tree, 10.0, 1e-3)
-        many = sample_disorder_many(tree, ideal, specs)
+        many = sample_disorder_many(tree, ideal, specs[0], range(7))
         rows = [sample_disorder(tree, ideal, spec) for spec in specs]
         for E in (0.37, np.asarray(-0.21), ENERGIES["1-D"], ENERGIES["2-D"]):
             loop = [green_tree_many(tree, p, E) for p in rows]
@@ -277,7 +277,7 @@ def test_couplings_matched_by_parent_and_child():
 @pytest.mark.parametrize("tree", sample_axis_trees(), ids=["marked", "chained", "hfractal"])
 def test_scalar_energies_round_as_arrays(tree, monkeypatch):
     ideal = ideal_parameters(tree, 10.0, 1e-3)
-    many = sample_disorder_many(tree, ideal, [DisorderSpec(0.1, 0.1, seed) for seed in range(8)])
+    many = sample_disorder_many(tree, ideal, DisorderSpec(0.1, 0.1, 0), range(8))
     rows = [many.sample(s) for s in range(8)]
     energies = [float(E) for E in np.linspace(-1.5, 1.5, 7)]
 
@@ -409,7 +409,7 @@ def test_compiled_tree_belongs_to_its_parameters():
 def test_scalar_evaluators_reject_a_sample_axis():
     tree = build_tree(2, (1, 0, 1, 1))
     many = sample_disorder_many(tree, ideal_parameters(tree, 10.0, 1e-6),
-                                [DisorderSpec(0.1, 0.1, seed) for seed in range(3)])
+                                DisorderSpec(0.1, 0.1, 0), range(3))
     for call in (lambda: green_tree(tree, many, 0.1), lambda: green_tree_derivative(tree, many, 0.1),
                  lambda: classify(tree, many)):
         with pytest.raises(StructureError, match="green_tree_many or DotParameters.sample"):
@@ -486,9 +486,9 @@ def assert_parts_match_one_worker(tree, monkeypatch):
     widest = max(level.nodes.shape[-1] for level in tree.levels())
     energies = np.linspace(-1.5, 1.5, max(7, block // widest + 1))
     ideal = ideal_parameters(tree, 10.0, 1e-3)
-    specs = [DisorderSpec(0.1, 0.1, seed) for seed in range(max(5, 2 * block // widest + 1))]
-    many = sample_disorder_many(tree, ideal, specs)
-    few = sample_disorder_many(tree, ideal, specs[:5])
+    spec, seeds = DisorderSpec(0.1, 0.1, 0), range(max(5, 2 * block // widest + 1))
+    many = sample_disorder_many(tree, ideal, spec, seeds)
+    few = sample_disorder_many(tree, ideal, spec, seeds[:5])
     # (parameters, energies, most parts or None if not checked)
     cases = [(ideal, energies, None), (few, energies, greens._PARTS), (many, np.float64(0.3), 1)]
     parts, at_once = [], greens._at_once
@@ -528,9 +528,9 @@ def test_parts_match_one_worker(tree, block, monkeypatch):
 @pytest.mark.parametrize("context", ["copied", "empty"])
 def test_parts_keep_the_callers_error_state(context, monkeypatch):
     # The zero energy is in the last part, on a thread of the call: its
-    # zero pivot divides by zero under inertia_count's errstate there too,
-    # also where the thread does not see the caller's context, as numpy
-    # before 2.0 keeps the error state per thread.
+    # zero pivot divides by zero under the errstate that greens._blocks
+    # sets on whichever thread runs a part, so it is ignored there too,
+    # also where the part does not see the caller's context.
     if context == "empty":
         monkeypatch.setattr(greens.contextvars, "copy_context", greens.contextvars.Context)
     monkeypatch.setattr(greens, "_cpus", lambda: 2)
@@ -587,7 +587,7 @@ def test_concurrent_callers_get_their_own_parts(monkeypatch):
     monkeypatch.setattr(greens, "_BLOCK", 300)
     tree = build_tree(6, np.random.default_rng(4).integers(0, 2, 64))
     ideal = ideal_parameters(tree, 10.0, 1e-3)
-    many = sample_disorder_many(tree, ideal, [DisorderSpec(0.1, 0.1, seed) for seed in range(4)])
+    many = sample_disorder_many(tree, ideal, DisorderSpec(0.1, 0.1, 0), range(4))
     calls = [lambda k=k: inertia_count(tree, many.sample(k), np.linspace(-2.0, 2.0, 101 + k))
              for k in range(4)]
     want = [call() for call in calls]

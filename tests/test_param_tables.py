@@ -121,7 +121,7 @@ def test_table_codes_match_the_sorted_dots(tree):
     # A TreeSpec gives its codes in closed form, with no sort and no check,
     # and a chained tree from its ranks: both equal the codes that the
     # protocol's rule sorts from the dots.
-    for got, want in zip(tree.table_codes(), RootedTree.table_codes(tree), strict=True):
+    for got, want in zip(tree.table_codes(), RootedTree.sorted_codes(tree), strict=True):
         assert got.dtype == want.dtype == np.int64 and np.array_equal(got, want)
 
 
@@ -145,11 +145,18 @@ def test_ideal_tables_take_the_codes_as_they_are(tree, monkeypatch):
 @pytest.mark.parametrize("codes, message", [
     ([1, 3, 2], "strictly ascending"), ([1, 2, 2], "strictly ascending"),
     ([-1, 2], r"node ids must lie in \[0, 2\*\*31\)"),
-    ([2, 2**31], r"node ids must lie in \[0, 2\*\*31\)")])
+    ([2, 2**31], r"node ids must lie in \[0, 2\*\*31\)"),
+    ([(1, 3), (1, 2)], "strictly ascending"),
+    ([(-1, 2), (1, 2)], r"node ids must lie in \[0, 2\*\*31\)"),
+    ([(1, 2), (1, 2**31)], r"node ids must lie in \[0, 2\*\*31\)")])
 def test_tables_from_codes_check_them(codes, message):
+    # Links, given as pairs, are checked on their packed codes.
     codes = np.array(codes)
+    links = codes.ndim == 2
+    if links:
+        codes = codes[:, 0] << 32 | codes[:, 1]
     with pytest.raises(StructureError, match=message):
-        ParamTable._of_codes(codes, np.zeros(len(codes)), codes)
+        ParamTable._of_codes(codes, np.zeros(len(codes)), links)
 
 
 @pytest.mark.parametrize("tree", [t for t in TREES if isinstance(t, TreeSpec)][::3],
@@ -183,21 +190,21 @@ def near_codes(tree: TreeSpec):
     yield np.union1d(ids, [n]), links
     yield np.union1d(ids, [0]), np.union1d(links, [1 << 32])
     for markers in (frozenset(), frozenset({1}), frozenset({n // 2 - 1}), tree.not_markers | {2}):
-        if all(m < n // 2 for m in markers):
+        if markers != tree.not_markers and all(m < n // 2 for m in markers):
             yield TreeSpec(tree.depth, tree.input_bits, markers).table_codes()
 
 
 @pytest.mark.parametrize("tree", [t for t in TREES if isinstance(t, TreeSpec)],
                          ids=lambda t: f"depth{t.depth}-{len(t.not_markers)}")
 def test_closed_form_ownership_matches_the_comparison(tree):
-    # TreeSpec.has_codes decides without building table_codes(); it agrees
-    # with the comparison against them that it replaces.
-    cases = list(near_codes(tree))
-    for ids, links in cases:
-        assert tree.has_codes(ids, links) == RootedTree.has_codes(tree, ids, links)
-    assert tree.has_codes(*cases[0])
-    assert sum(tree.has_codes(*c) for c in cases) == sum(
-        np.array_equal(a, cases[0][0]) and np.array_equal(b, cases[0][1]) for a, b in cases)
+    # A tree owns the codes it keeps, equal copies of them and the codes of
+    # a fresh tree like it, and none of the codes near them.
+    own, *near = near_codes(tree)
+    twin = TreeSpec(tree.depth, tree.input_bits, tree.not_markers).table_codes()
+    assert own[0] is tree.table_codes()[0] and tree.has_codes(*own)
+    assert tree.has_codes(*(codes.copy() for codes in own))
+    assert twin[0] is not own[0] and tree.has_codes(*twin)
+    assert len(near) >= 6 and not any(tree.has_codes(*codes) for codes in near)
 
 
 def test_closed_form_dots_match_traversal():
@@ -263,21 +270,48 @@ def assert_same_sample(got: DotParameters, want: DotParameters):
 #: any nonnegative int.
 WIDE_SEEDS = list(range(200)) + [2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**64, 2**130 + 7]
 
-SPECS = [DisorderSpec(0.05, 0.02, 0), DisorderSpec(0.9, 0.3, 7, coupling_floor=0.4),
-         DisorderSpec(0.2, 0.1, 2**40 + 3, mean_t=1.5), DisorderSpec(0.0, 0.0, 5)]
-SPECS += [DisorderSpec(0.2, 0.1, seed) for seed in WIDE_SEEDS[-6:]]
+#: One batch per set of widths: a spec, whose own seed is not read, and
+#: the seeds of its rows.
+BATCHES = [(DisorderSpec(0.05, 0.02, 0), (0, 7)),
+           (DisorderSpec(0.9, 0.3, 1, coupling_floor=0.4), (7, 5)),
+           (DisorderSpec(0.2, 0.1, 1, mean_t=1.5), (2**40 + 3,)),
+           (DisorderSpec(0.0, 0.0, 1), (5,)),
+           (DisorderSpec(0.2, 0.1, 1), WIDE_SEEDS[-6:])]
 
 
 @pytest.mark.parametrize("tree", TREES, ids=lambda t: type(t).__name__)
 def test_sample_disorder_many_rows_match_single_sampler(tree):
     ideal = ideal_parameters(tree, 10.0, 1e-6)
-    many = sample_disorder_many(tree, ideal, SPECS)
-    assert many.sample_shape == (len(SPECS),)
-    assert many.epsilon.values_array.shape == (len(SPECS), len(ideal.epsilon))
-    for i, spec in enumerate(SPECS):
-        want = single_sample_disorder(tree, ideal, spec)
-        assert_same_sample(many.sample(i), want)
-        assert_same_sample(sample_disorder(tree, ideal, spec), want)
+    for spec, seeds in BATCHES:
+        many = sample_disorder_many(tree, ideal, spec, seeds)
+        assert many.sample_shape == (len(seeds),)
+        assert many.epsilon.values_array.shape == (len(seeds), len(ideal.epsilon))
+        for i, seed in enumerate(seeds):
+            want = single_sample_disorder(tree, ideal, replace(spec, seed=seed))
+            assert_same_sample(many.sample(i), want)
+            assert_same_sample(sample_disorder(tree, ideal, replace(spec, seed=seed)), want)
+
+
+def test_sample_disorder_many_reads_the_seeds_not_the_spec_seed():
+    tree = build_tree(3, [0, 1] * 4)
+    ideal = ideal_parameters(tree, 10.0, 1e-6)
+    spec = DisorderSpec(0.3, 0.2, 0)
+    many = sample_disorder_many(tree, ideal, spec, [4, 9])
+    other = sample_disorder_many(tree, ideal, replace(spec, seed=9), np.array([4, 9]))
+    for i in range(2):
+        assert_same_sample(many.sample(i), other.sample(i))
+    assert_same_sample(many.sample(1), sample_disorder(tree, ideal, replace(spec, seed=9)))
+
+
+@pytest.mark.parametrize("seeds", [[-1], [3, -2**40], [1.0], ["7"], [None]])
+def test_seeds_must_be_nonnegative_ints(seeds):
+    # A negative seed once never left the word split (model._words).
+    tree = build_tree(2, (1, 0, 1, 1))
+    ideal = ideal_parameters(tree, 10.0, 1e-6)
+    with pytest.raises(StructureError, match="seeds must be nonnegative ints"):
+        sample_disorder_many(tree, ideal, DisorderSpec(0.1, 0.1, 0), seeds)
+    with pytest.raises(StructureError, match="seeds must be nonnegative ints"):
+        model._words(seeds)
 
 
 def test_bulk_generator_states_match_default_rng():
@@ -288,28 +322,31 @@ def test_bulk_generator_states_match_default_rng():
 def test_bulk_generator_rows_match_default_rng_draws():
     tree = build_tree(3, [0, 1] * 4)
     ideal = ideal_parameters(tree, 10.0, 1e-6)
-    specs = [DisorderSpec(0.3, 0.2, seed) for seed in WIDE_SEEDS]
-    many = sample_disorder_many(tree, ideal, specs)
-    for i, spec in enumerate(specs):
-        assert_same_sample(many.sample(i), single_sample_disorder(tree, ideal, spec))
+    spec = DisorderSpec(0.3, 0.2, 0)
+    many = sample_disorder_many(tree, ideal, spec, WIDE_SEEDS)
+    for i, seed in enumerate(WIDE_SEEDS):
+        assert_same_sample(many.sample(i), single_sample_disorder(tree, ideal,
+                                                                  replace(spec, seed=seed)))
 
 
 def test_sample_disorder_many_clamps_each_row_at_its_floor():
+    # One batch per floor, each row clamped at it.
     tree = build_tree(6, [0, 1] * 32)
     ideal = ideal_parameters(tree, 10.0, 1e-6)
-    specs = [DisorderSpec(0.9, 0.1, seed, coupling_floor=floor)
-             for seed, floor in enumerate((0.4, 0.1, 0.6, 0.4))]
-    many = sample_disorder_many(tree, ideal, specs)
-    for i, spec in enumerate(specs):
-        assert_same_sample(many.sample(i), single_sample_disorder(tree, ideal, spec))
-        row = many.coupling.values_array[i]
-        assert np.sum(row == spec.coupling_floor) > 5 and row.min() == spec.coupling_floor
+    for floor in (0.4, 0.1, 0.6):
+        spec = DisorderSpec(0.9, 0.1, 0, coupling_floor=floor)
+        many = sample_disorder_many(tree, ideal, spec, range(3))
+        for i in range(3):
+            want = single_sample_disorder(tree, ideal, replace(spec, seed=i))
+            assert_same_sample(many.sample(i), want)
+            row = many.coupling.values_array[i]
+            assert np.sum(row == floor) > 5 and row.min() == floor
 
 
 def test_tables_with_a_sample_axis():
     tree = TreeSpec(2, (1, 0, 1, 1), frozenset({3}))
     ideal = ideal_parameters(tree, 10.0, 1e-6)
-    many = sample_disorder_many(tree, ideal, [DisorderSpec(0.1, 0.1, s) for s in range(3)])
+    many = sample_disorder_many(tree, ideal, DisorderSpec(0.1, 0.1, 0), range(3))
     eps = many.epsilon
     assert len(eps) == 6 and eps.keys_array.tolist() == ideal.epsilon.keys_array.tolist()
     column = eps.values_array[:, eps.keys_array.tolist().index(4)].tolist()
@@ -352,7 +389,7 @@ def test_lookups_of_no_keys_are_empty():
     # on node and link tables, with and without a sample axis, and empty.
     tree = TreeSpec(2, (1, 0, 1, 1), frozenset({3}))
     ideal = ideal_parameters(tree, 10.0, 1e-6)
-    many = sample_disorder_many(tree, ideal, [DisorderSpec(0.1, 0.1, s) for s in range(3)])
+    many = sample_disorder_many(tree, ideal, DisorderSpec(0.1, 0.1, 0), range(3))
     empty = DotParameters({}, {}, 10.0, 1e-6)
     for params, shape in ((ideal, (0,)), (many, (3, 0)), (empty, (0,))):
         for table, keys in ((params.epsilon, []), (params.epsilon, np.zeros(0, np.int64)),
@@ -367,7 +404,7 @@ def test_lookups_name_a_wrong_key_shape():
     # AxisError: both, and every other wrong shape, raise StructureError.
     tree = TreeSpec(2, (1, 0, 1, 1))
     ideal = ideal_parameters(tree, 10.0, 1e-6)
-    many = sample_disorder_many(tree, ideal, [DisorderSpec(0.1, 0.1, s) for s in range(2)])
+    many = sample_disorder_many(tree, ideal, DisorderSpec(0.1, 0.1, 0), range(2))
     node = r"\(n,\) for a table of node ids"
     link = r"\(n, 2\) for a table of links"
     for params in (ideal, many):
@@ -442,6 +479,24 @@ def test_tables_reject_bad_keys_and_values(eps, coup):
         DotParameters(eps, coup, 10.0, 1e-6)
 
 
+@pytest.mark.parametrize("keys", [[1.5, 2.7, 3.2], [1.0, 2.0, 3.0], ["1", "2", "3"],
+                                  [[1, 2], [1, 3.5], [2, 4]], [[1, 2], [1, "3"], [2, 4]],
+                                  [1, 2**64, 2], [[1, 2], 5, [2, 4]]])
+def test_tables_take_only_int_keys(keys):
+    # The constructor, find and lookup take keys as ParamTable.of does:
+    # floats are not truncated and strings are not parsed.  Each list's
+    # second key is bad, and checked alone too.
+    with pytest.raises(StructureError):
+        ParamTable(keys, [0.0, 1.0, 2.0])
+    links = isinstance(keys[0], list)
+    table = ParamTable([[1, 2], [1, 3], [2, 4]] if links else [1, 2, 3], [0.0, 1.0, 2.0])
+    for read in (table.find, table.lookup):
+        with pytest.raises(StructureError):
+            read(keys)
+        with pytest.raises(StructureError):
+            read(keys[1:2])
+
+
 def test_tables_reject_swapped_kinds_and_duplicate_keys():
     nodes = ParamTable([1, 2], [0.0, 0.0])
     links = ParamTable([[1, 2]], [1.0])
@@ -503,7 +558,7 @@ def test_quadrature_error_reports_panels_and_tolerance(monkeypatch):
 def test_table_arrays_are_read_only():
     tree = TreeSpec(3, (1, 0, 1, 1, 0, 0, 1, 0), frozenset({3}))
     ideal = ideal_parameters(tree, 10.0, 1e-6)
-    many = sample_disorder_many(tree, ideal, [DisorderSpec(0.1, 0.1, s) for s in range(2)])
+    many = sample_disorder_many(tree, ideal, DisorderSpec(0.1, 0.1, 0), range(2))
     for params in (ideal, sample_disorder(tree, ideal, DisorderSpec(0.1, 0.1, 1)), many,
                    many.sample(1)):
         for table in (params.epsilon, params.coupling):

@@ -537,7 +537,7 @@ def test_zero_temperature_sweep_makes_one_g1_call(axis, monkeypatch):
 def test_sweep_takes_one_realization(axis, kt):
     tree = build_tree(2, (1, 0, 1, 1))
     many = sample_disorder_many(tree, ideal_parameters(tree, 10.0, 0.01),
-                                [DisorderSpec(0.03, 0.03, seed) for seed in range(3)])
+                                DisorderSpec(0.03, 0.03, 0), range(3))
     with pytest.raises(StructureError, match="sweep takes one realization, got 3 samples"):
         sweep(tree, many, ProbeSpec(temperature=kt), axis, [-0.1, 0.1])
 
@@ -548,7 +548,7 @@ def test_zero_temperature_batch_rounds_as_transmission():
     # with np.square.
     tree = build_tree(3, (0, 1, 1, 0, 1, 1, 1, 0))
     many = sample_disorder_many(tree, ideal_parameters(tree, 10.0, 1e-6),
-                                [DisorderSpec(0.0, 0.07, seed) for seed in range(3000)])
+                                DisorderSpec(0.0, 0.07, 0), range(3000))
     got = conductance(tree, many, ProbeSpec())
     assert hexes(got) == hexes(transmission(tree, many.sample(s), ProbeSpec(), 0.0)
                                for s in range(3000))
@@ -565,7 +565,7 @@ def rounding_cases():
 @pytest.mark.parametrize("tree, samples", rounding_cases(), ids=["marked", "chained", "hfractal"])
 def test_scalar_and_array_transmission_agree(tree, samples):
     many = sample_disorder_many(tree, ideal_parameters(tree, 10.0, 1e-6),
-                                [DisorderSpec(0.0, 0.07, seed) for seed in range(samples)])
+                                DisorderSpec(0.0, 0.07, 0), range(samples))
     rows = [many.sample(s) for s in range(samples)]
     for E in (0.0, 0.05):
         probe = ProbeSpec(e_f=E)
@@ -759,7 +759,7 @@ def test_one_column_gather_per_public_call(monkeypatch):
     monkeypatch.setattr(greens, "_columns", spy)
     tree, params = disordered(3, (1, 0, 1, 1, 0, 0, 1, 0))
     ideal = ideal_parameters(tree, 10.0, 0.01)
-    many = sample_disorder_many(tree, ideal, [DisorderSpec(0.03, 0.03, s) for s in range(3)])
+    many = sample_disorder_many(tree, ideal, DisorderSpec(0.03, 0.03, 0), range(3))
     warm, cold = ProbeSpec(temperature=0.01), ProbeSpec()
     calls = [  # each call, its parameters and whether it keeps its compilation
         (lambda p: transmission_curve(tree, p, warm, np.linspace(-1.0, 1.0, 11)), params, False),
@@ -835,7 +835,7 @@ def test_quadrature_nodes_are_read_only():
 def test_warm_calls_equal_cold_calls_bit_for_bit():
     tree, params = disordered(3, (1, 0, 1, 1, 0, 0, 1, 0))
     ideal = ideal_parameters(tree, 10.0, 0.01)
-    many = sample_disorder_many(tree, ideal, [DisorderSpec(0.03, 0.03, s) for s in range(3)])
+    many = sample_disorder_many(tree, ideal, DisorderSpec(0.03, 0.03, 0), range(3))
     probe = ProbeSpec(0.002, 0.002, temperature=0.01)
     grid = np.linspace(-0.5, 0.5, 21)
 
