@@ -20,10 +20,10 @@ SHIFT_GRID_HALFWIDTH = 4.0
 
 #: Deepest :func:`shift_scaling`, set by time: each trial evaluates the
 #: 401 grid energies on every dot, unmerged, as each leaf's detuning
-#: differs.  A trial took 21-43 ms at depth 12, 0.11-0.13 s at depth 14
-#: and 0.27-0.31 s at depth 16 on two CPUs (32-51 ms, 0.17-0.20 s and
-#: 0.46-0.64 s on one, under ``taskset -c 0``), while the tracemalloc
-#: peak of a 4-trial run stayed at 5.5 MB at depth 12 and 26 MB at depth
+#: differs.  A trial took 15-27 ms at depth 12, 0.09-0.13 s at depth 14
+#: and 0.17-0.22 s at depth 16 on two CPUs (23-26 ms, 0.11-0.12 s and
+#: 0.31-0.39 s on one, under ``taskset -c 0``), while the tracemalloc
+#: peak of a 4-trial run stayed at 4.6 MB at depth 12 and 23 MB at depth
 #: 16 (measured on a 2-core x86-64 Linux VM, Python 3.11, numpy 2.4).
 MAX_SHIFT_DEPTH = 12
 

@@ -41,7 +41,12 @@ first read onto the codes, one binary search per table
 (:meth:`~nandtree.model.ParamTable.find_codes`): entries for dots and links
 out of reach are never read, and a missing entry for a reachable one
 raises :class:`~nandtree.model.StructureError` naming the lowest missing
-dot id, or else the lowest missing (parent, child) link.
+dot id, or else the lowest missing (parent, child) link.  A child slot
+whose gathered t^2 are all exactly 1, as every slot of ideal parameters
+and of detuning-only disorder is, is marked unit then, once per level,
+and keeps the mark when its level is merged or a stack is split into
+rows; a level subtracts a unit slot's values with no product (see
+"Rounding" below).
 
 A chained tree gives each maximal run of two or more single-child
 levels, its inverter chains, as one stacked level (L rows of w dots,
@@ -151,6 +156,20 @@ multiply-adds, so x * y and y * x can differ in the last bit, and numpy
 computes ``x * (temporary)`` of 256 KiB or more in place in the
 temporary, operands swapped; so no complex temporary is a right
 operand of ``*``.
+
+A unit slot subtracts its values G_c, or dG_c/dE, where the recursion
+subtracts ``1.0 * G_c``, and no bit changes.  In the real arithmetic
+of the inertia count ``1.0 * x == x`` for every float.  In complex
+arithmetic the real t^2 multiplies as ``1 + 0j``, and ``(1+0j) * g``
+equals ``g`` for every finite ``g``, except that a -0.0 component may
+come back as +0.0.  ``x - (+0.0)`` and ``x - (-0.0)`` differ only when x
+is -0.0, and no denominator component is ever -0.0: the real part
+starts as ``(E + 0.0) - eps``, because :func:`_resolve` forms ``E +
+1j*gamma``; the imaginary part starts at gamma >= ``GAMMA_FLOOR``, and
+dG/dE's denominator at (1, +0.0); and IEEE subtraction yields -0.0 only
+from (-0.0) - (+0.0).  The complex values a slot reads are finite, as
+a resolvent's at E + i*gamma are (|G| <= 1/gamma, |dG/dE| <=
+1/gamma^2), unless some t^2 overflows, where Python's ``t ** 2`` raises.
 """
 
 from __future__ import annotations
@@ -203,6 +222,7 @@ class _Step(NamedTuple):
     slots: tuple[Slot, ...]  # into the classes of the level below
     t2s: tuple[np.ndarray, ...]  # per slot: (classes with that child, samples), or (L, ...)
     mult: np.ndarray | None  # dots per class (int64); None: one each
+    unit: tuple[bool, ...]  # per slot: its t^2 all exactly 1
 
     def samples(self, cut) -> _Step:
         """The samples ``cut`` (a slice) of this level."""
@@ -264,9 +284,13 @@ def _columns(params: DotParameters, schedule) -> list[_Step]:
     dots, and t^2 of the links in each child slot, as (dots, samples)
     columns, (L, dots, samples) for a stack, taken at the level's
     ``rows`` and ``up``, a view for a slice; one sample for parameters
-    without a sample axis."""
+    without a sample axis.  Each slot is marked unit if its t^2 are all 1."""
     eps = np.atleast_2d(params.epsilon.values_array).T
     t2 = np.atleast_2d(_squares(params.coupling.values_array)).T
+    # An ideal table is all ones and a disordered one has none: no slot of
+    # either needs a test of its own.
+    ones = t2 == 1
+    every, some = bool(ones.all()), bool(ones.any())
     *lower, root = schedule
     # The links into every dot; the top row of a stacked root has none.
     ups = [t2[level.up] for level in lower] + [t2[root.up[:-1]] if root.nodes.ndim == 2 else None]
@@ -279,7 +303,8 @@ def _columns(params: DotParameters, schedule) -> list[_Step]:
         t2s = tuple(top[index] for index, _ in level.slots)
         if e.ndim == 3:  # and above the stack's bottom row, the links within it
             t2s = (np.concatenate([t2s[0][None], up[:len(e) - 1]]),)
-        steps.append(_Step(e, level.slots, t2s, None))
+        unit = tuple(every or (some and bool(np.all(t2 == 1))) for t2 in t2s)
+        steps.append(_Step(e, level.slots, t2s, None, unit))
     return steps
 
 
@@ -402,7 +427,7 @@ def _group(level: _Step, below, width_below: int):
     Returns ``None`` when every dot is its own class and ``below`` is
     ``None``: without keys when every dot has a child, as its parent
     then is as distinct as it is."""
-    eps, slots, t2s, _ = level
+    eps, slots, t2s, *_ = level
     width = eps.shape[-2]
     if below is None and slots and slots[0].mask is None:
         return None
@@ -433,7 +458,7 @@ def _merge(level: _Step, rep, classes, below, width_below: int) -> _Step:
         slots.append(Slot(child_classes[index][at], has))
         t2s.append(t2[..., at, :])
     mult = np.bincount(classes, minlength=len(rep))
-    return _Step(level.eps[..., rep, :], tuple(slots), tuple(t2s), mult)
+    return _Step(level.eps[..., rep, :], tuple(slots), tuple(t2s), mult, level.unit)
 
 
 def _merged(steps) -> tuple[_Step, ...]:
@@ -478,12 +503,15 @@ def compile_tree(tree, params: DotParameters) -> CompiledTree:
 
 
 def _subtract(target, t2, values, index, mask) -> None:
-    """``target -= t2 * values[index]``, on the rows ``mask`` (``None``: all).
+    """``target -= t2 * values[index]``, on the rows ``mask`` (``None``: all);
+    ``t2`` ``None`` stands for unit couplings, whose values are subtracted
+    as they are (see "Rounding" above).
 
     An index array already gathers a copy, which takes the product in place.
     """
     part = values[index]
-    part = t2 * part if isinstance(index, slice) else np.multiply(t2, part, out=part)
+    if t2 is not None:
+        part = t2 * part if isinstance(index, slice) else np.multiply(t2, part, out=part)
     if mask is None:
         target -= part
     else:
@@ -696,8 +724,8 @@ def _climb(steps, base, g, dg, counts, derivative, block):
         denom = base - step.eps[..., None]
         if derivative:
             ddenom = np.ones(denom.shape, dtype=complex)
-        for (index, mask), t2 in zip(step.slots, step.t2s):
-            t2 = t2[..., None]
+        for (index, mask), t2, unit in zip(step.slots, step.t2s, step.unit):
+            t2 = None if unit else t2[..., None]
             _subtract(denom, t2, g, index, mask)
             if derivative:
                 _subtract(ddenom, t2, dg, index, mask)
@@ -828,7 +856,7 @@ def _rows(steps) -> list[_Step]:
             out.append(step)
             continue
         (slot,), (t2,) = step.slots, step.t2s
-        out += [_Step(eps, (slot if r == 0 else _SAME,), (t2[r],), step.mult)
+        out += [_Step(eps, (slot if r == 0 else _SAME,), (t2[r],), step.mult, step.unit)
                 for r, eps in enumerate(step.eps)]
     return out
 

@@ -38,6 +38,9 @@ import numpy as np
 #: every tolerance used in the package.
 GAMMA_FLOOR = 1e-12
 
+#: The largest int64, above which an unsigned key has no int64 code.
+_INT64_MAX = (1 << 63) - 1
+
 #: Node ids lie in [0, _ID_LIMIT), so a (parent, child) link packs into
 #: one int64 key for sorting and binary search.
 _ID_LIMIT = 1 << 31
@@ -216,6 +219,13 @@ class RootedTree:
         own = self.table_codes()
         return all(a is b or np.array_equal(a, b) for a, b in zip((ids, links), own))
 
+    def __getstate__(self) -> dict:
+        """The state without what the tree caches, for :mod:`copy` and
+        :mod:`pickle`: a copy builds its own arrays, read-only, on first use."""
+        cached = {name for cls in type(self).__mro__ for name, value in vars(cls).items()
+                  if isinstance(value, cached_property)}
+        return {k: v for k, v in vars(self).items() if k not in cached}
+
 
 @dataclass(frozen=True)
 class TreeSpec(RootedTree):
@@ -276,6 +286,13 @@ class TreeSpec(RootedTree):
         kids = np.zeros(2 * n, np.int64)
         kids[1:n] = reach[2::2].astype(np.int64) + reach[3::2]
         return reach, kids
+
+    @cached_property
+    def leaf_bits(self) -> np.ndarray:
+        """The input bits as a read-only uint8 array over their packed bytes:
+        set when the tree is made, and made anew for a copy, which carries
+        none (:meth:`RootedTree.__getstate__`)."""
+        return np.frombuffer(bytes(self.input_bits), np.uint8)
 
     @cached_property
     def _structure(self) -> tuple[np.ndarray, np.ndarray]:
@@ -377,13 +394,16 @@ def _codes(keys: np.ndarray) -> np.ndarray:
 
 def _int_keys(keys) -> np.ndarray:
     """``keys`` as a new int64 array if all are ints (bools and numpy ints
-    too); floats, strings and the like raise :class:`StructureError`."""
+    too); floats, strings and the like, and unsigned keys of 2**63 or more,
+    which int64 cannot hold, raise :class:`StructureError`."""
     try:
         out = np.array(keys)
     except ValueError as exc:  # ragged
         raise StructureError(f"parameter keys must be ints: {exc}") from exc
     if out.size and out.dtype.kind not in "biu":
         raise StructureError(f"parameter keys must be ints, got {out.dtype} keys")
+    if out.dtype.kind == "u" and np.any(big := out > _INT64_MAX):
+        raise StructureError(f"parameter keys must be below 2**63, got {out[big][0]}")
     return out.astype(np.int64, copy=False)
 
 

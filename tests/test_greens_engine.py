@@ -16,6 +16,7 @@ import multiprocessing
 import subprocess
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from nandtree import (DotParameters, StructureError, build_tree, classify, ensem
                       sample_disorder, sample_disorder_many)
 from nandtree.greens import _BLOCK, _resolve, inertia_count
 from nandtree.layout import build_hfractal, chain_below, expand_to_tree
-from nandtree.model import DisorderSpec, ParamTable, TreeSpec
+from nandtree.model import GAMMA_FLOOR, DisorderSpec, ParamTable, TreeSpec
 
 import reference_walks as walks
 from test_tree_bits import _env
@@ -415,6 +416,94 @@ def test_scalar_evaluators_reject_a_sample_axis():
         with pytest.raises(StructureError, match="green_tree_many or DotParameters.sample"):
             call()
     assert type(green_tree(tree, many.sample(2), 0.1)) is complex
+
+
+# Unit couplings: a child slot whose t^2 are all exactly 1 subtracts its
+# values with no product, which changes no bit (see "Rounding" in greens).
+
+def units(tree, params) -> list[bool]:
+    """Per level and child slot of the gathered schedule: all its t^2 are 1."""
+    return [unit for step in greens._gather(tree, params) for unit in step.unit]
+
+
+def mirrored(params):
+    """``params`` with every detuning negated."""
+    return replace(params, epsilon=params.epsilon._with(-params.epsilon.values_array))
+
+
+def chiral_trees():
+    rng = np.random.default_rng(28)
+    yield TreeSpec(6, tuple(rng.integers(0, 2, 64)), random_markers(rng, 6))
+    yield greens.worst_case_tree(6)
+    tree = build_tree(4, rng.integers(0, 2, 16))
+    yield expand_to_tree(build_hfractal(tree), tree)
+
+
+@pytest.mark.parametrize("tree", chiral_trees(), ids=["marked", "worst-case", "hfractal"])
+def test_mirrored_detunings_mirror_the_values(tree):
+    # On a tree, which is bipartite, G(E + i gamma; eps) = -conj G(-E + i gamma;
+    # -eps), so dG/dE is the conjugate of the mirror's; IEEE arithmetic rounds
+    # x and -x alike, so bit for bit.  The energies avoid 0, where Re G is a
+    # signed zero.
+    ideal = ideal_parameters(tree, 10.0, 1e-3)
+    batch = sample_disorder_many(tree, ideal, DisorderSpec(0.1, 0.1, 0), range(3))
+    cases = [ideal, sample_disorder(tree, ideal, DisorderSpec(0.1, 0.1, 4)), batch]
+    assert all(units(tree, ideal)) and not any(units(tree, batch))
+    energies = np.linspace(-1.7, 1.9, 23) + 1e-3 * np.pi
+    for params in cases:
+        for E in (energies, energies[5]):
+            g, dg = _resolve(tree, params, E, True)
+            mirror_g, mirror_dg = _resolve(tree, mirrored(params), -E, True)
+            assert_same(g, -np.conj(mirror_g))
+            assert_same(dg, np.conj(mirror_dg))
+
+
+def test_mirrored_detunings_complement_the_count():
+    # H(-eps) has the spectrum of -H(eps), so at an energy that is no
+    # eigenvalue count(E; eps) + count(-E; -eps) is the number of dots.
+    rng = np.random.default_rng(10)
+    tree = TreeSpec(10, tuple(rng.integers(0, 2, 1024)), random_markers(rng, 10))
+    ideal = ideal_parameters(tree, 10.0, 1e-3)
+    batch = sample_disorder_many(tree, ideal, DisorderSpec(0.1, 0.1, 0), range(2))
+    dots = len(tree.table_codes()[0])
+    energies = rng.uniform(-3.0, 3.0, 40)
+    for params in (ideal, batch):
+        for E in (energies, energies[0]):
+            counts, _ = inertia_count(tree, params, E)
+            mirror_counts, _ = inertia_count(tree, mirrored(params), -E)
+            assert np.all(counts + mirror_counts == dots)
+
+
+def test_unit_couplings_match_reference_at_the_edges():
+    # Couplings exactly 1 on whole levels, on one child slot of a level and
+    # on part of a slot; signed zero and huge energies, detunings whose
+    # denominators overflow, and the dephasing floor: G and dG/dE are the
+    # reference's, bit for bit, unmerged at one energy and merged at many.
+    rng = np.random.default_rng(22)
+    tree = TreeSpec(6, tuple(rng.integers(0, 2, 64)), random_markers(rng, 6))
+    ideal = ideal_parameters(tree, 10.0, 0.0)
+    eps = rng.choice([0.0, -0.0, 1.0, -0.5], len(ideal.epsilon))
+    leaves = ideal.epsilon.codes >= tree.n_leaves
+    huge = np.finfo(float).max
+    eps[leaves] = rng.choice([0.0, -0.0, 1e308, -1e308, huge, -huge], leaves.sum())
+    child = ideal.coupling.keys_array[:, 1]
+    level = np.log2(child).astype(int)
+    t = np.ones(len(child))
+    t[(level == 2) & (child % 2 == 1)] = 0.75  # one slot unit, one not
+    part = np.isin(level, (3, 5))
+    t[part] = rng.choice([1.0, 1.25], part.sum())  # slots partly 1
+    params = replace(ideal, epsilon=ideal.epsilon._with(eps), coupling=ideal.coupling._with(t))
+    assert params.gamma == GAMMA_FLOOR
+    flags = units(tree, params)
+    assert any(flags) and not all(flags)
+    assert np.any(t[part] == 1.0) and np.any(t[part] != 1.0)
+    energies = np.array([0.0, -0.0, 1e300, -1e300, 0.5])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for E in (energies, *map(float, energies)):
+            assert_same(_resolve(tree, params, E), reference_on_array(tree, params, E))
+            got, want = _resolve(tree, params, E, True), reference_on_array(tree, params, E, True)
+            assert_same(got[0], want[0])
+            assert_same(got[1], want[1])
 
 
 class RaggedTree(walks.WalkedTree):

@@ -11,6 +11,7 @@ sample axis, kept as the reference for
 ascending key order spelled out, as tables no longer keep another order.
 """
 
+import copy
 import math
 import pickle
 import random
@@ -205,6 +206,32 @@ def test_closed_form_ownership_matches_the_comparison(tree):
     assert tree.has_codes(*(codes.copy() for codes in own))
     assert twin[0] is not own[0] and tree.has_codes(*twin)
     assert len(near) >= 6 and not any(tree.has_codes(*codes) for codes in near)
+
+
+COPIES = {"deepcopy": copy.deepcopy, "pickle": lambda tree: pickle.loads(pickle.dumps(tree))}
+
+
+@pytest.mark.parametrize("copied", COPIES.values(), ids=COPIES)
+@pytest.mark.parametrize("tree", [build_tree(3, [0, 1] * 4),
+                                  TreeSpec(3, (1, 0, 1, 1, 0, 0, 1, 0), frozenset({3})),
+                                  chain_below(build_tree(3, "10110010"), 3)],
+                         ids=["plain", "marked", "chained"])
+def test_a_copied_tree_builds_its_own_read_only_arrays(copied, tree):
+    # A copy of a tree that built its codes (and, for a marked TreeSpec, its
+    # reach mask) builds its own, read-only, and its leaf bits are read-only
+    # too; the tables of its ideal parameters hold its own codes, so that
+    # has_codes knows them by identity.
+    own = tree.table_codes()
+    twin = copied(tree)
+    params = ideal_parameters(twin, 10.0, 1e-3)
+    ids, links = twin.table_codes()
+    assert params.epsilon.codes is ids and params.coupling.codes is links
+    assert ids is not own[0] and np.array_equal(ids, own[0]) and np.array_equal(links, own[1])
+    arrays = [ids, links]
+    if isinstance(twin, TreeSpec):
+        assert twin == tree and twin.leaf_bits.tolist() == list(tree.input_bits)
+        arrays += [twin.leaf_bits, *(twin._structure if twin.not_markers else ())]
+    assert not any(a.flags.writeable for a in arrays)
 
 
 def test_closed_form_dots_match_traversal():
@@ -495,6 +522,22 @@ def test_tables_take_only_int_keys(keys):
             read(keys)
         with pytest.raises(StructureError):
             read(keys[1:2])
+
+
+def test_unsigned_keys_beyond_int64_are_named_as_given():
+    # An unsigned key of 2**63 or more has no int64 code: it is named as
+    # given, not wrapped to a negative key that was never given.
+    table, links = ParamTable([1, 2], [0.0, 0.0]), ParamTable([[1, 2]], [1.0])
+    for read, keys, big in ((table.find, np.array([2**63], np.uint64), 2**63),
+                            (table.lookup, np.array([2, 2**63 + 5], np.uint64), 2**63 + 5),
+                            (links.find, np.array([[1, 2**64 - 1]], np.uint64), 2**64 - 1),
+                            (lambda keys: ParamTable(keys, [0.0]), [2**63], 2**63)):
+        with pytest.raises(StructureError, match=f"got {big}$"):
+            read(keys)
+    assert table.find(np.array([2, 1], np.uint64)).tolist() == [1, 0]
+    with pytest.raises(KeyError) as missing:
+        table.find(np.array([2**63 - 1], np.uint64))
+    assert missing.value.args == (2**63 - 1,)
 
 
 def test_tables_reject_swapped_kinds_and_duplicate_keys():
