@@ -453,8 +453,6 @@ def _merge(level: _Step, rep, classes, below, width_below: int) -> _Step:
             at = holder[rep]
             has = at >= 0
             at = at[has]
-            if has.all():
-                has = None
         slots.append(Slot(child_classes[index][at], has))
         t2s.append(t2[..., at, :])
     mult = np.bincount(classes, minlength=len(rep))

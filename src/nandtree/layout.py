@@ -37,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import (_ID_LIMIT, Level, RootedTree, StructureError, TreeSpec, _child_slots,
-                    _pack, ideal_parameters)
+                    _pack, _read_only, ideal_parameters)
 
 #: Inverter counts between tree levels, leaf links first.  The published
 #: prefix is hard-coded; past it the count keeps all distances odd while
@@ -205,12 +205,22 @@ class ChainedTree(RootedTree):
     :meth:`sorted_codes` come from the dots' ranks (:attr:`_ranks`): dense
     ids, as :func:`build_hfractal` and :func:`chain_below` make them, are
     ranked without a sort (:func:`_distinct`), and the links follow from
-    their parents' ranks.
+    their parents' ranks.  The tree keeps read-only int64 copies of
+    ``length`` and ``chains``, also in a copy of itself, since what it
+    caches is built from them.
     """
 
     tree: TreeSpec
     length: np.ndarray
     chains: np.ndarray
+
+    def __post_init__(self):
+        for name in ("length", "chains"):
+            object.__setattr__(self, name, _read_only(np.array(getattr(self, name), np.int64))[0])
+
+    def __setstate__(self, state: dict):
+        vars(self).update(state)
+        self.__post_init__()
 
     @property
     def root(self) -> int:

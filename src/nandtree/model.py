@@ -17,9 +17,7 @@ Conventions used throughout the package:
   dropped right subtree is absent from the physical structure.
 
 All types are immutable; all operations are pure functions and safe to
-call concurrently.  (:class:`DotParameters` keep what the kT > 0 calls
-of :mod:`nandtree.transport` compute from them, which changes no
-result.)  Randomness enters only through explicit seeds.
+call concurrently.  Randomness enters only through explicit seeds.
 """
 
 from __future__ import annotations
@@ -335,28 +333,16 @@ class TreeSpec(RootedTree):
             out.append(Level(nodes, slots, slice(first, last), up))
         return out
 
-    def _ids(self) -> np.ndarray:
-        """The reachable ids ascending: all of 1 .. 2N - 1, or those that a
-        NOT marker leaves in reach (:meth:`structure`)."""
-        return (np.flatnonzero(self._structure[0]) if self.not_markers
-                else np.arange(1, 2 * self.n_leaves))
-
     def links(self) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`RootedTree.links` on the heap indices: the reachable ids
-        in ascending order, each node's parent being ``id >> 1``."""
-        ids = self._ids()
+        in ascending order (all of 1 .. 2N - 1, or those that a NOT marker
+        leaves in reach, :meth:`structure`), each node's parent being
+        ``id >> 1``."""
+        ids = (np.flatnonzero(self._structure[0]) if self.not_markers
+               else np.arange(1, 2 * self.n_leaves))
         parents = ids >> 1
         parents[0] = -1
         return ids, parents
-
-    def sorted_codes(self) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`RootedTree.sorted_codes` in closed form, with no sort and
-        no check: the reachable ids ascending, and the links below the root
-        packed as ``(id >> 1, id)``, ascending as the ids are, since a
-        parent's id grows with its child's."""
-        ids = self._ids()
-        below = ids[1:]
-        return ids, _pack(below >> 1, below)
 
     def leaf_values(self, ids: np.ndarray) -> np.ndarray:
         """``leaf_sign * leaf_bit`` of each id in the int array ``ids``
@@ -597,20 +583,6 @@ class DotParameters:
     def sample(self, i: int) -> DotParameters:
         """Realization ``i`` of a batch."""
         return replace(self, epsilon=self.epsilon.row(i), coupling=self.coupling.row(i))
-
-    @cached_property
-    def _kept(self) -> dict:
-        """What :mod:`nandtree.transport` keeps for these parameters (see
-        "Kept results" there), made on first use.  Not a field: equality,
-        ``repr`` and :func:`dataclasses.replace` ignore it, and it lives
-        exactly as long as the parameters."""
-        return {}
-
-    def __getstate__(self) -> dict:
-        """The fields alone, for :mod:`copy` and :mod:`pickle`: the kept
-        results are keyed by the identity of trees a copy does not hold,
-        so a copy starts with none."""
-        return {k: v for k, v in vars(self).items() if k != "_kept"}
 
 
 @dataclass(frozen=True)

@@ -55,9 +55,10 @@ parameter columns of the tree at most once.  At kT = 0 it makes one
 engine call over the distinct E_f, which merges only when there is
 more than one: a kT = 0 :func:`readout` or :func:`conductance`, or an
 eps0 sweep, evaluates one energy and runs unmerged (see "Merged
-subtrees" in :mod:`nandtree.greens`), and keeps nothing.  At kT > 0 the
-:class:`~nandtree.model.DotParameters` keep two things, under the tree
-object (its identity, not its value):
+subtrees" in :mod:`nandtree.greens`), and keeps nothing.  At kT > 0
+this module keeps two things per parameter set and tree, in a table
+weakly keyed by the :class:`~nandtree.model.DotParameters` and then by
+the tree object (its identity, not its value):
 
 - the compiled schedule (:func:`~nandtree.greens.compile_tree`: one
   gather, identical subtrees merged), on which the resonance search,
@@ -69,21 +70,27 @@ object (its identity, not its value):
 
 A later kT > 0 call with the same tree and parameters compiles nothing,
 and one whose search reads the same inputs makes no
-:func:`~nandtree.greens.inertia_count` step.  The entries live exactly
-as long as the parameters and keep the tree alive that long (they hold
-no reference back to the parameters, so no cycle delays freeing); a
-:func:`dataclasses.replace` copy starts with none.  Concurrent calls
-may both compute an entry, and either serves: a result is bit for bit
-what it is without them.  Memory grows by one compiled schedule per
-tree, and by at most one float per eigenvalue in the window for each
-detuning of each distinct search.  A tree already compiled by the
-caller is taken as it is and keeps nothing.
+:func:`~nandtree.greens.inertia_count` step.  Equal parameter sets (the
+same table objects, delta and gamma, as a :func:`dataclasses.replace`
+copy has) share one entry, which is safe because the schedule and the
+searches depend only on the tree and the tables; a deep or pickled
+copy has new tables and starts with none.  An entry lives as long as
+the parameter object that made it, and keeps its trees alive that
+long; it holds no reference to the parameters, which would keep it for
+ever (the schedule is a tuple, not a
+:class:`~nandtree.greens.CompiledTree`).  Concurrent calls may both
+compute an entry, and either serves: a result is bit for bit what it
+is without them.  Memory grows by one compiled schedule per tree, and
+by at most one float per eigenvalue in the window for each detuning of
+each distinct search.  A tree already compiled by the caller is taken
+as it is and keeps nothing.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass, replace
 from typing import Mapping, NamedTuple
 
@@ -250,22 +257,29 @@ def _finest(params: DotParameters, probe: ProbeSpec) -> float:
 
 
 class _Kept(NamedTuple):
-    """What a :class:`~nandtree.model.DotParameters` keeps for one tree."""
+    """What is kept for one parameter set and one tree."""
 
     tree: object  # held, so that no other object takes its id
     steps: tuple  # compile_tree's schedule; not a CompiledTree, which holds the parameters
     searches: dict  # per sample (0 for one realization): {search inputs: resonances}
 
 
+#: The kept results: {parameters: {id(tree): _Kept}}; see "Kept results" above.
+_KEPT = weakref.WeakKeyDictionary()
+
+
 def _kept(tree, params: DotParameters) -> _Kept:
-    """The compiled schedule and resonance searches kept on ``params`` for
+    """The compiled schedule and resonance searches kept for ``params`` and
     ``tree``, compiled on the first call; see "Kept results" above.  A
     tree the caller compiled is taken as it is and keeps nothing."""
     if isinstance(tree, CompiledTree):
         return _Kept(tree, compile_tree(tree, params).steps, {})
-    kept = params._kept.get(id(tree))
+    trees = _KEPT.get(params)
+    if trees is None:
+        trees = _KEPT[params] = {}
+    kept = trees.get(id(tree))
     if kept is None:
-        kept = params._kept[id(tree)] = _Kept(tree, compile_tree(tree, params).steps, {})
+        kept = trees[id(tree)] = _Kept(tree, compile_tree(tree, params).steps, {})
     return kept
 
 
@@ -418,7 +432,7 @@ def _conductances(tree, params: DotParameters, probe: ProbeSpec, e_f, eps0) -> n
     At kT = 0 one G_1 evaluation over the distinct E_f gives
     :func:`transmission` at each point bit for bit, per sample.
     Otherwise :func:`_thermal` runs sample by sample, each on the
-    batch's compilation cut to it (both kept on ``params``; see "Kept
+    batch's compilation cut to it (both kept for ``params``; see "Kept
     results" above), and the first sample with a failing point raises
     the :class:`QuadratureError` of its lowest-index one.  ``tree`` is
     gathered at most once, and merged only for the quadrature or for

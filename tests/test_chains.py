@@ -24,13 +24,13 @@ import pytest
 from nandtree import (assemble, build_tree, classify, green_tree_many, greens, ideal_parameters,
                       sample_disorder, sample_disorder_many)
 from nandtree.greens import _BLOCK, _resolve, inertia_count
-from nandtree.layout import LayoutGraph, build_hfractal, chain_below, expand_to_tree
+from nandtree.layout import ChainedTree, LayoutGraph, build_hfractal, chain_below, expand_to_tree
 from nandtree.model import DisorderSpec, RootedTree, TreeSpec
 
 import reference_walks as walks
 from test_greens_engine import (CHAIN_RTOL, assert_parts_match_one_worker, reference_on_array,
                                  stacked)
-from test_layout_reference import assert_same_levels
+from test_layout_reference import assert_same_arrays, assert_same_levels
 
 
 def hfractal(depth, seed=None):
@@ -75,6 +75,26 @@ def test_table_codes_come_from_the_rank_sorts(tree):
         got = tree.table_codes()
         for a, b in zip(got, want, strict=True):
             assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b)
+
+
+def test_a_chained_tree_keeps_read_only_copies_of_its_inputs():
+    # What a chained tree caches is built from its length and chains, so it
+    # holds read-only int64 copies of them: a write to them raises, and a
+    # write to the caller's arrays, before first use or after, changes
+    # nothing it evaluates.
+    base = chain_below(build_tree(3, "10110010"), 3)
+    want = [*base.links(), *base.table_codes()]
+    length, chains = base.length.copy(), base.chains.copy()
+    tree = ChainedTree(base.tree, length.tolist(), chains)
+    chains[0] = 1000
+    assert_same_arrays([*tree.links(), *tree.table_codes()], want)
+    chains[1] = 1001
+    assert_same_arrays([*tree.links(), *tree.table_codes()], want)
+    for name, given in (("length", length), ("chains", chains)):
+        kept = getattr(tree, name)
+        assert kept.dtype == np.int64 and not kept.flags.writeable and kept is not given
+        with pytest.raises(ValueError, match="read-only"):
+            kept[0] = 1
 
 
 def sorted_ranks(tree):

@@ -316,6 +316,29 @@ def test_main_reports_quadrature_error(tmp_path, capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("line, error", [
+    ("disorder.trials = 0", "disorder.trials: must be >= 1, got 0"),
+    ("sweep.axis = x", "sweep.axis: must be 'E' or 'eps0', got 'x'"),
+    ("sweep.points = 1", "sweep.points: must be >= 2, got 1"),
+])
+def test_parse_config_reports_trials_axis_and_points(line, error):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(SWEEP_CONFIG + f"output.path = out.csv\n{line}\n")
+    assert exc.value.errors == [error]
+
+
+def test_main_removes_its_temporary_file_when_the_rename_fails(tmp_path, capsys):
+    # output.path names an existing directory, so the CSV's final rename
+    # fails: the run reports it and leaves no temporary file behind.
+    out = tmp_path / "out.csv"
+    out.mkdir()
+    path = tmp_path / "run.cfg"
+    path.write_text(EVALUATE_CONFIG + f"output.path = {out}\n")
+    assert main([str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["out.csv", "run.cfg"]
+
+
 def test_main_rejects_nan_sweep_bound(tmp_path, capsys):
     path = tmp_path / "sweep.cfg"
     path.write_text(SWEEP_CONFIG + f"sweep.min = nan\noutput.path = {tmp_path / 'out.csv'}\n")

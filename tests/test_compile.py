@@ -14,8 +14,8 @@ onto its own codes by ``ParamTable.find_codes`` (``greens._own``) and
 then gathered by position too.
 """
 
+import copy
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -285,8 +285,9 @@ def test_many_energy_calls_merge_once(classings):
     once = len(classings)
     assert once
     warm, cold = ProbeSpec(temperature=0.01), ProbeSpec()
-    # Each call on fresh parameters (a copy keeps no kT > 0 results); a
-    # kT > 0 call repeated on the same parameters merges nothing more.
+    # Each call on fresh parameters (a deep copy, whose new tables share no
+    # kept kT > 0 results); a kT > 0 call repeated on the same parameters
+    # merges nothing more.
     for call, kept in (
             (lambda p: green_tree_many(tree, p, np.linspace(-1.0, 1.0, 5)), False),
             (lambda p: inertia_count(tree, p, [0.1, 0.2]), False),
@@ -295,7 +296,7 @@ def test_many_energy_calls_merge_once(classings):
             (lambda p: sweep(tree, p, cold, "E", [-0.2, 0.0, 0.2]), False),
             (lambda p: sweep(tree, p, warm, "E", [-0.2, 0.0, 0.2]), True),
             (lambda p: sweep(tree, p, warm, "eps0", [-0.2, 0.0, 0.2]), True)):
-        params = replace(ideal)
+        params = copy.deepcopy(ideal)
         for want in (once, 0 if kept else once):
             classings.clear()
             call(params)

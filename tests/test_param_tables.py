@@ -23,7 +23,7 @@ import pytest
 from nandtree import (ProbeSpec, QuadratureError, StructureError, build_tree, classify,
                       conductance, ideal_parameters, sample_disorder, sample_disorder_many,
                       transport)
-from nandtree.layout import build_hfractal, chain_below, expand_to_tree
+from nandtree.layout import ChainedTree, build_hfractal, chain_below, expand_to_tree
 from nandtree import model
 from nandtree.model import (DisorderSpec, DotParameters, ParamTable, RootedTree, TreeSpec,
                             _ascending)
@@ -119,9 +119,9 @@ def test_tables_from_table_codes_match_tables_from_dots(tree):
 
 @pytest.mark.parametrize("tree", TREES, ids=lambda t: type(t).__name__)
 def test_table_codes_match_the_sorted_dots(tree):
-    # A TreeSpec gives its codes in closed form, with no sort and no check,
-    # and a chained tree from its ranks: both equal the codes that the
-    # protocol's rule sorts from the dots.
+    # A TreeSpec gives its codes by the protocol's rule, whose checks find
+    # its dots ascending already, and a chained tree from its ranks: both
+    # equal the codes that the rule sorts from the dots.
     for got, want in zip(tree.table_codes(), RootedTree.sorted_codes(tree), strict=True):
         assert got.dtype == want.dtype == np.int64 and np.array_equal(got, want)
 
@@ -218,9 +218,9 @@ COPIES = {"deepcopy": copy.deepcopy, "pickle": lambda tree: pickle.loads(pickle.
                          ids=["plain", "marked", "chained"])
 def test_a_copied_tree_builds_its_own_read_only_arrays(copied, tree):
     # A copy of a tree that built its codes (and, for a marked TreeSpec, its
-    # reach mask) builds its own, read-only, and its leaf bits are read-only
-    # too; the tables of its ideal parameters hold its own codes, so that
-    # has_codes knows them by identity.
+    # reach mask) builds its own, read-only, and its leaf bits (a chained
+    # tree's length and chains) are read-only too; the tables of its ideal
+    # parameters hold its own codes, so that has_codes knows them by identity.
     own = tree.table_codes()
     twin = copied(tree)
     params = ideal_parameters(twin, 10.0, 1e-3)
@@ -231,6 +231,8 @@ def test_a_copied_tree_builds_its_own_read_only_arrays(copied, tree):
     if isinstance(twin, TreeSpec):
         assert twin == tree and twin.leaf_bits.tolist() == list(tree.input_bits)
         arrays += [twin.leaf_bits, *(twin._structure if twin.not_markers else ())]
+    if isinstance(twin, ChainedTree):
+        arrays += [twin.length, twin.chains]
     assert not any(a.flags.writeable for a in arrays)
 
 

@@ -3,6 +3,8 @@ import gc
 import math
 import pickle
 import re
+import sys
+import threading
 import tracemalloc
 import warnings
 import weakref
@@ -773,7 +775,7 @@ def test_one_column_gather_per_public_call(monkeypatch):
         (lambda p: sweep(tree, p, cold, "E", [-0.2, 0.0, 0.2]), params, False),
     ]
     for call, shared, kept in calls:
-        fresh = replace(shared)  # equal parameters that keep nothing yet
+        fresh = copy.deepcopy(shared)  # new tables: parameters with nothing kept yet
         for want in ([4], [] if kept else [4]):
             gathers.clear()
             call(fresh)
@@ -828,9 +830,10 @@ def test_quadrature_nodes_are_read_only():
             array[0] = 0.0
 
 
-# Kept results: what a DotParameters keeps from its kT > 0 calls (see
-# "Kept results" in nandtree.transport).  A warm call is a repeat on the
-# same parameters, a cold one runs on an equal copy that keeps nothing.
+# Kept results: what transport keeps for parameters from their kT > 0
+# calls (see "Kept results" in nandtree.transport).  A warm call is a
+# repeat on the same parameters, a cold one runs on a deep copy, whose
+# new tables make it a parameter set with nothing kept.
 
 def test_warm_calls_equal_cold_calls_bit_for_bit():
     tree, params = disordered(3, (1, 0, 1, 1, 0, 0, 1, 0))
@@ -853,9 +856,11 @@ def test_warm_calls_equal_cold_calls_bit_for_bit():
                          (lambda p: readout(tree, p, probe), many),
                          (lambda p: sweep(tree, p, probe, "E", grid), params),
                          (lambda p: sweep(tree, p, probe, "eps0", grid), params)]:
-        cold = bits(call(replace(shared)))
-        assert call(shared) is not None  # keeps its results on ``shared``
-        assert shared._kept
+        fresh = copy.deepcopy(shared)
+        assert fresh not in transport._KEPT
+        cold = bits(call(fresh))
+        assert call(shared) is not None  # keeps its results for ``shared``
+        assert shared in transport._KEPT
         assert bits(call(shared)) == cold
 
 
@@ -895,12 +900,15 @@ def test_kept_results_die_with_their_parameters():
     tree = build_tree(3, (1, 0, 1, 1, 0, 0, 1, 0))
     params = ideal_parameters(tree, 10.0, 0.01)
     conductance(tree, params, ProbeSpec(temperature=0.01))
-    assert params._kept
-    ref = weakref.ref(params)
+    assert params in transport._KEPT
+    entries, refs = len(transport._KEPT), (weakref.ref(params), weakref.ref(tree))
     gc.disable()
     try:
-        del params
-        assert ref() is None  # freed by its reference count: no cycle
+        del params, tree
+        # Freed by their reference counts: no cycle, and the entry that held
+        # the tree went with the parameters.
+        assert [ref() for ref in refs] == [None, None]
+        assert len(transport._KEPT) == entries - 1
     finally:
         gc.enable()
 
@@ -910,27 +918,64 @@ def test_kept_results_leave_the_dataclass_alone():
     params = ideal_parameters(tree, 10.0, 0.01)
     before, copied = repr(params), replace(params)
     conductance(tree, params, ProbeSpec(temperature=0.01))
-    assert params._kept and "_kept" not in vars(copied)
+    assert params in transport._KEPT and "__getstate__" not in vars(type(params))
     assert repr(params) == before == repr(copied) and params == copied
     assert [f.name for f in fields(params)] == ["epsilon", "coupling", "delta", "gamma"]
-    assert "_kept" not in vars(replace(params))
+    assert list(vars(params)) == list(vars(copied)) == ["epsilon", "coupling", "delta", "gamma"]
+    # An equal copy shares the entry; other parameters have none.
+    assert transport._KEPT[copied] is transport._KEPT[params]
     assert replace(params, gamma=0.02) != params
+    assert replace(params, gamma=0.02) not in transport._KEPT
 
 
-def test_copies_keep_no_results():
-    # Kept results are keyed by the identity of the trees they hold; a
-    # copy holds copies of those trees, whose ids a new tree may reuse,
-    # so copy, deepcopy and pickle all start with none.
+def test_copies_compute_the_same_conductance():
+    # A shallow copy is equal to the parameters and shares their entry; a
+    # deep or pickled copy holds new tables, so it is a parameter set of
+    # its own and starts with none.  Nothing kept travels in a pickle.
     tree = TreeSpec(3, "01101110", frozenset({2}))
     params = ideal_parameters(tree, 10.0, 1e-6)
     probe = ProbeSpec(temperature=0.05)
     size = len(pickle.dumps(params))
     got = conductance(tree, params, probe)
-    assert params._kept
+    assert params in transport._KEPT
     assert len(pickle.dumps(params)) == size
-    for other in (copy.copy(params), copy.deepcopy(params), pickle.loads(pickle.dumps(params))):
-        assert "_kept" not in vars(other)
+    for other, shared in ((copy.copy(params), True), (copy.deepcopy(params), False),
+                          (pickle.loads(pickle.dumps(params)), False)):
+        assert (other in transport._KEPT) == shared
+        assert list(vars(other)) == ["epsilon", "coupling", "delta", "gamma"]
         assert conductance(tree, other, probe) == got
+
+
+def test_concurrent_callers_share_the_kept_results():
+    # More threads than cores, switching often, call at kT > 0 on shared,
+    # equal and short-lived parameters, so that entries are made, shared
+    # and freed while others look theirs up: every result is the serial one.
+    tree = build_tree(3, (1, 0, 1, 1, 0, 0, 1, 0))
+    shared = ideal_parameters(tree, 10.0, 0.01)
+    probes = [ProbeSpec(temperature=kt) for kt in (0.01, 0.02)]
+    want = [conductance(tree, copy.deepcopy(shared), p) for p in probes]
+    got, errors = [], []
+
+    def work():
+        try:
+            for _ in range(5):
+                for params in (shared, replace(shared), copy.deepcopy(shared)):
+                    got.append([conductance(tree, params, p) for p in probes])
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads) and not errors
+    assert got == [want] * 60
 
 
 def test_a_tree_compiled_by_the_caller_keeps_nothing():
@@ -938,5 +983,5 @@ def test_a_tree_compiled_by_the_caller_keeps_nothing():
     params = ideal_parameters(tree, 10.0, 0.01)
     probe = ProbeSpec(temperature=0.01)
     got = conductance(greens.compile_tree(tree, params), params, probe)
-    assert vars(params).get("_kept", {}) == {}
+    assert params not in transport._KEPT
     assert got == conductance(tree, params, probe)
