@@ -145,12 +145,20 @@ G and dG/dE agree to 4e-11 relative at worst on the chained trees and
 H-fractals tested, 401 energies on the depth-12 H-fractal, where |G|
 reaches 233, included (4e-14 at E = 0, which :func:`classify` reads),
 and the tests hold them to 1e-9, far finer than the readout's
-thresholds on |G(0)|.  Each product of more than two dots is rescaled
-by a power of two from its own largest entry, exactly and never by a
-value shared across the block, so on every schedule a sample's values
-do not depend on the block shape, on the other samples and energies
-evaluated with it, or on the stacks composed with its own, and the
-inertia count stays bit for bit.  That also needs every complex product
+thresholds on |G(0)|.  Each dot matrix, and each product of more than
+two dots, is scaled by a power of two from its own largest entry,
+exactly and never by a value shared across the block, so on every
+schedule a sample's values do not depend on the block shape, on the
+other samples and energies evaluated with it, or on the stacks composed
+with its own, and the inertia count stays bit for bit.  The scaled
+dots' entries stay below 2 and their pairs' below 3, so no product
+overflows at any finite energy (unscaled, a product of two dots reaches
+E^2 and one of four E^4, which overflowed from |E| of about 1e77).  A
+power of two changes no bit unless a partial product underflows: on
+the chained trees and H-fractals tested, G and dG/dE are those of the
+unscaled dots bit for bit at every |E| below 8e97, and past it only
+components below about 1e-305, near the least normal float, differ, by
+a few units in their last place.  That also needs every complex product
 to keep its operand order: numpy's complex multiply fuses its
 multiply-adds, so x * y and y * x can differ in the last bit, and numpy
 computes ``x * (temporary)`` of 256 KiB or more in place in the
@@ -536,11 +544,16 @@ def _rescaled(planes) -> list:
     of two nearest below its own largest entry: exact, and blind to the
     other matrices of the block.  A Möbius map, and its derivative, do
     not change when the matrix and its derivative are scaled together."""
-    largest = reduce(np.maximum, map(np.abs, planes[:4]))
-    scale = np.ldexp(1.0, -np.frexp(largest)[1])
+    scale = _power(reduce(np.maximum, map(np.abs, planes[:4])))
     for p in planes:
         p *= scale
     return planes
+
+
+def _power(largest: np.ndarray) -> np.ndarray:
+    """The power of two nearest below each of ``largest``'s reciprocals,
+    the scale that brings a matrix whose largest entry it is into [0.5, 1)."""
+    return np.ldexp(1.0, -np.frexp(largest)[1])
 
 
 def _compose(pieces, z, derivative) -> list:
@@ -553,9 +566,11 @@ def _compose(pieces, z, derivative) -> list:
     dots each, whose c = -t^2 and d = z - eps.  Its products' planes are
     shaped (m, energies).  Pairwise products halve each stack at each
     step; the top of a stack of odd length waits aside and multiplies in
-    from the left at the end, the last set aside first.  Every product of
-    more than two dots is rescaled (:func:`_rescaled`), so however far the
-    products grow or shrink nothing overflows.
+    from the left at the end, the last set aside first.  Each dot matrix is
+    first scaled by the power of two from its largest entry, to s [[0, 1],
+    [c, d]] with planes [s, s c, s d], and every product of more than two
+    dots is rescaled (:func:`_rescaled`), so nothing overflows at any
+    finite energy, however far the products would grow or shrink.
 
     One pass of steps serves every piece, each step pairing the matrices
     of all of them at once.  Each stack is one run of rows, its dots in
@@ -571,8 +586,7 @@ def _compose(pieces, z, derivative) -> list:
     length = [len(pieces[i][1]) for i in order]
     width = runs = [pieces[i][1].shape[1] for i in order]
     t2, eps = (np.concatenate([pieces[i][k].T.ravel() for i in order])[:, None] for k in (0, 1))
-    planes = [-t2, z - eps]
-    seed = [0.0, 0.0, 0.0, 1.0] if derivative else []
+    planes = _scaled_dots(-t2, z - eps)
     tops, done, dots = [], [], True
     while length:
         start = list(accumulate((n * r for n, r in zip(length, runs)), initial=0))
@@ -584,7 +598,9 @@ def _compose(pieces, z, derivative) -> list:
             at = _spaced([start[k] + length[k] - 1 for k in odd], [runs[k] for k in odd],
                          [length[k] for k in odd])
             top = [p.take(at, axis=0) for p in planes]
-            tops.append((odd, [0.0, 1.0, *top] + seed if dots else top))
+            if dots:  # the matrices [[0, s], [s c, s d]] and their derivatives
+                top = [0.0, *top] + ([0.0, 0.0, 0.0, top[0]] if derivative else [])
+            tops.append((odd, top))
             kept = np.ones(start[left], bool)
             kept[at] = False
             keep = np.flatnonzero(kept)
@@ -610,18 +626,30 @@ def _compose(pieces, z, derivative) -> list:
     return out
 
 
+def _scaled_dots(c, d) -> list:
+    """The planes [s, s c, s d] of the dot matrices s [[0, 1], [c, d]],
+    each scaled by the power of two from its own largest entry; ``d``, a
+    fresh array, is scaled in place, its real and imaginary parts apart."""
+    scale = _power(np.maximum(np.maximum(np.abs(d.real), np.abs(d.imag)),
+                              np.maximum(np.abs(c), 1.0)))
+    d.real *= scale
+    d.imag *= scale
+    return [scale, scale * c, d]
+
+
 def _halved(planes, dots: bool, derivative) -> list:
     """The product of each pair of consecutive rows of ``planes``, the
-    upper times the lower; ``dots``: the planes are the [c, d] of dot
-    matrices, whose products are not rescaled."""
+    upper times the lower; ``dots``: the planes are the [s, s c, s d] of
+    scaled dot matrices s [[0, 1], [c, d]], whose products are not
+    rescaled again."""
     pairs = [p.reshape(len(p) // 2, 2, *p.shape[1:]) for p in planes]
     upper, lower = [p[:, 1] for p in pairs], [p[:, 0] for p in pairs]
     if not dots:
         return _rescaled(_product(upper, lower))
-    (c1, d1), (c0, d0) = upper, lower
-    out = [c0, d0, d1 * c0, c1 + d1 * d0]
+    (s1, c1, d1), (s0, c0, d0) = upper, lower
+    out = [s1 * c0, s1 * d0, d1 * c0, s0 * c1 + d1 * d0]
     if derivative:
-        out += [np.zeros_like(c0), np.ones_like(c0), c0, d0 + d1]
+        out += [np.zeros((len(s0), 1)), s1 * s0, out[0], s1 * d0 + s0 * d1]
     return out
 
 

@@ -206,8 +206,9 @@ class ChainedTree(RootedTree):
     ids, as :func:`build_hfractal` and :func:`chain_below` make them, are
     ranked without a sort (:func:`_distinct`), and the links follow from
     their parents' ranks.  The tree keeps read-only int64 copies of
-    ``length`` and ``chains``, also in a copy of itself, since what it
-    caches is built from them.
+    ``length`` and ``chains``, since what it caches is built from them; a
+    copy of the tree is rebuilt through this constructor
+    (:meth:`~nandtree.model.RootedTree.__reduce__`), so it keeps its own.
     """
 
     tree: TreeSpec
@@ -217,10 +218,6 @@ class ChainedTree(RootedTree):
     def __post_init__(self):
         for name in ("length", "chains"):
             object.__setattr__(self, name, _read_only(np.array(getattr(self, name), np.int64))[0])
-
-    def __setstate__(self, state: dict):
-        vars(self).update(state)
-        self.__post_init__()
 
     @property
     def root(self) -> int:

@@ -18,14 +18,19 @@ Conventions used throughout the package:
 
 All types are immutable; all operations are pure functions and safe to
 call concurrently.  Randomness enters only through explicit seeds.
+Copies (:func:`copy.copy`, :func:`copy.deepcopy`) and :mod:`pickle`
+rebuild a tree or a parameter table through its own constructor, the
+one place that checks its inputs and makes its arrays read-only: a tree
+from its fields (:meth:`RootedTree.__reduce__`), a table from its codes
+and values (:meth:`ParamTable.__reduce__`).  Parameters and the other
+values copy their fields.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cache, cached_property
 from typing import NamedTuple
 
@@ -162,7 +167,9 @@ class RootedTree:
     the evaluation schedule :meth:`levels` and the reachable dots
     :meth:`links`, with :meth:`leaf_values` for their detuning signs;
     the Green's-function evaluators, :func:`ideal_parameters` and the
-    dense oracle need nothing else.
+    dense oracle need nothing else.  The package's trees are frozen
+    dataclasses, which a copy rebuilds from their fields
+    (:meth:`__reduce__`).
     """
 
     def levels(self) -> list[Level]:
@@ -217,12 +224,12 @@ class RootedTree:
         own = self.table_codes()
         return all(a is b or np.array_equal(a, b) for a, b in zip((ids, links), own))
 
-    def __getstate__(self) -> dict:
-        """The state without what the tree caches, for :mod:`copy` and
-        :mod:`pickle`: a copy builds its own arrays, read-only, on first use."""
-        cached = {name for cls in type(self).__mro__ for name, value in vars(cls).items()
-                  if isinstance(value, cached_property)}
-        return {k: v for k, v in vars(self).items() if k not in cached}
+    def __reduce__(self):
+        """For :mod:`copy` and :mod:`pickle`: the tree rebuilt from its
+        dataclass fields through its constructor, which checks them, so a
+        copy carries nothing the tree cached and builds its own arrays,
+        read-only, on first use."""
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 @dataclass(frozen=True)
@@ -234,9 +241,10 @@ class TreeSpec(RootedTree):
     carrying an inline NOT.
 
     The bits may be given as anything :func:`_as_bits` takes, and are
-    checked here and nowhere else, once per tree; ``input_bits`` is then
-    a tuple of the Python ints 0 and 1, and ``leaf_bits`` the same bits
-    as a read-only uint8 array over the packed bytes.
+    checked here and nowhere else, once per tree (a copy is a new tree,
+    :meth:`RootedTree.__reduce__`); ``input_bits`` is then a tuple of the
+    Python ints 0 and 1, and ``leaf_bits`` the same bits as a read-only
+    uint8 array over the packed bytes.
     """
 
     depth: int
@@ -284,13 +292,6 @@ class TreeSpec(RootedTree):
         kids = np.zeros(2 * n, np.int64)
         kids[1:n] = reach[2::2].astype(np.int64) + reach[3::2]
         return reach, kids
-
-    @cached_property
-    def leaf_bits(self) -> np.ndarray:
-        """The input bits as a read-only uint8 array over their packed bytes:
-        set when the tree is made, and made anew for a copy, which carries
-        none (:meth:`RootedTree.__getstate__`)."""
-        return np.frombuffer(bytes(self.input_bits), np.uint8)
 
     @cached_property
     def _structure(self) -> tuple[np.ndarray, np.ndarray]:
@@ -414,7 +415,9 @@ class ParamTable:
     float per key, shape (n,), or per sample and key, shape (samples,
     n); :attr:`keys_array` gives the keys.  :meth:`find` and
     :meth:`lookup` find many keys at once, none included, by binary
-    search.  Two tables are equal only if they are the same object.
+    search.  Two tables are equal only if they are the same object.  A
+    copy or an unpickled table is rebuilt from its codes and values
+    (:meth:`__reduce__`), checked and read-only as every table is.
     """
 
     def __init__(self, keys, values):
@@ -441,8 +444,9 @@ class ParamTable:
     @classmethod
     def _of_codes(cls, codes: np.ndarray, values: np.ndarray, links: bool) -> ParamTable:
         """A table on int64 ``codes`` of node ids, or of links if ``links``,
-        and fresh float ``values``, both taken as they are: the codes must
-        come strictly ascending, with ids in [0, 2**31) (a pass checks each)."""
+        and float ``values``, both taken as they are and made read-only in
+        place: the codes must come strictly ascending, with ids in
+        [0, 2**31) (a pass checks each)."""
         if np.any(codes[1:] <= codes[:-1]):
             raise StructureError("table codes must be strictly ascending")
         # The ends bound ascending codes; a link's child is its low 32 bits.
@@ -472,10 +476,17 @@ class ParamTable:
         links the (parent, child) pairs, shape (n, 2), unpacked anew."""
         return _read_only(_unpack(self.codes) if self.links else self.codes)[0]
 
+    def __reduce__(self):
+        """For :mod:`copy` and :mod:`pickle`: the table rebuilt through
+        :meth:`_of_codes`, which checks the codes and makes the arrays
+        (new ones, in a deep copy or an unpickled table) read-only."""
+        return type(self)._of_codes, (self.codes, self.values_array, self.links)
+
     def _with(self, values: np.ndarray) -> ParamTable:
-        """These codes with ``values``, shaped like ``values_array``, made read-only."""
-        out = copy.copy(self)
-        out.values_array = _read_only(values)[0]
+        """These codes, not checked again, with ``values``, shaped like
+        ``values_array``, made read-only."""
+        out = object.__new__(type(self))
+        vars(out).update(vars(self), values_array=_read_only(values)[0])
         return out
 
     def row(self, i: int) -> ParamTable:

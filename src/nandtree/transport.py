@@ -73,8 +73,9 @@ and one whose search reads the same inputs makes no
 :func:`~nandtree.greens.inertia_count` step.  Equal parameter sets (the
 same table objects, delta and gamma, as a :func:`dataclasses.replace`
 copy has) share one entry, which is safe because the schedule and the
-searches depend only on the tree and the tables; a deep or pickled
-copy has new tables and starts with none.  An entry lives as long as
+searches depend only on the tree and the tables, whose arrays are
+read-only, in every copy too; a deep or pickled copy has new tables and
+starts with none.  An entry lives as long as
 the parameter object that made it, and keeps its trees alive that
 long; it holds no reference to the parameters, which would keep it for
 ever (the schedule is a tuple, not a

@@ -26,6 +26,7 @@ from nandtree import (assemble, build_tree, classify, green_tree_many, greens, i
 from nandtree.greens import _BLOCK, _resolve, inertia_count
 from nandtree.layout import ChainedTree, LayoutGraph, build_hfractal, chain_below, expand_to_tree
 from nandtree.model import DisorderSpec, RootedTree, TreeSpec
+from nandtree.transport import ProbeSpec, transmission
 
 import reference_walks as walks
 from test_greens_engine import (CHAIN_RTOL, assert_parts_match_one_worker, reference_on_array,
@@ -195,6 +196,22 @@ def test_long_runs_stay_within_tolerance_far_from_the_band(name):
             assert np.all(np.abs(g - w) <= CHAIN_RTOL * np.abs(w))
 
 
+@pytest.mark.parametrize("name", ["below-2", "below-3", "below-8", "hfractal-4"])
+def test_stacks_stay_finite_at_far_energies(name):
+    # Each dot matrix is scaled by a power of two before any product, so
+    # far out, where a product of two dots reaches E^2 and one of four E^4,
+    # nothing overflows (the suite makes an overflow warning an error), and
+    # the values stay the level recursion's; so does T, which is 0.0.
+    tree = CHAINED[name]
+    E = np.array([-1e300, -1e150, -1e80, 1e80, 1e150, 1e300])
+    for params in parameter_sets(tree):
+        got, want = _resolve(tree, params, E, True), reference_on_array(tree, params, E, True)
+        for g, w in zip(got, want):
+            assert np.all(np.abs(g - w) <= CHAIN_RTOL * np.abs(w))
+        for e in (1e200, -1e200):
+            assert transmission(tree, params, ProbeSpec(), e) == 0.0
+
+
 @pytest.mark.parametrize("block", [_BLOCK, 1, 7, 300])
 def test_chained_values_do_not_depend_on_the_block(block, monkeypatch):
     # Each sample, energy and column of a stack composes its own product
@@ -276,14 +293,19 @@ def test_empty_batches_give_empty_results(name):
 def stack_product(c, d, derivative) -> list:
     """The product of one stack of dot matrices [[0, 1], [c_j, d_j]] (and
     its derivative), stack by stack as ``greens`` composed it before the
-    stacks of a call were composed together: kept as the reference."""
+    stacks of a call were composed together: kept as the reference.  Each
+    dot matrix is first scaled by the power of two from its largest entry,
+    to s [[0, 1], [c_j, d_j]]."""
+    s = greens._power(np.maximum(np.maximum(np.abs(d.real), np.abs(d.imag)),
+                                 np.maximum(np.abs(c), 1.0)))
+    c, d = s * c, s * d
     n = len(d) - len(d) % 2
-    seed = [0.0, 0.0, 0.0, 1.0] if derivative else []
-    tops = [[0.0, 1.0, c[n:], d[n:]] + seed] if n < len(d) else []
-    c0, d0, c1, d1 = c[0:n:2], d[0:n:2], c[1:n:2], d[1:n:2]
-    planes = [c0, d0, d1 * c0, c1 + d1 * d0]
+    seed = [0.0, 0.0, 0.0, s[n:]] if derivative else []
+    tops = [[0.0, s[n:], c[n:], d[n:]] + seed] if n < len(d) else []
+    s0, c0, d0, s1, c1, d1 = s[0:n:2], c[0:n:2], d[0:n:2], s[1:n:2], c[1:n:2], d[1:n:2]
+    planes = [s1 * c0, s1 * d0, d1 * c0, s0 * c1 + d1 * d0]
     if derivative:
-        planes += [np.zeros_like(c0), np.ones_like(c0), c0, d0 + d1]
+        planes += [np.zeros_like(c0), s1 * s0, planes[0], s1 * d0 + s0 * d1]
     while len(planes[0]) > 1:
         n = len(planes[0]) - len(planes[0]) % 2
         if n < len(planes[0]):

@@ -12,6 +12,7 @@ sample axis must give, bit for bit, what the loop over their samples
 that the axis replaces gives.
 """
 
+import itertools
 import multiprocessing
 import subprocess
 import sys
@@ -20,6 +21,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nandtree import (DotParameters, StructureError, build_tree, classify, ensemble, green_tree,
                       green_tree_derivative, green_tree_many, greens, ideal_parameters,
@@ -440,38 +443,79 @@ def chiral_trees():
 
 
 @pytest.mark.parametrize("tree", chiral_trees(), ids=["marked", "worst-case", "hfractal"])
-def test_mirrored_detunings_mirror_the_values(tree):
+def test_mirrored_detunings_mirror_the_values(tree, monkeypatch):
     # On a tree, which is bipartite, G(E + i gamma; eps) = -conj G(-E + i gamma;
     # -eps), so dG/dE is the conjugate of the mirror's; IEEE arithmetic rounds
     # x and -x alike, so bit for bit.  The energies avoid 0, where Re G is a
-    # signed zero.
+    # signed zero.  On one CPU and four, with blocks of the default size and
+    # of 7 values, so that many blocks run in parts.
     ideal = ideal_parameters(tree, 10.0, 1e-3)
     batch = sample_disorder_many(tree, ideal, DisorderSpec(0.1, 0.1, 0), range(3))
     cases = [ideal, sample_disorder(tree, ideal, DisorderSpec(0.1, 0.1, 4)), batch]
     assert all(units(tree, ideal)) and not any(units(tree, batch))
     energies = np.linspace(-1.7, 1.9, 23) + 1e-3 * np.pi
-    for params in cases:
-        for E in (energies, energies[5]):
-            g, dg = _resolve(tree, params, E, True)
-            mirror_g, mirror_dg = _resolve(tree, mirrored(params), -E, True)
-            assert_same(g, -np.conj(mirror_g))
-            assert_same(dg, np.conj(mirror_dg))
+    for cpus, block in itertools.product((1, 4), (_BLOCK, 7)):
+        monkeypatch.setattr(greens, "_cpus", lambda cpus=cpus: cpus)
+        monkeypatch.setattr(greens, "_BLOCK", block)
+        for params in cases:
+            for E in (energies, energies[5]):
+                g, dg = _resolve(tree, params, E, True)
+                mirror_g, mirror_dg = _resolve(tree, mirrored(params), -E, True)
+                assert_same(g, -np.conj(mirror_g))
+                assert_same(dg, np.conj(mirror_dg))
 
 
 def test_mirrored_detunings_complement_the_count():
     # H(-eps) has the spectrum of -H(eps), so at an energy that is no
-    # eigenvalue count(E; eps) + count(-E; -eps) is the number of dots.
+    # eigenvalue count(E; eps) + count(-E; -eps) is the number of dots; on
+    # marked trees of depth 10 and 14.
     rng = np.random.default_rng(10)
-    tree = TreeSpec(10, tuple(rng.integers(0, 2, 1024)), random_markers(rng, 10))
-    ideal = ideal_parameters(tree, 10.0, 1e-3)
-    batch = sample_disorder_many(tree, ideal, DisorderSpec(0.1, 0.1, 0), range(2))
-    dots = len(tree.table_codes()[0])
-    energies = rng.uniform(-3.0, 3.0, 40)
-    for params in (ideal, batch):
-        for E in (energies, energies[0]):
-            counts, _ = inertia_count(tree, params, E)
-            mirror_counts, _ = inertia_count(tree, mirrored(params), -E)
-            assert np.all(counts + mirror_counts == dots)
+    for depth in (10, 14):
+        tree = TreeSpec(depth, tuple(rng.integers(0, 2, 2**depth)), random_markers(rng, depth))
+        ideal = ideal_parameters(tree, 10.0, 1e-3)
+        batch = sample_disorder_many(tree, ideal, DisorderSpec(0.1, 0.1, 0), range(2))
+        dots = len(tree.table_codes()[0])
+        energies = rng.uniform(-3.0, 3.0, 40)
+        for params in (ideal, batch):
+            for E in (energies, energies[0]):
+                counts, _ = inertia_count(tree, params, E)
+                mirror_counts, _ = inertia_count(tree, mirrored(params), -E)
+                assert np.all(counts + mirror_counts == dots)
+
+
+@st.composite
+def trees_and_parameters(draw):
+    """A random plain, marked, chain-below or H-fractal tree of depth 1 to 4,
+    with ideal or disordered parameters at one of three dephasing rates."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["plain", "marked", "below", "hfractal"]))
+    depth = draw(st.integers(1, 4))
+    markers = random_markers(rng, depth) if kind == "marked" else frozenset()
+    tree = TreeSpec(depth, tuple(rng.integers(0, 2, 2**depth)), markers)
+    if kind == "below":
+        tree = chain_below(tree, draw(st.integers(1, 40)))
+    elif kind == "hfractal":
+        tree = expand_to_tree(build_hfractal(tree), tree)
+    params = ideal_parameters(tree, 10.0, draw(st.sampled_from([GAMMA_FLOOR, 1e-3, 0.5])))
+    if draw(st.booleans()):
+        params = sample_disorder(tree, params, DisorderSpec(0.1, 0.5, int(rng.integers(2**31))))
+    return tree, params
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=trees_and_parameters(),
+       energies=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=6))
+def test_the_root_value_is_a_resolvents_at_every_finite_energy(case, energies):
+    # G(E + i gamma) of a Hermitian H is finite, with Im G <= 0 and |G| <= 1/gamma,
+    # at every energy, 0 and the largest floats included, on every kind of
+    # tree; no step may overflow on the way (warnings are errors here).  At
+    # one energy and at several, which merge.
+    tree, params = case
+    for g in (green_tree_many(tree, params, np.array(energies)),
+              np.array([green_tree(tree, params, energies[0])])):
+        assert np.all(np.isfinite(g))
+        assert np.all(g.imag <= 0)
+        assert np.all(np.abs(g) * params.gamma <= 1 + CHAIN_RTOL)
 
 
 def test_unit_couplings_match_reference_at_the_edges():

@@ -236,6 +236,52 @@ def test_a_copied_tree_builds_its_own_read_only_arrays(copied, tree):
     assert not any(a.flags.writeable for a in arrays)
 
 
+def copied_values():
+    tree = TreeSpec(3, (1, 0, 1, 1, 0, 0, 1, 0), frozenset({3}))
+    ideal = ideal_parameters(tree, 10.0, 1e-3)
+    yield "tree", tree
+    yield "chained", chain_below(build_tree(3, "10110010"), 3)
+    yield "table", ideal.coupling
+    yield "ideal", ideal
+    yield "batch", sample_disorder_many(tree, ideal, DisorderSpec(0.1, 0.1, 0), range(3))
+    yield "dict", DotParameters({1: 0.5, 2: -0.25, 3: 0.0}, {(1, 3): 0.5, (1, 2): 1.0}, 10.0, 1e-3)
+
+
+def held_arrays(value) -> list:
+    """Every array ``value`` holds: a table's two, those of each table of
+    parameters, and a tree's fields, leaf bits, reach mask and codes."""
+    if isinstance(value, ParamTable):
+        return [value.codes, value.values_array]
+    if isinstance(value, DotParameters):
+        return held_arrays(value.epsilon) + held_arrays(value.coupling)
+    out = [*value.table_codes()]
+    if isinstance(value, ChainedTree):
+        out += [value.length, value.chains, *held_arrays(value.tree)]
+    else:
+        out += [value.leaf_bits, *(value._structure if value.not_markers else ())]
+    return out
+
+
+COPY_ALL = {"copy": copy.copy, **COPIES}
+
+
+@pytest.mark.parametrize("copied", COPY_ALL.values(), ids=COPY_ALL)
+@pytest.mark.parametrize("value", [pytest.param(v, id=name) for name, v in copied_values()])
+def test_copies_rebuild_through_the_constructor(copied, value):
+    # copy.copy, copy.deepcopy and pickle rebuild every value through its
+    # constructor, which makes its arrays read-only: a write to any array a
+    # copy holds raises, and the copy holds what the value does.
+    held = held_arrays(value)
+    twin = copied(value)
+    assert type(twin) is type(value)
+    arrays = held_arrays(twin)
+    assert_same_arrays(arrays, held)
+    for array in arrays:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 1
+
+
 def test_closed_form_dots_match_traversal():
     for depth in range(1, 12):
         tree = build_tree(depth, [1, 0] * 2 ** (depth - 1))

@@ -946,6 +946,27 @@ def test_copies_compute_the_same_conductance():
         assert conductance(tree, other, probe) == got
 
 
+def test_a_copy_cannot_leave_its_kept_schedule_stale():
+    # kT > 0 calls keep a schedule per parameter set, which stays right only
+    # while its tables do not change.  A deep or pickled copy holds new
+    # tables, rebuilt read-only like any other, so after a call on it a
+    # write to them raises, and the next call still gives the first value;
+    # had the write gone in, the values would be those of other parameters.
+    tree = build_tree(3, (1, 0, 1, 1, 0, 0, 1, 0))
+    ideal = ideal_parameters(tree, 10.0, 1e-3)
+    probe = ProbeSpec(temperature=0.01)
+    want = conductance(tree, ideal, probe)
+    shifted = replace(ideal, epsilon=ideal.epsilon._with(ideal.epsilon.values_array + 0.3))
+    assert abs(conductance(tree, shifted, probe) - want) > 0.1
+    for params in (copy.deepcopy(ideal), pickle.loads(pickle.dumps(ideal))):
+        assert conductance(tree, params, probe) == want
+        for table in (params.epsilon, params.coupling):
+            for array in (table.codes, table.values_array):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[...] += 0.3 if array.dtype == float else 1
+        assert conductance(tree, params, probe) == want
+
+
 def test_concurrent_callers_share_the_kept_results():
     # More threads than cores, switching often, call at kT > 0 on shared,
     # equal and short-lived parameters, so that entries are made, shared
